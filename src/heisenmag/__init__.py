@@ -63,14 +63,12 @@ from .periodic import (
     psi_tilde,
     solve_c_for_energy,
     solve_dc,
-    y_omega,
 )
 from .quartic import (
     Branch,
     InitialData,
     QuarticProfile,
     build_profile,
-    locate_interval,
     mu_r_closed_forms,
 )
 from .trajectory import (

@@ -27,7 +27,7 @@ from scipy import special
 from scipy.integrate import quad
 
 from . import elliptic
-from .errors import LambdaNotFoundError
+from .errors import ConvergenceError, LambdaNotFoundError
 from .heisenberg import LorentzForce
 from .oracle import (
     OracleConfig,
@@ -47,15 +47,14 @@ from .periodic import (
     lattice_obstruction_check,
     psi_tilde,
     solve_dc,
-    y_omega,
 )
 from .quartic import (
     Branch,
     InitialData,
     discriminant,
     monic_coefficients,
+    quartic_roots,
 )
-from .quartic import _quartic_roots  # shared root engine for the census
 from .trajectory import make_solution
 
 __all__ = [
@@ -180,6 +179,42 @@ def _mpmath_reduced_distance(sol, data: InitialData, t_max: float, n_pts: int = 
     return worst
 
 
+def _window(sol) -> float:
+    """Comparison horizon: two x-periods, or [0, 20] without a period."""
+    return 2.0 * sol.x_period if sol.x_period is not None else 20.0
+
+
+def _first_integral_drift(sol, data: InitialData) -> float:
+    """Worst |x'^2 + h(x)^2 - 2 rho x - (x0^2 + (y0+1)^2)| on 257 points."""
+    return max(
+        abs(
+            sol.x_prime(t) ** 2
+            + data.h(sol.x(t)) ** 2
+            - 2.0 * data.rho * sol.x(t)
+            - data.norm_sq
+        )
+        for t in np.linspace(0.0, _window(sol), 257)
+    )
+
+
+def _y_over_period_by_quadrature(sol) -> float:
+    """y(omega) by adaptive quadrature of y' = x^2/2 + (z0+rho) x + y0.
+
+    Independent of the closed form that TrajectorySolution.y_over_period
+    returns, which criterion 4 compares it against.
+    """
+    zr, y0, omega = sol.data.zr, sol.data.y0, sol.x_period
+
+    def y_prime(s: float) -> float:
+        x = sol.x(s)
+        return 0.5 * x * x + zr * x + y0
+
+    val, err = quad(y_prime, 0.0, omega, epsabs=1e-12, epsrel=1e-12, limit=400)
+    if err > 1e-11 * max(1.0, omega):
+        raise ConvergenceError(f"quadrature over [0, {omega}] reports error {err}")
+    return val
+
+
 def check_branch(branch: Branch, rho: float | None = None) -> dict:
     """Cross-validation record for one branch representative.
 
@@ -199,17 +234,8 @@ def check_branch(branch: Branch, rho: float | None = None) -> dict:
         sol.x, data, np.linspace(0.05, 10.0, 200)
     )
     omega = sol.x_period
-    t_max = 2.0 * omega if omega is not None else 20.0
-    ts = np.linspace(0.0, t_max, 257)
-    record["first_integral_drift"] = max(
-        abs(
-            sol.x_prime(t) ** 2
-            + data.h(sol.x(t)) ** 2
-            - 2.0 * data.rho * sol.x(t)
-            - data.norm_sq
-        )
-        for t in ts
-    )
+    t_max = _window(sol)
+    record["first_integral_drift"] = _first_integral_drift(sol, data)
     if omega is not None:
         cfg = OracleConfig(rel_tol=1e-11, abs_tol=1e-13, t_span=(0.0, t_max))
         orc = integrate_general(
@@ -264,19 +290,7 @@ def crit_first_integral(tol: float = 1.0) -> CriterionResult:
     worst = 0.0
     for branch in _ALL_BRANCHES:
         data = representative_data(branch)
-        sol = make_solution(data)
-        omega = sol.x_period
-        t_max = 2.0 * omega if omega is not None else 20.0
-        drift = max(
-            abs(
-                sol.x_prime(t) ** 2
-                + data.h(sol.x(t)) ** 2
-                - 2.0 * data.rho * sol.x(t)
-                - data.norm_sq
-            )
-            for t in np.linspace(0.0, t_max, 257)
-        )
-        worst = max(worst, drift)
+        worst = max(worst, _first_integral_drift(make_solution(data), data))
     return CriterionResult(
         "first integral drift",
         worst < 1e-9 * tol,
@@ -297,7 +311,7 @@ def crit_discriminant(tol: float = 1.0, seed: int = 0) -> CriterionResult:
         p0, q0 = monic_coefficients(data)
         delta = discriminant(p0, q0, rho)
         scale = max(1.0, abs(2 * p0), abs(8 * rho) ** (2 / 3), abs(q0) ** 0.5)
-        roots = _quartic_roots(p0, q0, rho)
+        roots = quartic_roots(p0, q0, rho)
         rscale = max(1.0, float(np.max(np.abs(roots))))
         r = roots
         e1 = np.sum(r)
@@ -347,8 +361,8 @@ def crit_periodicity_criterion(tol: float = 1.0, seed: int = 0) -> CriterionResu
         e = rng.uniform(-1.0, 1.0)
         rho = rng.uniform(0.0, 2.0)
         sol = make_solution(initial_from_cde(c, d, e, rho))
-        r = y_omega(sol)
-        worst_gap = max(worst_gap, abs(r["quadrature"] - r["closed_form"]))
+        gap = abs(_y_over_period_by_quadrature(sol) - sol.y_over_period())
+        worst_gap = max(worst_gap, gap)
     # four real roots: sample root configurations directly
     pos_all_negative = True
     worst_pos = -math.inf
@@ -377,7 +391,7 @@ def crit_periodicity_criterion(tol: float = 1.0, seed: int = 0) -> CriterionResu
         sol = make_solution(data)
         if sol.profile.branch not in (Branch.POS_LOW, Branch.POS_HIGH):
             continue
-        val = y_omega(sol)["quadrature"]
+        val = max(_y_over_period_by_quadrature(sol), sol.y_over_period())
         worst_pos = max(worst_pos, val)
         pos_all_negative = pos_all_negative and val < 0.0
         count += 1
@@ -400,10 +414,10 @@ def crit_periodicity_criterion(tol: float = 1.0, seed: int = 0) -> CriterionResu
         sol = make_solution(data)
         if sol.profile.branch is not Branch.ZERO_MU_POS:
             continue
-        r = y_omega(sol)
-        worst_mu = max(worst_mu, r["quadrature"], r["closed_form"])
-        worst_mu_gap = max(worst_mu_gap, abs(r["quadrature"] - r["closed_form"]))
-        mu_all_negative = mu_all_negative and r["quadrature"] < 0.0 and r["closed_form"] < 0.0
+        quadrature, closed = _y_over_period_by_quadrature(sol), sol.y_over_period()
+        worst_mu = max(worst_mu, quadrature, closed)
+        worst_mu_gap = max(worst_mu_gap, abs(quadrature - closed))
+        mu_all_negative = mu_all_negative and quadrature < 0.0 and closed < 0.0
         count += 1
     passed = worst_gap < 1e-8 * tol and pos_all_negative and mu_all_negative
     return CriterionResult(
@@ -411,8 +425,8 @@ def crit_periodicity_criterion(tol: float = 1.0, seed: int = 0) -> CriterionResu
         passed,
         {
             "neg_closed_vs_quad": worst_gap,
-            "pos_max_y_omega": worst_pos,
-            "mu_pos_max_y_omega": worst_mu,
+            "pos_max_y_over_period": worst_pos,
+            "mu_pos_max_y_over_period": worst_mu,
             "mu_pos_closed_vs_quad": worst_mu_gap,
         },
         time.time() - t0,

@@ -16,11 +16,8 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import acceptance
-from .elliptic import appendix_integrals, complete_K, jacobi_cn, legendre_relation_defect
-from .errors import HeisenmagError
+from .errors import HeisenmagError, check_finite
 from .heisenberg import LorentzForce, canonical_to_json, classify_force
 from .periodic import (
     LatticeElement,
@@ -90,6 +87,7 @@ def export_samples(rows, header, path=None, fmt: str = "csv"):
 
 
 def _time_grid(t_max: float, dt: float) -> list[float]:
+    check_finite(t_max=t_max, dt=dt)
     if dt <= 0.0:
         raise HeisenmagError("--dt must be positive")
     if t_max < 0.0:
@@ -203,7 +201,7 @@ def _cmd_lattice_obstruction(args, out) -> int:
     if len(entries) != 4:
         raise _UsageError("--basis expects 'a,b,c,d' for [[a, b], [c, d]]")
     basis = [[entries[0], entries[1]], [entries[2], entries[3]]]
-    admits = lattice_obstruction_check(basis, center_step=args.center_step)
+    admits = lattice_obstruction_check(basis)
     _emit_json({"basis": basis, "admits_period_candidates": admits}, out)
     return EXIT_OK
 
@@ -233,35 +231,9 @@ def _cmd_verify(args, out) -> int:
 def _cmd_elliptic(args, out) -> int:
     if not args.check:
         raise _UsageError("elliptic requires --check")
-    failures = 0
-    out.write("check                                   value        status\n")
-    worst = max(
-        abs(legendre_relation_defect(float(k))) for k in np.linspace(0.01, 0.99, 50)
-    )
-    ok = worst < 1e-12 * acceptance.tolerance_scale()
-    failures += 0 if ok else 1
-    out.write(f"legendre relation defect (50 moduli)    {worst:.3e}    {'ok' if ok else 'FAIL'}\n")
-    from scipy.integrate import quad
-
-    for a, b, k in [
-        (1.0, 2.0, 0.0),
-        (0.7, 1.3, 0.5),
-        (0.5, 3.0, 0.9),
-        (1.0, -2.0, 0.3),
-        (2.0, 2.5, 0.7),
-    ]:
-        vals = appendix_integrals(a, b, k)
-        period = 4.0 * complete_K(k)
-        i1, _ = quad(lambda s: 1.0 / (a * jacobi_cn(s, k) + b), 0.0, period,
-                     epsabs=1e-13, epsrel=1e-13, limit=400)
-        i2, _ = quad(lambda s: 1.0 / (a * jacobi_cn(s, k) + b) ** 2, 0.0, period,
-                     epsabs=1e-13, epsrel=1e-13, limit=400)
-        gap = max(abs(vals["I1"] - i1), abs(vals["I2"] - i2))
-        ok = gap < 1e-10 * acceptance.tolerance_scale()
-        failures += 0 if ok else 1
-        label = f"integral identities A={a} B={b} k={k}"
-        out.write(f"{label:<40}{gap:.3e}    {'ok' if ok else 'FAIL'}\n")
-    return EXIT_OK if failures == 0 else EXIT_VERIFY
+    result = acceptance.run_criterion("elliptic")
+    out.write(result.line() + "\n")
+    return EXIT_OK if result.passed else EXIT_VERIFY
 
 
 def build_parser() -> _Parser:
@@ -303,7 +275,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("lattice-obstruction", help="period-candidate existence test")
     p.add_argument("--basis", required=True, help="a,b,c,d for [[a, b], [c, d]]")
-    p.add_argument("--center-step", type=float, default=0.5)
     p.set_defaults(fn=_cmd_lattice_obstruction)
 
     p = sub.add_parser("verify", help="run verification suites")
@@ -314,7 +285,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("elliptic", help="elliptic kernel reference corpus")
+    p = sub.add_parser("elliptic", help="elliptic kernel check (verify --suite elliptic)")
     p.add_argument("--check", action="store_true")
     p.set_defaults(fn=_cmd_elliptic)
 

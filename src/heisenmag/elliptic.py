@@ -1,31 +1,30 @@
-"""Self-contained elliptic integrals and Jacobi elliptic functions.
+"""Elliptic integrals and Jacobi elliptic functions.
 
 Everything here uses the modulus k convention (not the parameter m = k^2):
 
     K(k) = integral_0^{pi/2} dtheta / sqrt(1 - k^2 sin^2 theta)
 
 and similarly for E and Pi.  Complete integrals run on the AGM; incomplete
-ones and the third kind go through the Carlson symmetric forms RF, RD, RJ;
-am/sn/cn/dn use the descending Landen (AGM phase) recurrence with argument
-reduction modulo the real period.  No external special-function library is
-involved, so the whole kernel can be cross-checked against direct
-quadrature of the defining integrals.
+ones and the third kind go through the Carlson symmetric forms RF, RD, RJ
+of scipy.special (Carlson's duplication algorithm, DLMF 19.36);
+am/sn/cn/dn use the in-house descending Landen (AGM phase) recurrence with
+argument reduction modulo the real period, which keeps full accuracy as
+k -> 1 where scipy.special.ellipj does not.  The tests cross-check the
+whole kernel against direct quadrature of the defining integrals.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from scipy.special import elliprd, elliprf, elliprj
 
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "EllipticEval",
     "complete_K",
     "complete_E",
     "complete_K_and_E",
-    "complete_K_eval",
-    "complete_E_eval",
     "complete_Pi",
     "ellip_f",
     "ellip_e_inc",
@@ -42,14 +41,6 @@ __all__ = [
 ]
 
 _EPS = 2.220446049250313e-16
-
-
-@dataclass(frozen=True)
-class EllipticEval:
-    """A value together with a conservative forward error estimate."""
-
-    value: float
-    estimated_error: float
 
 
 def _check_modulus(k: float) -> None:
@@ -95,185 +86,6 @@ def complete_E(k: float) -> float:
     return complete_K_and_E(k)[1]
 
 
-def complete_K_eval(k: float) -> EllipticEval:
-    value = complete_K(k)
-    return EllipticEval(value, 4.0 * _EPS * abs(value))
-
-
-def complete_E_eval(k: float) -> EllipticEval:
-    value = complete_E(k)
-    return EllipticEval(value, 4.0 * _EPS * abs(value))
-
-
-# --- Carlson symmetric forms ---------------------------------------------
-
-
-def _carlson_rf(x: float, y: float, z: float) -> float:
-    if min(x, y, z) < 0.0:
-        raise DomainError("carlson_rf arguments must be non-negative")
-    x0, y0, z0 = x, y, z
-    a0 = (x + y + z) / 3.0
-    q = (3.0 * _EPS) ** (-1.0 / 8.0) * max(
-        abs(a0 - x), abs(a0 - y), abs(a0 - z)
-    )
-    a, f = a0, 1.0
-    for _ in range(64):
-        if q < abs(a) * f:
-            break
-        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
-        lam = sx * sy + sy * sz + sz * sx
-        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
-        a = 0.25 * (a + lam)
-        f *= 4.0
-    else:
-        raise ConvergenceError("carlson_rf failed to converge")
-    big_x = (a0 - x0) / (a * f)
-    big_y = (a0 - y0) / (a * f)
-    big_z = -(big_x + big_y)
-    e2 = big_x * big_y - big_z * big_z
-    e3 = big_x * big_y * big_z
-    series = (
-        1.0
-        - e2 / 10.0
-        + e3 / 14.0
-        + e2 * e2 / 24.0
-        - 3.0 * e2 * e3 / 44.0
-        - 5.0 * e2 ** 3 / 208.0
-        + 3.0 * e3 * e3 / 104.0
-        + e2 * e2 * e3 / 16.0
-    )
-    return series / math.sqrt(a)
-
-
-def _carlson_rc(x: float, y: float) -> float:
-    # y > 0 branch only; all it is needed for is RJ with p > 0
-    if x < 0.0 or y <= 0.0:
-        raise DomainError("carlson_rc needs x >= 0, y > 0")
-    x0, y0 = x, y
-    a0 = (x + 2.0 * y) / 3.0
-    q = (3.0 * _EPS) ** (-1.0 / 8.0) * abs(a0 - x)
-    a, f = a0, 1.0
-    for _ in range(64):
-        if q < abs(a) * f:
-            break
-        lam = 2.0 * math.sqrt(x) * math.sqrt(y) + y
-        x, y = 0.25 * (x + lam), 0.25 * (y + lam)
-        a = 0.25 * (a + lam)
-        f *= 4.0
-    else:
-        raise ConvergenceError("carlson_rc failed to converge")
-    s = (y0 - a0) / (a * f)
-    series = 1.0 + s * s * (
-        0.3
-        + s
-        * (
-            1.0 / 7.0
-            + s
-            * (
-                0.375
-                + s * (9.0 / 22.0 + s * (159.0 / 208.0 + s * 9.0 / 8.0))
-            )
-        )
-    )
-    return series / math.sqrt(a)
-
-
-def _carlson_rd(x: float, y: float, z: float) -> float:
-    if min(x, y) < 0.0 or z <= 0.0:
-        raise DomainError("carlson_rd needs x, y >= 0 and z > 0")
-    x0, y0 = x, y
-    a0 = (x + y + 3.0 * z) / 5.0
-    q = (0.25 * _EPS) ** (-1.0 / 8.0) * max(
-        abs(a0 - x), abs(a0 - y), abs(a0 - z)
-    )
-    a, f, acc = a0, 1.0, 0.0
-    for _ in range(64):
-        if q < abs(a) * f:
-            break
-        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
-        lam = sx * sy + sy * sz + sz * sx
-        acc += 1.0 / (f * sz * (z + lam))
-        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
-        a = 0.25 * (a + lam)
-        f *= 4.0
-    else:
-        raise ConvergenceError("carlson_rd failed to converge")
-    big_x = (a0 - x0) / (a * f)
-    big_y = (a0 - y0) / (a * f)
-    big_z = -(big_x + big_y) / 3.0
-    e2 = big_x * big_y - 6.0 * big_z * big_z
-    e3 = (3.0 * big_x * big_y - 8.0 * big_z * big_z) * big_z
-    e4 = 3.0 * (big_x * big_y - big_z * big_z) * big_z * big_z
-    e5 = big_x * big_y * big_z ** 3
-    series = (
-        1.0
-        - 3.0 * e2 / 14.0
-        + e3 / 6.0
-        + 9.0 * e2 * e2 / 88.0
-        - 3.0 * e4 / 22.0
-        - 9.0 * e2 * e3 / 52.0
-        + 3.0 * e5 / 26.0
-    )
-    return series / (f * a * math.sqrt(a)) + 3.0 * acc
-
-
-def _carlson_rj(x: float, y: float, z: float, p: float) -> float:
-    if min(x, y, z) < 0.0 or p <= 0.0:
-        raise DomainError("carlson_rj needs x, y, z >= 0 and p > 0")
-    x0, y0, z0 = x, y, z
-    a0 = (x + y + z + 2.0 * p) / 5.0
-    delta = (p - x) * (p - y) * (p - z)
-    q = (0.25 * _EPS) ** (-1.0 / 8.0) * max(
-        abs(a0 - x), abs(a0 - y), abs(a0 - z), abs(a0 - p)
-    )
-    a, f, acc = a0, 1.0, 0.0
-    for _ in range(64):
-        if q < abs(a) * f:
-            break
-        sx, sy, sz, sp = (
-            math.sqrt(x),
-            math.sqrt(y),
-            math.sqrt(z),
-            math.sqrt(p),
-        )
-        lam = sx * sy + sy * sz + sz * sx
-        dm = (sp + sx) * (sp + sy) * (sp + sz)
-        em = delta / (f ** 3 * dm * dm)
-        acc += _carlson_rc(1.0, 1.0 + em) / (f * dm)
-        x, y, z, p = (
-            0.25 * (x + lam),
-            0.25 * (y + lam),
-            0.25 * (z + lam),
-            0.25 * (p + lam),
-        )
-        a = 0.25 * (a + lam)
-        f *= 4.0
-    else:
-        raise ConvergenceError("carlson_rj failed to converge")
-    big_x = (a0 - x0) / (a * f)
-    big_y = (a0 - y0) / (a * f)
-    big_z = (a0 - z0) / (a * f)
-    big_p = -(big_x + big_y + big_z) / 2.0
-    e2 = (
-        big_x * big_y + big_x * big_z + big_y * big_z - 3.0 * big_p * big_p
-    )
-    e3 = big_x * big_y * big_z + 2.0 * e2 * big_p + 4.0 * big_p ** 3
-    e4 = (
-        2.0 * big_x * big_y * big_z + e2 * big_p + 3.0 * big_p ** 3
-    ) * big_p
-    e5 = big_x * big_y * big_z * big_p * big_p
-    series = (
-        1.0
-        - 3.0 * e2 / 14.0
-        + e3 / 6.0
-        + 9.0 * e2 * e2 / 88.0
-        - 3.0 * e4 / 22.0
-        - 9.0 * e2 * e3 / 52.0
-        + 3.0 * e5 / 26.0
-    )
-    return series / (f * a * math.sqrt(a)) + 6.0 * acc
-
-
 # --- Incomplete integrals --------------------------------------------------
 
 
@@ -299,7 +111,7 @@ def ellip_f(phi: float, k: float) -> float:
     if phi < 0.0:
         sign, phi = -1.0, -phi
     s, c = math.sin(phi), math.cos(phi)
-    value = s * _carlson_rf(c * c, 1.0 - (k * s) ** 2, 1.0)
+    value = float(s * elliprf(c * c, 1.0 - (k * s) ** 2, 1.0))
     return shift + sign * value
 
 
@@ -318,8 +130,8 @@ def ellip_e_inc(phi: float, k: float) -> float:
         sign, phi = -1.0, -phi
     s, c = math.sin(phi), math.cos(phi)
     y = 1.0 - (k * s) ** 2
-    value = s * _carlson_rf(c * c, y, 1.0) - (k * k / 3.0) * s ** 3 * _carlson_rd(
-        c * c, y, 1.0
+    value = float(
+        s * elliprf(c * c, y, 1.0) - (k * k / 3.0) * s ** 3 * elliprd(c * c, y, 1.0)
     )
     return shift + sign * value
 
@@ -341,8 +153,9 @@ def ellip_pi_inc(phi: float, alpha2: float, k: float) -> float:
     s, c = math.sin(phi), math.cos(phi)
     s2 = s * s
     y = 1.0 - k * k * s2
-    value = s * _carlson_rf(c * c, y, 1.0) + (alpha2 / 3.0) * s ** 3 * _carlson_rj(
-        c * c, y, 1.0, 1.0 - alpha2 * s2
+    value = float(
+        s * elliprf(c * c, y, 1.0)
+        + (alpha2 / 3.0) * s ** 3 * elliprj(c * c, y, 1.0, 1.0 - alpha2 * s2)
     )
     return shift + sign * value
 
@@ -354,24 +167,31 @@ def complete_Pi(alpha2: float, k: float) -> float:
     if alpha2 == 0.0:
         return complete_K(k)
     kp2 = (1.0 - k) * (1.0 + k)
-    return _carlson_rf(0.0, kp2, 1.0) + (alpha2 / 3.0) * _carlson_rj(
-        0.0, kp2, 1.0, 1.0 - alpha2
+    return float(
+        elliprf(0.0, kp2, 1.0) + (alpha2 / 3.0) * elliprj(0.0, kp2, 1.0, 1.0 - alpha2)
     )
 
 
 # --- Jacobi elliptic functions ----------------------------------------------
 
 
-def _am_reduced(u: float, k: float) -> float:
-    """Amplitude for bounded u via the descending Landen recurrence."""
+def _am_and_turns(u: float, k: float) -> tuple[float, int]:
+    """(am(u - 4Kn, k), n) with n = floor(u / 4K), from a single AGM run.
+
+    The reduced amplitude comes from the descending Landen recurrence; K is
+    read off the same scheme, K = pi / (2 a_N).
+    """
     aa, _, cc = _agm_scheme(k)
+    big_k = math.pi / (2.0 * aa[-1])
+    # quasi-periodicity am(u + 4K) = am(u) + 2 pi
+    turns = math.floor(u / (4.0 * big_k))
     n = len(aa) - 1
-    phi = (2.0 ** n) * aa[n] * u
+    phi = (2.0 ** n) * aa[n] * (u - 4.0 * big_k * turns)
     for i in range(n, 0, -1):
         arg = cc[i] / aa[i] * math.sin(phi)
         arg = min(1.0, max(-1.0, arg))
         phi = 0.5 * (phi + math.asin(arg))
-    return phi
+    return phi, turns
 
 
 def jacobi_am(u: float, k: float) -> float:
@@ -379,10 +199,8 @@ def jacobi_am(u: float, k: float) -> float:
     _check_modulus(k)
     if k == 0.0:
         return u
-    big_k = complete_K(k)
-    # quasi-periodicity am(u + 4K) = am(u) + 2 pi
-    n = math.floor(u / (4.0 * big_k))
-    return _am_reduced(u - 4.0 * big_k * n, k) + 2.0 * math.pi * n
+    phi, turns = _am_and_turns(u, k)
+    return phi + 2.0 * math.pi * turns
 
 
 def jacobi_sn_cn_dn(u: float, k: float) -> tuple[float, float, float]:
@@ -390,9 +208,7 @@ def jacobi_sn_cn_dn(u: float, k: float) -> tuple[float, float, float]:
     _check_modulus(k)
     if k == 0.0:
         return math.sin(u), math.cos(u), 1.0
-    big_k = complete_K(k)
-    u_red = u - 4.0 * big_k * math.floor(u / (4.0 * big_k))
-    phi = _am_reduced(u_red, k)
+    phi, _ = _am_and_turns(u, k)
     sn, cn = math.sin(phi), math.cos(phi)
     kp2 = (1.0 - k) * (1.0 + k)
     dn = math.sqrt(kp2 + (k * cn) ** 2)

@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all heisenmag modules."""
 
+import math
+
 
 class HeisenmagError(Exception):
     """Base class for all errors raised by this package."""
@@ -26,3 +28,10 @@ class IntervalError(HeisenmagError, RuntimeError):
 
 class LambdaNotFoundError(HeisenmagError):
     """No lattice-periodic trajectory exists for the requested element."""
+
+
+def check_finite(**values: float) -> None:
+    """Raise DomainError for the first named value that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")

@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_finite
 
 __all__ = [
     "HeisenbergPoint",
@@ -117,6 +117,9 @@ class LorentzForce:
     alpha: float
     beta: float
     rho: float
+
+    def __post_init__(self):
+        check_finite(alpha=self.alpha, beta=self.beta, rho=self.rho)
 
     def matrix(self) -> np.ndarray:
         a, b, r = self.alpha, self.beta, self.rho

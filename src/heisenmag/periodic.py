@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .elliptic import complete_K_and_E
-from .errors import ConvergenceError, DomainError, LambdaNotFoundError
+from .errors import ConvergenceError, DomainError, LambdaNotFoundError, check_finite
 from .heisenberg import HeisenbergPoint
 from .quartic import Branch, InitialData, build_profile
 from .trajectory import (
@@ -42,8 +42,6 @@ __all__ = [
     "initial_from_cde",
     "psi",
     "psi_tilde",
-    "psi_modulus",
-    "y_omega",
     "solve_dc",
     "energy_of_c",
     "energy_cde",
@@ -158,10 +156,6 @@ def _psi_parts(c: float, d: float, rho: float) -> tuple[float, float]:
     return s, k
 
 
-def psi_modulus(c: float, d: float, rho: float) -> float:
-    return _psi_parts(c, d, rho)[1]
-
-
 def psi_tilde(c: float, d: float, rho: float) -> float:
     """E(k) - ((rho^2+c^4)/(2S) + 1/2) K(k); same sign as y(omega)."""
     if c <= 0.0 or not 0.0 < d < 1.0:
@@ -175,39 +169,6 @@ def psi(c: float, d: float, e: float, rho: float) -> float:
     """y over one x-period as a function of the chart; e does not enter."""
     s, _ = _psi_parts(c, d, rho)
     return 8.0 / (c * c) * math.sqrt(s) * psi_tilde(c, d, rho)
-
-
-def y_omega(sol: TrajectorySolution) -> dict[str, float]:
-    """y(omega) by quadrature and, on periodic branches, in closed form.
-
-    Negative discriminant: 4 sqrt(d1 d4) (E - ((r1+r4)^2 + d1 d4 + 4) /
-    (2 d1 d4) K).  Four real roots: 2 sqrt((r4-r2)(r3-r1)) (E - K -
-    (4 + (r2+r3)^2)/((r4-r2)(r3-r1)) K).  Repeated root with mu > 0:
-    (p0 + r^2 - 2) pi / sqrt(mu).
-    """
-    if sol.x_period is None:
-        raise DomainError(f"branch {sol.profile.branch} has no x-period")
-    prof = sol.profile
-    quadrature = sol.y_over_period()
-    if prof.branch is Branch.NEG:
-        d1, d4 = prof.delta1, prof.delta4
-        big_k, big_e = complete_K_and_E(prof.k)
-        closed = 4.0 * math.sqrt(d1 * d4) * (
-            big_e
-            - ((prof.r1 + prof.r4) ** 2 + d1 * d4 + 4.0) / (2.0 * d1 * d4) * big_k
-        )
-    elif prof.branch in (Branch.POS_LOW, Branch.POS_HIGH):
-        r1, r2, r3, r4 = sorted(r.real for r in prof.roots)
-        prod = (r4 - r2) * (r3 - r1)
-        big_k, big_e = complete_K_and_E(prof.k1)
-        closed = 2.0 * math.sqrt(prod) * (
-            big_e - big_k - (4.0 + (r2 + r3) ** 2) / prod * big_k
-        )
-    elif prof.branch is Branch.ZERO_MU_POS:
-        closed = (prof.p0 + prof.r_double ** 2 - 2.0) * math.pi / math.sqrt(prof.mu)
-    else:  # pragma: no cover - x_period filter leaves no other branch
-        raise DomainError(f"no closed y(omega) for branch {prof.branch}")
-    return {"quadrature": quadrature, "closed_form": closed}
 
 
 # --- unique root d_c and the energy bijection -----------------------------------
@@ -262,6 +223,7 @@ def energy_of_c(c: float, rho: float) -> float:
 
 def solve_c_for_energy(energy: float, rho: float) -> float:
     """The unique c > 1 whose periodic family has the given energy."""
+    check_finite(energy=energy, rho=rho)
     if energy <= 0.0:
         raise DomainError(f"energy must be positive, got {energy}")
     lo = 1.0 + 1e-11
@@ -290,6 +252,7 @@ def build_periodic(
     end-point residuals |x(omega)|, |y(omega)|, |z(omega)|, plus the
     energy error of the constructed initial data.
     """
+    check_finite(energy=energy, e=e, rho=rho)
     if rho < 0.0:
         raise DomainError("build_periodic assumes the canonical force with rho >= 0")
     if abs(e) > 1.0:
@@ -412,6 +375,9 @@ class LatticeElement:
     x1: float
     y1: float
     z1: float
+
+    def __post_init__(self):
+        check_finite(x1=self.x1, y1=self.y1, z1=self.z1)
 
     def point(self) -> HeisenbergPoint:
         return HeisenbergPoint(self.x1, self.y1, self.z1)
@@ -536,6 +502,7 @@ def find_lambda_periodic(
     resulting lambda1-periodic curve to the n-th power, and conjugate by
     exp(a e1) with a = (z1 - n z2)/y1 to match the centre component.
     """
+    check_finite(energy=energy, rho=rho, e=e)
     if abs(lam.x1) > 1e-12 or abs(lam.y1) <= 1e-12:
         raise LambdaNotFoundError(
             "lambda-periodic trajectories exist only for exp(y1 e2 + z1 e3) with y1 != 0"
@@ -647,9 +614,7 @@ def primitive_period(
     )
 
 
-def lattice_obstruction_check(
-    basis, center_step: float = 0.5, radius: int = 64, tol: float = 1e-9
-) -> bool:
+def lattice_obstruction_check(basis, radius: int = 64, tol: float = 1e-9) -> bool:
     """Whether some nonzero integer combination of the basis columns has
     zero first coordinate.
 
@@ -662,6 +627,8 @@ def lattice_obstruction_check(
     b = np.asarray(basis, dtype=float)
     if b.shape != (2, 2):
         raise DomainError("basis must be a 2x2 matrix with generator columns")
+    if not np.all(np.isfinite(b)):
+        raise DomainError("basis entries must be finite")
     a1, a2 = float(b[0, 0]), float(b[0, 1])
     scale = max(abs(a1), abs(a2), 1.0)
     if abs(a1) <= tol * scale or abs(a2) <= tol * scale:

@@ -21,18 +21,17 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, IntervalError
+from .errors import DomainError, IntervalError, check_finite
 
 __all__ = [
     "InitialData",
     "Branch",
-    "Interval",
     "QuarticProfile",
     "build_profile",
-    "locate_interval",
     "mu_r_closed_forms",
     "discriminant",
     "monic_coefficients",
+    "quartic_roots",
 ]
 
 # relative half-width of the "value is zero" bands used for branch tags
@@ -47,6 +46,9 @@ class InitialData:
     y0: float
     z0: float
     rho: float
+
+    def __post_init__(self):
+        check_finite(x0=self.x0, y0=self.y0, z0=self.z0, rho=self.rho)
 
     @property
     def norm_sq(self) -> float:
@@ -91,11 +93,6 @@ class Branch(Enum):
     TRIVIAL = "TRIVIAL"  # x(t) = 0
 
 
-class Interval(Enum):
-    LOW = "LOW"
-    HIGH = "HIGH"
-
-
 def monic_coefficients(data: InitialData) -> tuple[float, float]:
     """(p0, q0) of the monic quartic eta^4 + 2p0 eta^2 - 8 rho eta + q0."""
     p0 = 2.0 * (data.y0 + 1.0) - data.zr ** 2
@@ -134,7 +131,7 @@ def _monic_prime(eta, p0, rho):
     return (4.0 * eta * eta + 4.0 * p0) * eta - 8.0 * rho
 
 
-def _quartic_roots(p0: float, q0: float, rho: float) -> np.ndarray:
+def quartic_roots(p0: float, q0: float, rho: float) -> np.ndarray:
     """Companion-matrix eigenvalues polished by two Newton steps."""
     coeffs = np.array([1.0, 0.0, 2.0 * p0, -8.0 * rho, q0])
     roots = np.roots(coeffs)
@@ -183,7 +180,7 @@ def build_profile(data: InitialData) -> QuarticProfile:
     scale = _coefficient_scale(p0, q0, rho)
     boundary = abs(delta) <= _ZERO_TOL * scale ** 6
 
-    roots = _quartic_roots(p0, q0, rho)
+    roots = quartic_roots(p0, q0, rho)
     imag_tol = 1e-7 * max(1.0, float(np.max(np.abs(roots))))
     real_mask = np.abs(roots.imag) <= imag_tol
 
@@ -238,8 +235,7 @@ def _profile_pos(data, p0, q0, rho, delta, roots):
     k1_sq = ((r4 - r3) * (r2 - r1)) / ((r4 - r2) * (r3 - r1))
     k1 = math.sqrt(min(1.0, max(0.0, k1_sq)))
     ordered = tuple(complex(r) for r in reals)
-    side = _bracket_side(reals, data.zr)
-    branch = Branch.POS_LOW if side is Interval.LOW else Branch.POS_HIGH
+    branch = _bracket_side(reals, data.zr)
     return QuarticProfile(
         p0, q0, rho, delta, ordered, r1, r4,
         delta1, delta4, None, k1, None, None, branch, False,
@@ -285,41 +281,34 @@ def _profile_zero(data, p0, q0, rho, delta, roots):
     )
 
 
-def _bracket_side(reals: list[float], z0rho: float) -> Interval:
+def _bracket_side(reals: list[float], z0rho: float) -> Branch:
+    """POS_LOW or POS_HIGH: which root bracket, [r1, r2] or [r3, r4], holds z0+rho.
+
+    For four real roots the speed polynomial P is non-negative exactly on
+    the two brackets, and P(z0+rho) = x0^2 >= 0 places the initial point
+    in one of them (raises if the root solver disagrees).
+    """
     r1, r2, r3, r4 = reals
     tol = 1e-9 * max(1.0, r4 - r1)
     in_low = r1 - tol <= z0rho <= r2 + tol
     in_high = r3 - tol <= z0rho <= r4 + tol
     if in_low and in_high:
         # pinched between r2 and r3 at a near-tangency
-        return Interval.LOW if abs(z0rho - r2) <= abs(z0rho - r3) else Interval.HIGH
+        return Branch.POS_LOW if abs(z0rho - r2) <= abs(z0rho - r3) else Branch.POS_HIGH
     if in_low:
-        return Interval.LOW
+        return Branch.POS_LOW
     if in_high:
-        return Interval.HIGH
+        return Branch.POS_HIGH
     raise IntervalError(
         f"z0+rho={z0rho} lies in neither [{r1}, {r2}] nor [{r3}, {r4}]"
     )
 
 
-def locate_interval(profile: QuarticProfile, z0rho: float) -> Interval:
-    """Which of the two admissible root brackets contains z0 + rho.
-
-    For four real roots the speed polynomial P is non-negative exactly on
-    [r1, r2] and [r3, r4], and P(z0+rho) = x0^2 >= 0 places the initial
-    point in exactly one of them (raises if the root solver disagrees).
-    """
-    reals = sorted(r.real for r in profile.roots)
-    return _bracket_side(reals, z0rho)
-
-
 def mu_r_closed_forms(profile: QuarticProfile) -> dict[str, float]:
     """Closed forms for the repeated root r and the curvature mu (Delta = 0).
 
-    Returns the rational formula for r, the defining value
-    mu = (p0 + 3 r^2)/2, and two circulating scalings of the rational mu
-    expression that disagree by a factor of six; the defining value is
-    authoritative and the mismatch entries record each candidate's gap.
+    Returns the rational formula for r and the defining value
+    mu = (p0 + 3 r^2)/2 at that r.
     """
     if profile.mu is None:
         raise DomainError("closed forms for r and mu exist only on the Delta = 0 stratum")
@@ -331,14 +320,7 @@ def mu_r_closed_forms(profile: QuarticProfile) -> dict[str, float]:
     if denom == 0.0:
         raise ZeroDivisionError("r formula denominator p0^3 - p0 q0 + 36 rho^2 vanishes")
     r_formula = 2.0 * rho * disc2 / denom
-    mu_defining = 0.5 * (p0 + 3.0 * r_formula * r_formula)
-    mu_variant_a = 6.0 * (9.0 * rho * rho - p0 * q0) / disc2 + 0.5 * p0
-    mu_variant_b = (9.0 * rho * rho - p0 * q0) / disc2 + p0 / 12.0
     return {
         "r_formula": r_formula,
-        "mu_formula": mu_defining,
-        "mu_variant_a": mu_variant_a,
-        "mu_variant_b": mu_variant_b,
-        "mismatch_a": abs(mu_variant_a - mu_defining),
-        "mismatch_b": abs(mu_variant_b - mu_defining),
+        "mu_formula": 0.5 * (p0 + 3.0 * r_formula * r_formula),
     }

@@ -7,7 +7,8 @@ determined by the scalar profile x(t), which solves
 
 with x(0) = 0, x'(0) = x0.  Each discriminant stratum of the speed quartic
 has its own closed form (Jacobi cn, sn^2, cosine, hyperbolic, or rational);
-y recovers by quadrature of x^2/2 + (z0+rho) x + y0 and z by the algebraic
+y recovers by quadrature of x^2/2 + (z0+rho) x + y0 within a period, plus
+a closed-form increment y(omega) per whole period, and z by the algebraic
 relation z = -x y / 2 - (z0+rho) y - x' + x0.
 
 The inverse-function phase constants fix x(0) = 0 only up to the branch
@@ -26,7 +27,7 @@ from typing import Callable
 from scipy.integrate import quad
 
 from .elliptic import (
-    complete_K,
+    complete_K_and_E,
     inverse_cn,
     inverse_sn,
     jacobi_sn_cn_dn,
@@ -41,9 +42,6 @@ __all__ = [
     "ReflectedTrajectory",
     "TranslatedTrajectory",
     "make_solution",
-    "x_of_t",
-    "y_of_t",
-    "z_of_t",
     "exact_trajectory",
     "reflect_for_negative_x0",
     "translate",
@@ -260,16 +258,38 @@ _PROFILE_BUILDERS = {
 }
 
 
-def _x_period(prof: QuarticProfile) -> float | None:
+def _period_and_increment(prof: QuarticProfile) -> tuple[float | None, float | None]:
+    """The x-period omega and the y increment y(omega) over one period.
+
+    Both come in closed form from one complete_K_and_E run; branches
+    without an x-period give (None, None).  Negative discriminant:
+    y(omega) = 4 sqrt(d1 d4) (E - ((r1+r4)^2 + d1 d4 + 4) / (2 d1 d4) K).
+    Four real roots: 2 sqrt((r4-r2)(r3-r1)) (E - K - (4 + (r2+r3)^2) /
+    ((r4-r2)(r3-r1)) K).  Repeated root with mu > 0: (p0 + r^2 - 2) pi /
+    sqrt(mu).
+    """
     if prof.branch is Branch.NEG:
-        return 8.0 * complete_K(prof.k) / math.sqrt(prof.delta1 * prof.delta4)
+        d1, d4 = prof.delta1, prof.delta4
+        big_k, big_e = complete_K_and_E(prof.k)
+        omega = 8.0 * big_k / math.sqrt(d1 * d4)
+        y_inc = 4.0 * math.sqrt(d1 * d4) * (
+            big_e
+            - ((prof.r1 + prof.r4) ** 2 + d1 * d4 + 4.0) / (2.0 * d1 * d4) * big_k
+        )
+        return omega, y_inc
     if prof.branch in (Branch.POS_LOW, Branch.POS_HIGH):
-        reals = sorted(r.real for r in prof.roots)
-        r1, r2, r3, r4 = reals
-        return 8.0 * complete_K(prof.k1) / math.sqrt((r4 - r2) * (r3 - r1))
+        r1, r2, r3, r4 = sorted(r.real for r in prof.roots)
+        prod = (r4 - r2) * (r3 - r1)
+        big_k, big_e = complete_K_and_E(prof.k1)
+        omega = 8.0 * big_k / math.sqrt(prod)
+        y_inc = 2.0 * math.sqrt(prod) * (
+            big_e - big_k - (4.0 + (r2 + r3) ** 2) / prod * big_k
+        )
+        return omega, y_inc
     if prof.branch is Branch.ZERO_MU_POS:
-        return 2.0 * math.pi / math.sqrt(prof.mu)
-    return None
+        root_mu = math.sqrt(prof.mu)
+        return 2.0 * math.pi / root_mu, (prof.p0 + prof.r_double ** 2 - 2.0) * math.pi / root_mu
+    return None, None
 
 
 @dataclass
@@ -314,13 +334,12 @@ class TrajectorySolution:
         return n * self.y_over_period() + tail
 
     def y_over_period(self) -> float:
-        """The increment y(omega); constant across periods."""
-        if self.x_period is None:
-            raise DomainError(f"branch {self.profile.branch} has no x-period")
+        """The increment y(omega), in closed form; constant across periods.
+
+        Its sign decides whether the trajectory closes (periodic.psi).
+        """
         if self._y_over_period is None:
-            self._y_over_period = _checked_quad(
-                self._y_integrand, 0.0, self.x_period
-            )
+            raise DomainError(f"branch {self.profile.branch} has no x-period")
         return self._y_over_period
 
     def z(self, t: float) -> float:
@@ -394,22 +413,8 @@ def make_solution(data: InitialData) -> TrajectorySolution:
         raise BranchConsistencyError(
             f"branch {prof.branch}: x'(0) = {xp.deriv(0.0)} != x0 = {data.x0}"
         )
-    sol = TrajectorySolution(data, prof, phase, flipped, _x_period(prof), xp)
-    if sol.x_period is not None:
-        sol.y_over_period()
-    return sol
-
-
-def x_of_t(sol: TrajectorySolution, t: float) -> float:
-    return sol.x(t)
-
-
-def y_of_t(sol: TrajectorySolution, t: float) -> float:
-    return sol.y(t)
-
-
-def z_of_t(sol: TrajectorySolution, t: float) -> float:
-    return sol.z(t)
+    omega, y_inc = _period_and_increment(prof)
+    return TrajectorySolution(data, prof, phase, flipped, omega, xp, y_inc)
 
 
 # --- Exact forces F_{0,rho} ---------------------------------------------------

@@ -39,8 +39,8 @@ def test_criterion_03_discriminant_classification():
 def test_criterion_04_periodicity_criterion():
     r = _run("periodicity")
     assert r.details["neg_closed_vs_quad"] < 1e-8
-    assert r.details["pos_max_y_omega"] < 0.0
-    assert r.details["mu_pos_max_y_omega"] < 0.0
+    assert r.details["pos_max_y_over_period"] < 0.0
+    assert r.details["mu_pos_max_y_over_period"] < 0.0
 
 
 def test_criterion_05_unique_dc_and_monotone_energy():

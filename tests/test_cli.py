@@ -5,6 +5,8 @@ import io
 import json
 import math
 
+import pytest
+
 from heisenmag.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, export_samples, main
 
 
@@ -183,6 +185,30 @@ class TestElliptic:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify-ic", "--x0", "nan", "--y0", "0", "--z0", "-1", "--rho", "1"],
+            ["sample", "--x0", "inf", "--y0", "0", "--z0", "0", "--rho", "1",
+             "--t-max", "1", "--dt", "0.5"],
+            ["sample", "--x0", "1", "--y0", "0", "--z0", "0", "--rho", "1",
+             "--t-max", "nan", "--dt", "0.5"],
+            ["sample", "--x0", "1", "--y0", "0", "--z0", "0", "--rho", "1",
+             "--t-max", "1", "--dt", "inf"],
+            ["periodic", "--rho", "1", "--energy", "nan"],
+            ["periodic", "--rho", "1", "--energy", "1", "--e", "nan"],
+            ["classify", "--alpha", "nan", "--beta", "1", "--rho", "1"],
+            ["lattice", "--k", "1", "--lambda", "1,nan", "--energy", "1"],
+            ["lattice", "--k", "1", "--lambda", "1,0.5", "--energy", "1", "--rho", "inf"],
+            ["lattice-obstruction", "--basis", "nan,1,0,1"],
+        ],
+    )
+    def test_non_finite_input_is_domain_error(self, argv, capsys):
+        code, _, err = run_cli(argv, capsys)
+        assert code == EXIT_DOMAIN
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_usage_error(self, capsys):
         code, _, err = run_cli(["sample", "--x0", "1"], capsys)
         assert code == EXIT_USAGE

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from heisenmag.elliptic import complete_K_and_E
 from heisenmag.errors import DomainError, LambdaNotFoundError
@@ -27,10 +28,28 @@ from heisenmag.periodic import (
     psi_tilde,
     solve_c_for_energy,
     solve_dc,
-    y_omega,
 )
 from heisenmag.quartic import Branch, InitialData, build_profile
 from heisenmag.trajectory import make_solution
+
+
+def y_over_period_quad(sol):
+    """Reference y(omega): adaptive quadrature of y' = h(x) - 1 over a period."""
+    val, _ = quad(
+        lambda s: sol.data.h(sol.x(s)) - 1.0,
+        0.0,
+        sol.x_period,
+        epsabs=1e-13,
+        epsrel=1e-13,
+        limit=400,
+    )
+    return val
+
+
+def assert_matches_quadrature(sol):
+    y = sol.y_over_period()
+    assert abs(y - y_over_period_quad(sol)) < 1e-12 * max(1.0, abs(y))
+    return y
 
 
 class TestChart:
@@ -103,9 +122,9 @@ class TestPsi:
                 rng.uniform(0, 2),
             )
             sol = make_solution(initial_from_cde(c, d, e, rho))
-            vals = y_omega(sol)
-            assert abs(psi(c, d, e, rho) - vals["quadrature"]) < 1e-8
-            assert abs(vals["quadrature"] - vals["closed_form"]) < 1e-8
+            assert sol.profile.branch is Branch.NEG
+            y = assert_matches_quadrature(sol)
+            assert abs(psi(c, d, e, rho) - y) < 1e-8
 
     def test_independent_of_e(self):
         for e1, e2 in ((-1.0, 0.3), (0.0, 1.0)):
@@ -139,27 +158,28 @@ class TestPsi:
             assert psi(c, d, 0.0, rho) < 0.0
 
 
-class TestYOmegaSigns:
+class TestYOverPeriod:
     def test_positive_discriminant_negative(self):
-        for data in (InitialData(0.2, -2.75, -2, 1), InitialData(0.3, -4, -1, 1)):
+        for data, branch in (
+            (InitialData(0.2, -2.75, -2, 1), Branch.POS_LOW),
+            (InitialData(0.3, -4, -1, 1), Branch.POS_HIGH),
+        ):
             sol = make_solution(data)
-            vals = y_omega(sol)
-            assert vals["quadrature"] < 0.0
-            assert vals["closed_form"] < 0.0
-            assert abs(vals["quadrature"] - vals["closed_form"]) < 1e-8
+            assert sol.profile.branch is branch
+            assert assert_matches_quadrature(sol) < 0.0
 
     def test_mu_positive_closed_form(self):
         data = InitialData(2.0, -1.25, 1.5, 0.5)
         sol = make_solution(data)
         prof = sol.profile
-        vals = y_omega(sol)
+        assert prof.branch is Branch.ZERO_MU_POS
         expected = (prof.p0 + prof.r_double ** 2 - 2.0) * math.pi / math.sqrt(prof.mu)
-        assert abs(vals["closed_form"] - expected) < 1e-12
-        assert vals["quadrature"] < 0.0
+        assert abs(sol.y_over_period() - expected) < 1e-12
+        assert assert_matches_quadrature(sol) < 0.0
 
     def test_no_period_error(self):
         with pytest.raises(DomainError):
-            y_omega(make_solution(InitialData(0, 2, 2, 1)))
+            make_solution(InitialData(0, 2, 2, 1)).y_over_period()
 
 
 class TestUniqueDc:

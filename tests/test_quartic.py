@@ -9,10 +9,8 @@ from heisenmag.errors import DomainError
 from heisenmag.quartic import (
     Branch,
     InitialData,
-    Interval,
     build_profile,
     discriminant,
-    locate_interval,
     monic_coefficients,
     mu_r_closed_forms,
 )
@@ -97,9 +95,7 @@ class TestZeroStratum:
             prof = build_profile(data)
             forms = mu_r_closed_forms(prof)
             assert abs(forms["r_formula"] - prof.r_double) < 1e-8
-            # the defining mu and variant a agree; variant b is their sixth
-            assert forms["mismatch_a"] < 1e-9 * max(1.0, abs(prof.mu))
-            assert abs(forms["mu_variant_b"] * 6.0 - forms["mu_variant_a"]) < 1e-9
+            assert abs(forms["mu_formula"] - prof.mu) < 1e-9 * max(1.0, abs(prof.mu))
 
     def test_closed_forms_reject_cusp(self):
         prof = build_profile(InitialData(0, 2, 2, 1))
@@ -113,14 +109,12 @@ class TestPositiveStratum:
         data = InitialData(0, -4, -1, 1)
         prof = build_profile(data)
         assert prof.branch is Branch.POS_HIGH
-        assert locate_interval(prof, data.zr) is Interval.HIGH
         assert prof.k1 is not None and prof.k1 < 1.0
 
     def test_low_interval(self):
         data = InitialData(0, -2.75, -2, 1)
         prof = build_profile(data)
         assert prof.branch is Branch.POS_LOW
-        assert locate_interval(prof, data.zr) is Interval.LOW
         reals = sorted(r.real for r in prof.roots)
         assert abs(reals[1] + 1.0) < 1e-9  # z0 + rho = -1 is r2
 
@@ -150,8 +144,7 @@ class TestPositiveStratum:
             prof = build_profile(data)
             if prof.branch not in (Branch.POS_LOW, Branch.POS_HIGH):
                 continue
-            side = locate_interval(prof, data.zr)
-            assert side in (Interval.LOW, Interval.HIGH)
+            assert prof.branch is (Branch.POS_LOW if found % 2 else Branch.POS_HIGH)
             found += 1
 
 

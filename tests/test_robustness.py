@@ -7,13 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from heisenmag import acceptance
-from heisenmag.elliptic import (
-    EllipticEval,
-    complete_E_eval,
-    complete_K,
-    complete_K_eval,
-    jacobi_am,
-)
+from heisenmag.elliptic import complete_K, jacobi_am
 from heisenmag.heisenberg import LorentzForce
 from heisenmag.oracle import OracleConfig, StateVector, integrate_general
 from heisenmag.periodic import (
@@ -120,14 +114,7 @@ class TestPowerConstruction:
         assert abs(omega0 - res.n * res.base_period) < 1e-9
 
 
-class TestEllipticEval:
-    def test_error_estimates(self):
-        for ev in (complete_K_eval(0.5), complete_E_eval(0.9)):
-            assert isinstance(ev, EllipticEval)
-            assert ev.estimated_error >= 0.0
-            assert np.isfinite(ev.value)
-        assert abs(complete_K_eval(0.5).value - complete_K(0.5)) == 0.0
-
+class TestJacobiAmplitude:
     def test_am_quasi_periodicity(self):
         k = 0.6
         period = 4.0 * complete_K(k)

@@ -13,6 +13,7 @@ from heisenmag.oracle import (
     integrate_general,
     reduced_ode_residual,
 )
+from heisenmag import trajectory
 from heisenmag.quartic import Branch, InitialData, build_profile
 from heisenmag.trajectory import (
     ExactTrajectory,
@@ -52,6 +53,13 @@ ALL_CASES = [(b, d) for b, cases in BRANCH_CASES.items() for d in cases]
 class TestBranchSolutions:
     def test_classified_as_expected(self, branch, data):
         assert build_profile(data).branch is branch
+
+    def test_construction_runs_no_quadrature(self, branch, data, monkeypatch):
+        def no_quad(*args, **kwargs):
+            raise AssertionError("make_solution must not integrate numerically")
+
+        monkeypatch.setattr(trajectory, "quad", no_quad)
+        assert make_solution(data).profile.branch is branch
 
     def test_initial_conditions(self, branch, data):
         sol = make_solution(data)
