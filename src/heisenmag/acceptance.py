@@ -27,7 +27,7 @@ from scipy import special
 from scipy.integrate import quad
 
 from . import elliptic
-from .errors import ConvergenceError, LambdaNotFoundError
+from .errors import ConvergenceError, DomainError, LambdaNotFoundError
 from .heisenberg import LorentzForce
 from .oracle import (
     OracleConfig,
@@ -63,7 +63,6 @@ __all__ = [
     "representative_data",
     "check_branch",
     "run_criterion",
-    "run_all",
     "CRITERIA",
 ]
 
@@ -73,7 +72,7 @@ class CriterionResult:
     name: str
     passed: bool
     details: dict = field(default_factory=dict)
-    elapsed: float = 0.0
+    elapsed: float = 0.0  # seconds, measured by run_criterion
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -89,12 +88,13 @@ def _fmt(v) -> str:
 
 def tolerance_scale() -> float:
     """Multiplier applied to every acceptance threshold (HEISENMAG_TOL)."""
-    raw = os.environ.get("HEISENMAG_TOL")
-    if raw is None:
-        return 1.0
-    scale = float(raw)
-    if scale <= 0.0:
-        raise ValueError("HEISENMAG_TOL must be positive")
+    raw = os.environ.get("HEISENMAG_TOL", "1")
+    try:
+        scale = float(raw)
+    except ValueError as exc:
+        raise DomainError(f"HEISENMAG_TOL must be a number, got {raw!r}") from exc
+    if not 0.0 < scale < math.inf:
+        raise DomainError(f"HEISENMAG_TOL must be finite and positive, got {raw!r}")
     return scale
 
 
@@ -263,7 +263,6 @@ def check_branch(branch: Branch, rho: float | None = None) -> dict:
 
 def crit_closed_form(tol: float = 1.0) -> CriterionResult:
     """1: every branch solves its equation and tracks an independent oracle."""
-    t0 = time.time()
     worst_res, worst_dist, worst_per = 0.0, 0.0, 0.0
     for branch in _ALL_BRANCHES:
         rec = check_branch(branch)
@@ -280,13 +279,11 @@ def crit_closed_form(tol: float = 1.0) -> CriterionResult:
             "max_oracle_distance": worst_dist,
             "max_period_defect": worst_per,
         },
-        time.time() - t0,
     )
 
 
 def crit_first_integral(tol: float = 1.0) -> CriterionResult:
     """2: x'^2 + h(x)^2 - 2 rho x is constant along every branch."""
-    t0 = time.time()
     worst = 0.0
     for branch in _ALL_BRANCHES:
         data = representative_data(branch)
@@ -295,13 +292,11 @@ def crit_first_integral(tol: float = 1.0) -> CriterionResult:
         "first integral drift",
         worst < 1e-9 * tol,
         {"max_drift": worst},
-        time.time() - t0,
     )
 
 
 def crit_discriminant(tol: float = 1.0, seed: int = 0) -> CriterionResult:
     """3: discriminant sign agrees with the real-root count; Viete holds."""
-    t0 = time.time()
     rng = np.random.default_rng(seed)
     n, mismatches, boundary = 10_000, 0, 0
     worst_viete = 0.0
@@ -345,13 +340,11 @@ def crit_discriminant(tol: float = 1.0, seed: int = 0) -> CriterionResult:
             "boundary_band": boundary,
             "worst_viete": float(worst_viete),
         },
-        time.time() - t0,
     )
 
 
 def crit_periodicity_criterion(tol: float = 1.0, seed: int = 0) -> CriterionResult:
     """4: y(omega) closed form matches quadrature below, negative above."""
-    t0 = time.time()
     rng = np.random.default_rng(seed)
     worst_gap = 0.0
     # negative discriminant: the chart guarantees the stratum
@@ -429,7 +422,6 @@ def crit_periodicity_criterion(tol: float = 1.0, seed: int = 0) -> CriterionResu
             "mu_pos_max_y_over_period": worst_mu,
             "mu_pos_closed_vs_quad": worst_mu_gap,
         },
-        time.time() - t0,
     )
 
 
@@ -449,7 +441,6 @@ def _data_from_quartic(p0: float, rho: float, zr: float, roots) -> InitialData |
 
 def crit_unique_dc(tol: float = 1.0) -> CriterionResult:
     """5: unique d_c with tiny residual; d_c and En(c) increase; En -> 0."""
-    t0 = time.time()
     rho = 1.0
     cs = np.arange(1.1, 5.0 + 1e-9, 0.1)
     worst_resid = 0.0
@@ -474,13 +465,11 @@ def crit_unique_dc(tol: float = 1.0) -> CriterionResult:
             "energy_increasing": increasing_e,
             "energy_at_1p0001": tail,
         },
-        time.time() - t0,
     )
 
 
 def crit_closed_at_every_energy(tol: float = 1.0) -> CriterionResult:
     """6: build_periodic closes at E in {0.1, 1, 10} for e in {-1, 0, 1}."""
-    t0 = time.time()
     worst_closure, worst_energy = 0.0, 0.0
     for energy in (0.1, 1.0, 10.0):
         for e in (-1.0, 0.0, 1.0):
@@ -494,13 +483,11 @@ def crit_closed_at_every_energy(tol: float = 1.0) -> CriterionResult:
         "closed trajectories at every energy",
         passed,
         {"max_closure": worst_closure, "max_energy_error": worst_energy},
-        time.time() - t0,
     )
 
 
 def crit_exact_threshold(tol: float = 1.0) -> CriterionResult:
     """7: exact-force family exists strictly below rho^2/2 and closes."""
-    t0 = time.time()
     fam = exact_periodic_family(1.9, 2.0)
     below_exists = fam is not None
     closure = math.inf
@@ -520,13 +507,11 @@ def crit_exact_threshold(tol: float = 1.0) -> CriterionResult:
             "closure": closure,
             "empty_at_threshold": at_threshold is None,
         },
-        time.time() - t0,
     )
 
 
 def crit_lambda_periodic(tol: float = 1.0) -> CriterionResult:
     """8: Gamma_1 element (0,1,1/2) admits a periodic lift; (1,0,0) refuses."""
-    t0 = time.time()
     lam = LatticeElement(0.0, 1.0, 0.5)
     res = find_lambda_periodic(lam, 1.0, 1.0)
     residual = lambda_periodic_residual(res.trajectory, lam, res.omega)
@@ -540,13 +525,11 @@ def crit_lambda_periodic(tol: float = 1.0) -> CriterionResult:
         "lambda-periodic construction on Gamma_1",
         passed,
         {"residual": residual, "x1_nonzero_refused": refused, "n": res.n},
-        time.time() - t0,
     )
 
 
 def crit_lattice_obstruction(tol: float = 1.0) -> CriterionResult:
     """9: rotated lattice admits no period candidates; standard ones do."""
-    t0 = time.time()
     rotated = [[math.sqrt(3.0) / 2.0, 0.5], [-0.5, math.sqrt(3.0) / 2.0]]
     rot = lattice_obstruction_check(rotated)
     std = lattice_obstruction_check([[1.0, 0.0], [0.0, 1.0]])
@@ -555,13 +538,11 @@ def crit_lattice_obstruction(tol: float = 1.0) -> CriterionResult:
         "lattice obstruction",
         passed,
         {"rotated": rot, "standard": std},
-        time.time() - t0,
     )
 
 
 def crit_lagrangian(tol: float = 1.0) -> CriterionResult:
     """10: Euler-Lagrange residuals vanish on trajectories, not off them."""
-    t0 = time.time()
     worst_true = 0.0
     for force, data in (
         (LorentzForce(0.0, 1.0, 1.0), InitialData(0.5, 0.3, -0.2, 1.0)),
@@ -590,13 +571,11 @@ def crit_lagrangian(tol: float = 1.0) -> CriterionResult:
         "Lagrangian equivalence (Euler-Lagrange residuals)",
         passed,
         {"max_on_trajectories": worst_true, "negative_control": control_max},
-        time.time() - t0,
     )
 
 
 def crit_elliptic_kernel(tol: float = 1.0) -> CriterionResult:
     """11: Legendre relation and the appendix integral identities."""
-    t0 = time.time()
     worst_leg = max(
         abs(elliptic.legendre_relation_defect(float(k)))
         for k in np.linspace(0.01, 0.99, 50)
@@ -634,7 +613,6 @@ def crit_elliptic_kernel(tol: float = 1.0) -> CriterionResult:
             "appendix_vs_quadrature": worst_app,
             "k0_closed_forms": worst_k0,
         },
-        time.time() - t0,
     )
 
 
@@ -656,10 +634,7 @@ CRITERIA = {
 def run_criterion(name: str, seed: int = 0) -> CriterionResult:
     tol = tolerance_scale()
     fn = CRITERIA[name]
-    if name in ("discriminant", "periodicity"):
-        return fn(tol, seed)
-    return fn(tol)
-
-
-def run_all(seed: int = 0) -> list[CriterionResult]:
-    return [run_criterion(name, seed) for name in CRITERIA]
+    t0 = time.perf_counter()
+    result = fn(tol, seed) if name in ("discriminant", "periodicity") else fn(tol)
+    result.elapsed = time.perf_counter() - t0
+    return result

@@ -135,10 +135,6 @@ class LorentzForce:
     def u_norm(self) -> float:
         return math.hypot(self.beta, self.alpha)
 
-    def two_form_coefficients(self) -> tuple[float, float, float]:
-        """Coefficients of omega_F = rho e1^e2 + beta e1^e3 + alpha e2^e3."""
-        return (self.rho, self.beta, self.alpha)
-
     def scale(self) -> float:
         return max(abs(self.alpha), abs(self.beta), abs(self.rho), 1.0)
 

@@ -177,13 +177,6 @@ class ReducedOracle:
     x: np.ndarray
     xp: np.ndarray
     first_integral_drift: float
-    _dense: object
-
-    def x_at(self, t: float) -> float:
-        return float(self._dense(t)[0])
-
-    def xp_at(self, t: float) -> float:
-        return float(self._dense(t)[1])
 
 
 def integrate_reduced(
@@ -211,7 +204,6 @@ def integrate_reduced(
         rtol=cfg.rel_tol,
         atol=cfg.abs_tol,
         max_step=cfg.max_step,
-        dense_output=True,
         t_eval=t_eval,
     )
     if not sol.success:
@@ -219,7 +211,7 @@ def integrate_reduced(
     xs, us = sol.y
     level = np.array([u * u + data.h(x) ** 2 - 2.0 * rho * x for x, u in zip(xs, us)])
     drift = float(np.max(np.abs(level - data.norm_sq)))
-    return ReducedOracle(data, sol.t, xs, us, drift, sol.sol)
+    return ReducedOracle(data, sol.t, xs, us, drift)
 
 
 # --- Lagrangian of the magnetic system ---------------------------------------

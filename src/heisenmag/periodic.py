@@ -14,6 +14,9 @@ Closed trajectories answer Psi = 0: for every c > 1 there is a unique
 root d_c, the energy map c -> En(c, d_c) is an increasing bijection of
 (1, inf) onto (0, inf), and lattice-periodic curves come from tuning
 Psi = y1/n on a fixed-energy surface and conjugating.
+
+Each root, and the conjugacy shift, is found on a sign-changing bracket by
+Brent's method (scipy.optimize.brentq); d_c must leave |psi_tilde| <= 1e-12.
 """
 
 from __future__ import annotations
@@ -23,9 +26,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .elliptic import complete_K_and_E
-from .errors import ConvergenceError, DomainError, LambdaNotFoundError, check_finite
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    HeisenmagError,
+    LambdaNotFoundError,
+    check_finite,
+)
 from .heisenberg import HeisenbergPoint
 from .quartic import Branch, InitialData, build_profile
 from .trajectory import (
@@ -174,12 +184,31 @@ def psi(c: float, d: float, e: float, rho: float) -> float:
 # --- unique root d_c and the energy bijection -----------------------------------
 
 
-def solve_dc(c: float, rho: float, residual_tol: float = 1e-12) -> float:
+# rtol = 4 eps is the smallest scipy accepts and xtol (the smallest
+# subnormal) is negligible, so every root is resolved to float precision.
+_RTOL = 4.0 * np.finfo(float).eps
+_XTOL = 5e-324
+_DC_TOL = 1e-12
+_C_FLOOR = 1.0 + 1e-11
+_SWEEP_STEPS = 400
+
+
+def _brent(f, lo: float, hi: float) -> float:
+    """Root of f on [lo, hi], whose end values differ in sign."""
+    try:
+        return brentq(f, lo, hi, xtol=_XTOL, rtol=_RTOL)
+    except HeisenmagError:
+        raise
+    except (ValueError, RuntimeError) as exc:
+        raise ConvergenceError(f"Brent's method failed on [{lo}, {hi}]: {exc}") from exc
+
+
+def solve_dc(c: float, rho: float) -> float:
     """The unique d in (0, 1) with psi_tilde(c, d) = 0; needs c > 1.
 
     psi_tilde is positive near d = 0 (limit c^4 (c^2-1) pi / (4(rho^2+c^6)))
-    and negative near d = 1, so a bracketing bisection applies; a few
-    secant steps polish the root to |psi_tilde| below residual_tol.
+    and negative near d = 1, so Brent's method applies on that bracket; the
+    root must leave |psi_tilde| <= 1e-12.
     """
     if c <= 1.0:
         raise DomainError(f"no periodic trajectory for c <= 1 (got c = {c})")
@@ -190,29 +219,10 @@ def solve_dc(c: float, rho: float, residual_tol: float = 1e-12) -> float:
         raise ConvergenceError(
             f"d_c bracket failed at c={c}: psi({lo})={f_lo}, psi({hi})={f_hi}"
         )
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        f_mid = psi_tilde(c, mid, rho)
-        if f_mid > 0.0:
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    d = lo if abs(f_lo) < abs(f_hi) else hi
+    d = _brent(lambda d: psi_tilde(c, d, rho), lo, hi)
     f_d = psi_tilde(c, d, rho)
-    d_other, f_other = (hi, f_hi) if d == lo else (lo, f_lo)
-    for _ in range(4):
-        if f_d == f_other:
-            break
-        d_new = d - f_d * (d_other - d) / (f_other - f_d)
-        if not 0.0 < d_new < 1.0:
-            break
-        f_new = psi_tilde(c, d_new, rho)
-        d_other, f_other = d, f_d
-        d, f_d = d_new, f_new
-    if abs(f_d) > residual_tol:
-        raise ConvergenceError(f"psi_tilde residual {f_d} at c={c} exceeds {residual_tol}")
+    if abs(f_d) > _DC_TOL:
+        raise ConvergenceError(f"psi_tilde residual {f_d} at c={c} exceeds {_DC_TOL}")
     return d
 
 
@@ -226,21 +236,18 @@ def solve_c_for_energy(energy: float, rho: float) -> float:
     check_finite(energy=energy, rho=rho)
     if energy <= 0.0:
         raise DomainError(f"energy must be positive, got {energy}")
-    lo = 1.0 + 1e-11
+    # closer to c = 1, psi_tilde is flat below the 1e-12 residual gate
+    floor = energy_of_c(_C_FLOOR, rho)
+    if not floor < energy:
+        raise DomainError(
+            f"energy {energy} is below {floor}, the smallest resolvable at rho = {rho}"
+        )
     hi = 2.0
     while energy_of_c(hi, rho) < energy:
         hi *= 2.0
         if hi > 1e9:
             raise ConvergenceError("energy bracket blew up")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if energy_of_c(mid, rho) < energy:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _brent(lambda c: energy_of_c(c, rho) - energy, _C_FLOOR, hi)
 
 
 def build_periodic(
@@ -301,18 +308,7 @@ def equienergy_conjugacy(
             shift = grid[i]
             break
         if vals[i] * vals[i + 1] < 0.0:
-            a, b = grid[i], grid[i + 1]
-            fa = vals[i]
-            for _ in range(200):
-                m = 0.5 * (a + b)
-                fm = sol1.x(m) - target
-                if fa * fm <= 0.0:
-                    b = m
-                else:
-                    a, fa = m, fm
-                if b - a < 1e-15 * omega:
-                    break
-            cand = 0.5 * (a + b)
+            cand = _brent(lambda t: sol1.x(t) - target, grid[i], grid[i + 1])
             # the crossing must also carry the right slope sign; if not,
             # the matching crossing is the other one in the period
             if sol1.x_prime(cand) * sol2.data.x0 >= -1e-9:
@@ -487,11 +483,7 @@ def _h_energy(c: float, energy: float, rho: float) -> float | None:
 
 
 def find_lambda_periodic(
-    lam: LatticeElement,
-    energy: float,
-    rho: float,
-    e: float = 0.0,
-    sweep_steps: int = 400,
+    lam: LatticeElement, energy: float, rho: float, e: float = 0.0
 ) -> LambdaPeriodicResult:
     """Lattice-periodic trajectory with prescribed energy, or a refusal.
 
@@ -524,7 +516,7 @@ def find_lambda_periodic(
     step = direction * max(1e-4, 0.02 * c0)
     best_c, best_val = None, 0.0
     c = c0
-    for _ in range(sweep_steps):
+    for _ in range(_SWEEP_STEPS):
         c = c + step
         if c <= 0.0:
             break
@@ -544,18 +536,14 @@ def find_lambda_periodic(
     f_hi = (psi_on_surface(hi_c) or 0.0) - target
     if f_lo * f_hi > 0.0:
         raise ConvergenceError("Psi target not bracketed on the energy surface")
-    for _ in range(200):
-        mid = 0.5 * (lo_c + hi_c)
-        if mid <= lo_c or mid >= hi_c:
-            break
-        f_mid = (psi_on_surface(mid) or math.nan) - target
-        if math.isnan(f_mid):
-            raise ConvergenceError("energy surface left the chart during bisection")
-        if f_lo * f_mid <= 0.0:
-            hi_c, f_hi = mid, f_mid
-        else:
-            lo_c, f_lo = mid, f_mid
-    c_star = 0.5 * (lo_c + hi_c)
+
+    def psi_minus_target(c: float) -> float:
+        val = psi_on_surface(c)
+        if val is None:
+            raise ConvergenceError("energy surface left the chart while solving")
+        return val - target
+
+    c_star = _brent(psi_minus_target, lo_c, hi_c)
     d_star = _h_energy(c_star, energy, rho)
     if d_star is None:
         raise ConvergenceError("tuned parameter left the energy surface")

@@ -209,6 +209,18 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    def test_energy_below_floor_is_domain_error(self, capsys):
+        code, _, err = run_cli(["periodic", "--rho", "3", "--energy", "1e-10"], capsys)
+        assert code == EXIT_DOMAIN
+        assert err.startswith("error:") and "smallest resolvable" in err
+
+    def test_bad_tolerance_is_domain_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("HEISENMAG_TOL", "abc")
+        code, out, err = run_cli(["verify", "--suite", "exact-threshold"], capsys)
+        assert code == EXIT_DOMAIN
+        assert err.startswith("error:") and "HEISENMAG_TOL" in err
+        assert "FAIL" not in out and "PASS" not in out
+
     def test_usage_error(self, capsys):
         code, _, err = run_cli(["sample", "--x0", "1"], capsys)
         assert code == EXIT_USAGE

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from heisenmag import periodic
 from heisenmag.elliptic import complete_K_and_E
-from heisenmag.errors import DomainError, LambdaNotFoundError
+from heisenmag.errors import ConvergenceError, DomainError, LambdaNotFoundError
 from heisenmag.heisenberg import HeisenbergPoint
 from heisenmag.periodic import (
     GammaLattice,
@@ -217,10 +218,47 @@ class TestEnergyBijection:
         for energy in (0.1, 1.0, 10.0):
             c = solve_c_for_energy(energy, 1.0)
             assert abs(energy_of_c(c, 1.0) - energy) < 1e-10
+        for rho in (0.0, 0.3, 1.0, 3.0, 10.0):
+            for energy in (1e-6, 0.05, 1.0, 20.0, 1e4, 1e8):
+                c = solve_c_for_energy(energy, rho)
+                assert abs(energy_of_c(c, rho) - energy) < 1e-10 * max(1.0, energy)
 
     def test_rejects_nonpositive_energy(self):
         with pytest.raises(DomainError):
             solve_c_for_energy(0.0, 1.0)
+
+    def test_rejects_energy_below_resolvable_floor(self):
+        # c = 1 + 1e-11 already carries energy 2.1e-10 at rho = 3
+        with pytest.raises(DomainError, match="smallest resolvable"):
+            solve_c_for_energy(1e-10, 3.0)
+        with pytest.raises(DomainError):
+            solve_c_for_energy(1e-9, 10.0)
+
+    def test_psi_tilde_calls_per_solve(self, monkeypatch):
+        calls = []
+
+        def counted(c, d, rho):
+            calls.append(d)
+            return psi_tilde(c, d, rho)
+
+        monkeypatch.setattr(periodic, "psi_tilde", counted)
+        solve_c_for_energy(1.0, 1.0)
+        assert 0 < len(calls) < 400
+
+
+class TestBrent:
+    def test_failures_are_typed(self):
+        with pytest.raises(ConvergenceError):
+            periodic._brent(lambda x: 1.0, 0.0, 1.0)
+        with pytest.raises(ConvergenceError):
+            periodic._brent(lambda x: math.nan, 0.0, 1.0)
+
+    def test_domain_error_passes_through(self):
+        def f(x):
+            raise DomainError("outside")
+
+        with pytest.raises(DomainError):
+            periodic._brent(f, 0.0, 1.0)
 
 
 class TestBuildPeriodic:

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from heisenmag import acceptance
 from heisenmag.elliptic import complete_K, jacobi_am
+from heisenmag.errors import DomainError
 from heisenmag.heisenberg import LorentzForce
 from heisenmag.oracle import OracleConfig, StateVector, integrate_general
 from heisenmag.periodic import (
@@ -130,6 +131,12 @@ class TestToleranceOverride:
         assert acceptance.tolerance_scale() == 1.0
         monkeypatch.setenv("HEISENMAG_TOL", "-1")
         with pytest.raises(ValueError):
+            acceptance.tolerance_scale()
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "abc", "0"])
+    def test_rejects_invalid(self, monkeypatch, raw):
+        monkeypatch.setenv("HEISENMAG_TOL", raw)
+        with pytest.raises(DomainError):
             acceptance.tolerance_scale()
 
 
