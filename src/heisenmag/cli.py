@@ -17,9 +17,10 @@ import math
 import sys
 
 from . import acceptance
-from .errors import HeisenmagError, check_finite
+from .errors import DomainError, HeisenmagError, check_finite
 from .heisenberg import LorentzForce, canonical_to_json, classify_force
 from .periodic import (
+    GammaLattice,
     LatticeElement,
     build_periodic,
     find_lambda_periodic,
@@ -168,10 +169,12 @@ def _cmd_periodic(args, out) -> int:
 
 def _cmd_lattice(args, out) -> int:
     try:
-        y1_str, z1_str = args.lam.split(",")
+        y1, z1 = (float(v) for v in args.lam.split(","))
     except ValueError as exc:
         raise _UsageError("--lambda expects 'y1,z1'") from exc
-    lam = LatticeElement(0.0, float(y1_str), float(z1_str))
+    lam = LatticeElement(0.0, y1, z1)
+    if not GammaLattice(args.k).is_member(lam.point()):
+        raise DomainError(f"lambda = (0, {y1}, {z1}) is not in Gamma_{args.k}")
     res = find_lambda_periodic(lam, args.energy, args.rho)
     _emit_json(
         {
@@ -197,10 +200,11 @@ def _cmd_lattice(args, out) -> int:
 
 
 def _cmd_lattice_obstruction(args, out) -> int:
-    entries = [float(v) for v in args.basis.split(",")]
-    if len(entries) != 4:
-        raise _UsageError("--basis expects 'a,b,c,d' for [[a, b], [c, d]]")
-    basis = [[entries[0], entries[1]], [entries[2], entries[3]]]
+    try:
+        a, b, c, d = (float(v) for v in args.basis.split(","))
+    except ValueError as exc:
+        raise _UsageError("--basis expects 'a,b,c,d' for [[a, b], [c, d]]") from exc
+    basis = [[a, b], [c, d]]
     admits = lattice_obstruction_check(basis)
     _emit_json({"basis": basis, "admits_period_candidates": admits}, out)
     return EXIT_OK

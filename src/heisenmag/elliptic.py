@@ -96,68 +96,62 @@ def _check_pi_alpha(alpha2: float) -> None:
         )
 
 
-def ellip_f(phi: float, k: float) -> float:
-    """Incomplete first-kind integral F(phi, k) for any real phi."""
-    _check_modulus(k)
+def _odd_quasi_periodic(phi: float, complete, principal) -> float:
+    """An incomplete integral f(phi, ...) for any real phi.
+
+    f is odd and f(phi + n pi) = f(phi) + 2n complete(), so phi reduces to
+    |phi| <= pi/2, where principal(sin phi, cos phi) evaluates it.
+    """
     if phi == 0.0:
         return 0.0
     if phi < 0.0:
-        return -ellip_f(-phi, k)
-    # F(phi + n*pi) = F(phi) + 2nK reduces to |phi| <= pi/2
+        return -_odd_quasi_periodic(-phi, complete, principal)
     n = math.floor(phi / math.pi + 0.5)
-    shift = 2.0 * n * complete_K(k) if n else 0.0
+    shift = 2.0 * n * complete() if n else 0.0
     phi = phi - n * math.pi
     sign = 1.0
     if phi < 0.0:
         sign, phi = -1.0, -phi
-    s, c = math.sin(phi), math.cos(phi)
-    value = float(s * elliprf(c * c, 1.0 - (k * s) ** 2, 1.0))
-    return shift + sign * value
+    return shift + sign * principal(math.sin(phi), math.cos(phi))
+
+
+def ellip_f(phi: float, k: float) -> float:
+    """Incomplete first-kind integral F(phi, k) for any real phi."""
+    _check_modulus(k)
+    return _odd_quasi_periodic(
+        phi,
+        lambda: complete_K(k),
+        lambda s, c: float(s * elliprf(c * c, 1.0 - (k * s) ** 2, 1.0)),
+    )
 
 
 def ellip_e_inc(phi: float, k: float) -> float:
     """Incomplete second-kind integral E(phi, k) for any real phi."""
     _check_modulus(k)
-    if phi == 0.0:
-        return 0.0
-    if phi < 0.0:
-        return -ellip_e_inc(-phi, k)
-    n = math.floor(phi / math.pi + 0.5)
-    shift = 2.0 * n * complete_E(k) if n else 0.0
-    phi = phi - n * math.pi
-    sign = 1.0
-    if phi < 0.0:
-        sign, phi = -1.0, -phi
-    s, c = math.sin(phi), math.cos(phi)
-    y = 1.0 - (k * s) ** 2
-    value = float(
-        s * elliprf(c * c, y, 1.0) - (k * k / 3.0) * s ** 3 * elliprd(c * c, y, 1.0)
-    )
-    return shift + sign * value
+
+    def principal(s: float, c: float) -> float:
+        y = 1.0 - (k * s) ** 2
+        return float(
+            s * elliprf(c * c, y, 1.0) - (k * k / 3.0) * s ** 3 * elliprd(c * c, y, 1.0)
+        )
+
+    return _odd_quasi_periodic(phi, lambda: complete_E(k), principal)
 
 
 def ellip_pi_inc(phi: float, alpha2: float, k: float) -> float:
     """Incomplete third-kind integral Pi(phi, alpha^2, k), alpha^2 < 1."""
     _check_modulus(k)
     _check_pi_alpha(alpha2)
-    if phi == 0.0:
-        return 0.0
-    if phi < 0.0:
-        return -ellip_pi_inc(-phi, alpha2, k)
-    n = math.floor(phi / math.pi + 0.5)
-    shift = 2.0 * n * complete_Pi(alpha2, k) if n else 0.0
-    phi = phi - n * math.pi
-    sign = 1.0
-    if phi < 0.0:
-        sign, phi = -1.0, -phi
-    s, c = math.sin(phi), math.cos(phi)
-    s2 = s * s
-    y = 1.0 - k * k * s2
-    value = float(
-        s * elliprf(c * c, y, 1.0)
-        + (alpha2 / 3.0) * s ** 3 * elliprj(c * c, y, 1.0, 1.0 - alpha2 * s2)
-    )
-    return shift + sign * value
+
+    def principal(s: float, c: float) -> float:
+        s2 = s * s
+        y = 1.0 - k * k * s2
+        return float(
+            s * elliprf(c * c, y, 1.0)
+            + (alpha2 / 3.0) * s ** 3 * elliprj(c * c, y, 1.0, 1.0 - alpha2 * s2)
+        )
+
+    return _odd_quasi_periodic(phi, lambda: complete_Pi(alpha2, k), principal)
 
 
 def complete_Pi(alpha2: float, k: float) -> float:

@@ -6,10 +6,10 @@ determined by the scalar profile x(t), which solves
     x'' + h'(x) h(x) = rho,    h(x) = x^2/2 + (z0+rho) x + y0 + 1,
 
 with x(0) = 0, x'(0) = x0.  Each discriminant stratum of the speed quartic
-has its own closed form (Jacobi cn, sn^2, cosine, hyperbolic, or rational);
-y recovers by quadrature of x^2/2 + (z0+rho) x + y0 within a period, plus
-a closed-form increment y(omega) per whole period, and z by the algebraic
-relation z = -x y / 2 - (z0+rho) y - x' + x0.
+has its own closed form (Jacobi cn, sn^2, cosine, hyperbolic, or rational).
+So has an antiderivative F of (x + z0 + rho)^2 (Jacobi's epsilon function
+plus elementary terms), which gives y = (p0/2 - 1) t + (F(t) - F(0))/2, and
+z follows from the algebraic relation z = -x y / 2 - (z0+rho) y - x' + x0.
 
 The inverse-function phase constants fix x(0) = 0 only up to the branch
 of the inverse; construction corrects them by at most a sign flip so that
@@ -22,17 +22,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from scipy.integrate import quad
+# unused; perfbench's tracer counts quadrature in curve evaluation through this name
+from scipy.integrate import quad  # noqa: F401
 
 from .elliptic import (
     complete_K_and_E,
+    ellip_e_inc,
     inverse_cn,
     inverse_sn,
+    jacobi_am,
     jacobi_sn_cn_dn,
 )
-from .errors import BranchConsistencyError, ConvergenceError, DomainError
+from .errors import BranchConsistencyError, DomainError
 from .heisenberg import HeisenbergPoint
 from .quartic import Branch, InitialData, QuarticProfile, build_profile
 
@@ -48,18 +51,7 @@ __all__ = [
     "energy",
 ]
 
-_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=400)
-_QUAD_ERR_PER_LENGTH = 1e-11
 _COSH_CUTOFF = 700.0
-
-
-def _checked_quad(f, a: float, b: float) -> float:
-    val, err = quad(f, a, b, **_QUAD_OPTS)
-    if err > _QUAD_ERR_PER_LENGTH * max(1.0, abs(b - a)):
-        raise ConvergenceError(
-            f"quadrature over [{a}, {b}] reports error {err}"
-        )
-    return val
 
 
 def energy(data: InitialData) -> float:
@@ -79,12 +71,23 @@ def _clamped_ge1(v: float, what: str, band: float = 1e-10) -> float:
     return max(1.0, v)
 
 
-class _XProfile:
-    """Closed-form x(t) of one branch together with its derivative."""
+class _XProfile(NamedTuple):
+    """Closed forms of one branch at one phase constant."""
 
-    def __init__(self, value: Callable[[float], float], deriv: Callable[[float], float]):
-        self.value = value
-        self.deriv = deriv
+    value: Callable[[float], float]  # x(t)
+    deriv: Callable[[float], float]  # x'(t)
+    antideriv: Callable[[float], float]  # F(t) with F' = (x + z0 + rho)^2
+    # (omega, F(omega) - F(0)), or (None, None) without an x-period; called
+    # for the chosen phase only, so a rejected phase runs no complete integrals
+    period: Callable[[], tuple] = lambda: (None, None)
+
+
+def _epsilon_sn_cn_dn(u: float, k: float) -> tuple[float, float, float, float]:
+    """Jacobi's epsilon E(am u, k) (DLMF 22.16(ii)) and sn, cn, dn at u,
+    all from one amplitude; dn as in jacobi_sn_cn_dn."""
+    am = jacobi_am(u, k)
+    sn, cn = math.sin(am), math.cos(am)
+    return ellip_e_inc(am, k), sn, cn, math.sqrt((1.0 - k) * (1.0 + k) + (k * cn) ** 2)
 
 
 def _profile_neg(data: InitialData, prof: QuarticProfile, phase: float) -> _XProfile:
@@ -95,6 +98,7 @@ def _profile_neg(data: InitialData, prof: QuarticProfile, phase: float) -> _XPro
     den0, den1 = d1 + d4, d4 - d1
     zr = data.zr
     slope = 2.0 * d1 * d4 * (r1 - r4)  # N S - M D of the Moebius form
+    c0 = -prof.p0 - 0.5 * ((r1 + r4) ** 2 + d1 * d4)
 
     def value(t: float) -> float:
         _, cn, _ = jacobi_sn_cn_dn(a * t + phase, k)
@@ -104,7 +108,16 @@ def _profile_neg(data: InitialData, prof: QuarticProfile, phase: float) -> _XPro
         sn, cn, dn = jacobi_sn_cn_dn(a * t + phase, k)
         return -a * sn * dn * slope / (den1 * cn + den0) ** 2
 
-    return _XProfile(value, deriv)
+    def antideriv(t: float) -> float:
+        u = a * t + phase
+        eps, sn, cn, dn = _epsilon_sn_cn_dn(u, k)
+        return (c0 * u + d1 * d4 * (eps - den1 * sn * dn / (den1 * cn + den0))) / a
+
+    def period() -> tuple[float, float]:
+        big_k, big_e = complete_K_and_E(k)
+        return 4.0 * big_k / a, 4.0 * (c0 * big_k + d1 * d4 * big_e) / a
+
+    return _XProfile(value, deriv, antideriv, period)
 
 
 def _profile_pos(data: InitialData, prof: QuarticProfile, phase: float) -> _XProfile:
@@ -119,6 +132,9 @@ def _profile_pos(data: InitialData, prof: QuarticProfile, phase: float) -> _XPro
     else:
         kappa = (r4 - r3) / (r3 - r1)
         base, span, sign = r1, r4 - r1, 1.0
+    # no third-kind term: the quartic's missing cubic term cancels it
+    c0 = base * base - span * span / (2.0 * (1.0 + kappa))
+    c1 = span * span * kappa / (2.0 * (k1 * k1 + kappa) * (1.0 + kappa))
 
     def value(t: float) -> float:
         sn, _, _ = jacobi_sn_cn_dn(a * t + phase, k1)
@@ -131,7 +147,16 @@ def _profile_pos(data: InitialData, prof: QuarticProfile, phase: float) -> _XPro
             / (1.0 + kappa * sn * sn) ** 2
         )
 
-    return _XProfile(value, deriv)
+    def antideriv(t: float) -> float:
+        u = a * t + phase
+        eps, sn, cn, dn = _epsilon_sn_cn_dn(u, k1)
+        return (c0 * u + c1 * (eps + kappa * sn * cn * dn / (1.0 + kappa * sn * sn))) / a
+
+    def period() -> tuple[float, float]:
+        big_k, big_e = complete_K_and_E(k1)
+        return 2.0 * big_k / a, 2.0 * (c0 * big_k + c1 * big_e) / a
+
+    return _XProfile(value, deriv, antideriv, period)
 
 
 def _profile_mu_pos(data: InitialData, prof: QuarticProfile, phase: float) -> _XProfile:
@@ -149,7 +174,15 @@ def _profile_mu_pos(data: InitialData, prof: QuarticProfile, phase: float) -> _X
         g_dot = -g_amp * b * math.sin(b * t + phase)
         return 2.0 * mu * g_dot / (g * g)
 
-    return _XProfile(value, deriv)
+    def antideriv(t: float) -> float:
+        u = b * t + phase
+        return r * r * t - 4.0 * mu * g_amp / b * math.sin(u) / (r + g_amp * math.cos(u))
+
+    def period() -> tuple[float, float]:
+        omega = 2.0 * math.pi / b
+        return omega, r * r * omega
+
+    return _XProfile(value, deriv, antideriv, period)
 
 
 def _profile_mu_neg(data: InitialData, prof: QuarticProfile, phase: float) -> _XProfile:
@@ -174,7 +207,14 @@ def _profile_mu_neg(data: InitialData, prof: QuarticProfile, phase: float) -> _X
         g_dot = sign * g_amp * b * math.sinh(u)
         return 2.0 * mu * g_dot / (g * g)
 
-    return _XProfile(value, deriv)
+    def antideriv(t: float) -> float:
+        u = b * t + phase
+        if abs(u) > _COSH_CUTOFF:  # sinh u / (r + s A cosh u) -> sign(u) / (s A)
+            return r * r * t - 4.0 * mu / b * math.copysign(1.0, u)
+        g = r + sign * g_amp * math.cosh(u)
+        return r * r * t - 4.0 * mu * sign * g_amp / b * math.sinh(u) / g
+
+    return _XProfile(value, deriv, antideriv)
 
 
 def _profile_cusp(data: InitialData, prof: QuarticProfile, phase: float) -> _XProfile:
@@ -189,7 +229,16 @@ def _profile_cusp(data: InitialData, prof: QuarticProfile, phase: float) -> _XPr
         s = t + phase
         return 8.0 * r ** 3 * s / (1.0 + (r * s) ** 2) ** 2
 
-    return _XProfile(value, deriv)
+    def antideriv(t: float) -> float:
+        s = t + phase
+        return r * r * (t + 8.0 * s / (1.0 + (r * s) ** 2))
+
+    return _XProfile(value, deriv, antideriv)
+
+
+def _profile_trivial(data: InitialData, prof: QuarticProfile, phase: float) -> _XProfile:
+    zr = data.zr
+    return _XProfile(lambda t: 0.0, lambda t: 0.0, lambda t: zr * zr * t)
 
 
 def _principal_phase(data: InitialData, prof: QuarticProfile) -> float:
@@ -244,7 +293,7 @@ def _principal_phase(data: InitialData, prof: QuarticProfile) -> float:
         if turning:
             arg = 0.0
         return math.sqrt(max(0.0, arg)) / r
-    raise DomainError(f"no closed-form constant for branch {branch}")
+    return 0.0  # Branch.TRIVIAL: x(t) = 0 has no phase
 
 
 _PROFILE_BUILDERS = {
@@ -255,49 +304,16 @@ _PROFILE_BUILDERS = {
     Branch.ZERO_MU_NEG_RIGHT: _profile_mu_neg,
     Branch.ZERO_MU_NEG_LEFT: _profile_mu_neg,
     Branch.ZERO_CUSP: _profile_cusp,
+    Branch.TRIVIAL: _profile_trivial,
 }
-
-
-def _period_and_increment(prof: QuarticProfile) -> tuple[float | None, float | None]:
-    """The x-period omega and the y increment y(omega) over one period.
-
-    Both come in closed form from one complete_K_and_E run; branches
-    without an x-period give (None, None).  Negative discriminant:
-    y(omega) = 4 sqrt(d1 d4) (E - ((r1+r4)^2 + d1 d4 + 4) / (2 d1 d4) K).
-    Four real roots: 2 sqrt((r4-r2)(r3-r1)) (E - K - (4 + (r2+r3)^2) /
-    ((r4-r2)(r3-r1)) K).  Repeated root with mu > 0: (p0 + r^2 - 2) pi /
-    sqrt(mu).
-    """
-    if prof.branch is Branch.NEG:
-        d1, d4 = prof.delta1, prof.delta4
-        big_k, big_e = complete_K_and_E(prof.k)
-        omega = 8.0 * big_k / math.sqrt(d1 * d4)
-        y_inc = 4.0 * math.sqrt(d1 * d4) * (
-            big_e
-            - ((prof.r1 + prof.r4) ** 2 + d1 * d4 + 4.0) / (2.0 * d1 * d4) * big_k
-        )
-        return omega, y_inc
-    if prof.branch in (Branch.POS_LOW, Branch.POS_HIGH):
-        r1, r2, r3, r4 = sorted(r.real for r in prof.roots)
-        prod = (r4 - r2) * (r3 - r1)
-        big_k, big_e = complete_K_and_E(prof.k1)
-        omega = 8.0 * big_k / math.sqrt(prod)
-        y_inc = 2.0 * math.sqrt(prod) * (
-            big_e - big_k - (4.0 + (r2 + r3) ** 2) / prod * big_k
-        )
-        return omega, y_inc
-    if prof.branch is Branch.ZERO_MU_POS:
-        root_mu = math.sqrt(prof.mu)
-        return 2.0 * math.pi / root_mu, (prof.p0 + prof.r_double ** 2 - 2.0) * math.pi / root_mu
-    return None, None
 
 
 @dataclass
 class TrajectorySolution:
     """Evaluable magnetic trajectory through the identity, x0 >= 0.
 
-    Immutable after construction: the per-period y increment is
-    precomputed for periodic branches, so evaluation is safe from
+    Immutable after construction: y is in closed form and its increment
+    over one x-period is computed there, so evaluation is safe from
     concurrent threads.
     """
 
@@ -307,54 +323,44 @@ class TrajectorySolution:
     phase_flipped: bool  # principal constant needed a sign flip for x'(0)
     x_period: float | None
     _x_profile: _XProfile = field(repr=False)
-    _y_over_period: float | None = field(default=None, repr=False)
+    _f_over_period: float | None = field(default=None, repr=False)
 
     def x(self, t: float) -> float:
-        if self.profile.branch is Branch.TRIVIAL:
-            return 0.0
         return self._x_profile.value(t)
 
     def x_prime(self, t: float) -> float:
-        if self.profile.branch is Branch.TRIVIAL:
-            return 0.0
         return self._x_profile.deriv(t)
 
-    def _y_integrand(self, s: float) -> float:
-        x = self.x(s)
-        return 0.5 * x * x + self.data.zr * x + self.data.y0
+    def _y_of(self, t: float, f_increment: float) -> float:
+        # y' = (x + z0 + rho)^2 / 2 + p0/2 - 1
+        return (0.5 * self.profile.p0 - 1.0) * t + 0.5 * f_increment
 
     def y(self, t: float) -> float:
-        if self.profile.branch is Branch.TRIVIAL:
-            return self.data.y0 * t
-        omega = self.x_period
-        if omega is None:
-            return _checked_quad(self._y_integrand, 0.0, t)
-        n = math.floor(t / omega)
-        tail = _checked_quad(self._y_integrand, 0.0, t - n * omega)
-        return n * self.y_over_period() + tail
+        if t == 0.0:  # spares reflect_for_negative_x0's check two F evaluations
+            return 0.0
+        f = self._x_profile.antideriv
+        return self._y_of(t, f(t) - f(0.0))
 
     def y_over_period(self) -> float:
         """The increment y(omega), in closed form; constant across periods.
 
         Its sign decides whether the trajectory closes (periodic.psi).
         """
-        if self._y_over_period is None:
+        if self._f_over_period is None:
             raise DomainError(f"branch {self.profile.branch} has no x-period")
-        return self._y_over_period
+        return self._y_of(self.x_period, self._f_over_period)
 
     def z(self, t: float) -> float:
-        y = self.y(t)
-        return self._z_from(t, y)
+        return self._z_from(t, self.x(t), self.y(t))
 
-    def _z_from(self, t: float, y: float) -> float:
-        x = self.x(t)
+    def _z_from(self, t: float, x: float, y: float) -> float:
         return (
             -0.5 * x * y - self.data.zr * y - self.x_prime(t) + self.data.x0
         )
 
     def point(self, t: float) -> HeisenbergPoint:
-        y = self.y(t)
-        return HeisenbergPoint(self.x(t), y, self._z_from(t, y))
+        x, y = self.x(t), self.y(t)
+        return HeisenbergPoint(x, y, self._z_from(t, x, y))
 
     def velocity(self, t: float) -> tuple[float, float, float]:
         """(x', y', z') with y' = h(x) - 1 and z' from the level x + z0 of
@@ -367,17 +373,8 @@ class TrajectorySolution:
         return (xp, yp, zp)
 
     def sample(self, ts) -> list[tuple[float, float, float]]:
-        """Curve points on an increasing grid; y by cumulative quadrature."""
-        out = []
-        y_acc, t_prev = 0.0, 0.0
-        for t in ts:
-            if self.profile.branch is Branch.TRIVIAL:
-                y_acc = self.data.y0 * t
-            else:
-                y_acc += _checked_quad(self._y_integrand, t_prev, t)
-            out.append((self.x(t), y_acc, self._z_from(t, y_acc)))
-            t_prev = t
-        return out
+        """Curve points (x, y, z) at the times ts."""
+        return [(p.x, p.y, p.z) for p in map(self.point, ts)]
 
 
 def make_solution(data: InitialData) -> TrajectorySolution:
@@ -387,9 +384,6 @@ def make_solution(data: InitialData) -> TrajectorySolution:
             "make_solution requires x0 >= 0; use reflect_for_negative_x0"
         )
     prof = build_profile(data)
-    if prof.branch is Branch.TRIVIAL:
-        return TrajectorySolution(data, prof, 0.0, False, None, _XProfile(lambda t: 0.0, lambda t: 0.0))
-
     principal = _principal_phase(data, prof)
     builder = _PROFILE_BUILDERS[prof.branch]
     tol0 = 1e-8 * data.scale()
@@ -413,8 +407,8 @@ def make_solution(data: InitialData) -> TrajectorySolution:
         raise BranchConsistencyError(
             f"branch {prof.branch}: x'(0) = {xp.deriv(0.0)} != x0 = {data.x0}"
         )
-    omega, y_inc = _period_and_increment(prof)
-    return TrajectorySolution(data, prof, phase, flipped, omega, xp, y_inc)
+    omega, f_inc = xp.period()
+    return TrajectorySolution(data, prof, phase, flipped, omega, xp, f_inc)
 
 
 # --- Exact forces F_{0,rho} ---------------------------------------------------
@@ -504,9 +498,7 @@ class ReflectedTrajectory:
         return HeisenbergPoint(p.x, -p.y, -p.z)
 
     def sample(self, ts) -> list[tuple[float, float, float]]:
-        reversed_grid = [-t for t in reversed(list(ts))]
-        src = self.source.sample(reversed_grid)
-        return [(x, -y, -z) for (x, y, z) in reversed(src)]
+        return [(p.x, p.y, p.z) for p in map(self.point, ts)]
 
     def velocity(self, t: float) -> tuple[float, float, float]:
         xp, yp, zp = self.source.velocity(-t)

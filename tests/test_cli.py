@@ -143,6 +143,18 @@ class TestLattice:
         assert code == EXIT_DOMAIN
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lattice", "--k", "0", "--lambda", "1,0.5", "--energy", "1"],
+            ["lattice", "--k", "1", "--lambda", "1,0.3", "--energy", "1"],
+        ],
+    )
+    def test_lambda_outside_gamma_k_is_domain_error(self, argv, capsys):
+        code, _, err = run_cli(argv, capsys)
+        assert code == EXIT_DOMAIN
+        assert err.startswith("error:") and "Gamma_" in err
+
     def test_obstruction(self, capsys):
         rot = f"{math.sqrt(3)/2},0.5,-0.5,{math.sqrt(3)/2}"
         code, out, _ = run_cli(["lattice-obstruction", "--basis", rot], capsys)
@@ -222,8 +234,14 @@ class TestExitCodes:
         assert "FAIL" not in out and "PASS" not in out
 
     def test_usage_error(self, capsys):
-        code, _, err = run_cli(["sample", "--x0", "1"], capsys)
-        assert code == EXIT_USAGE
+        for argv in (
+            ["sample", "--x0", "1"],
+            ["lattice", "--k", "1", "--lambda", "1,abc", "--energy", "1"],
+            ["lattice-obstruction", "--basis", "1,x,0,1"],
+        ):
+            code, _, err = run_cli(argv, capsys)
+            assert code == EXIT_USAGE
+            assert err.startswith("usage error:")
 
     def test_bad_lambda_format(self, capsys):
         code, _, _ = run_cli(

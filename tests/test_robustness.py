@@ -78,12 +78,20 @@ class TestRandomCrossValidation:
 
 
 class TestYFolding:
-    def test_negative_and_large_times(self):
-        sol = make_solution(InitialData(1.0, 0.5, 0.2, 1.0))
+    @pytest.mark.parametrize(
+        "branch", [b for b in Branch if b is not Branch.TRIVIAL], ids=lambda b: b.value
+    )
+    def test_negative_and_large_times(self, branch):
+        data = acceptance.representative_data(branch)
+        sol = make_solution(data)
+        assert sol.profile.branch is branch
+
+        def y_prime(s):
+            x = sol.x(s)
+            return 0.5 * x * x + data.zr * x + data.y0
+
         for t in (-7.3, -50.0, 123.456):
-            direct, _ = quad(
-                sol._y_integrand, 0.0, t, epsabs=1e-12, epsrel=1e-12, limit=2000
-            )
+            direct, _ = quad(y_prime, 0.0, t, epsabs=1e-12, epsrel=1e-12, limit=2000)
             assert abs(sol.y(t) - direct) < 1e-7 * max(1.0, abs(t))
 
 

@@ -56,10 +56,19 @@ class TestBranchSolutions:
 
     def test_construction_runs_no_quadrature(self, branch, data, monkeypatch):
         def no_quad(*args, **kwargs):
-            raise AssertionError("make_solution must not integrate numerically")
+            raise AssertionError("construction and evaluation must not integrate numerically")
 
         monkeypatch.setattr(trajectory, "quad", no_quad)
-        assert make_solution(data).profile.branch is branch
+        sol = make_solution(data)
+        assert sol.profile.branch is branch
+        refl = reflect_for_negative_x0(InitialData(-data.x0, data.y0, data.z0, data.rho))
+        ts = (-41.3, -0.35, 0.0, 3.3, 58.2)
+        for traj in (sol, refl):
+            assert len(traj.sample(ts)) == len(ts)
+            for t in ts:
+                for value in (traj.x(t), traj.y(t), traj.z(t), *traj.point(t).as_array(),
+                              *traj.velocity(t)):
+                    assert math.isfinite(value)
 
     def test_initial_conditions(self, branch, data):
         sol = make_solution(data)
