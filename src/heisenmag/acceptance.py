@@ -27,7 +27,12 @@ from scipy import special
 from scipy.integrate import quad
 
 from . import elliptic
-from .errors import ConvergenceError, DomainError, LambdaNotFoundError
+from .errors import (
+    BranchConsistencyError,
+    ConvergenceError,
+    DomainError,
+    LambdaNotFoundError,
+)
 from .heisenberg import LorentzForce
 from .oracle import (
     OracleConfig,
@@ -109,17 +114,16 @@ _CBRT2 = 2.0 ** (1.0 / 3.0)
 
 def representative_data(branch: Branch, rho: float | None = None) -> InitialData:
     """The anchored initial condition exercising one solution branch."""
+    if rho is not None and not rho > 0.0:
+        raise DomainError(f"branch representatives need rho > 0, got {rho}")
+    r = 1.0 if rho is None else rho
     if branch is Branch.NEG:
-        r = 1.0 if rho is None else rho
         return InitialData(0.0, 0.0, -r, r)
     if branch is Branch.POS_LOW:
-        r = 1.0 if rho is None else rho
         return InitialData(0.0, -2.0 * r - 0.75, -r - 1.0, r)
     if branch is Branch.POS_HIGH:
-        r = 1.0 if rho is None else rho
         return InitialData(0.0, -1.5 * _CBRT2 * r ** (2 / 3) - 2.0, -r, r)
     if branch is Branch.ZERO_MU_POS:
-        r = 1.0 if rho is None else rho
         return InitialData(0.0, -1.5 * _CBRT2 * r ** (2 / 3) - 1.0, -r, r)
     if branch is Branch.ZERO_MU_NEG_RIGHT:
         if rho is None:
@@ -128,17 +132,14 @@ def representative_data(branch: Branch, rho: float | None = None) -> InitialData
             # (float powers would miss 7 by one ulp and the separatrix
             # amplifies that offset exponentially)
             return InitialData(0.0, 7.0, 1.0, 4.0)
-        r = rho
         return InitialData(
             0.0, 2.0 * (2 * r) ** (2 / 3) - 1.0, 2.5 * (2 * r) ** (1 / 3) - r, r
         )
     if branch is Branch.ZERO_MU_NEG_LEFT:
-        r = 1.0 if rho is None else rho
         return InitialData(0.0, 3.0 * r ** (2 / 3) - 1.0, -3.75 * r ** (1 / 3) - r, r)
     if branch is Branch.ZERO_CUSP:
-        r = 1.0 if rho is None else rho
         return InitialData(0.0, 3.0 * r ** (2 / 3) - 1.0, 3.0 * r ** (1 / 3) - r, r)
-    raise ValueError(f"no representative for branch {branch}")
+    raise DomainError(f"no representative for branch {branch}")
 
 
 _ALL_BRANCHES = (
@@ -186,15 +187,12 @@ def _window(sol) -> float:
 
 def _first_integral_drift(sol, data: InitialData) -> float:
     """Worst |x'^2 + h(x)^2 - 2 rho x - (x0^2 + (y0+1)^2)| on 257 points."""
-    return max(
-        abs(
-            sol.x_prime(t) ** 2
-            + data.h(sol.x(t)) ** 2
-            - 2.0 * data.rho * sol.x(t)
-            - data.norm_sq
-        )
-        for t in np.linspace(0.0, _window(sol), 257)
-    )
+    worst = 0.0
+    for t in np.linspace(0.0, _window(sol), 257):
+        x = sol.x(t)
+        drift = sol.x_prime(t) ** 2 + data.h(x) ** 2 - 2.0 * data.rho * x - data.norm_sq
+        worst = max(worst, abs(drift))
+    return worst
 
 
 def _y_over_period_by_quadrature(sol) -> float:
@@ -226,7 +224,7 @@ def check_branch(branch: Branch, rho: float | None = None) -> dict:
     data = representative_data(branch, rho)
     sol = make_solution(data)
     if sol.profile.branch is not branch:
-        raise RuntimeError(
+        raise BranchConsistencyError(
             f"representative for {branch} classified as {sol.profile.branch}"
         )
     record: dict = {"data": data, "branch": branch.value}

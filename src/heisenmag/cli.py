@@ -33,6 +33,7 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_VERIFY = 2
 EXIT_USAGE = 64
+_MAX_GRID_POINTS = 10 ** 7
 
 
 class _UsageError(Exception):
@@ -93,7 +94,12 @@ def _time_grid(t_max: float, dt: float) -> list[float]:
         raise HeisenmagError("--dt must be positive")
     if t_max < 0.0:
         return []
-    n = int(math.floor(t_max / dt + 1e-9))
+    steps = t_max / dt + 1e-9
+    if steps >= _MAX_GRID_POINTS:
+        raise DomainError(
+            f"--t-max / --dt asks for {steps + 1:.3g} grid points, over {_MAX_GRID_POINTS}"
+        )
+    n = int(math.floor(steps))
     ts = [i * dt for i in range(n + 1)]
     if not ts or abs(ts[-1] - t_max) > 1e-12 * max(1.0, t_max):
         ts.append(t_max)
@@ -211,6 +217,8 @@ def _cmd_lattice_obstruction(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be non-negative, got {args.seed}")
     if args.case is not None:
         branch = Branch(args.case)
         record = acceptance.check_branch(branch, args.rho)

@@ -4,31 +4,33 @@ Everything here uses the modulus k convention (not the parameter m = k^2):
 
     K(k) = integral_0^{pi/2} dtheta / sqrt(1 - k^2 sin^2 theta)
 
-and similarly for E and Pi.  Complete integrals run on the AGM; incomplete
-ones and the third kind go through the Carlson symmetric forms RF, RD, RJ
-of scipy.special (Carlson's duplication algorithm, DLMF 19.36);
-am/sn/cn/dn use the in-house descending Landen (AGM phase) recurrence with
-argument reduction modulo the real period, which keeps full accuracy as
-k -> 1 where scipy.special.ellipj does not.  The tests cross-check the
-whole kernel against direct quadrature of the defining integrals.
+and similarly for E and Pi.  One kernel object, AGM(k), runs the AGM scheme
+of a modulus once: K and E are read off it, and its descending Landen
+(AGM phase) recurrence gives the amplitude am(u) with argument reduction
+modulo the real period, which keeps full accuracy as k -> 1 where
+scipy.special.ellipj does not, together with Jacobi's zeta function Z(u)
+from the same phases, so Jacobi's epsilon E(am u, k) = (E/K) u + Z(u)
+costs no further integral.  F(phi, k) and the complete third kind go
+through the Carlson symmetric forms RF and RJ of scipy.special (Carlson's
+duplication algorithm, DLMF 19.36).  The tests cross-check the whole
+kernel against direct quadrature of the defining integrals.
 """
 
 from __future__ import annotations
 
 import math
 
-from scipy.special import elliprd, elliprf, elliprj
+from scipy.special import elliprf, elliprj
 
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
+    "AGM",
     "complete_K",
     "complete_E",
     "complete_K_and_E",
     "complete_Pi",
     "ellip_f",
-    "ellip_e_inc",
-    "ellip_pi_inc",
     "jacobi_am",
     "jacobi_sn",
     "jacobi_cn",
@@ -48,116 +50,117 @@ def _check_modulus(k: float) -> None:
         raise DomainError(f"modulus k must satisfy 0 <= k < 1, got {k}")
 
 
-def _agm_scheme(k: float) -> tuple[list[float], list[float], list[float]]:
-    """AGM sequences (a_n, b_n, c_n) for a0 = 1, b0 = k' = sqrt(1 - k^2)."""
+def _agm_scheme(k: float) -> tuple[list[float], list[float]]:
+    """AGM sequences (a_n, c_n) for a0 = 1, b0 = k' = sqrt(1 - k^2)."""
     kp2 = (1.0 - k) * (1.0 + k)
     a, b, c = 1.0, math.sqrt(kp2), k
-    aa, bb, cc = [a], [b], [c]
+    aa, cc = [a], [c]
     for _ in range(64):
         if abs(c) <= _EPS * a:
             break
         a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
         aa.append(a)
-        bb.append(b)
         cc.append(c)
     else:
         raise ConvergenceError("AGM failed to converge")
-    return aa, bb, cc
+    return aa, cc
+
+
+class AGM:
+    """The AGM scheme of one modulus k, run once.
+
+    K = pi / (2 a_N) and E = K (1 - sum 2^(n-1) c_n^2) are read off it, and
+    descend(u) runs the descending Landen recurrence on it (A&S 17.6), so a
+    caller that evaluates many points of one modulus runs the AGM once.
+    """
+
+    __slots__ = ("k", "K", "_aa", "_cc")
+
+    def __init__(self, k: float) -> None:
+        _check_modulus(k)
+        self._aa, self._cc = _agm_scheme(k)
+        self.k = k
+        self.K = math.pi / (2.0 * self._aa[-1])
+
+    @property
+    def E(self) -> float:
+        """E(k), computed on access: complete_K needs none of it."""
+        return self.K * (1.0 - sum(2.0 ** (n - 1) * c ** 2 for n, c in enumerate(self._cc)))
+
+    def descend(self, u: float) -> tuple[float, int, float]:
+        """(phi, turns, Z(u)) with am(u) = phi + 2 pi turns, turns = floor(u / 4K).
+
+        phi is the amplitude of u - 4K turns (am(u + 4K) = am(u) + 2 pi);
+        Jacobi's zeta function Z(u) = sum_n c_n sin phi_n over the descent's
+        phases gives Jacobi's epsilon E(am u, k) = (E/K) u + Z(u)
+        (DLMF 22.16(iii)).  At k = 0 the amplitude is u itself.
+        """
+        if self.k == 0.0:
+            return u, 0, 0.0
+        aa, cc = self._aa, self._cc
+        turns = math.floor(u / (4.0 * self.K))
+        n = len(aa) - 1
+        phi = (2.0 ** n) * aa[n] * (u - 4.0 * self.K * turns)
+        zeta = 0.0
+        for i in range(n, 0, -1):
+            s = math.sin(phi)
+            zeta += cc[i] * s
+            phi = 0.5 * (phi + math.asin(min(1.0, max(-1.0, cc[i] / aa[i] * s))))
+        return phi, turns, zeta
+
+    def sn_cn_dn(self, am: float) -> tuple[float, float, float]:
+        """sn, cn, dn at amplitude am; dn from k'^2 + k^2 cn^2, stable near k -> 1."""
+        sn, cn = math.sin(am), math.cos(am)
+        return sn, cn, math.sqrt((1.0 - self.k) * (1.0 + self.k) + (self.k * cn) ** 2)
 
 
 def complete_K(k: float) -> float:
     """Complete elliptic integral of the first kind via the AGM."""
-    _check_modulus(k)
-    aa, _, _ = _agm_scheme(k)
-    return math.pi / (2.0 * aa[-1])
+    return AGM(k).K
 
 
 def complete_K_and_E(k: float) -> tuple[float, float]:
     """K(k) and E(k) from a single AGM run."""
-    _check_modulus(k)
-    aa, _, cc = _agm_scheme(k)
-    big_k = math.pi / (2.0 * aa[-1])
-    s = sum(2.0 ** (n - 1) * cc[n] ** 2 for n in range(len(cc)))
-    return big_k, big_k * (1.0 - s)
+    agm = AGM(k)
+    return agm.K, agm.E
 
 
 def complete_E(k: float) -> float:
     """Complete elliptic integral of the second kind."""
-    return complete_K_and_E(k)[1]
+    return AGM(k).E
 
 
 # --- Incomplete integrals --------------------------------------------------
 
 
-def _check_pi_alpha(alpha2: float) -> None:
-    if alpha2 >= 1.0:
-        raise DomainError(
-            f"third-kind integral needs alpha^2 < 1, got {alpha2}"
-        )
+def ellip_f(phi: float, k: float) -> float:
+    """Incomplete first-kind integral F(phi, k) for any real phi.
 
-
-def _odd_quasi_periodic(phi: float, complete, principal) -> float:
-    """An incomplete integral f(phi, ...) for any real phi.
-
-    f is odd and f(phi + n pi) = f(phi) + 2n complete(), so phi reduces to
-    |phi| <= pi/2, where principal(sin phi, cos phi) evaluates it.
+    F is odd and F(phi + n pi) = F(phi) + 2n K, so phi reduces to
+    |phi| <= pi/2, where the Carlson form RF evaluates it.
     """
+    _check_modulus(k)
     if phi == 0.0:
         return 0.0
     if phi < 0.0:
-        return -_odd_quasi_periodic(-phi, complete, principal)
+        return -ellip_f(-phi, k)
     n = math.floor(phi / math.pi + 0.5)
-    shift = 2.0 * n * complete() if n else 0.0
+    shift = 2.0 * n * complete_K(k) if n else 0.0
     phi = phi - n * math.pi
     sign = 1.0
     if phi < 0.0:
         sign, phi = -1.0, -phi
-    return shift + sign * principal(math.sin(phi), math.cos(phi))
-
-
-def ellip_f(phi: float, k: float) -> float:
-    """Incomplete first-kind integral F(phi, k) for any real phi."""
-    _check_modulus(k)
-    return _odd_quasi_periodic(
-        phi,
-        lambda: complete_K(k),
-        lambda s, c: float(s * elliprf(c * c, 1.0 - (k * s) ** 2, 1.0)),
-    )
-
-
-def ellip_e_inc(phi: float, k: float) -> float:
-    """Incomplete second-kind integral E(phi, k) for any real phi."""
-    _check_modulus(k)
-
-    def principal(s: float, c: float) -> float:
-        y = 1.0 - (k * s) ** 2
-        return float(
-            s * elliprf(c * c, y, 1.0) - (k * k / 3.0) * s ** 3 * elliprd(c * c, y, 1.0)
-        )
-
-    return _odd_quasi_periodic(phi, lambda: complete_E(k), principal)
-
-
-def ellip_pi_inc(phi: float, alpha2: float, k: float) -> float:
-    """Incomplete third-kind integral Pi(phi, alpha^2, k), alpha^2 < 1."""
-    _check_modulus(k)
-    _check_pi_alpha(alpha2)
-
-    def principal(s: float, c: float) -> float:
-        s2 = s * s
-        y = 1.0 - k * k * s2
-        return float(
-            s * elliprf(c * c, y, 1.0)
-            + (alpha2 / 3.0) * s ** 3 * elliprj(c * c, y, 1.0, 1.0 - alpha2 * s2)
-        )
-
-    return _odd_quasi_periodic(phi, lambda: complete_Pi(alpha2, k), principal)
+    s, c = math.sin(phi), math.cos(phi)
+    return shift + sign * float(s * elliprf(c * c, 1.0 - (k * s) ** 2, 1.0))
 
 
 def complete_Pi(alpha2: float, k: float) -> float:
     """Complete third-kind integral Pi(alpha^2, k) for alpha^2 < 1."""
     _check_modulus(k)
-    _check_pi_alpha(alpha2)
+    if alpha2 >= 1.0:
+        raise DomainError(
+            f"third-kind integral needs alpha^2 < 1, got {alpha2}"
+        )
     if alpha2 == 0.0:
         return complete_K(k)
     kp2 = (1.0 - k) * (1.0 + k)
@@ -169,44 +172,16 @@ def complete_Pi(alpha2: float, k: float) -> float:
 # --- Jacobi elliptic functions ----------------------------------------------
 
 
-def _am_and_turns(u: float, k: float) -> tuple[float, int]:
-    """(am(u - 4Kn, k), n) with n = floor(u / 4K), from a single AGM run.
-
-    The reduced amplitude comes from the descending Landen recurrence; K is
-    read off the same scheme, K = pi / (2 a_N).
-    """
-    aa, _, cc = _agm_scheme(k)
-    big_k = math.pi / (2.0 * aa[-1])
-    # quasi-periodicity am(u + 4K) = am(u) + 2 pi
-    turns = math.floor(u / (4.0 * big_k))
-    n = len(aa) - 1
-    phi = (2.0 ** n) * aa[n] * (u - 4.0 * big_k * turns)
-    for i in range(n, 0, -1):
-        arg = cc[i] / aa[i] * math.sin(phi)
-        arg = min(1.0, max(-1.0, arg))
-        phi = 0.5 * (phi + math.asin(arg))
-    return phi, turns
-
-
 def jacobi_am(u: float, k: float) -> float:
     """Jacobi amplitude am(u, k) = F(., k)^{-1}, for any real u."""
-    _check_modulus(k)
-    if k == 0.0:
-        return u
-    phi, turns = _am_and_turns(u, k)
+    phi, turns, _ = AGM(k).descend(u)
     return phi + 2.0 * math.pi * turns
 
 
 def jacobi_sn_cn_dn(u: float, k: float) -> tuple[float, float, float]:
-    """sn, cn, dn at (u, k); dn from k'^2 + k^2 cn^2, stable near k -> 1."""
-    _check_modulus(k)
-    if k == 0.0:
-        return math.sin(u), math.cos(u), 1.0
-    phi, _ = _am_and_turns(u, k)
-    sn, cn = math.sin(phi), math.cos(phi)
-    kp2 = (1.0 - k) * (1.0 + k)
-    dn = math.sqrt(kp2 + (k * cn) ** 2)
-    return sn, cn, dn
+    """sn, cn, dn at (u, k), from the reduced amplitude."""
+    agm = AGM(k)
+    return agm.sn_cn_dn(agm.descend(u)[0])
 
 
 def jacobi_sn(u: float, k: float) -> float:

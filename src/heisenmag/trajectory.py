@@ -10,6 +10,9 @@ has its own closed form (Jacobi cn, sn^2, cosine, hyperbolic, or rational).
 So has an antiderivative F of (x + z0 + rho)^2 (Jacobi's epsilon function
 plus elementary terms), which gives y = (p0/2 - 1) t + (F(t) - F(0))/2, and
 z follows from the algebraic relation z = -x y / 2 - (z0+rho) y - x' + x0.
+Each branch is one state function u -> (x, x', F) of u = rate t + phase:
+on the elliptic branches one Landen descent at u gives sn, cn, dn and
+Jacobi's epsilon together, on an AGM scheme run once per solution.
 
 The inverse-function phase constants fix x(0) = 0 only up to the branch
 of the inverse; construction corrects them by at most a sign flip so that
@@ -27,14 +30,7 @@ from typing import Callable, NamedTuple
 # unused; perfbench's tracer counts quadrature in curve evaluation through this name
 from scipy.integrate import quad  # noqa: F401
 
-from .elliptic import (
-    complete_K_and_E,
-    ellip_e_inc,
-    inverse_cn,
-    inverse_sn,
-    jacobi_am,
-    jacobi_sn_cn_dn,
-)
+from .elliptic import AGM, inverse_cn, inverse_sn
 from .errors import BranchConsistencyError, DomainError
 from .heisenberg import HeisenbergPoint
 from .quartic import Branch, InitialData, QuarticProfile, build_profile
@@ -52,6 +48,11 @@ __all__ = [
 ]
 
 _COSH_CUTOFF = 700.0
+# relative bands; each value scales with data.scale() where data is at hand
+_CLAMP_BAND = 1e-10  # round-off admitted in inverse-function arguments
+_X0_BAND = 1e-8  # |x(0)| a phase constant may leave
+_SLOPE_BAND = 1e-7  # |x'(0) - x0|, and the reflected velocity's mismatch
+_VANISHING_BAND = 1e-12  # x0 at a turning point, z0 + rho of a subgroup
 
 
 def energy(data: InitialData) -> float:
@@ -59,40 +60,32 @@ def energy(data: InitialData) -> float:
     return data.energy()
 
 
-def _clamped_unit(v: float, what: str, band: float = 1e-10) -> float:
-    if abs(v) > 1.0 + band:
+def _clamped_unit(v: float, what: str) -> float:
+    if abs(v) > 1.0 + _CLAMP_BAND:
         raise DomainError(f"{what} = {v} falls outside [-1, 1]")
     return min(1.0, max(-1.0, v))
 
 
-def _clamped_ge1(v: float, what: str, band: float = 1e-10) -> float:
-    if v < 1.0 - band:
+def _clamped_ge1(v: float, what: str) -> float:
+    if v < 1.0 - _CLAMP_BAND:
         raise DomainError(f"{what} = {v} falls below 1")
     return max(1.0, v)
 
 
-class _XProfile(NamedTuple):
-    """Closed forms of one branch at one phase constant."""
+class _ClosedForm(NamedTuple):
+    """The closed forms of one branch, in the variable u = rate t + phase."""
 
-    value: Callable[[float], float]  # x(t)
-    deriv: Callable[[float], float]  # x'(t)
-    antideriv: Callable[[float], float]  # F(t) with F' = (x + z0 + rho)^2
-    # (omega, F(omega) - F(0)), or (None, None) without an x-period; called
-    # for the chosen phase only, so a rejected phase runs no complete integrals
-    period: Callable[[], tuple] = lambda: (None, None)
-
-
-def _epsilon_sn_cn_dn(u: float, k: float) -> tuple[float, float, float, float]:
-    """Jacobi's epsilon E(am u, k) (DLMF 22.16(ii)) and sn, cn, dn at u,
-    all from one amplitude; dn as in jacobi_sn_cn_dn."""
-    am = jacobi_am(u, k)
-    sn, cn = math.sin(am), math.cos(am)
-    return ellip_e_inc(am, k), sn, cn, math.sqrt((1.0 - k) * (1.0 + k) + (k * cn) ** 2)
+    rate: float
+    # u -> (x, x', F) with F' = (x + z0 + rho)^2 in t, from one evaluation
+    state: Callable[[float], tuple[float, float, float]]
+    period: float | None = None  # omega, the x-period
+    f_over_period: float | None = None  # F(omega) - F(0)
 
 
-def _profile_neg(data: InitialData, prof: QuarticProfile, phase: float) -> _XProfile:
-    r1, r4 = prof.r1, prof.r4
-    d1, d4, k = prof.delta1, prof.delta4, prof.k
+def _profile_neg(data: InitialData, prof: QuarticProfile) -> _ClosedForm:
+    r1, r4, d1, d4 = prof.r1, prof.r4, prof.delta1, prof.delta4
+    agm = AGM(prof.k)
+    big_k, big_e = agm.K, agm.E
     a = 0.5 * math.sqrt(d1 * d4)
     num0, num1 = r1 * d4 + r4 * d1, r1 * d4 - r4 * d1
     den0, den1 = d1 + d4, d4 - d1
@@ -100,30 +93,24 @@ def _profile_neg(data: InitialData, prof: QuarticProfile, phase: float) -> _XPro
     slope = 2.0 * d1 * d4 * (r1 - r4)  # N S - M D of the Moebius form
     c0 = -prof.p0 - 0.5 * ((r1 + r4) ** 2 + d1 * d4)
 
-    def value(t: float) -> float:
-        _, cn, _ = jacobi_sn_cn_dn(a * t + phase, k)
-        return (num1 * cn + num0) / (den1 * cn + den0) - zr
+    def state(u: float) -> tuple[float, float, float]:
+        am, _, zeta = agm.descend(u)
+        sn, cn, dn = agm.sn_cn_dn(am)
+        den = den1 * cn + den0
+        epsilon = big_e / big_k * u + zeta  # Jacobi's epsilon E(am u, k)
+        return (
+            (num1 * cn + num0) / den - zr,
+            -a * sn * dn * slope / den ** 2,
+            (c0 * u + d1 * d4 * (epsilon - den1 * sn * dn / den)) / a,
+        )
 
-    def deriv(t: float) -> float:
-        sn, cn, dn = jacobi_sn_cn_dn(a * t + phase, k)
-        return -a * sn * dn * slope / (den1 * cn + den0) ** 2
-
-    def antideriv(t: float) -> float:
-        u = a * t + phase
-        eps, sn, cn, dn = _epsilon_sn_cn_dn(u, k)
-        return (c0 * u + d1 * d4 * (eps - den1 * sn * dn / (den1 * cn + den0))) / a
-
-    def period() -> tuple[float, float]:
-        big_k, big_e = complete_K_and_E(k)
-        return 4.0 * big_k / a, 4.0 * (c0 * big_k + d1 * d4 * big_e) / a
-
-    return _XProfile(value, deriv, antideriv, period)
+    return _ClosedForm(a, state, 4.0 * big_k / a, 4.0 * (c0 * big_k + d1 * d4 * big_e) / a)
 
 
-def _profile_pos(data: InitialData, prof: QuarticProfile, phase: float) -> _XProfile:
-    reals = sorted(r.real for r in prof.roots)
-    r1, r2, r3, r4 = reals
-    k1 = prof.k1
+def _profile_pos(data: InitialData, prof: QuarticProfile) -> _ClosedForm:
+    r1, r2, r3, r4 = sorted(r.real for r in prof.roots)
+    agm = AGM(prof.k1)
+    big_k, big_e = agm.K, agm.E
     a = 0.25 * math.sqrt((r4 - r2) * (r3 - r1))
     zr = data.zr
     if prof.branch is Branch.POS_LOW:
@@ -134,111 +121,76 @@ def _profile_pos(data: InitialData, prof: QuarticProfile, phase: float) -> _XPro
         base, span, sign = r1, r4 - r1, 1.0
     # no third-kind term: the quartic's missing cubic term cancels it
     c0 = base * base - span * span / (2.0 * (1.0 + kappa))
-    c1 = span * span * kappa / (2.0 * (k1 * k1 + kappa) * (1.0 + kappa))
+    c1 = span * span * kappa / (2.0 * (prof.k1 * prof.k1 + kappa) * (1.0 + kappa))
 
-    def value(t: float) -> float:
-        sn, _, _ = jacobi_sn_cn_dn(a * t + phase, k1)
-        return base + sign * span / (1.0 + kappa * sn * sn) - zr
-
-    def deriv(t: float) -> float:
-        sn, cn, dn = jacobi_sn_cn_dn(a * t + phase, k1)
+    def state(u: float) -> tuple[float, float, float]:
+        am, _, zeta = agm.descend(u)
+        sn, cn, dn = agm.sn_cn_dn(am)
+        q = 1.0 + kappa * sn * sn
         return (
-            -sign * span * kappa * 2.0 * sn * cn * dn * a
-            / (1.0 + kappa * sn * sn) ** 2
+            base + sign * span / q - zr,
+            -sign * span * kappa * 2.0 * sn * cn * dn * a / q ** 2,
+            (c0 * u + c1 * (big_e / big_k * u + zeta + kappa * sn * cn * dn / q)) / a,
         )
 
-    def antideriv(t: float) -> float:
-        u = a * t + phase
-        eps, sn, cn, dn = _epsilon_sn_cn_dn(u, k1)
-        return (c0 * u + c1 * (eps + kappa * sn * cn * dn / (1.0 + kappa * sn * sn))) / a
-
-    def period() -> tuple[float, float]:
-        big_k, big_e = complete_K_and_E(k1)
-        return 2.0 * big_k / a, 2.0 * (c0 * big_k + c1 * big_e) / a
-
-    return _XProfile(value, deriv, antideriv, period)
+    return _ClosedForm(a, state, 2.0 * big_k / a, 2.0 * (c0 * big_k + c1 * big_e) / a)
 
 
-def _profile_mu_pos(data: InitialData, prof: QuarticProfile, phase: float) -> _XProfile:
+def _profile_mu_pos(data: InitialData, prof: QuarticProfile) -> _ClosedForm:
     r, mu = prof.r_double, prof.mu
     g_amp = math.sqrt(r * r - mu)
     b = math.sqrt(mu)
     zr = data.zr
 
-    def value(t: float) -> float:
-        g = r + g_amp * math.cos(b * t + phase)
-        return -2.0 * mu / g + r - zr
+    def state(u: float) -> tuple[float, float, float]:
+        s = math.sin(u)
+        g = r + g_amp * math.cos(u)
+        g_dot = -g_amp * b * s
+        return (
+            -2.0 * mu / g + r - zr,
+            2.0 * mu * g_dot / (g * g),
+            (r * r * u - 4.0 * mu * g_amp * s / g) / b,
+        )
 
-    def deriv(t: float) -> float:
-        g = r + g_amp * math.cos(b * t + phase)
-        g_dot = -g_amp * b * math.sin(b * t + phase)
-        return 2.0 * mu * g_dot / (g * g)
-
-    def antideriv(t: float) -> float:
-        u = b * t + phase
-        return r * r * t - 4.0 * mu * g_amp / b * math.sin(u) / (r + g_amp * math.cos(u))
-
-    def period() -> tuple[float, float]:
-        omega = 2.0 * math.pi / b
-        return omega, r * r * omega
-
-    return _XProfile(value, deriv, antideriv, period)
+    omega = 2.0 * math.pi / b
+    return _ClosedForm(b, state, omega, r * r * omega)
 
 
-def _profile_mu_neg(data: InitialData, prof: QuarticProfile, phase: float) -> _XProfile:
+def _profile_mu_neg(data: InitialData, prof: QuarticProfile) -> _ClosedForm:
     r, mu = prof.r_double, prof.mu
     g_amp = math.sqrt(r * r - mu)
     b = math.sqrt(-mu)
     zr = data.zr
     sign = 1.0 if prof.branch is Branch.ZERO_MU_NEG_RIGHT else -1.0
 
-    def value(t: float) -> float:
-        u = b * t + phase
-        if abs(u) > _COSH_CUTOFF:
-            return r - zr
-        g = r + sign * g_amp * math.cosh(u)
-        return -2.0 * mu / g + r - zr
-
-    def deriv(t: float) -> float:
-        u = b * t + phase
-        if abs(u) > _COSH_CUTOFF:
-            return 0.0
+    def state(u: float) -> tuple[float, float, float]:
+        if abs(u) > _COSH_CUTOFF:  # sinh u / (r + s A cosh u) -> sign(u) / (s A)
+            return r - zr, 0.0, (r * r * u - 4.0 * mu * math.copysign(1.0, u)) / b
         g = r + sign * g_amp * math.cosh(u)
         g_dot = sign * g_amp * b * math.sinh(u)
-        return 2.0 * mu * g_dot / (g * g)
+        return (
+            -2.0 * mu / g + r - zr,
+            2.0 * mu * g_dot / (g * g),
+            (r * r * u - 4.0 * mu * g_dot / (b * g)) / b,
+        )
 
-    def antideriv(t: float) -> float:
-        u = b * t + phase
-        if abs(u) > _COSH_CUTOFF:  # sinh u / (r + s A cosh u) -> sign(u) / (s A)
-            return r * r * t - 4.0 * mu / b * math.copysign(1.0, u)
-        g = r + sign * g_amp * math.cosh(u)
-        return r * r * t - 4.0 * mu * sign * g_amp / b * math.sinh(u) / g
-
-    return _XProfile(value, deriv, antideriv)
+    return _ClosedForm(b, state)
 
 
-def _profile_cusp(data: InitialData, prof: QuarticProfile, phase: float) -> _XProfile:
+def _profile_cusp(data: InitialData, prof: QuarticProfile) -> _ClosedForm:
     r = prof.r_double
     zr = data.zr
 
-    def value(t: float) -> float:
-        s = t + phase
-        return -4.0 * r / (1.0 + (r * s) ** 2) + r - zr
+    def state(s: float) -> tuple[float, float, float]:
+        q = 1.0 + (r * s) ** 2
+        return -4.0 * r / q + r - zr, 8.0 * r ** 3 * s / q ** 2, r * r * (s + 8.0 * s / q)
 
-    def deriv(t: float) -> float:
-        s = t + phase
-        return 8.0 * r ** 3 * s / (1.0 + (r * s) ** 2) ** 2
-
-    def antideriv(t: float) -> float:
-        s = t + phase
-        return r * r * (t + 8.0 * s / (1.0 + (r * s) ** 2))
-
-    return _XProfile(value, deriv, antideriv)
+    return _ClosedForm(1.0, state)
 
 
-def _profile_trivial(data: InitialData, prof: QuarticProfile, phase: float) -> _XProfile:
+def _profile_trivial(data: InitialData, prof: QuarticProfile) -> _ClosedForm:
     zr = data.zr
-    return _XProfile(lambda t: 0.0, lambda t: 0.0, lambda t: zr * zr * t)
+    return _ClosedForm(1.0, lambda u: (0.0, 0.0, zr * zr * u))
 
 
 def _principal_phase(data: InitialData, prof: QuarticProfile) -> float:
@@ -251,7 +203,7 @@ def _principal_phase(data: InitialData, prof: QuarticProfile) -> float:
     """
     zr = data.zr
     branch = prof.branch
-    turning = abs(data.x0) <= 1e-12 * data.scale()
+    turning = abs(data.x0) <= _VANISHING_BAND * data.scale()
     if branch is Branch.NEG:
         d1, d4 = prof.delta1, prof.delta4
         num = (prof.r4 - zr) * d1 - (zr - prof.r1) * d4
@@ -261,8 +213,7 @@ def _principal_phase(data: InitialData, prof: QuarticProfile) -> float:
             arg = math.copysign(1.0, arg)
         return inverse_cn(arg, prof.k)
     if branch in (Branch.POS_LOW, Branch.POS_HIGH):
-        reals = sorted(r.real for r in prof.roots)
-        r1, r2, r3, r4 = reals
+        r1, r2, r3, r4 = sorted(r.real for r in prof.roots)
         if branch is Branch.POS_LOW:
             arg2 = ((r4 - r2) * (zr - r1)) / ((r2 - r1) * (r4 - zr))
             sign = 1.0
@@ -288,7 +239,7 @@ def _principal_phase(data: InitialData, prof: QuarticProfile) -> float:
         return -math.acosh(1.0 if turning else _clamped_ge1(arg, "cosh constant argument"))
     if branch is Branch.ZERO_CUSP:
         arg = (3.0 * r + zr) / (r - zr)
-        if arg < -1e-10:
+        if arg < -_CLAMP_BAND:
             raise DomainError(f"cusp constant argument {arg} is negative")
         if turning:
             arg = 0.0
@@ -312,9 +263,9 @@ _PROFILE_BUILDERS = {
 class TrajectorySolution:
     """Evaluable magnetic trajectory through the identity, x0 >= 0.
 
-    Immutable after construction: y is in closed form and its increment
-    over one x-period is computed there, so evaluation is safe from
-    concurrent threads.
+    Immutable after construction: every coordinate at a time t comes from
+    one closed-form state evaluation, and the branch's AGM scheme runs
+    once, in make_solution, so evaluation is safe from concurrent threads.
     """
 
     data: InitialData
@@ -322,53 +273,45 @@ class TrajectorySolution:
     phase: float
     phase_flipped: bool  # principal constant needed a sign flip for x'(0)
     x_period: float | None
-    _x_profile: _XProfile = field(repr=False)
-    _f_over_period: float | None = field(default=None, repr=False)
+    _closed: _ClosedForm = field(repr=False)
+    _f0: float = field(repr=False)  # F at t = 0
+
+    def _x_xp_y(self, t: float) -> tuple[float, float, float]:
+        x, xp, f = self._closed.state(self._closed.rate * t + self.phase)
+        # y' = (x + z0 + rho)^2 / 2 + p0/2 - 1
+        return x, xp, (0.5 * self.profile.p0 - 1.0) * t + 0.5 * (f - self._f0)
 
     def x(self, t: float) -> float:
-        return self._x_profile.value(t)
+        return self._x_xp_y(t)[0]
 
     def x_prime(self, t: float) -> float:
-        return self._x_profile.deriv(t)
-
-    def _y_of(self, t: float, f_increment: float) -> float:
-        # y' = (x + z0 + rho)^2 / 2 + p0/2 - 1
-        return (0.5 * self.profile.p0 - 1.0) * t + 0.5 * f_increment
+        return self._x_xp_y(t)[1]
 
     def y(self, t: float) -> float:
-        if t == 0.0:  # spares reflect_for_negative_x0's check two F evaluations
-            return 0.0
-        f = self._x_profile.antideriv
-        return self._y_of(t, f(t) - f(0.0))
+        return self._x_xp_y(t)[2]
 
     def y_over_period(self) -> float:
         """The increment y(omega), in closed form; constant across periods.
 
         Its sign decides whether the trajectory closes (periodic.psi).
         """
-        if self._f_over_period is None:
+        f_inc = self._closed.f_over_period
+        if f_inc is None:
             raise DomainError(f"branch {self.profile.branch} has no x-period")
-        return self._y_of(self.x_period, self._f_over_period)
+        return (0.5 * self.profile.p0 - 1.0) * self.x_period + 0.5 * f_inc
 
     def z(self, t: float) -> float:
-        return self._z_from(t, self.x(t), self.y(t))
-
-    def _z_from(self, t: float, x: float, y: float) -> float:
-        return (
-            -0.5 * x * y - self.data.zr * y - self.x_prime(t) + self.data.x0
-        )
+        return self.point(t).z
 
     def point(self, t: float) -> HeisenbergPoint:
-        x, y = self.x(t), self.y(t)
-        return HeisenbergPoint(x, y, self._z_from(t, x, y))
+        x, xp, y = self._x_xp_y(t)
+        return HeisenbergPoint(x, y, -0.5 * x * y - self.data.zr * y - xp + self.data.x0)
 
     def velocity(self, t: float) -> tuple[float, float, float]:
         """(x', y', z') with y' = h(x) - 1 and z' from the level x + z0 of
         the centre component z' + (x'y - xy')/2."""
-        x = self.x(t)
-        xp = self.x_prime(t)
+        x, xp, y = self._x_xp_y(t)
         yp = self.data.h(x) - 1.0
-        y = self.y(t)
         zp = x + self.data.z0 - 0.5 * (xp * y - x * yp)
         return (xp, yp, zp)
 
@@ -385,30 +328,22 @@ def make_solution(data: InitialData) -> TrajectorySolution:
         )
     prof = build_profile(data)
     principal = _principal_phase(data, prof)
-    builder = _PROFILE_BUILDERS[prof.branch]
-    tol0 = 1e-8 * data.scale()
-    chosen = None
+    closed = _PROFILE_BUILDERS[prof.branch](data, prof)
+    tol0 = _X0_BAND * data.scale()
     for flipped, phase in ((False, principal), (True, -principal)):
-        xp = builder(data, prof, phase)
-        if abs(xp.value(0.0)) > tol0:
-            continue
-        if xp.deriv(0.0) * data.x0 >= -tol0:
-            chosen = (flipped, phase, xp)
+        x0, xp0, f0 = closed.state(phase)
+        if abs(x0) <= tol0 and xp0 * data.x0 >= -tol0:
             break
-    if chosen is None:
-        xp = builder(data, prof, principal)
+    else:
         raise BranchConsistencyError(
-            f"branch {prof.branch}: x(0) = {xp.value(0.0)} with principal "
+            f"branch {prof.branch}: x(0) = {closed.state(principal)[0]} with principal "
             f"constant {principal}; no sign correction restores x(0) = 0"
         )
-    flipped, phase, xp = chosen
-    slope_err = abs(xp.deriv(0.0) - data.x0)
-    if slope_err > 1e-7 * data.scale():
+    if abs(xp0 - data.x0) > _SLOPE_BAND * data.scale():
         raise BranchConsistencyError(
-            f"branch {prof.branch}: x'(0) = {xp.deriv(0.0)} != x0 = {data.x0}"
+            f"branch {prof.branch}: x'(0) = {xp0} != x0 = {data.x0}"
         )
-    omega, f_inc = xp.period()
-    return TrajectorySolution(data, prof, phase, flipped, omega, xp, f_inc)
+    return TrajectorySolution(data, prof, phase, flipped, closed.period, closed, f0)
 
 
 # --- Exact forces F_{0,rho} ---------------------------------------------------
@@ -430,7 +365,7 @@ class ExactTrajectory:
 
     @property
     def is_subgroup(self) -> bool:
-        return abs(self.turn_rate) <= 1e-12 * self.data.scale()
+        return abs(self.turn_rate) <= _VANISHING_BAND * self.data.scale()
 
     def point(self, t: float) -> HeisenbergPoint:
         d = self.data
@@ -527,7 +462,7 @@ def reflect_for_negative_x0(data: InitialData) -> ReflectedTrajectory:
     err = max(
         abs(v[0] - data.x0), abs(v[1] - data.y0), abs(v[2] - data.z0)
     )
-    if err > 1e-7 * data.scale():
+    if err > _SLOPE_BAND * data.scale():
         raise BranchConsistencyError(
             f"reflection convention check failed: sigma'(0) = {v}, "
             f"expected ({data.x0}, {data.y0}, {data.z0})"

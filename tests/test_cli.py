@@ -226,6 +226,29 @@ class TestExitCodes:
         assert code == EXIT_DOMAIN
         assert err.startswith("error:") and "smallest resolvable" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--case", "POS_HIGH", "--rho", "-1"],
+            ["verify", "--case", "NEG", "--rho", "0"],
+        ],
+    )
+    def test_bad_verify_case_is_domain_error(self, argv, capsys):
+        code, _, err = run_cli(argv, capsys)
+        assert code == EXIT_DOMAIN
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_huge_grid_is_domain_error(self, capsys):
+        code, out, err = run_cli(
+            ["sample", "--x0", "1", "--y0", "0", "--z0", "0", "--rho", "1",
+             "--t-max", "1", "--dt", "1e-300"],
+            capsys,
+        )
+        assert code == EXIT_DOMAIN
+        assert err.startswith("error:") and "grid points" in err
+        assert out == ""
+
     def test_bad_tolerance_is_domain_error(self, monkeypatch, capsys):
         monkeypatch.setenv("HEISENMAG_TOL", "abc")
         code, out, err = run_cli(["verify", "--suite", "exact-threshold"], capsys)
@@ -238,6 +261,7 @@ class TestExitCodes:
             ["sample", "--x0", "1"],
             ["lattice", "--k", "1", "--lambda", "1,abc", "--energy", "1"],
             ["lattice-obstruction", "--basis", "1,x,0,1"],
+            ["verify", "--suite", "discriminant", "--seed", "-1"],
         ):
             code, _, err = run_cli(argv, capsys)
             assert code == EXIT_USAGE

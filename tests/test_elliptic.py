@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -71,22 +72,17 @@ class TestIncompleteIntegrals:
             oracle = quad_oracle(k_first_integrand(k), 0.0, phi)
             assert abs(el.ellip_f(phi, k) - oracle) < 1e-12
 
-    def test_e_inc_against_quadrature(self):
-        for phi, k in ((0.7, 0.5), (2.0, 0.9)):
-            oracle = quad_oracle(
-                lambda t: math.sqrt(1.0 - (k * math.sin(t)) ** 2), 0.0, phi
-            )
-            assert abs(el.ellip_e_inc(phi, k) - oracle) < 1e-12
-
-    def test_pi_inc_against_quadrature(self):
-        for phi, alpha2, k in ((0.9, -0.4, 0.5), (2.2, -1.5, 0.7)):
-            oracle = quad_oracle(
-                lambda t: 1.0
-                / ((1.0 - alpha2 * math.sin(t) ** 2) * math.sqrt(1.0 - (k * math.sin(t)) ** 2)),
-                0.0,
-                phi,
-            )
-            assert abs(el.ellip_pi_inc(phi, alpha2, k) - oracle) < 1e-12
+    def test_epsilon_from_landen_phases(self):
+        # Jacobi's epsilon E(am u, k) = (E/K) u + Z(u), Z from the descent
+        for k in (0.0, 0.5, 0.99, 1.0 - 1e-8, 1.0 - 1e-12):
+            agm = el.AGM(k)
+            for u in (-37.1, -0.4, 0.0, 2.9, 61.0):
+                phi, turns, zeta = agm.descend(u)
+                am = phi + 2.0 * math.pi * turns
+                with mpmath.workdps(30):
+                    oracle = float(mpmath.ellipe(am, mpmath.mpf(k) ** 2))
+                epsilon = agm.E / agm.K * u + zeta
+                assert abs(epsilon - oracle) <= 1e-13 * max(1.0, abs(oracle))
 
     def test_oddness(self):
         assert abs(el.ellip_f(-1.1, 0.6) + el.ellip_f(1.1, 0.6)) < 1e-14

@@ -13,7 +13,7 @@ from heisenmag.oracle import (
     integrate_general,
     reduced_ode_residual,
 )
-from heisenmag import trajectory
+from heisenmag import elliptic, trajectory
 from heisenmag.quartic import Branch, InitialData, build_profile
 from heisenmag.trajectory import (
     ExactTrajectory,
@@ -47,6 +47,28 @@ BRANCH_CASES = {
 }
 
 ALL_CASES = [(b, d) for b, cases in BRANCH_CASES.items() for d in cases]
+
+
+def test_evaluation_runs_no_agm(monkeypatch):
+    """Each solution runs its AGM scheme in make_solution, never per point."""
+    runs = []
+    agm_scheme = elliptic._agm_scheme
+
+    def counted(k):
+        runs.append(k)
+        return agm_scheme(k)
+
+    monkeypatch.setattr(elliptic, "_agm_scheme", counted)
+    ts = np.linspace(-41.3, 58.2, 200)
+    for _, data in ALL_CASES:
+        sol = make_solution(data)
+        built = len(runs)
+        for t in ts[:70]:
+            sol.point(t)
+        for t in ts[70:140]:
+            sol.velocity(t)
+        sol.sample(ts[140:])
+        assert len(runs) == built, f"{len(runs) - built} AGM runs evaluating {data}"
 
 
 @pytest.mark.parametrize("branch,data", ALL_CASES, ids=lambda v: str(v)[:40])
