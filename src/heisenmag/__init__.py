@@ -8,15 +8,7 @@ Lagrangian, and the machinery for periodic and lattice-periodic
 trajectories on compact quotients.
 """
 
-from .elliptic import (
-    complete_E,
-    complete_K,
-    complete_Pi,
-    jacobi_am,
-    jacobi_cn,
-    jacobi_dn,
-    jacobi_sn,
-)
+from .elliptic import complete_K, complete_Pi
 from .errors import (
     BranchConsistencyError,
     ConvergenceError,

@@ -27,14 +27,9 @@ from .errors import ConvergenceError, DomainError
 __all__ = [
     "AGM",
     "complete_K",
-    "complete_E",
     "complete_K_and_E",
     "complete_Pi",
     "ellip_f",
-    "jacobi_am",
-    "jacobi_sn",
-    "jacobi_cn",
-    "jacobi_dn",
     "jacobi_sn_cn_dn",
     "inverse_cn",
     "inverse_sn",
@@ -125,11 +120,6 @@ def complete_K_and_E(k: float) -> tuple[float, float]:
     return agm.K, agm.E
 
 
-def complete_E(k: float) -> float:
-    """Complete elliptic integral of the second kind."""
-    return AGM(k).E
-
-
 # --- Incomplete integrals --------------------------------------------------
 
 
@@ -172,28 +162,10 @@ def complete_Pi(alpha2: float, k: float) -> float:
 # --- Jacobi elliptic functions ----------------------------------------------
 
 
-def jacobi_am(u: float, k: float) -> float:
-    """Jacobi amplitude am(u, k) = F(., k)^{-1}, for any real u."""
-    phi, turns, _ = AGM(k).descend(u)
-    return phi + 2.0 * math.pi * turns
-
-
 def jacobi_sn_cn_dn(u: float, k: float) -> tuple[float, float, float]:
     """sn, cn, dn at (u, k), from the reduced amplitude."""
     agm = AGM(k)
     return agm.sn_cn_dn(agm.descend(u)[0])
-
-
-def jacobi_sn(u: float, k: float) -> float:
-    return jacobi_sn_cn_dn(u, k)[0]
-
-
-def jacobi_cn(u: float, k: float) -> float:
-    return jacobi_sn_cn_dn(u, k)[1]
-
-
-def jacobi_dn(u: float, k: float) -> float:
-    return jacobi_sn_cn_dn(u, k)[2]
 
 
 def inverse_cn(v: float, k: float) -> float:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import brentq
@@ -608,9 +607,8 @@ def lattice_obstruction_check(basis, radius: int = 64, tol: float = 1e-9) -> boo
 
     That is the existence condition for candidate period elements
     exp(y1 e2 + z1 e3) in the lattice spanned by the columns (the centre
-    step never obstructs).  A rational-dependence fast path uses the best
-    rational approximation of the ratio of the first-row entries; an
-    exhaustive search bounded by `radius` backs it up.
+    step never obstructs).  An exhaustive search over 1 <= m <= radius
+    tries the integer n nearest to -m a1 / a2 for each m.
     """
     b = np.asarray(basis, dtype=float)
     if b.shape != (2, 2):
@@ -621,14 +619,8 @@ def lattice_obstruction_check(basis, radius: int = 64, tol: float = 1e-9) -> boo
     scale = max(abs(a1), abs(a2), 1.0)
     if abs(a1) <= tol * scale or abs(a2) <= tol * scale:
         return True
-    frac = Fraction(-a1 / a2).limit_denominator(radius)
-    m, n = frac.denominator, frac.numerator
-    if m != 0 and abs(m * a1 + n * a2) <= tol * scale * (abs(m) + abs(n)):
-        return True
     for m in range(1, radius + 1):
         n = round(-a1 * m / a2)
-        if n == 0 and m == 0:
-            continue
         if abs(m * a1 + n * a2) <= tol * scale * (m + abs(n) + 1):
             return True
     return False

@@ -11,6 +11,11 @@ discriminant Delta selects the closed-form solution branch: two real roots
 (elliptic cn), four real roots (sn^2), or a repeated root (trigonometric,
 hyperbolic, or rational profile).  This module builds the root data,
 the derived deltas and moduli, and the branch tag.
+
+The roots are closed forms: with no cubic term, Descartes' factorisation
+into two quadratics needs only the largest root of the resolvent cubic
+(Flocke, ACM TOMS 41(4), 2015, Algorithm 954), and each factor's own
+discriminant says whether its pair is real, with no eigenvalue solve.
 """
 
 from __future__ import annotations
@@ -115,33 +120,100 @@ def discriminant(p0: float, q0: float, rho: float) -> float:
 
 def _coefficient_scale(p0: float, q0: float, rho: float) -> float:
     # weight eta ~ 1: p0 ~ eta^2, rho ~ eta^3, q0 ~ eta^4
-    return max(
-        1.0,
-        abs(2.0 * p0),
-        abs(8.0 * rho) ** (2.0 / 3.0),
-        abs(q0) ** 0.5,
-    )
+    return max(1.0, abs(2.0 * p0), abs(8.0 * rho) ** (2.0 / 3.0), abs(q0) ** 0.5)
 
 
-def _monic(eta, p0, q0, rho):
-    return ((eta * eta + 2.0 * p0) * eta - 8.0 * rho) * eta + q0
+def _newton(x, step, residual):
+    """Newton steps from x while they lower the residual, at most four:
+    near a double root the step is round-off, and this keeps it out."""
+    norm = residual(x)
+    for _ in range(4):
+        cand = step(x)
+        cand_norm = math.inf if cand is None else residual(cand)
+        if cand_norm >= norm:
+            break
+        x, norm = cand, cand_norm
+    return x
 
 
-def _monic_prime(eta, p0, rho):
-    return (4.0 * eta * eta + 4.0 * p0) * eta - 8.0 * rho
+def _resolvent_root(p0: float, q0: float, rho: float) -> float:
+    """Largest root U >= 0 of U^3 + 4 p0 U^2 + 4 (p0^2 - q0) U - 64 rho^2,
+    by Cardano's or Viete's trigonometric form, then _newton."""
+    c2, c1, c0 = 4.0 * p0, 4.0 * (p0 * p0 - q0), -64.0 * rho * rho
+    if c0 == 0.0:  # U (U^2 + c2 U + c1): the quadratic's larger root or 0
+        return max(0.0, 2.0 * (math.sqrt(q0) - p0)) if q0 >= 0.0 else 0.0
+    q = 4.0 * (p0 * p0 + 3.0 * q0) / 9.0
+    r = -8.0 * (p0 ** 3 - 9.0 * p0 * q0 + 108.0 * rho * rho) / 27.0
+    if r * r < q ** 3:  # three real roots
+        theta = math.acos(min(1.0, max(-1.0, r / (q * math.sqrt(q)))))
+        u = -2.0 * math.sqrt(q) * math.cos((theta + 2.0 * math.pi) / 3.0) - c2 / 3.0
+    else:
+        big = -math.copysign((abs(r) + math.sqrt(r * r - q ** 3)) ** (1.0 / 3.0), r)
+        u = big + (q / big if big != 0.0 else 0.0) - c2 / 3.0
+
+    def cubic(v):
+        return ((v + c2) * v + c1) * v + c0
+
+    def step(v):
+        slope = (3.0 * v + 2.0 * c2) * v + c1
+        return v - cubic(v) / slope if slope != 0.0 else None
+
+    return max(0.0, _newton(u, step, lambda v: abs(cubic(v))))
+
+
+def _descartes_factors(p0: float, q0: float, rho: float):
+    """m = (eta^2 + s eta + a)(eta^2 - s eta + b), as (discriminant, s, a) per factor.
+
+    a + b = 2 p0 + s^2, s (b - a) = -8 rho, a b = q0: the larger of a, b
+    comes from the first two (from the first and third at s = 0, rho = 0),
+    the smaller from a b = q0, and Newton steps on all three take out the
+    error that close resolvent roots leave in s^2.
+    """
+    u = _resolvent_root(p0, q0, rho)
+    s = math.sqrt(u)
+    total = 2.0 * p0 + u  # a + b
+    diff = -8.0 * rho / s if s != 0.0 else math.sqrt(max(0.0, total * total - 4.0 * q0))
+    big = 0.5 * (total + math.copysign(diff, total))
+    small = q0 / big if big != 0.0 else 0.0
+    a, b = (small, big) if math.copysign(diff, total) == diff else (big, small)
+    scale = _coefficient_scale(p0, q0, rho)
+    weights = (scale, math.sqrt(scale), 1.0)  # the three equations in eta^4 units
+
+    def equations(x):
+        s, a, b = x
+        return a + b - s * s - 2.0 * p0, s * (b - a) + 8.0 * rho, a * b - q0
+
+    def residual(x):
+        return sum(abs(f) * w for f, w in zip(equations(x), weights))
+
+    def step(x):
+        s, a, b = x
+        f1, f2, f3 = equations(x)
+        det = 2.0 * s * s * (a + b) + (b - a) ** 2
+        if s == 0.0 or det == 0.0:
+            return None
+        ds = (s * ((a + b) * f1 - 2.0 * f3) - (b - a) * f2) / det
+        dsum, ddiff = 2.0 * s * ds - f1, -(f2 + (b - a) * ds) / s  # da + db, db - da
+        return s + ds, a + 0.5 * (dsum - ddiff), b + 0.5 * (dsum + ddiff)
+
+    s, a, b = _newton((s, a, b), step, residual)
+    return (s * s - 4.0 * a, s, a), (s * s - 4.0 * b, -s, b)
+
+
+def _factor_roots(disc: float, s: float, c: float, real: bool):
+    """Roots of eta^2 + s eta + c: a real pair without cancellation
+    (disc clamped at 0), else the complex pair, -Im first."""
+    if real:
+        big = -0.5 * (s + math.copysign(math.sqrt(max(0.0, disc)), s))
+        return (big, c / big) if big != 0.0 else (0.0, 0.0)
+    w = 0.5 * math.sqrt(max(0.0, -disc))
+    return complex(-0.5 * s, -w), complex(-0.5 * s, w)
 
 
 def quartic_roots(p0: float, q0: float, rho: float) -> np.ndarray:
-    """Companion-matrix eigenvalues polished by two Newton steps."""
-    coeffs = np.array([1.0, 0.0, 2.0 * p0, -8.0 * rho, q0])
-    roots = np.roots(coeffs)
-    for _ in range(2):
-        deriv = _monic_prime(roots, p0, rho)
-        # near-multiple roots stall Newton; leave them to cluster handling
-        safe = np.abs(deriv) > 1e-8 * np.maximum(1.0, np.abs(roots)) ** 3
-        step = np.where(safe, _monic(roots, p0, q0, rho) / np.where(safe, deriv, 1.0), 0.0)
-        roots = roots - step
-    return roots
+    """The four roots of the speed quartic from Descartes' factorisation."""
+    factors = _descartes_factors(p0, q0, rho)
+    return np.array([r for f in factors for r in _factor_roots(*f, f[0] >= 0.0)], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -164,12 +236,9 @@ class QuarticProfile:
     branch: Branch
     delta_is_boundary: bool  # |Delta| inside the reported zero band
 
-    def monic(self, eta: float) -> float:
-        return _monic(eta, self.p0, self.q0, self.rho)
-
     def value(self, eta: float) -> float:
-        """P(eta) = -(monic)/4 = x'^2 at x = eta - z0 - rho."""
-        return -0.25 * self.monic(eta)
+        """P(eta) = -m(eta)/4 = x'^2 at x = eta - z0 - rho."""
+        return -0.25 * (((eta * eta + 2.0 * self.p0) * eta - 8.0 * self.rho) * eta + self.q0)
 
 
 def build_profile(data: InitialData) -> QuarticProfile:
@@ -177,64 +246,49 @@ def build_profile(data: InitialData) -> QuarticProfile:
     p0, q0 = monic_coefficients(data)
     rho = data.rho
     delta = discriminant(p0, q0, rho)
-    scale = _coefficient_scale(p0, q0, rho)
-    boundary = abs(delta) <= _ZERO_TOL * scale ** 6
+    boundary = abs(delta) <= _ZERO_TOL * _coefficient_scale(p0, q0, rho) ** 6
 
-    roots = quartic_roots(p0, q0, rho)
-    imag_tol = 1e-7 * max(1.0, float(np.max(np.abs(roots))))
-    real_mask = np.abs(roots.imag) <= imag_tol
+    # m(z0 + rho) = -4 x0^2 <= 0: the factor with the larger discriminant holds a
+    # real pair; the other's is real iff Delta > 0, or in the band iff its disc >= 0
+    wide, narrow = sorted(_descartes_factors(p0, q0, rho), reverse=True)
+    narrow_real = narrow[0] >= 0.0 if boundary or data.is_trivial else delta > 0.0
+    pair = sorted(_factor_roots(*wide, True))
+    other = _factor_roots(*narrow, narrow_real)
+    reals = sorted(pair + list(other)) if narrow_real else pair
+    ordered = tuple(complex(r) for r in reals) + (() if narrow_real else other)
 
     if data.is_trivial:
-        ordered = _order_roots(roots, real_mask)
-        reals = sorted(roots[real_mask].real)
-        r1 = float(reals[0]) if reals else math.nan
-        r4 = float(reals[-1]) if reals else math.nan
         return QuarticProfile(
-            p0, q0, rho, delta, ordered, r1, r4,
+            p0, q0, rho, delta, ordered, reals[0], reals[-1],
             None, None, None, None, None, None, Branch.TRIVIAL, boundary,
         )
-
     if not boundary and delta < 0.0:
-        return _profile_neg(p0, q0, rho, delta, roots, real_mask)
+        return _profile_neg(p0, q0, rho, delta, ordered)
     if not boundary and delta > 0.0:
-        return _profile_pos(data, p0, q0, rho, delta, roots)
-    return _profile_zero(data, p0, q0, rho, delta, roots)
+        return _profile_pos(data, p0, q0, rho, delta, ordered)
+    return _profile_zero(data, p0, q0, rho, delta, ordered)
 
 
-def _order_roots(roots: np.ndarray, real_mask: np.ndarray):
-    """Reals first ascending, then the complex pair, +Im last (r3-analog)."""
-    reals = sorted(roots[real_mask].real)
-    complexes = sorted(roots[~real_mask], key=lambda w: w.imag)
-    return tuple([complex(r) for r in reals] + [complex(w) for w in complexes])
-
-
-def _profile_neg(p0, q0, rho, delta, roots, real_mask):
-    if int(real_mask.sum()) != 2:
-        # round-off straddling the band: the two smallest-imag roots are real
-        order = np.argsort(np.abs(roots.imag))
-        real_mask = np.zeros(4, dtype=bool)
-        real_mask[order[:2]] = True
-    reals = sorted(roots[real_mask].real)
-    r1, r4 = float(reals[0]), float(reals[1])
+def _profile_neg(p0, q0, rho, delta, ordered):
+    r1, r4 = ordered[0].real, ordered[1].real
     rsum = r1 + r4
     delta1 = math.sqrt(max(0.0, 2.0 * p0 + 2.0 * r1 * r1 + rsum * rsum))
     delta4 = math.sqrt(max(0.0, 2.0 * p0 + 2.0 * r4 * r4 + rsum * rsum))
     k_sq = ((r4 - r1) ** 2 - (delta4 - delta1) ** 2) / (4.0 * delta1 * delta4)
     k = math.sqrt(min(1.0, max(0.0, k_sq)))
     return QuarticProfile(
-        p0, q0, rho, delta, _order_roots(roots, real_mask), r1, r4,
+        p0, q0, rho, delta, ordered, r1, r4,
         delta1, delta4, k, None, None, None, Branch.NEG, False,
     )
 
 
-def _profile_pos(data, p0, q0, rho, delta, roots):
-    reals = sorted(float(r) for r in roots.real)
+def _profile_pos(data, p0, q0, rho, delta, ordered):
+    reals = [w.real for w in ordered]
     r1, r2, r3, r4 = reals
     delta1 = math.sqrt(max(0.0, (r2 - r1) * (r3 - r1)))
     delta4 = math.sqrt(max(0.0, (r4 - r3) * (r4 - r2)))
     k1_sq = ((r4 - r3) * (r2 - r1)) / ((r4 - r2) * (r3 - r1))
     k1 = math.sqrt(min(1.0, max(0.0, k1_sq)))
-    ordered = tuple(complex(r) for r in reals)
     branch = _bracket_side(reals, data.zr)
     return QuarticProfile(
         p0, q0, rho, delta, ordered, r1, r4,
@@ -243,40 +297,28 @@ def _profile_pos(data, p0, q0, rho, delta, roots):
 
 
 def _profile_zero(data, p0, q0, rho, delta, roots):
-    reals = np.sort(roots.real)
-    gaps = np.diff(reals)
-    i = int(np.argmin(gaps))
-    r = 0.5 * float(reals[i] + reals[i + 1])
-    scale = _coefficient_scale(p0, q0, rho)
-    cusp = abs(p0 * p0 + 3.0 * q0) <= _ZERO_TOL * scale ** 4
-    if cusp:
+    if abs(p0 * p0 + 3.0 * q0) <= _ZERO_TOL * _coefficient_scale(p0, q0, rho) ** 4:
         # triple root; exactly -cbrt(rho)
         r = -math.copysign(abs(rho) ** (1.0 / 3.0), rho)
-        mu = 0.0
-        branch = Branch.ZERO_CUSP
+        mu, branch = 0.0, Branch.ZERO_CUSP
     else:
-        # the double root is a simple critical point of the quartic:
-        # Newton on m' converges quadratically since m''(r) = 8 mu != 0
-        for _ in range(40):
-            second = 12.0 * r * r + 4.0 * p0
-            if second == 0.0:
-                break
-            step = _monic_prime(r, p0, rho) / second
-            r -= step
-            if abs(step) <= 1e-15 * max(1.0, abs(r)):
-                break
+        # the double root: midpoint of the closest pair, then one Newton step
+        # on m', quadratic since m''(r) = 8 mu != 0
+        r = min(
+            (abs(u - v), 0.5 * (u + v).real)
+            for i, u in enumerate(roots) for v in roots[i + 1:]
+        )[1]
+        second = 12.0 * r * r + 4.0 * p0
+        if second != 0.0:
+            r -= ((4.0 * r * r + 4.0 * p0) * r - 8.0 * rho) / second
         mu = 0.5 * (p0 + 3.0 * r * r)
         if mu > 0.0:
             branch = Branch.ZERO_MU_POS
         else:
-            branch = (
-                Branch.ZERO_MU_NEG_RIGHT
-                if data.zr > r
-                else Branch.ZERO_MU_NEG_LEFT
-            )
-    ordered = tuple(complex(x) for x in reals)
+            branch = Branch.ZERO_MU_NEG_RIGHT if data.zr > r else Branch.ZERO_MU_NEG_LEFT
+    reals = sorted(w.real for w in roots)
     return QuarticProfile(
-        p0, q0, rho, delta, ordered, float(reals[0]), float(reals[-1]),
+        p0, q0, rho, delta, tuple(complex(x) for x in reals), reals[0], reals[-1],
         None, None, None, None, mu, r, branch, True,
     )
 

@@ -208,10 +208,9 @@ def _principal_phase(data: InitialData, prof: QuarticProfile) -> float:
         d1, d4 = prof.delta1, prof.delta4
         num = (prof.r4 - zr) * d1 - (zr - prof.r1) * d4
         den = (prof.r4 - zr) * d1 + (zr - prof.r1) * d4
-        arg = _clamped_unit(num / den, "cn constant argument")
-        if turning:
-            arg = math.copysign(1.0, arg)
-        return inverse_cn(arg, prof.k)
+        if turning:  # z0 + rho is r1 or r4; the sign of num says which
+            return inverse_cn(math.copysign(1.0, num), prof.k)
+        return inverse_cn(_clamped_unit(num / den, "cn constant argument"), prof.k)
     if branch in (Branch.POS_LOW, Branch.POS_HIGH):
         r1, r2, r3, r4 = sorted(r.real for r in prof.roots)
         if branch is Branch.POS_LOW:
@@ -224,19 +223,11 @@ def _principal_phase(data: InitialData, prof: QuarticProfile) -> float:
         if turning:
             arg2 = 0.0 if arg2 < 0.5 else 1.0
         return sign * inverse_sn(math.sqrt(max(0.0, arg2)), prof.k1)
+    if branch is Branch.TRIVIAL:
+        return 0.0  # x(t) = 0 has no phase
     r, mu = prof.r_double, prof.mu
-    if branch is Branch.ZERO_MU_POS:
-        arg = (-2.0 * mu / (zr - r) - r) / math.sqrt(r * r - mu)
-        arg = _clamped_unit(arg, "cosine constant argument")
-        if turning:
-            arg = math.copysign(1.0, arg)
-        return -math.acos(arg)
-    if branch is Branch.ZERO_MU_NEG_RIGHT:
-        arg = (-2.0 * mu / (zr - r) - r) / math.sqrt(r * r - mu)
-        return math.acosh(1.0 if turning else _clamped_ge1(arg, "cosh constant argument"))
-    if branch is Branch.ZERO_MU_NEG_LEFT:
-        arg = (2.0 * mu / (zr - r) + r) / math.sqrt(r * r - mu)
-        return -math.acosh(1.0 if turning else _clamped_ge1(arg, "cosh constant argument"))
+    if zr == r:
+        raise DomainError(f"z0 + rho = {zr} sits on the repeated root, where x' vanishes")
     if branch is Branch.ZERO_CUSP:
         arg = (3.0 * r + zr) / (r - zr)
         if arg < -_CLAMP_BAND:
@@ -244,7 +235,17 @@ def _principal_phase(data: InitialData, prof: QuarticProfile) -> float:
         if turning:
             arg = 0.0
         return math.sqrt(max(0.0, arg)) / r
-    return 0.0  # Branch.TRIVIAL: x(t) = 0 has no phase
+    if not r * r - mu > 0.0:  # the cosine and cosh profiles take its root next
+        raise DomainError(f"r^2 - mu = {r * r - mu} leaves the repeated-root profile no amplitude")
+    arg = (-2.0 * mu / (zr - r) - r) / math.sqrt(r * r - mu)
+    if branch is Branch.ZERO_MU_POS:
+        arg = _clamped_unit(arg, "cosine constant argument")
+        if turning:
+            arg = math.copysign(1.0, arg)
+        return -math.acos(arg)
+    if branch is Branch.ZERO_MU_NEG_RIGHT:
+        return math.acosh(1.0 if turning else _clamped_ge1(arg, "cosh constant argument"))
+    return -math.acosh(1.0 if turning else _clamped_ge1(-arg, "cosh constant argument"))
 
 
 _PROFILE_BUILDERS = {

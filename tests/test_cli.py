@@ -46,6 +46,14 @@ class TestClassifyIC:
         assert obj["delta"] == -496.0
         assert obj["p0"] == 2.0 and obj["q0"] == 0.0
 
+    def test_exact_double_roots(self, capsys):
+        # m = (eta^2 - 1)^2 at rho = 0
+        _, out, _ = run_cli(
+            ["classify-ic", "--x0", "0", "--y0", "-1", "--z0", "1", "--rho", "0"],
+            capsys,
+        )
+        assert json.loads(out)["roots"] == [[-1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]
+
     def test_cusp(self, capsys):
         _, out, _ = run_cli(
             ["classify-ic", "--x0", "0", "--y0", "2", "--z0", "2", "--rho", "1"],
@@ -238,6 +246,18 @@ class TestExitCodes:
         assert code == EXIT_DOMAIN
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    def test_rho_zero_band_is_domain_error(self, capsys):
+        # genuine Delta > 0 data inside the Delta = 0 band at rho = 0
+        code, out, err = run_cli(
+            ["sample", "--x0", "0.009525508075331384", "--y0", "-0.3434238299204694",
+             "--z0", "19.562166335480466", "--rho", "0", "--t-max", "1", "--dt", "0.5"],
+            capsys,
+        )
+        assert code == EXIT_DOMAIN
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert out == ""
 
     def test_huge_grid_is_domain_error(self, capsys):
         code, out, err = run_cli(

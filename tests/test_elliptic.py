@@ -20,12 +20,23 @@ def quad_oracle(f, a, b):
     return val
 
 
+def sn_cn_dn(agm, u):
+    """sn, cn, dn at u on one AGM scheme, from the reduced amplitude."""
+    return agm.sn_cn_dn(agm.descend(u)[0])
+
+
+def amplitude(agm, u):
+    """am(u) = phi + 2 pi turns from the Landen descent."""
+    phi, turns, _ = agm.descend(u)
+    return phi + 2.0 * math.pi * turns
+
+
 class TestCompleteIntegrals:
     def test_k_at_zero(self):
         assert abs(el.complete_K(0.0) - math.pi / 2.0) < 1e-15
 
     def test_e_at_zero(self):
-        assert abs(el.complete_E(0.0) - math.pi / 2.0) < 1e-15
+        assert abs(el.AGM(0.0).E - math.pi / 2.0) < 1e-15
 
     def test_k_against_quadrature(self):
         for k in (0.1, 0.5, 0.77, 0.95):
@@ -95,14 +106,18 @@ class TestJacobiFunctions:
             assert sn == 0.0 and cn == 1.0 and abs(dn - 1.0) < 1e-15
 
     def test_k_zero_is_trigonometric(self):
+        agm = el.AGM(0.0)
         for u in (-2.0, 0.4, 7.0):
-            assert abs(el.jacobi_cn(u, 0.0) - math.cos(u)) < 1e-15
-            assert abs(el.jacobi_sn(u, 0.0) - math.sin(u)) < 1e-15
+            sn, cn, _ = sn_cn_dn(agm, u)
+            assert abs(cn - math.cos(u)) < 1e-15
+            assert abs(sn - math.sin(u)) < 1e-15
 
     def test_large_modulus_approaches_sech(self):
         # cn(u, k) -> sech(u) as k -> 1
         u = 1.3
-        gaps = [abs(el.jacobi_cn(u, k) - 1.0 / math.cosh(u)) for k in (0.9, 0.999, 0.9999999)]
+        gaps = [
+            abs(sn_cn_dn(el.AGM(k), u)[1] - 1.0 / math.cosh(u)) for k in (0.9, 0.999, 0.9999999)
+        ]
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 1e-6
 
@@ -120,21 +135,24 @@ class TestJacobiFunctions:
         for _ in range(200):
             u = rng.uniform(-20.0, 20.0)
             k = rng.uniform(0.05, 0.99)
-            period = 4.0 * el.complete_K(k)
-            assert abs(el.jacobi_cn(u + period, k) - el.jacobi_cn(u, k)) < 1e-11
-            assert abs(el.jacobi_sn(u + period, k) - el.jacobi_sn(u, k)) < 1e-11
-            assert abs(el.jacobi_dn(u + period / 2.0, k) - el.jacobi_dn(u, k)) < 1e-11
+            agm = el.AGM(k)
+            period = 4.0 * agm.K
+            sn, cn, dn = sn_cn_dn(agm, u)
+            assert abs(sn_cn_dn(agm, u + period)[1] - cn) < 1e-11
+            assert abs(sn_cn_dn(agm, u + period)[0] - sn) < 1e-11
+            assert abs(sn_cn_dn(agm, u + period / 2.0)[2] - dn) < 1e-11
 
     def test_am_inverts_f(self):
         for phi, k in ((0.4, 0.3), (1.1, 0.8)):
             u = el.ellip_f(phi, k)
-            assert abs(el.jacobi_am(u, k) - phi) < 1e-13
+            assert abs(amplitude(el.AGM(k), u) - phi) < 1e-13
 
     def test_sn_is_derivative_consistent(self):
         # dn = d(am)/du by finite differences
-        u, k, h = 0.8, 0.6, 1e-6
-        d_am = (el.jacobi_am(u + h, k) - el.jacobi_am(u - h, k)) / (2 * h)
-        assert abs(d_am - el.jacobi_dn(u, k)) < 1e-9
+        u, h = 0.8, 1e-6
+        agm = el.AGM(0.6)
+        d_am = (amplitude(agm, u + h) - amplitude(agm, u - h)) / (2 * h)
+        assert abs(d_am - sn_cn_dn(agm, u)[2]) < 1e-9
 
 
 class TestInverses:
@@ -144,11 +162,11 @@ class TestInverses:
             assert abs(el.inverse_cn(-1.0, k) - 2.0 * el.complete_K(k)) < 1e-12
 
     def test_inverse_cn_round_trip(self):
-        assert abs(el.jacobi_cn(el.inverse_cn(0.3, 0.6), 0.6) - 0.3) < 1e-12
+        assert abs(sn_cn_dn(el.AGM(0.6), el.inverse_cn(0.3, 0.6))[1] - 0.3) < 1e-12
 
     def test_inverse_sn_round_trip(self):
         for v, k in ((0.0, 0.5), (0.85, 0.3), (-0.6, 0.8)):
-            assert abs(el.jacobi_sn(el.inverse_sn(v, k), k) - v) < 1e-12
+            assert abs(sn_cn_dn(el.AGM(k), el.inverse_sn(v, k))[0] - v) < 1e-12
 
     def test_inverse_cn_domain(self):
         with pytest.raises(DomainError):
@@ -171,9 +189,10 @@ class TestAppendixIntegrals:
     def test_against_quadrature(self):
         for a, b, k in ((0.7, 1.3, 0.5), (0.5, 3.0, 0.9), (2.5, -3.0, 0.2)):
             vals = el.appendix_integrals(a, b, k)
-            period = 4.0 * el.complete_K(k)
-            i1 = quad_oracle(lambda s: 1.0 / (a * el.jacobi_cn(s, k) + b), 0.0, period)
-            i2 = quad_oracle(lambda s: 1.0 / (a * el.jacobi_cn(s, k) + b) ** 2, 0.0, period)
+            agm = el.AGM(k)
+            period = 4.0 * agm.K
+            i1 = quad_oracle(lambda s: 1.0 / (a * sn_cn_dn(agm, s)[1] + b), 0.0, period)
+            i2 = quad_oracle(lambda s: 1.0 / (a * sn_cn_dn(agm, s)[1] + b) ** 2, 0.0, period)
             assert abs(vals["I1"] - i1) < 1e-10
             assert abs(vals["I2"] - i2) < 1e-10
 

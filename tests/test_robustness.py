@@ -7,8 +7,8 @@ import pytest
 from scipy.integrate import quad
 
 from heisenmag import acceptance
-from heisenmag.elliptic import complete_K, jacobi_am
-from heisenmag.errors import DomainError
+from heisenmag.elliptic import AGM
+from heisenmag.errors import DomainError, HeisenmagError
 from heisenmag.heisenberg import LorentzForce
 from heisenmag.oracle import OracleConfig, StateVector, integrate_general
 from heisenmag.periodic import (
@@ -77,6 +77,25 @@ class TestRandomCrossValidation:
                 assert max(abs(p.x - s[0]), abs(p.y - s[1]), abs(p.z - s[2])) < 1e-7
 
 
+class TestHarmonicBand:
+    def test_rho_zero_sweep_builds_or_raises_typed(self):
+        # at rho = 0 and large |z0| the Delta = 0 band holds genuine Delta > 0
+        # data; each input must build or raise a HeisenmagError
+        rng = np.random.default_rng(2000)
+        built = 0
+        for _ in range(1000):
+            data = InitialData(
+                rng.uniform(0.0, 3.0), rng.uniform(-3.0, 3.0), rng.uniform(-60.0, 60.0), 0.0
+            )
+            try:
+                sol = make_solution(data)
+            except HeisenmagError:
+                continue
+            assert abs(sol.x(0.0)) <= 1e-8 * data.scale()
+            built += 1
+        assert built > 0
+
+
 class TestYFolding:
     @pytest.mark.parametrize(
         "branch", [b for b in Branch if b is not Branch.TRIVIAL], ids=lambda b: b.value
@@ -125,10 +144,15 @@ class TestPowerConstruction:
 
 class TestJacobiAmplitude:
     def test_am_quasi_periodicity(self):
-        k = 0.6
-        period = 4.0 * complete_K(k)
+        agm = AGM(0.6)
+        period = 4.0 * agm.K
+
+        def am(u):
+            phi, turns, _ = agm.descend(u)
+            return phi + 2 * np.pi * turns
+
         for u in (-3.0, 0.7, 11.0):
-            assert abs(jacobi_am(u + period, k) - jacobi_am(u, k) - 2 * np.pi) < 1e-11
+            assert abs(am(u + period) - am(u) - 2 * np.pi) < 1e-11
 
 
 class TestToleranceOverride:
