@@ -35,8 +35,8 @@ from .oracle import (
     StateVector,
     euler_lagrange_residual,
     integrate_general,
-    integrate_reduced,
     lagrangian_value,
+    taylor_reduced,
 )
 from .periodic import (
     CdeCoordinates,

@@ -1,17 +1,18 @@
-"""Verification suites: every release gate as a callable check.
+"""The eleven verification criteria, each a callable check.
 
-Each criterion runs a self-contained numerical experiment (closed form vs
-independent integration, random-sample property checks, threshold cases)
-and returns a CriterionResult with the measured worst values.  The CLI
-`verify` subcommand and the pytest acceptance module both drive these
-runners; HEISENMAG_TOL (a multiplier on every threshold) is honoured by
-`tolerance_scale`.
+`CRITERIA` maps a name to a runner that performs one self-contained
+numerical experiment and returns a CriterionResult with its measured
+worst values; `run_criterion` times it.  The CLI `verify` subcommand and
+the pytest acceptance module both drive these runners, and every
+threshold is multiplied by `tolerance_scale()` (HEISENMAG_TOL).
 
-Two of the repeated-root branches approach a saddle of the speed
-polynomial, where any float64 integrator loses e^{sqrt(-mu) t} accuracy;
-their cross-validation therefore runs against an arbitrary-precision
-Taylor integration (mpmath) of the reduced system instead of the
-double-precision Runge-Kutta oracle used for the periodic branches.
+Criterion 1 checks each branch representative against an independent
+integration.  The four periodic branches are compared over two periods
+with the double-precision DOP853 run of the full system.  The three
+non-periodic repeated-root branches approach a saddle of the effective
+potential, where any float64 integrator loses e^{sqrt(-mu) t} accuracy;
+they are compared on [0, 20] with `oracle.taylor_reduced`, a 30-digit
+fixed-point Taylor integration of the reduced system.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import os
 import time
 from dataclasses import dataclass, field
 
-import mpmath as mp
 import numpy as np
 from scipy import special
 from scipy.integrate import quad
@@ -40,6 +40,7 @@ from .oracle import (
     euler_lagrange_residual,
     integrate_general,
     reduced_ode_residual,
+    taylor_reduced,
 )
 from .periodic import (
     LatticeElement,
@@ -153,33 +154,6 @@ _ALL_BRANCHES = (
 )
 
 
-def _mpmath_reduced_distance(sol, data: InitialData, t_max: float, n_pts: int = 14) -> float:
-    """Closed form vs 30-digit Taylor integration of the reduced system."""
-    with mp.workdps(30):
-        zr = mp.mpf(data.z0) + mp.mpf(data.rho)
-        y0 = mp.mpf(data.y0)
-        rho = mp.mpf(data.rho)
-        x0 = mp.mpf(data.x0)
-
-        def rhs(t, s):
-            x, u, y = s[0], s[1], s[2]
-            return [u, rho - (x + zr) * (x * x / 2 + zr * x + y0 + 1), x * x / 2 + zr * x + y0]
-
-        f = mp.odefun(rhs, 0, [mp.mpf(0), x0, mp.mpf(0)], tol=mp.mpf(10) ** (-26))
-        worst = 0.0
-        for t in np.linspace(t_max / n_pts, t_max, n_pts):
-            xs, us, ys = f(float(t))
-            zs = -xs * ys / 2 - zr * ys - us + x0
-            p = sol.point(float(t))
-            worst = max(
-                worst,
-                abs(float(xs) - p.x),
-                abs(float(ys) - p.y),
-                abs(float(zs) - p.z),
-            )
-    return worst
-
-
 def _window(sol) -> float:
     """Comparison horizon: two x-periods, or [0, 20] without a period."""
     return 2.0 * sol.x_period if sol.x_period is not None else 20.0
@@ -236,12 +210,8 @@ def check_branch(branch: Branch, rho: float | None = None) -> dict:
     record["first_integral_drift"] = _first_integral_drift(sol, data)
     if omega is not None:
         cfg = OracleConfig(rel_tol=1e-11, abs_tol=1e-13, t_span=(0.0, t_max))
-        orc = integrate_general(
-            LorentzForce(0.0, 1.0, data.rho),
-            StateVector.from_initial_data(data),
-            cfg,
-            n_samples=201,
-        )
+        force = LorentzForce(0.0, 1.0, data.rho)
+        orc = integrate_general(force, StateVector.from_initial_data(data), cfg, n_samples=201)
         dist = 0.0
         for (px, py, pz), s in zip(sol.sample(orc.t), orc.states):
             dist = max(dist, abs(px - s[0]), abs(py - s[1]), abs(pz - s[2]))
@@ -252,7 +222,12 @@ def check_branch(branch: Branch, rho: float | None = None) -> dict:
             sol.x_prime(omega) - sol.x_prime(0.0)
         )
     else:
-        record["oracle_distance"] = _mpmath_reduced_distance(sol, data, 20.0)
+        # 14 points on [0, 20] against the 30-digit Taylor oracle
+        ts = np.linspace(20.0 / 14, 20.0, 14)
+        record["oracle_distance"] = max(
+            max(abs(px - x), abs(py - y), abs(pz - z))
+            for (px, py, pz), (x, _, y, z) in zip(sol.sample(ts), taylor_reduced(data, ts))
+        )
     return record
 
 
@@ -547,23 +522,14 @@ def crit_lagrangian(tol: float = 1.0) -> CriterionResult:
         (LorentzForce(0.7, 1.2, 0.9), InitialData(0.4, -0.3, 0.6, 0.9)),
     ):
         cfg = OracleConfig(rel_tol=1e-11, abs_tol=1e-13, t_span=(0.0, 10.0))
-        orc = integrate_general(
-            force, StateVector(0, 0, 0, data.x0, data.y0, data.z0), cfg, n_samples=10001
-        )
-        rx, ry, rz = euler_lagrange_residual(force, orc.t, orc.states)
-        worst_true = max(
-            worst_true,
-            float(np.max(np.abs(rx))),
-            float(np.max(np.abs(ry))),
-            float(np.max(np.abs(rz))),
-        )
+        orc = integrate_general(force, StateVector.from_initial_data(data), cfg, n_samples=10001)
+        residuals = euler_lagrange_residual(force, orc.t, orc.states)
+        worst_true = max(worst_true, *(float(np.max(np.abs(r))) for r in residuals))
     ts = np.linspace(0.0, 10.0, 10001)
     ones = np.ones_like(ts)
     control = np.stack([ts, ts, 0 * ts, ones, ones, 0 * ts], axis=1)
-    rx, ry, rz = euler_lagrange_residual(LorentzForce(0.0, 1.0, 1.0), ts, control)
-    control_max = max(
-        float(np.max(np.abs(rx))), float(np.max(np.abs(ry))), float(np.max(np.abs(rz)))
-    )
+    residuals = euler_lagrange_residual(LorentzForce(0.0, 1.0, 1.0), ts, control)
+    control_max = max(float(np.max(np.abs(r))) for r in residuals)
     passed = worst_true < 1e-5 * tol and control_max > 1e-2
     return CriterionResult(
         "Lagrangian equivalence (Euler-Lagrange residuals)",

@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 _EPS = 2.220446049250313e-16
+_INVERSE_BAND = 1e-12  # round-off admitted in an inverse_cn / inverse_sn argument
 
 
 def _check_modulus(k: float) -> None:
@@ -171,7 +172,7 @@ def jacobi_sn_cn_dn(u: float, k: float) -> tuple[float, float, float]:
 def inverse_cn(v: float, k: float) -> float:
     """Principal inverse of cn: the u in [0, 2K] with cn(u, k) = v."""
     _check_modulus(k)
-    if abs(v) > 1.0 + 1e-12:
+    if abs(v) > 1.0 + _INVERSE_BAND:
         raise DomainError(f"inverse_cn argument must lie in [-1, 1], got {v}")
     v = min(1.0, max(-1.0, v))
     return ellip_f(math.acos(v), k)
@@ -180,7 +181,7 @@ def inverse_cn(v: float, k: float) -> float:
 def inverse_sn(v: float, k: float) -> float:
     """Principal inverse of sn: the u in [-K, K] with sn(u, k) = v."""
     _check_modulus(k)
-    if abs(v) > 1.0 + 1e-12:
+    if abs(v) > 1.0 + _INVERSE_BAND:
         raise DomainError(f"inverse_sn argument must lie in [-1, 1], got {v}")
     v = min(1.0, max(-1.0, v))
     return ellip_f(math.asin(v), k)

@@ -69,6 +69,11 @@ __all__ = [
     "lattice_obstruction_check",
 ]
 
+_CHART_BAND = 1e-12  # round-off admitted at the (c, d, e) chart edges and of k^2 in [0, 1]
+_LATTICE_BAND = 1e-12  # |x1| or |y1| of a lattice element read as zero
+_CROSSING_SLOPE = 1e-9  # x' x0 at the conjugacy crossing read as non-negative
+_LAMBDA_RESIDUAL = 1e-7  # gate on a constructed curve's lambda-periodicity residual
+
 
 # --- the (c, d, e) chart -------------------------------------------------------
 
@@ -87,7 +92,7 @@ class CdeCoordinates:
             raise DomainError(f"c must be positive, got {self.c}")
         if not 0.0 < self.d < 1.0:
             raise DomainError(f"d must lie in (0, 1), got {self.d}")
-        if abs(self.e) > 1.0 + 1e-12:
+        if abs(self.e) > 1.0 + _CHART_BAND:
             raise DomainError(f"e must lie in [-1, 1], got {self.e}")
 
     def initial_data(self) -> InitialData:
@@ -159,7 +164,7 @@ def _psi_parts(c: float, d: float, rho: float) -> tuple[float, float]:
         raise DomainError("invalid (c, d) pair: negative inner square root")
     s = math.sqrt(inner)
     k_sq = (2.0 * c6 * d * d - rho * rho - c6) / (2.0 * s) + 0.5
-    if k_sq < -1e-12 or k_sq > 1.0 + 1e-12:
+    if k_sq < -_CHART_BAND or k_sq > 1.0 + _CHART_BAND:
         raise DomainError(f"modulus squared {k_sq} outside [0, 1]")
     k = math.sqrt(min(1.0 - 1e-16, max(0.0, k_sq)))
     return s, k
@@ -211,7 +216,7 @@ def solve_dc(c: float, rho: float) -> float:
     """
     if c <= 1.0:
         raise DomainError(f"no periodic trajectory for c <= 1 (got c = {c})")
-    lo, hi = 1e-12, 1.0 - 1e-12
+    lo, hi = _CHART_BAND, 1.0 - _CHART_BAND
     f_lo = psi_tilde(c, lo, rho)
     f_hi = psi_tilde(c, hi, rho)
     if f_lo <= 0.0 or f_hi >= 0.0:
@@ -310,7 +315,7 @@ def equienergy_conjugacy(
             cand = _brent(lambda t: sol1.x(t) - target, grid[i], grid[i + 1])
             # the crossing must also carry the right slope sign; if not,
             # the matching crossing is the other one in the period
-            if sol1.x_prime(cand) * sol2.data.x0 >= -1e-9:
+            if sol1.x_prime(cand) * sol2.data.x0 >= -_CROSSING_SLOPE:
                 shift = cand
                 break
     if shift is None:
@@ -440,7 +445,7 @@ def lambda_periodic_residual(
 
 
 def lambda_periodic_test(
-    traj, lam: LatticeElement, omega: float, tol: float = 1e-7, n_grid: int = 33
+    traj, lam: LatticeElement, omega: float, tol: float = _LAMBDA_RESIDUAL, n_grid: int = 33
 ) -> bool:
     """Whether the trajectory is lam-periodic with the given period.
 
@@ -494,7 +499,7 @@ def find_lambda_periodic(
     exp(a e1) with a = (z1 - n z2)/y1 to match the centre component.
     """
     check_finite(energy=energy, rho=rho, e=e)
-    if abs(lam.x1) > 1e-12 or abs(lam.y1) <= 1e-12:
+    if abs(lam.x1) > _LATTICE_BAND or abs(lam.y1) <= _LATTICE_BAND:
         raise LambdaNotFoundError(
             "lambda-periodic trajectories exist only for exp(y1 e2 + z1 e3) with y1 != 0"
         )
@@ -556,7 +561,7 @@ def find_lambda_periodic(
     moved = translate(sol, HeisenbergPoint(a, 0.0, 0.0))
     omega = n * omega1
     residual = lambda_periodic_residual(moved, lam, omega)
-    if residual > 1e-7:
+    if residual > _LAMBDA_RESIDUAL:
         raise ConvergenceError(
             f"constructed trajectory misses lambda-periodicity: residual {residual}"
         )

@@ -41,6 +41,7 @@ __all__ = [
 
 # relative half-width of the "value is zero" bands used for branch tags
 _ZERO_TOL = 1e-9
+_BRACKET_BAND = 1e-9  # overshoot of z0 + rho past a root bracket, relative to its span
 
 
 @dataclass(frozen=True)
@@ -331,7 +332,7 @@ def _bracket_side(reals: list[float], z0rho: float) -> Branch:
     in one of them (raises if the root solver disagrees).
     """
     r1, r2, r3, r4 = reals
-    tol = 1e-9 * max(1.0, r4 - r1)
+    tol = _BRACKET_BAND * max(1.0, r4 - r1)
     in_low = r1 - tol <= z0rho <= r2 + tol
     in_high = r3 - tol <= z0rho <= r4 + tol
     if in_low and in_high:

@@ -1,8 +1,12 @@
 """Numerical oracle: integrators, conserved quantities, Lagrangian checks."""
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
+from heisenmag.acceptance import crit_closed_form, representative_data
 from heisenmag.errors import DomainError
 from heisenmag.heisenberg import LorentzForce
 from heisenmag.oracle import (
@@ -10,11 +14,13 @@ from heisenmag.oracle import (
     StateVector,
     euler_lagrange_residual,
     integrate_general,
-    integrate_reduced,
     lagrangian_value,
     metric_speed_sq,
+    taylor_reduced,
 )
-from heisenmag.quartic import InitialData
+from heisenmag.quartic import Branch, InitialData
+
+_NON_PERIODIC = (Branch.ZERO_MU_NEG_RIGHT, Branch.ZERO_MU_NEG_LEFT, Branch.ZERO_CUSP)
 
 
 class TestConfig:
@@ -23,6 +29,26 @@ class TestConfig:
             OracleConfig(rel_tol=0.0)
         with pytest.raises(DomainError):
             OracleConfig(abs_tol=-1e-9)
+        # constructs only: a nan or inf rel_tol and a nan end time keep
+        # DOP853 stepping until killed, and max_step = 0 is scipy's ValueError
+        for kwargs in (
+            {"rel_tol": math.nan},
+            {"rel_tol": math.inf},
+            {"abs_tol": math.nan},
+            {"abs_tol": math.inf},
+            {"max_step": 0.0},
+            {"max_step": -1.0},
+            {"max_step": math.nan},
+            {"t_span": (0.0, math.nan)},
+            {"t_span": (-math.inf, 1.0)},
+            {"t_span": (2.0, 2.0)},
+            {"t_span": (0.0,)},
+        ):
+            with pytest.raises(DomainError):
+                OracleConfig(**kwargs)
+
+    def test_accepts_unbounded_step_and_backward_span(self):
+        OracleConfig(max_step=math.inf, t_span=(5.0, 0.0))
 
 
 class TestGeneralIntegrator:
@@ -104,28 +130,111 @@ class TestGeneralIntegrator:
         assert max(abs(final.xp + 0.5), abs(final.yp + 0.3), abs(final.zp - 0.2)) < 1e-8
 
 
+def _level_drift(data, rows) -> float:
+    """Worst |x'^2 + h(x)^2 - 2 rho x - (x0^2 + (y0+1)^2)| over oracle rows."""
+    x, xp = rows[:, 0], rows[:, 1]
+    level = xp ** 2 + data.h(x) ** 2 - 2.0 * data.rho * x
+    return float(np.max(np.abs(level - data.norm_sq)))
+
+
+def _mp_taylor(data, ts, dps=60, order=60):
+    """(x, x', y) at ts from an order-60 Taylor integration at 60 digits."""
+    with mpmath.workdps(dps):
+        rho = mpmath.mpf(data.rho)
+        zr = mpmath.mpf(data.z0) + rho
+        c = mpmath.mpf(data.y0) + 1 - zr * zr / 2
+        x, u, y, now = mpmath.mpf(0), mpmath.mpf(data.x0), mpmath.mpf(0), mpmath.mpf(0)
+        eps = mpmath.mpf(10) ** (2 - dps)
+        out = []
+        for t in ts:
+            while now < t:
+                xs, us, ys, ws, gs = [x], [u], [y], [x + zr], []
+                for k in range(order):
+                    g = mpmath.fsum(ws[i] * ws[k - i] for i in range(k + 1)) / 2
+                    gs.append(g + c if k == 0 else g)
+                    wg = mpmath.fsum(ws[i] * gs[k - i] for i in range(k + 1))
+                    xs.append(us[k] / (k + 1))
+                    us.append(((rho if k == 0 else 0) - wg) / (k + 1))
+                    ys.append((gs[k] - (1 if k == 0 else 0)) / (k + 1))
+                    ws.append(xs[-1])
+                h = min(
+                    (eps / abs(cs[j])) ** (mpmath.mpf(1) / j)
+                    for cs in (xs, us, ys) for j in (order, order - 1) if cs[j]
+                )
+                h = min(h / 2, t - now)
+                x, u, y = (mpmath.polyval(cs[::-1], h) for cs in (xs, us, ys))
+                now += h
+            out.append((x, u, y))
+        return out
+
+
 class TestReducedIntegrator:
     def test_trivial_branch(self):
         data = InitialData(0.0, 0.0, 0.0, 1.0)
-        red = integrate_reduced(data, OracleConfig(t_span=(0.0, 10.0)))
-        assert np.max(np.abs(red.x)) < 1e-12
-        assert red.first_integral_drift < 1e-12
+        rows = taylor_reduced(data, np.linspace(0.0, 10.0, 101))
+        assert np.max(np.abs(rows[:, 0])) < 1e-12
+        assert _level_drift(data, rows) < 1e-12
 
     def test_drift_small(self):
         data = InitialData(1.0, 0.5, 0.2, 1.0)
-        cfg = OracleConfig(rel_tol=1e-11, abs_tol=1e-13, t_span=(0.0, 20.0))
-        red = integrate_reduced(data, cfg)
-        assert red.first_integral_drift < 1e-9
+        rows = taylor_reduced(data, np.linspace(0.0, 20.0, 201))
+        assert _level_drift(data, rows) < 1e-9
 
     def test_matches_closed_form(self):
         from heisenmag.trajectory import make_solution
 
         data = InitialData(2.0, -1.25, 1.5, 0.5)  # repeated root, mu > 0
         sol = make_solution(data)
-        cfg = OracleConfig(rel_tol=1e-11, abs_tol=1e-13, t_span=(0.0, 15.0))
-        red = integrate_reduced(data, cfg)
-        for t, x in zip(red.t, red.x):
-            assert abs(sol.x(t) - x) < 1e-7
+        ts = np.linspace(0.0, 15.0, 101)
+        for t, row in zip(ts, taylor_reduced(data, ts)):
+            assert abs(sol.x(t) - row[0]) < 1e-7
+
+
+class TestTaylorOracle:
+    def test_agrees_with_odefun(self):
+        ts = (0.5, 1.0, 2.0)
+        for branch in _NON_PERIODIC:
+            data = representative_data(branch)
+            rows = taylor_reduced(data, ts)
+            with mpmath.workdps(30):
+                zr = mpmath.mpf(data.z0) + mpmath.mpf(data.rho)
+
+                def rhs(t, s):
+                    h = s[0] ** 2 / 2 + zr * s[0] + data.y0 + 1
+                    return [s[1], data.rho - (s[0] + zr) * h, h - 1]
+
+                f = mpmath.odefun(
+                    rhs, 0, [mpmath.mpf(0), mpmath.mpf(data.x0), mpmath.mpf(0)],
+                    tol=mpmath.mpf(10) ** -26,
+                )
+                for t, row in zip(ts, rows):
+                    for got, want in zip(row[:3], f(t)):
+                        assert abs(got - want) <= 4e-16 * max(1.0, abs(want)), (branch, t)
+
+    def test_saddle_branch_within_1e_15_of_60_digit_reference(self):
+        # the separatrix amplifies step error by exp(sqrt(-mu) t) ~ 1e16 on
+        # [0, 20]; past the one final rounding, the oracle must stay within
+        # 1e-15 of a 60-digit order-60 Taylor run
+        data = representative_data(Branch.ZERO_MU_NEG_LEFT)
+        ts = (10.0, 20.0)
+        with mpmath.workdps(60):
+            for row, want in zip(taylor_reduced(data, ts), _mp_taylor(data, ts)):
+                for got, w in zip(row[:3], want):
+                    assert abs(got - w) < 1e-15 + math.ulp(got) / 2, (got, w)
+
+    def test_closed_form_criterion_needs_no_odefun(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("mpmath.odefun called")
+
+        monkeypatch.setattr(mpmath, "odefun", refuse)
+        result = crit_closed_form()
+        assert result.passed, result.line()
+
+    def test_rejects_unordered_or_negative_times(self):
+        data = InitialData(1.0, 0.5, 0.2, 1.0)
+        for ts in ((1.0, 0.5), (-1.0,), (math.nan,)):
+            with pytest.raises(DomainError):
+                taylor_reduced(data, ts)
 
 
 class TestLagrangian:
