@@ -57,6 +57,7 @@ from .periodic import (
 from .quartic import (
     Branch,
     InitialData,
+    delta_band,
     discriminant,
     monic_coefficients,
     quartic_roots,
@@ -90,6 +91,24 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         return f"{v:.3g}"
     return str(v)
+
+
+# Pass gates by criterion number; tolerance_scale() multiplies each but the
+# negative-control floor.
+_ODE_RESIDUAL_GATE = 1e-8  # 1: finite-difference x'' + h'(x) h(x) - rho
+_ORACLE_GATE = 1e-6  # 1: closed-form coordinates against an independent oracle
+_DRIFT_GATE = 1e-9  # 2, 6: first-integral drift, energy error
+_VIETE_GATE = 1e-9  # 3: scaled Viete residuals of the closed-form roots
+_REAL_EIGENVALUE_BAND = 1e-7  # 3: |Im| / scale of a reference eigenvalue counted real
+_Y_PERIOD_GATE = 1e-8  # 4: closed-form y(omega) against quadrature
+_PSI_RESIDUAL_GATE = 1e-12  # 5: psi_tilde at the solved d_c
+_ENERGY_TAIL_GATE = 1e-3  # 5: En(c) at c = 1 + 1e-4
+_CLOSURE_GATE = 1e-7  # 6, 8: closure of periodic and lambda-periodic curves
+_EXACT_CLOSURE_GATE = 1e-8  # 7: closure of the exact-force family
+_EL_RESIDUAL_GATE = 1e-5  # 10: Euler-Lagrange residual on trajectories
+_EL_CONTROL_FLOOR = 1e-2  # 10: ... and its floor off them
+_LEGENDRE_GATE = 1e-12  # 11: Legendre relation defect
+_IDENTITY_GATE = 1e-10  # 11: appendix integrals against quadrature and at k = 0
 
 
 def tolerance_scale() -> float:
@@ -161,12 +180,9 @@ def _window(sol) -> float:
 
 def _first_integral_drift(sol, data: InitialData) -> float:
     """Worst |x'^2 + h(x)^2 - 2 rho x - (x0^2 + (y0+1)^2)| on 257 points."""
-    worst = 0.0
-    for t in np.linspace(0.0, _window(sol), 257):
-        x = sol.x(t)
-        drift = sol.x_prime(t) ** 2 + data.h(x) ** 2 - 2.0 * data.rho * x - data.norm_sq
-        worst = max(worst, abs(drift))
-    return worst
+    x, xp, _, _ = sol.evaluate(np.linspace(0.0, _window(sol), 257))
+    drift = xp ** 2 + data.h(x) ** 2 - 2.0 * data.rho * x - data.norm_sq
+    return float(np.max(np.abs(drift)))
 
 
 def _y_over_period_by_quadrature(sol) -> float:
@@ -206,27 +222,23 @@ def check_branch(branch: Branch, rho: float | None = None) -> dict:
         sol.x, data, np.linspace(0.05, 10.0, 200)
     )
     omega = sol.x_period
-    t_max = _window(sol)
     record["first_integral_drift"] = _first_integral_drift(sol, data)
     if omega is not None:
-        cfg = OracleConfig(rel_tol=1e-11, abs_tol=1e-13, t_span=(0.0, t_max))
+        cfg = OracleConfig(rel_tol=1e-11, abs_tol=1e-13, t_span=(0.0, _window(sol)))
         force = LorentzForce(0.0, 1.0, data.rho)
         orc = integrate_general(force, StateVector.from_initial_data(data), cfg, n_samples=201)
-        dist = 0.0
-        for (px, py, pz), s in zip(sol.sample(orc.t), orc.states):
-            dist = max(dist, abs(px - s[0]), abs(py - s[1]), abs(pz - s[2]))
-        record["oracle_distance"] = dist
+        ts, reference = orc.t, orc.states[:, :3]
+    else:
+        # 14 points on [0, 20] against the 30-digit Taylor oracle
+        ts = np.linspace(20.0 / 14, 20.0, 14)
+        reference = taylor_reduced(data, ts)[:, [0, 2, 3]]
+    x, _, y, z = sol.evaluate(ts)
+    record["oracle_distance"] = float(np.max(np.abs(np.stack([x, y, z], axis=1) - reference)))
+    if omega is not None:
         # the closed form must repeat with its stated period
         record["period"] = omega
         record["period_defect"] = abs(sol.x(omega) - sol.x(0.0)) + abs(
             sol.x_prime(omega) - sol.x_prime(0.0)
-        )
-    else:
-        # 14 points on [0, 20] against the 30-digit Taylor oracle
-        ts = np.linspace(20.0 / 14, 20.0, 14)
-        record["oracle_distance"] = max(
-            max(abs(px - x), abs(py - y), abs(pz - z))
-            for (px, py, pz), (x, _, y, z) in zip(sol.sample(ts), taylor_reduced(data, ts))
         )
     return record
 
@@ -243,7 +255,7 @@ def crit_closed_form(tol: float = 1.0) -> CriterionResult:
         worst_dist = max(worst_dist, rec["oracle_distance"])
         if "period_defect" in rec:
             worst_per = max(worst_per, rec["period_defect"])
-    passed = worst_res < 1e-8 * tol and worst_dist < 1e-6 * tol
+    passed = worst_res < _ODE_RESIDUAL_GATE * tol and worst_dist < _ORACLE_GATE * tol
     return CriterionResult(
         "closed-form correctness (7 branches)",
         passed,
@@ -263,7 +275,7 @@ def crit_first_integral(tol: float = 1.0) -> CriterionResult:
         worst = max(worst, _first_integral_drift(make_solution(data), data))
     return CriterionResult(
         "first integral drift",
-        worst < 1e-9 * tol,
+        worst < _DRIFT_GATE * tol,
         {"max_drift": worst},
     )
 
@@ -277,13 +289,11 @@ def crit_discriminant(tol: float = 1.0, seed: int = 0) -> CriterionResult:
     """
     rng = np.random.default_rng(seed)
     n = 10_000
-    rows, roots = np.empty((n, 5)), np.empty((n, 4), dtype=complex)
-    for i, (x0, y0, z0, rho) in enumerate(rng.uniform(-3.0, 3.0, (n, 4))):
-        p0, q0 = monic_coefficients(InitialData(x0, y0, z0, rho))
-        scale = max(1.0, abs(2 * p0), abs(8 * rho) ** (2 / 3), abs(q0) ** 0.5)
-        rows[i] = p0, q0, rho, discriminant(p0, q0, rho), 1e-9 * scale ** 6
-        roots[i] = quartic_roots(p0, q0, rho)
-    p0, q0, rho, delta, band = rows.T
+    p0, q0, rho, delta, band = _discriminant_columns(rng.uniform(-3.0, 3.0, (n, 4)))
+    roots = np.empty((n, 4), dtype=complex)
+    # quartic_roots on Python floats, converted one row at a time
+    for i, row in enumerate(zip(map(float, p0), map(float, q0), map(float, rho))):
+        roots[i] = quartic_roots(*row)
     boundary = np.abs(delta) <= band
     rscale = np.maximum(1.0, np.abs(roots).max(axis=1))
     r0, r1, r2, r3 = roots.T
@@ -302,9 +312,9 @@ def crit_discriminant(tol: float = 1.0, seed: int = 0) -> CriterionResult:
     companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
     eig = np.linalg.eigvals(companion)
     eig_scale = np.maximum(1.0, np.abs(eig).max(axis=1, keepdims=True))
-    n_real = np.sum(np.abs(eig.imag) <= 1e-7 * eig_scale, axis=1)
+    n_real = np.sum(np.abs(eig.imag) <= _REAL_EIGENVALUE_BAND * eig_scale, axis=1)
     mismatches = int(np.sum(~boundary & ((delta > 0.0) != (n_real == 4))))
-    passed = mismatches == 0 and worst_viete < 1e-9 * tol
+    passed = mismatches == 0 and worst_viete < _VIETE_GATE * tol
     return CriterionResult(
         "discriminant classification (10^4 samples)",
         passed,
@@ -314,6 +324,15 @@ def crit_discriminant(tol: float = 1.0, seed: int = 0) -> CriterionResult:
             "worst_viete": worst_viete,
         },
     )
+
+
+def _discriminant_columns(draws: np.ndarray):
+    """(p0, q0, rho, Delta, band) as columns, one entry per row (x0, y0, z0,
+    rho) of draws, from the library's own formulas: band is the half-width
+    of build_profile's Delta = 0 band."""
+    data = InitialData(*draws.T)
+    p0, q0 = monic_coefficients(data)
+    return p0, q0, data.rho, discriminant(p0, q0, data.rho), delta_band(p0, q0, data.rho)
 
 
 def crit_periodicity_criterion(tol: float = 1.0, seed: int = 0) -> CriterionResult:
@@ -385,7 +404,7 @@ def crit_periodicity_criterion(tol: float = 1.0, seed: int = 0) -> CriterionResu
         worst_mu_gap = max(worst_mu_gap, abs(quadrature - closed))
         mu_all_negative = mu_all_negative and quadrature < 0.0 and closed < 0.0
         count += 1
-    passed = worst_gap < 1e-8 * tol and pos_all_negative and mu_all_negative
+    passed = worst_gap < _Y_PERIOD_GATE * tol and pos_all_negative and mu_all_negative
     return CriterionResult(
         "periodicity criterion y(omega)",
         passed,
@@ -427,7 +446,10 @@ def crit_unique_dc(tol: float = 1.0) -> CriterionResult:
     increasing_e = all(a < b for a, b in zip(es, es[1:]))
     tail = energy_of_c(1.0 + 1e-4, rho)
     passed = (
-        worst_resid < 1e-12 * tol and increasing_d and increasing_e and tail < 1e-3 * tol
+        worst_resid < _PSI_RESIDUAL_GATE * tol
+        and increasing_d
+        and increasing_e
+        and tail < _ENERGY_TAIL_GATE * tol
     )
     return CriterionResult(
         "unique d_c and monotone energy",
@@ -451,7 +473,7 @@ def crit_closed_at_every_energy(tol: float = 1.0) -> CriterionResult:
                 worst_closure, rep["closure_x"], rep["closure_y"], rep["closure_z"]
             )
             worst_energy = max(worst_energy, rep["energy_error"])
-    passed = worst_closure < 1e-7 * tol and worst_energy < 1e-9 * tol
+    passed = worst_closure < _CLOSURE_GATE * tol and worst_energy < _DRIFT_GATE * tol
     return CriterionResult(
         "closed trajectories at every energy",
         passed,
@@ -471,7 +493,7 @@ def crit_exact_threshold(tol: float = 1.0) -> CriterionResult:
         p = traj.point(period)
         closure = max(abs(p.x), abs(p.y), abs(p.z))
     at_threshold = exact_periodic_family(2.0, 2.0)
-    passed = below_exists and closure < 1e-8 * tol and at_threshold is None
+    passed = below_exists and closure < _EXACT_CLOSURE_GATE * tol and at_threshold is None
     return CriterionResult(
         "exact-force energy threshold",
         passed,
@@ -493,7 +515,7 @@ def crit_lambda_periodic(tol: float = 1.0) -> CriterionResult:
         find_lambda_periodic(LatticeElement(1.0, 0.0, 0.0), 1.0, 1.0)
     except LambdaNotFoundError:
         refused = True
-    passed = residual < 1e-7 * tol and refused
+    passed = residual < _CLOSURE_GATE * tol and refused
     return CriterionResult(
         "lambda-periodic construction on Gamma_1",
         passed,
@@ -530,7 +552,7 @@ def crit_lagrangian(tol: float = 1.0) -> CriterionResult:
     control = np.stack([ts, ts, 0 * ts, ones, ones, 0 * ts], axis=1)
     residuals = euler_lagrange_residual(LorentzForce(0.0, 1.0, 1.0), ts, control)
     control_max = max(float(np.max(np.abs(r))) for r in residuals)
-    passed = worst_true < 1e-5 * tol and control_max > 1e-2
+    passed = worst_true < _EL_RESIDUAL_GATE * tol and control_max > _EL_CONTROL_FLOOR
     return CriterionResult(
         "Lagrangian equivalence (Euler-Lagrange residuals)",
         passed,
@@ -568,7 +590,11 @@ def crit_elliptic_kernel(tol: float = 1.0) -> CriterionResult:
         abs(k0["I1"] - 2.0 * math.pi / math.sqrt(3.0)),
         abs(k0["I2"] - 4.0 * math.pi / 3.0 ** 1.5),
     )
-    passed = worst_leg < 1e-12 * tol and worst_app < 1e-10 * tol and worst_k0 < 1e-10 * tol
+    passed = (
+        worst_leg < _LEGENDRE_GATE * tol
+        and worst_app < _IDENTITY_GATE * tol
+        and worst_k0 < _IDENTITY_GATE * tol
+    )
     return CriterionResult(
         "elliptic kernel (Legendre + integral identities)",
         passed,

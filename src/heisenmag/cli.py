@@ -149,15 +149,12 @@ def _cmd_sample(args, out) -> int:
     else:
         traj = reflect_for_negative_x0(data)
     ts = _time_grid(args.t_max, args.dt)
-    energy0 = data.energy()
-    points = traj.sample(ts)
-    rows = []
-    for t, (px, py, pz) in zip(ts, points):
-        # body-frame speed needs no y: y' = h(x) - 1 and the centre
-        # component of the velocity sits at the conserved level x + z0
-        xp = traj.x_prime(t)
-        speed_sq = xp ** 2 + (data.h(px) - 1.0) ** 2 + (px + data.z0) ** 2
-        rows.append((t, px, py, pz, 0.5 * speed_sq - energy0))
+    x, xp, y, z = traj.evaluate(ts)
+    # body-frame speed needs no y: y' = h(x) - 1 and the centre
+    # component of the velocity sits at the conserved level x + z0
+    speed_sq = xp ** 2 + (data.h(x) - 1.0) ** 2 + (x + data.z0) ** 2
+    residual = 0.5 * speed_sq - data.energy()
+    rows = zip(ts, *(v.tolist() for v in (x, y, z, residual)))
     export_samples(rows, ["t", "x", "y", "z", "energy_residual"], args.output, args.format)
     return EXIT_OK
 
@@ -227,16 +224,29 @@ def _cmd_verify(args, out) -> int:
         return EXIT_OK
     names = list(acceptance.CRITERIA) if args.suite == "all" else [args.suite]
     failed = 0
+    records = []
     for name in names:
         if name not in acceptance.CRITERIA:
             raise _UsageError(
                 f"unknown suite '{name}'; choose from {', '.join(acceptance.CRITERIA)} or all"
             )
         result = acceptance.run_criterion(name, seed=args.seed)
-        out.write(result.line() + "\n")
+        if args.json:
+            records.append({
+                "name": name,
+                "title": result.name,
+                "passed": result.passed,
+                "elapsed": result.elapsed,
+                "details": result.details,
+            })
+        else:
+            out.write(result.line() + "\n")
         if not result.passed:
             failed += 1
-    out.write(f"{len(names) - failed}/{len(names)} criteria passed\n")
+    if args.json:
+        _emit_json(records, out)
+    else:
+        out.write(f"{len(names) - failed}/{len(names)} criteria passed\n")
     return EXIT_OK if failed == 0 else EXIT_VERIFY
 
 
@@ -295,6 +305,8 @@ def build_parser() -> _Parser:
                    default=None, help="cross-validate one branch representative")
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--json", action="store_true",
+                   help="one JSON record per criterion: name, passed, elapsed, details")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("elliptic", help="elliptic kernel check (verify --suite elliptic)")

@@ -22,6 +22,7 @@ import math
 
 from scipy.special import elliprf, elliprj
 
+from ._ops import ops
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
@@ -83,31 +84,36 @@ class AGM:
         """E(k), computed on access: complete_K needs none of it."""
         return self.K * (1.0 - sum(2.0 ** (n - 1) * c ** 2 for n, c in enumerate(self._cc)))
 
-    def descend(self, u: float) -> tuple[float, int, float]:
+    def descend(self, u):
         """(phi, turns, Z(u)) with am(u) = phi + 2 pi turns, turns = floor(u / 4K).
 
         phi is the amplitude of u - 4K turns (am(u + 4K) = am(u) + 2 pi);
         Jacobi's zeta function Z(u) = sum_n c_n sin phi_n over the descent's
         phases gives Jacobi's epsilon E(am u, k) = (E/K) u + Z(u)
-        (DLMF 22.16(iii)).  At k = 0 the amplitude is u itself.
+        (DLMF 22.16(iii)).  At k = 0 the amplitude is u itself.  u may be a
+        float (turns is then an int) or an array, descended level by level.
         """
         if self.k == 0.0:
             return u, 0, 0.0
+        m = ops(u)
         aa, cc = self._aa, self._cc
-        turns = math.floor(u / (4.0 * self.K))
+        turns = m.floor(u / (4.0 * self.K))
         n = len(aa) - 1
         phi = (2.0 ** n) * aa[n] * (u - 4.0 * self.K * turns)
         zeta = 0.0
         for i in range(n, 0, -1):
-            s = math.sin(phi)
+            s = m.sin(phi)
             zeta += cc[i] * s
-            phi = 0.5 * (phi + math.asin(min(1.0, max(-1.0, cc[i] / aa[i] * s))))
+            # c_n < a_n, so |c_n / a_n * s| <= 1 after rounding too: no clamp
+            phi = 0.5 * (phi + m.asin(cc[i] / aa[i] * s))
         return phi, turns, zeta
 
-    def sn_cn_dn(self, am: float) -> tuple[float, float, float]:
-        """sn, cn, dn at amplitude am; dn from k'^2 + k^2 cn^2, stable near k -> 1."""
-        sn, cn = math.sin(am), math.cos(am)
-        return sn, cn, math.sqrt((1.0 - self.k) * (1.0 + self.k) + (self.k * cn) ** 2)
+    def sn_cn_dn(self, am):
+        """sn, cn, dn at amplitude am (a float or an array); dn from
+        k'^2 + k^2 cn^2, stable near k -> 1."""
+        m = ops(am)
+        sn, cn = m.sin(am), m.cos(am)
+        return sn, cn, m.sqrt((1.0 - self.k) * (1.0 + self.k) + (self.k * cn) ** 2)
 
 
 def complete_K(k: float) -> float:

@@ -2,6 +2,8 @@
 
 import math
 
+import numpy as np
+
 
 class HeisenmagError(Exception):
     """Base class for all errors raised by this package."""
@@ -30,8 +32,13 @@ class LambdaNotFoundError(HeisenmagError):
     """No lattice-periodic trajectory exists for the requested element."""
 
 
-def check_finite(**values: float) -> None:
-    """Raise DomainError for the first named value that is NaN or infinite."""
+def check_finite(**values) -> None:
+    """Raise DomainError for the first named value (a float, or an array of
+    them) that is or holds a NaN or an infinity."""
     for name, value in values.items():
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except TypeError:  # an array of more than one value
+            finite = bool(np.all(np.isfinite(value)))
+        if not finite:
             raise DomainError(f"{name} must be finite, got {value}")

@@ -67,6 +67,9 @@ class OracleConfig:
 
 @dataclass(frozen=True)
 class StateVector:
+    """A state (x, y, z, x', y', z'); the fields may be equal-length
+    arrays, one state per entry, for the Lagrangian functions."""
+
     x: float
     y: float
     z: float
@@ -113,6 +116,7 @@ class OracleTrajectory:
         return StateVector.from_array(self._to_original(np.asarray(s)))
 
     def _to_original(self, s: np.ndarray) -> np.ndarray:
+        """One state (shape (6,)) or states as columns (shape (6, n))."""
         p = self.base
         if p.x == 0.0 and p.y == 0.0 and p.z == 0.0:
             return s
@@ -161,7 +165,7 @@ def integrate_general(
     conserved = xi - force.beta * ys[:, 0] - force.alpha * ys[:, 1]
     drift = float(np.max(np.abs(conserved - zp0)))
     traj = OracleTrajectory(force, base, sol.t, ys, drift, sol.sol)
-    traj.states = np.array([traj._to_original(s) for s in ys])
+    traj.states = traj._to_original(ys.T).T  # the columns map as one state
     return traj
 
 
@@ -308,26 +312,25 @@ def euler_lagrange_residual(
     if np.max(np.abs(np.diff(t) - dt)) > 1e-9 * abs(dt):
         raise DomainError("euler_lagrange_residual requires a uniform grid")
     n = len(t)
-    momenta = np.empty((n, 3))
-    grads = np.empty((n, 3))
-    for i in range(n):
-        s = StateVector.from_array(states[i])
-        momenta[i] = lagrangian_momenta(force, s)
-        grads[i] = lagrangian_gradients(force, s)
+    s = StateVector(*np.asarray(states, dtype=float).T)
+    momenta = lagrangian_momenta(force, s)
+    grads = np.broadcast_arrays(*lagrangian_gradients(force, s))
     res = []
     for q in range(3):
-        dm = np.convolve(momenta[:, q], _FD4_FIRST[::-1], mode="valid") / dt
-        res.append(dm - grads[2 : n - 2, q])
+        dm = np.convolve(momenta[q], _FD4_FIRST[::-1], mode="valid") / dt
+        res.append(dm - grads[q][2 : n - 2])
     return tuple(res)
 
 
 _FD6_SECOND = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
 
 
-def fd_second_derivative(f, t: float, h: float = 8e-3) -> float:
-    """6th-order central second difference of a scalar callable."""
+def fd_second_derivative(f, t, h: float = 8e-3):
+    """6th-order central second difference of f at t, a float or an array
+    of times that f accepts whole."""
     vals = np.array([f(t + i * h) for i in range(-3, 4)])
-    return float(np.dot(_FD6_SECOND, vals) / (h * h))
+    xpp = np.dot(_FD6_SECOND, vals) / (h * h)
+    return float(xpp) if np.ndim(xpp) == 0 else xpp
 
 
 def reduced_ode_residual(
@@ -335,15 +338,17 @@ def reduced_ode_residual(
 ) -> float:
     """max |x'' + h'(x) h(x) - rho| over ts, x'' by finite differences.
 
+    x_func is called on arrays of times, seven of them for the stencil.
+
     The elliptic evaluations behind x carry ~1e-14 noise, which a second
     difference divides by h^2; the 6th-order stencil at step 8e-3 keeps
     that amplification and the truncation both below ~4e-9, under the
     1e-8 acceptance threshold (a 2nd-order stencil at 1e-4 would sit at
     ~3e-8 from round-off alone).
     """
-    worst = 0.0
-    for t in ts:
-        xpp = fd_second_derivative(x_func, t, h)
-        x = x_func(t)
-        worst = max(worst, abs(xpp + data.h_prime(x) * data.h(x) - data.rho))
-    return worst
+    ts = np.asarray(ts, dtype=float)
+    if ts.size == 0:
+        return 0.0
+    xpp = fd_second_derivative(x_func, ts, h)
+    x = x_func(ts)
+    return float(np.max(np.abs(xpp + data.h_prime(x) * data.h(x) - data.rho)))

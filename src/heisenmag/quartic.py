@@ -26,6 +26,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._ops import ops
 from .errors import DomainError, IntervalError, check_finite
 
 __all__ = [
@@ -36,6 +37,7 @@ __all__ = [
     "mu_r_closed_forms",
     "discriminant",
     "monic_coefficients",
+    "delta_band",
     "quartic_roots",
 ]
 
@@ -46,7 +48,11 @@ _BRACKET_BAND = 1e-9  # overshoot of z0 + rho past a root bracket, relative to i
 
 @dataclass(frozen=True)
 class InitialData:
-    """Initial velocity (x0, y0, z0) at the identity and the force level rho."""
+    """Initial velocity (x0, y0, z0) at the identity and the force level rho.
+
+    The fields may also be equal-length arrays, one datum per entry, for
+    the batched formulas: norm_sq, zr, h and monic_coefficients.
+    """
 
     x0: float
     y0: float
@@ -59,7 +65,8 @@ class InitialData:
     @property
     def norm_sq(self) -> float:
         """x0^2 + (y0+1)^2, the squared norm of V0 + e2."""
-        return self.x0 ** 2 + (self.y0 + 1.0) ** 2
+        pow_ = ops(self.x0).pow
+        return pow_(self.x0, 2) + pow_(self.y0 + 1.0, 2)
 
     @property
     def zr(self) -> float:
@@ -101,27 +108,35 @@ class Branch(Enum):
 
 def monic_coefficients(data: InitialData) -> tuple[float, float]:
     """(p0, q0) of the monic quartic eta^4 + 2p0 eta^2 - 8 rho eta + q0."""
-    p0 = 2.0 * (data.y0 + 1.0) - data.zr ** 2
+    p0 = 2.0 * (data.y0 + 1.0) - ops(data.zr).pow(data.zr, 2)
     q0 = p0 * p0 + 8.0 * data.rho * data.zr - 4.0 * data.norm_sq
     return p0, q0
 
 
 def discriminant(p0: float, q0: float, rho: float) -> float:
     """Discriminant of the speed quartic; the standard one scaled by 1/256."""
+    pow_ = ops(p0).pow
     r2 = rho * rho
     return (
-        q0 * p0 ** 4
-        - 8.0 * r2 * p0 ** 3
+        q0 * pow_(p0, 4)
+        - 8.0 * r2 * pow_(p0, 3)
         - 432.0 * r2 * r2
         + 72.0 * r2 * q0 * p0
         - 2.0 * q0 * q0 * p0 * p0
-        + q0 ** 3
+        + pow_(q0, 3)
     )
 
 
 def _coefficient_scale(p0: float, q0: float, rho: float) -> float:
     # weight eta ~ 1: p0 ~ eta^2, rho ~ eta^3, q0 ~ eta^4
-    return max(1.0, abs(2.0 * p0), abs(8.0 * rho) ** (2.0 / 3.0), abs(q0) ** 0.5)
+    m = ops(p0)
+    return m.max(1.0, abs(2.0 * p0), m.pow(abs(8.0 * rho), 2.0 / 3.0), m.pow(abs(q0), 0.5))
+
+
+def delta_band(p0: float, q0: float, rho: float) -> float:
+    """Half-width of the band around Delta = 0 inside which the data count
+    as the repeated-root stratum; floats or equal-length arrays."""
+    return _ZERO_TOL * ops(p0).pow(_coefficient_scale(p0, q0, rho), 6)
 
 
 def _newton(x, step, residual):
@@ -247,7 +262,7 @@ def build_profile(data: InitialData) -> QuarticProfile:
     p0, q0 = monic_coefficients(data)
     rho = data.rho
     delta = discriminant(p0, q0, rho)
-    boundary = abs(delta) <= _ZERO_TOL * _coefficient_scale(p0, q0, rho) ** 6
+    boundary = abs(delta) <= delta_band(p0, q0, rho)
 
     # m(z0 + rho) = -4 x0^2 <= 0: the factor with the larger discriminant holds a
     # real pair; the other's is real iff Delta > 0, or in the band iff its disc >= 0

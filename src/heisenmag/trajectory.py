@@ -12,7 +12,9 @@ plus elementary terms), which gives y = (p0/2 - 1) t + (F(t) - F(0))/2, and
 z follows from the algebraic relation z = -x y / 2 - (z0+rho) y - x' + x0.
 Each branch is one state function u -> (x, x', F) of u = rate t + phase:
 on the elliptic branches one Landen descent at u gives sn, cn, dn and
-Jacobi's epsilon together, on an AGM scheme run once per solution.
+Jacobi's epsilon together, on an AGM scheme run once per solution.  The
+same state function takes a float (math, per point) or an array of u
+(numpy, all points at once); `evaluate` is the array entry point.
 
 The inverse-function phase constants fix x(0) = 0 only up to the branch
 of the inverse; construction corrects them by at most a sign flip so that
@@ -27,9 +29,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 # unused; perfbench's tracer counts quadrature in curve evaluation through this name
 from scipy.integrate import quad  # noqa: F401
 
+from ._ops import ops
 from .elliptic import AGM, inverse_cn, inverse_sn
 from .errors import BranchConsistencyError, DomainError
 from .heisenberg import HeisenbergPoint
@@ -47,7 +52,6 @@ __all__ = [
     "energy",
 ]
 
-_COSH_CUTOFF = 700.0
 # relative bands; each value scales with data.scale() where data is at hand
 _CLAMP_BAND = 1e-10  # round-off admitted in inverse-function arguments
 _X0_BAND = 1e-8  # |x(0)| a phase constant may leave
@@ -76,8 +80,9 @@ class _ClosedForm(NamedTuple):
     """The closed forms of one branch, in the variable u = rate t + phase."""
 
     rate: float
-    # u -> (x, x', F) with F' = (x + z0 + rho)^2 in t, from one evaluation
-    state: Callable[[float], tuple[float, float, float]]
+    # u -> (x, x', F) with F' = (x + z0 + rho)^2 in t, from one evaluation;
+    # u is a float or an array
+    state: Callable
     period: float | None = None  # omega, the x-period
     f_over_period: float | None = None  # F(omega) - F(0)
 
@@ -93,7 +98,7 @@ def _profile_neg(data: InitialData, prof: QuarticProfile) -> _ClosedForm:
     slope = 2.0 * d1 * d4 * (r1 - r4)  # N S - M D of the Moebius form
     c0 = -prof.p0 - 0.5 * ((r1 + r4) ** 2 + d1 * d4)
 
-    def state(u: float) -> tuple[float, float, float]:
+    def state(u):
         am, _, zeta = agm.descend(u)
         sn, cn, dn = agm.sn_cn_dn(am)
         den = den1 * cn + den0
@@ -123,7 +128,7 @@ def _profile_pos(data: InitialData, prof: QuarticProfile) -> _ClosedForm:
     c0 = base * base - span * span / (2.0 * (1.0 + kappa))
     c1 = span * span * kappa / (2.0 * (prof.k1 * prof.k1 + kappa) * (1.0 + kappa))
 
-    def state(u: float) -> tuple[float, float, float]:
+    def state(u):
         am, _, zeta = agm.descend(u)
         sn, cn, dn = agm.sn_cn_dn(am)
         q = 1.0 + kappa * sn * sn
@@ -142,9 +147,10 @@ def _profile_mu_pos(data: InitialData, prof: QuarticProfile) -> _ClosedForm:
     b = math.sqrt(mu)
     zr = data.zr
 
-    def state(u: float) -> tuple[float, float, float]:
-        s = math.sin(u)
-        g = r + g_amp * math.cos(u)
+    def state(u):
+        m = ops(u)
+        s = m.sin(u)
+        g = r + g_amp * m.cos(u)
         g_dot = -g_amp * b * s
         return (
             -2.0 * mu / g + r - zr,
@@ -158,20 +164,22 @@ def _profile_mu_pos(data: InitialData, prof: QuarticProfile) -> _ClosedForm:
 
 def _profile_mu_neg(data: InitialData, prof: QuarticProfile) -> _ClosedForm:
     r, mu = prof.r_double, prof.mu
-    g_amp = math.sqrt(r * r - mu)
     b = math.sqrt(-mu)
     zr = data.zr
-    sign = 1.0 if prof.branch is Branch.ZERO_MU_NEG_RIGHT else -1.0
+    # g = r + sa cosh u, the sign of sa picking the side of the saddle
+    sa = math.sqrt(r * r - mu) * (1.0 if prof.branch is Branch.ZERO_MU_NEG_RIGHT else -1.0)
 
-    def state(u: float) -> tuple[float, float, float]:
-        if abs(u) > _COSH_CUTOFF:  # sinh u / (r + s A cosh u) -> sign(u) / (s A)
-            return r - zr, 0.0, (r * r * u - 4.0 * mu * math.copysign(1.0, u)) / b
-        g = r + sign * g_amp * math.cosh(u)
-        g_dot = sign * g_amp * b * math.sinh(u)
+    def state(u):
+        # in e = exp(-|u|) no term overflows at any u, and as e underflows
+        # each one lands on its limit (x -> r - z0 - rho, x' -> 0)
+        m = ops(u)
+        e = m.exp(-abs(u))
+        d = 2.0 * r * e + sa * (1.0 + e * e)  # 2 e g
+        t = sa * m.tanh(u) * (1.0 + e * e) / d  # sa sinh u / g
         return (
-            -2.0 * mu / g + r - zr,
-            2.0 * mu * g_dot / (g * g),
-            (r * r * u - 4.0 * mu * g_dot / (b * g)) / b,
+            -4.0 * mu * e / d + r - zr,
+            4.0 * mu * b * t * e / d,
+            (r * r * u - 4.0 * mu * t) / b,
         )
 
     return _ClosedForm(b, state)
@@ -181,7 +189,7 @@ def _profile_cusp(data: InitialData, prof: QuarticProfile) -> _ClosedForm:
     r = prof.r_double
     zr = data.zr
 
-    def state(s: float) -> tuple[float, float, float]:
+    def state(s):
         q = 1.0 + (r * s) ** 2
         return -4.0 * r / q + r - zr, 8.0 * r ** 3 * s / q ** 2, r * r * (s + 8.0 * s / q)
 
@@ -190,7 +198,12 @@ def _profile_cusp(data: InitialData, prof: QuarticProfile) -> _ClosedForm:
 
 def _profile_trivial(data: InitialData, prof: QuarticProfile) -> _ClosedForm:
     zr = data.zr
-    return _ClosedForm(1.0, lambda u: (0.0, 0.0, zr * zr * u))
+
+    def state(u):
+        zero = u * 0.0 + 0.0  # +0.0, shaped like u
+        return zero, zero, zr * zr * u
+
+    return _ClosedForm(1.0, state)
 
 
 def _principal_phase(data: InitialData, prof: QuarticProfile) -> float:
@@ -267,6 +280,8 @@ class TrajectorySolution:
     Immutable after construction: every coordinate at a time t comes from
     one closed-form state evaluation, and the branch's AGM scheme runs
     once, in make_solution, so evaluation is safe from concurrent threads.
+    The accessors take a float time, or an array of times through the
+    same formulas on numpy.
     """
 
     data: InitialData
@@ -277,19 +292,25 @@ class TrajectorySolution:
     _closed: _ClosedForm = field(repr=False)
     _f0: float = field(repr=False)  # F at t = 0
 
-    def _x_xp_y(self, t: float) -> tuple[float, float, float]:
+    def _state(self, t):
+        """(x, x', y, z) at t, from one closed-form state evaluation."""
         x, xp, f = self._closed.state(self._closed.rate * t + self.phase)
         # y' = (x + z0 + rho)^2 / 2 + p0/2 - 1
-        return x, xp, (0.5 * self.profile.p0 - 1.0) * t + 0.5 * (f - self._f0)
+        y = (0.5 * self.profile.p0 - 1.0) * t + 0.5 * (f - self._f0)
+        return x, xp, y, -0.5 * x * y - self.data.zr * y - xp + self.data.x0
+
+    def evaluate(self, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Arrays x, x', y, z at the times ts, in one pass over the array."""
+        return self._state(np.asarray(ts, dtype=float))
 
     def x(self, t: float) -> float:
-        return self._x_xp_y(t)[0]
+        return self._state(t)[0]
 
     def x_prime(self, t: float) -> float:
-        return self._x_xp_y(t)[1]
+        return self._state(t)[1]
 
     def y(self, t: float) -> float:
-        return self._x_xp_y(t)[2]
+        return self._state(t)[2]
 
     def y_over_period(self) -> float:
         """The increment y(omega), in closed form; constant across periods.
@@ -302,23 +323,24 @@ class TrajectorySolution:
         return (0.5 * self.profile.p0 - 1.0) * self.x_period + 0.5 * f_inc
 
     def z(self, t: float) -> float:
-        return self.point(t).z
+        return self._state(t)[3]
 
     def point(self, t: float) -> HeisenbergPoint:
-        x, xp, y = self._x_xp_y(t)
-        return HeisenbergPoint(x, y, -0.5 * x * y - self.data.zr * y - xp + self.data.x0)
+        x, _, y, z = self._state(t)
+        return HeisenbergPoint(x, y, z)
 
     def velocity(self, t: float) -> tuple[float, float, float]:
         """(x', y', z') with y' = h(x) - 1 and z' from the level x + z0 of
         the centre component z' + (x'y - xy')/2."""
-        x, xp, y = self._x_xp_y(t)
+        x, xp, y, _ = self._state(t)
         yp = self.data.h(x) - 1.0
         zp = x + self.data.z0 - 0.5 * (xp * y - x * yp)
         return (xp, yp, zp)
 
     def sample(self, ts) -> list[tuple[float, float, float]]:
         """Curve points (x, y, z) at the times ts."""
-        return [(p.x, p.y, p.z) for p in map(self.point, ts)]
+        x, _, y, z = self.evaluate(ts)
+        return list(zip(x.tolist(), y.tolist(), z.tolist()))
 
 
 def make_solution(data: InitialData) -> TrajectorySolution:
@@ -433,8 +455,14 @@ class ReflectedTrajectory:
         p = self.source.point(-t)
         return HeisenbergPoint(p.x, -p.y, -p.z)
 
+    def evaluate(self, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Arrays x, x', y, z at the times ts, from the source at -ts."""
+        x, xp, y, z = self.source.evaluate(-np.asarray(ts, dtype=float))
+        return x, -xp, -y, -z
+
     def sample(self, ts) -> list[tuple[float, float, float]]:
-        return [(p.x, p.y, p.z) for p in map(self.point, ts)]
+        x, _, y, z = self.evaluate(ts)
+        return list(zip(x.tolist(), y.tolist(), z.tolist()))
 
     def velocity(self, t: float) -> tuple[float, float, float]:
         xp, yp, zp = self.source.velocity(-t)

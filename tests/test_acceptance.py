@@ -5,7 +5,10 @@ report, or `heisenmag verify --suite all` for the same checks from the
 CLI.  HEISENMAG_TOL scales the thresholds.
 """
 
+import numpy as np
+
 from heisenmag import acceptance
+from heisenmag.quartic import InitialData, delta_band, discriminant, monic_coefficients
 
 
 def _run(name):
@@ -34,6 +37,17 @@ def test_criterion_03_discriminant_classification():
     assert r.details["mismatches"] == 0
     assert r.details["worst_viete"] < 1e-9
     assert r.elapsed < 10.0
+
+
+def test_criterion_03_columns_equal_scalar_formulas():
+    # the batched p0, q0, Delta and band of criterion 3, bit for bit
+    draws = np.random.default_rng(3).uniform(-3.0, 3.0, (1000, 4))
+    columns = np.stack(acceptance._discriminant_columns(draws), axis=1)
+    rows = []
+    for x0, y0, z0, rho in draws.tolist():
+        p0, q0 = monic_coefficients(InitialData(x0, y0, z0, rho))
+        rows.append((p0, q0, rho, discriminant(p0, q0, rho), delta_band(p0, q0, rho)))
+    assert np.array_equal(columns.view(np.int64), np.array(rows).view(np.int64))
 
 
 def test_criterion_04_periodicity_criterion():

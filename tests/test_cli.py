@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from heisenmag.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, export_samples, main
+from heisenmag.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, export_samples, main
 
 
 def run_cli(argv, capsys):
@@ -190,6 +190,21 @@ class TestVerify:
         assert code == EXIT_OK
         obj = json.loads(out)
         assert obj["ode_residual"] < 1e-8
+
+    def test_json_records(self, capsys):
+        code, out, _ = run_cli(["verify", "--suite", "lattice-obstruction", "--json"], capsys)
+        assert code == EXIT_OK
+        (record,) = json.loads(out)
+        assert record["name"] == "lattice-obstruction" and record["passed"] is True
+        assert record["elapsed"] >= 0.0
+        assert record["details"] == {"rotated": False, "standard": True}
+
+    def test_json_failure_keeps_exit_code(self, monkeypatch, capsys):
+        monkeypatch.setenv("HEISENMAG_TOL", "1e-30")
+        code, out, _ = run_cli(["verify", "--suite", "first-integral", "--json"], capsys)
+        assert code == EXIT_VERIFY
+        (record,) = json.loads(out)
+        assert record["passed"] is False and record["details"]["max_drift"] > 0.0
 
     def test_unknown_suite_is_usage_error(self, capsys):
         code, _, _ = run_cli(["verify", "--suite", "no-such-suite"], capsys)

@@ -13,9 +13,13 @@ from heisenmag.oracle import (
     OracleConfig,
     StateVector,
     euler_lagrange_residual,
+    fd_second_derivative,
     integrate_general,
+    lagrangian_gradients,
+    lagrangian_momenta,
     lagrangian_value,
     metric_speed_sq,
+    reduced_ode_residual,
     taylor_reduced,
 )
 from heisenmag.quartic import Branch, InitialData
@@ -304,9 +308,42 @@ class TestEulerLagrange:
         )
         np.testing.assert_allclose(rz, expected, atol=1e-6)
 
+    def test_columns_equal_per_row_reference(self):
+        # a start off the identity also maps the states back as columns
+        force = LorentzForce(0.7, 1.2, 0.9)
+        cfg = OracleConfig(rel_tol=1e-11, abs_tol=1e-13, t_span=(0.0, 5.0))
+        orc = integrate_general(force, StateVector(0.3, -0.2, 0.1, 0.4, -0.3, 0.6), cfg, 501)
+        n = len(orc.t)
+        momenta, grads = np.empty((n, 3)), np.empty((n, 3))
+        for i in range(n):
+            s = StateVector.from_array(orc.states[i])
+            momenta[i] = lagrangian_momenta(force, s)
+            grads[i] = lagrangian_gradients(force, s)
+        dt = orc.t[1] - orc.t[0]
+        stencil = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
+        residuals = euler_lagrange_residual(force, orc.t, orc.states)
+        for q, res in enumerate(residuals):
+            ref = np.convolve(momenta[:, q], stencil[::-1], mode="valid") / dt - grads[2 : n - 2, q]
+            assert np.array_equal(res.view(np.int64), ref.view(np.int64))
+
     def test_rejects_nonuniform_grid(self):
         force = LorentzForce(0, 1, 1)
         ts = np.array([0.0, 0.1, 0.25, 0.3, 0.4, 0.5])
         states = np.zeros((6, 6))
         with pytest.raises(DomainError):
             euler_lagrange_residual(force, ts, states)
+
+
+class TestReducedOdeResidual:
+    def test_array_stencil_matches_pointwise_loop(self):
+        from heisenmag.trajectory import make_solution
+
+        data = InitialData(1.0, 0.5, 0.2, 1.0)
+        sol = make_solution(data)
+        ts = np.linspace(0.05, 10.0, 50)
+        worst = max(
+            abs(fd_second_derivative(sol.x, t) + data.h_prime(x) * data.h(x) - data.rho)
+            for t, x in ((t, sol.x(t)) for t in ts.tolist())
+        )
+        assert abs(reduced_ode_residual(sol.x, data, ts) - worst) < 1e-11
+        assert reduced_ode_residual(sol.x, data, []) == 0.0

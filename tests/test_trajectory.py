@@ -1,5 +1,6 @@
 """Closed-form trajectories: branch constants, images, periods, symmetry."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -400,3 +401,60 @@ class TestEnergy:
             v = sol.velocity(t)
             body_z = v[2] + 0.5 * (v[0] * p.y - p.x * v[1])
             assert abs(0.5 * (v[0] ** 2 + v[1] ** 2 + body_z ** 2) - e0) < 1e-9
+
+
+def _assert_evaluate_matches_accessors(traj, ts):
+    """evaluate(ts) against the scalar accessors, within 1e-14 max(1, |v|)."""
+    cols = traj.evaluate(ts)
+    assert all(isinstance(c, np.ndarray) and c.shape == np.shape(ts) for c in cols)
+    for col, accessor in zip(cols, (traj.x, traj.x_prime, traj.y, traj.z)):
+        ref = np.array([accessor(t) for t in np.asarray(ts).tolist()])
+        assert np.all(np.abs(col - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+
+
+class TestArrayEvaluation:
+    TS = np.concatenate([np.linspace(-25.0, 25.0, 301), [0.0, 1e-9, 123.456]])
+
+    @pytest.mark.parametrize("branch,data", ALL_CASES + [(Branch.TRIVIAL, InitialData(0, 0, 0, 1))])
+    def test_matches_scalar_accessors(self, branch, data):
+        sol = make_solution(data)
+        assert sol.profile.branch is branch
+        _assert_evaluate_matches_accessors(sol, self.TS)
+
+    def test_reflected(self):
+        refl = reflect_for_negative_x0(InitialData(-1.0, 0.5, 0.2, 1.0))
+        _assert_evaluate_matches_accessors(refl, self.TS)
+        x, xp, y, z = refl.evaluate([0.0])
+        assert max(abs(x[0]), abs(xp[0] + 1.0), abs(y[0]), abs(z[0])) < 1e-12
+
+    def test_modulus_zero(self):
+        data = InitialData(1.0, 0.5, 0.2, 1.0)
+        prof = dataclasses.replace(build_profile(data), k=0.0)
+        state = trajectory._profile_neg(data, prof).state
+        us = np.linspace(-10.0, 10.0, 41)
+        cols = state(us)
+        for i, u in enumerate(us.tolist()):
+            for col, v in zip(cols, state(u)):
+                assert abs(col[i] - v) <= 1e-14 * max(1.0, abs(v))
+        phi, turns, zeta = elliptic.AGM(0.0).descend(us)
+        assert phi is us and turns == 0 and zeta == 0.0
+
+    @pytest.mark.parametrize("branch", [Branch.ZERO_MU_NEG_RIGHT, Branch.ZERO_MU_NEG_LEFT])
+    def test_saddle_far_out(self, branch):
+        # |u| = |rate t + phase| from 600 to 10^4: e^-|u| underflows past 745
+        data = BRANCH_CASES[branch][0]
+        sol = make_solution(data)
+        us = np.array([-1e4, -800.0, -746.0, -710.0, -600.0, 600.0, 710.0, 746.0, 800.0, 1e4])
+        ts = (us - sol.phase) / sol._closed.rate
+        _assert_evaluate_matches_accessors(sol, ts)
+        x, xp, _, _ = sol.evaluate(ts)
+        limit = sol.profile.r_double - data.zr
+        assert np.all(np.isfinite(x)) and np.all(np.abs(x - limit) <= 1e-14 * max(1.0, abs(limit)))
+        assert np.all(np.abs(xp) < 1e-200)
+
+    def test_empty_times(self):
+        for traj in (make_solution(InitialData(1.0, 0.5, 0.2, 1.0)),
+                     reflect_for_negative_x0(InitialData(-1.0, 0.5, 0.2, 1.0))):
+            cols = traj.evaluate([])
+            assert len(cols) == 4 and all(c.shape == (0,) for c in cols)
+            assert traj.sample([]) == []
