@@ -69,7 +69,6 @@ from .trajectory import (
     energy,
     exact_trajectory,
     make_solution,
-    reflect_for_negative_x0,
     translate,
 )
 

@@ -27,7 +27,7 @@ from .periodic import (
     lattice_obstruction_check,
 )
 from .quartic import Branch, InitialData, build_profile
-from .trajectory import make_solution, reflect_for_negative_x0
+from .trajectory import make_solution
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -79,8 +79,8 @@ def export_samples(rows, header, path=None, fmt: str = "csv"):
     try:
         if fmt == "csv":
             out.write(",".join(header) + "\n")
-            for row in rows:
-                out.write(",".join(_f(v) for v in row) + "\n")
+            line = ",".join(["%.17g"] * len(header)) + "\n"  # format(v, ".17g") per value
+            out.writelines(line % tuple(row) for row in rows)
         else:
             _emit_json([dict(zip(header, row)) for row in rows], out)
     finally:
@@ -144,10 +144,7 @@ def _cmd_classify_ic(args, out) -> int:
 
 def _cmd_sample(args, out) -> int:
     data = InitialData(args.x0, args.y0, args.z0, args.rho)
-    if data.x0 >= 0.0:
-        traj = make_solution(data)
-    else:
-        traj = reflect_for_negative_x0(data)
+    traj = make_solution(data)
     ts = _time_grid(args.t_max, args.dt)
     x, xp, y, z = traj.evaluate(ts)
     # body-frame speed needs no y: y' = h(x) - 1 and the centre

@@ -267,13 +267,14 @@ def build_profile(data: InitialData) -> QuarticProfile:
     # m(z0 + rho) = -4 x0^2 <= 0: the factor with the larger discriminant holds a
     # real pair; the other's is real iff Delta > 0, or in the band iff its disc >= 0
     wide, narrow = sorted(_descartes_factors(p0, q0, rho), reverse=True)
-    narrow_real = narrow[0] >= 0.0 if boundary or data.is_trivial else delta > 0.0
+    trivial = data.is_trivial
+    narrow_real = narrow[0] >= 0.0 if boundary or trivial else delta > 0.0
     pair = sorted(_factor_roots(*wide, True))
     other = _factor_roots(*narrow, narrow_real)
     reals = sorted(pair + list(other)) if narrow_real else pair
     ordered = tuple(complex(r) for r in reals) + (() if narrow_real else other)
 
-    if data.is_trivial:
+    if trivial:
         return QuarticProfile(
             p0, q0, rho, delta, ordered, reals[0], reals[-1],
             None, None, None, None, None, None, Branch.TRIVIAL, boundary,

@@ -16,11 +16,13 @@ Jacobi's epsilon together, on an AGM scheme run once per solution.  The
 same state function takes a float (math, per point) or an array of u
 (numpy, all points at once); `evaluate` is the array entry point.
 
-The inverse-function phase constants fix x(0) = 0 only up to the branch
-of the inverse; construction corrects them by at most a sign flip so that
-sign(x'(0)) = sign(x0), and records the correction.  Negative x0 goes
-through the time-reversal symmetry (x, y, z)(t) -> (x, -y, -z)(-t), and
-arbitrary base points through left translation.
+Negative x0 goes through the time-reversal symmetry
+(x, y, z)(t) -> (x, -y, -z)(-t), which sends x0 to -x0: a solution with
+time direction sigma = -1 evaluates the |x0| curve at -t and negates x',
+y and z.  The inverse-function phase constants fix x(0) = 0 only up to
+the branch of the inverse; construction corrects them by at most a sign
+flip so that x'(0) = |x0| on the |x0| curve, and records the correction.
+Arbitrary base points go through left translation.
 """
 
 from __future__ import annotations
@@ -43,11 +45,9 @@ from .quartic import Branch, InitialData, QuarticProfile, build_profile
 __all__ = [
     "TrajectorySolution",
     "ExactTrajectory",
-    "ReflectedTrajectory",
     "TranslatedTrajectory",
     "make_solution",
     "exact_trajectory",
-    "reflect_for_negative_x0",
     "translate",
     "energy",
 ]
@@ -55,7 +55,7 @@ __all__ = [
 # relative bands; each value scales with data.scale() where data is at hand
 _CLAMP_BAND = 1e-10  # round-off admitted in inverse-function arguments
 _X0_BAND = 1e-8  # |x(0)| a phase constant may leave
-_SLOPE_BAND = 1e-7  # |x'(0) - x0|, and the reflected velocity's mismatch
+_SLOPE_BAND = 1e-7  # |sigma'(0) - (x0, y0, z0)|
 _VANISHING_BAND = 1e-12  # x0 at a turning point, z0 + rho of a subgroup
 
 
@@ -206,7 +206,7 @@ def _profile_trivial(data: InitialData, prof: QuarticProfile) -> _ClosedForm:
     return _ClosedForm(1.0, state)
 
 
-def _principal_phase(data: InitialData, prof: QuarticProfile) -> float:
+def _principal_phase(data: InitialData, prof: QuarticProfile, scale: float) -> float:
     """The inverse-function phase constant on its principal branch.
 
     A vanishing x0 puts the start at a turning point, where the inverse
@@ -216,7 +216,7 @@ def _principal_phase(data: InitialData, prof: QuarticProfile) -> float:
     """
     zr = data.zr
     branch = prof.branch
-    turning = abs(data.x0) <= _VANISHING_BAND * data.scale()
+    turning = abs(data.x0) <= _VANISHING_BAND * scale
     if branch is Branch.NEG:
         d1, d4 = prof.delta1, prof.delta4
         num = (prof.r4 - zr) * d1 - (zr - prof.r1) * d4
@@ -275,7 +275,13 @@ _PROFILE_BUILDERS = {
 
 @dataclass
 class TrajectorySolution:
-    """Evaluable magnetic trajectory through the identity, x0 >= 0.
+    """Evaluable magnetic trajectory through the identity, for any x0.
+
+    The closed forms describe the curve with initial velocity
+    (|x0|, y0, z0).  The time direction sigma is -1.0 for x0 < 0 and +1.0
+    otherwise (x0 = -0.0 included): the accessors evaluate that curve at
+    sigma t and return (x, sigma x', sigma y, sigma z), the time reversal
+    (x, y, z)(t) -> (x, -y, -z)(-t) when sigma = -1.
 
     Immutable after construction: every coordinate at a time t comes from
     one closed-form state evaluation, and the branch's AGM scheme runs
@@ -289,15 +295,20 @@ class TrajectorySolution:
     phase: float
     phase_flipped: bool  # principal constant needed a sign flip for x'(0)
     x_period: float | None
+    sigma: float  # time direction, sign(x0) with +1.0 at x0 = 0
     _closed: _ClosedForm = field(repr=False)
     _f0: float = field(repr=False)  # F at t = 0
 
     def _state(self, t):
         """(x, x', y, z) at t, from one closed-form state evaluation."""
+        s = self.sigma
+        t = s * t
         x, xp, f = self._closed.state(self._closed.rate * t + self.phase)
         # y' = (x + z0 + rho)^2 / 2 + p0/2 - 1
         y = (0.5 * self.profile.p0 - 1.0) * t + 0.5 * (f - self._f0)
-        return x, xp, y, -0.5 * x * y - self.data.zr * y - xp + self.data.x0
+        # negated at the end, not inside the formulas, to keep signed zeros
+        z = -0.5 * x * y - self.data.zr * y - xp + s * self.data.x0
+        return x, s * xp, s * y, s * z
 
     def evaluate(self, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Arrays x, x', y, z at the times ts, in one pass over the array."""
@@ -333,9 +344,7 @@ class TrajectorySolution:
         """(x', y', z') with y' = h(x) - 1 and z' from the level x + z0 of
         the centre component z' + (x'y - xy')/2."""
         x, xp, y, _ = self._state(t)
-        yp = self.data.h(x) - 1.0
-        zp = x + self.data.z0 - 0.5 * (xp * y - x * yp)
-        return (xp, yp, zp)
+        return _velocity(self.data, x, xp, y)
 
     def sample(self, ts) -> list[tuple[float, float, float]]:
         """Curve points (x, y, z) at the times ts."""
@@ -343,30 +352,35 @@ class TrajectorySolution:
         return list(zip(x.tolist(), y.tolist(), z.tolist()))
 
 
+def _velocity(data: InitialData, x, xp, y) -> tuple[float, float, float]:
+    yp = data.h(x) - 1.0
+    return (xp, yp, x + data.z0 - 0.5 * (xp * y - x * yp))
+
+
 def make_solution(data: InitialData) -> TrajectorySolution:
-    """Build the closed-form trajectory for x0 >= 0 initial data."""
-    if data.x0 < 0.0:
-        raise DomainError(
-            "make_solution requires x0 >= 0; use reflect_for_negative_x0"
-        )
+    """Build the closed-form trajectory for any finite initial data."""
+    scale = data.scale()
+    sigma = -1.0 if data.x0 < 0.0 else 1.0
     prof = build_profile(data)
-    principal = _principal_phase(data, prof)
+    principal = _principal_phase(data, prof, scale)
     closed = _PROFILE_BUILDERS[prof.branch](data, prof)
-    tol0 = _X0_BAND * data.scale()
+    tol0 = _X0_BAND * scale
     for flipped, phase in ((False, principal), (True, -principal)):
-        x0, xp0, f0 = closed.state(phase)
-        if abs(x0) <= tol0 and xp0 * data.x0 >= -tol0:
+        x_start, xp0, f0 = closed.state(phase)
+        if abs(x_start) <= tol0 and xp0 * sigma * data.x0 >= -tol0:
             break
     else:
         raise BranchConsistencyError(
             f"branch {prof.branch}: x(0) = {closed.state(principal)[0]} with principal "
             f"constant {principal}; no sign correction restores x(0) = 0"
         )
-    if abs(xp0 - data.x0) > _SLOPE_BAND * data.scale():
+    v = _velocity(data, x_start, sigma * xp0, 0.0)  # y(0) = 0
+    err = max(abs(v[0] - data.x0), abs(v[1] - data.y0), abs(v[2] - data.z0))
+    if err > _SLOPE_BAND * scale:
         raise BranchConsistencyError(
-            f"branch {prof.branch}: x'(0) = {xp0} != x0 = {data.x0}"
+            f"branch {prof.branch}: sigma'(0) = {v} != ({data.x0}, {data.y0}, {data.z0})"
         )
-    return TrajectorySolution(data, prof, phase, flipped, closed.period, closed, f0)
+    return TrajectorySolution(data, prof, phase, flipped, closed.period, sigma, closed, f0)
 
 
 # --- Exact forces F_{0,rho} ---------------------------------------------------
@@ -428,75 +442,13 @@ def exact_trajectory(data: InitialData, t: float) -> HeisenbergPoint:
 # --- Symmetry extensions -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReflectedTrajectory:
-    """Trajectory with x0 < 0 via the symmetry (x,y,z)(t) -> (x,-y,-z)(-t).
-
-    `source` is the solution for |x0| with the same y0, z0, rho; the
-    transformed curve has initial velocity (x0, y0, z0) and the same energy.
-    """
-
-    data: InitialData
-    source: TrajectorySolution
-
-    def x(self, t: float) -> float:
-        return self.source.x(-t)
-
-    def y(self, t: float) -> float:
-        return -self.source.y(-t)
-
-    def z(self, t: float) -> float:
-        return -self.source.z(-t)
-
-    def x_prime(self, t: float) -> float:
-        return -self.source.x_prime(-t)
-
-    def point(self, t: float) -> HeisenbergPoint:
-        p = self.source.point(-t)
-        return HeisenbergPoint(p.x, -p.y, -p.z)
-
-    def evaluate(self, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Arrays x, x', y, z at the times ts, from the source at -ts."""
-        x, xp, y, z = self.source.evaluate(-np.asarray(ts, dtype=float))
-        return x, -xp, -y, -z
-
-    def sample(self, ts) -> list[tuple[float, float, float]]:
-        x, _, y, z = self.evaluate(ts)
-        return list(zip(x.tolist(), y.tolist(), z.tolist()))
-
-    def velocity(self, t: float) -> tuple[float, float, float]:
-        xp, yp, zp = self.source.velocity(-t)
-        return (-xp, yp, zp)
-
-    @property
-    def x_period(self) -> float | None:
-        return self.source.x_period
+# perfbench calls this name and traces ReflectedTrajectory.sample; both
+# aliases go with the benchmark retarget (ROADMAP item 5)
+def reflect_for_negative_x0(data: InitialData) -> TrajectorySolution:
+    return make_solution(data)
 
 
-def reflect_for_negative_x0(data: InitialData) -> ReflectedTrajectory:
-    """Solution for x0 < 0 built from the |x0| solution by time reversal.
-
-    The two equivalent statements of this symmetry (reverse time in x only and
-    rebuild y, z; or flip the signs of y and z of the reversed curve) agree;
-    construction checks the transformed initial velocity against the data
-    and fails loudly if the convention were wrong.
-    """
-    if data.x0 > 0.0:
-        raise DomainError("reflect_for_negative_x0 expects x0 <= 0")
-    source = make_solution(
-        InitialData(abs(data.x0), data.y0, data.z0, data.rho)
-    )
-    refl = ReflectedTrajectory(data, source)
-    v = refl.velocity(0.0)
-    err = max(
-        abs(v[0] - data.x0), abs(v[1] - data.y0), abs(v[2] - data.z0)
-    )
-    if err > _SLOPE_BAND * data.scale():
-        raise BranchConsistencyError(
-            f"reflection convention check failed: sigma'(0) = {v}, "
-            f"expected ({data.x0}, {data.y0}, {data.z0})"
-        )
-    return refl
+ReflectedTrajectory = TrajectorySolution
 
 
 @dataclass(frozen=True)

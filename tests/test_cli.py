@@ -4,10 +4,13 @@ import csv
 import io
 import json
 import math
+import random
 
 import pytest
 
 from heisenmag.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, export_samples, main
+from heisenmag.quartic import InitialData
+from heisenmag.trajectory import make_solution
 
 
 def run_cli(argv, capsys):
@@ -89,7 +92,7 @@ class TestSample:
         rows = list(csv.reader(io.StringIO(out)))[1:]
         assert max(abs(float(r[4])) for r in rows) < 1e-9
 
-    def test_negative_x0_goes_through_reflection(self, capsys):
+    def test_negative_x0_samples_the_time_reversal(self, capsys):
         code, out, _ = run_cli(
             [
                 "sample", "--x0", "-1", "--y0", "0.5", "--z0", "0.2", "--rho", "1",
@@ -98,6 +101,11 @@ class TestSample:
             capsys,
         )
         assert code == EXIT_OK
+        sol = make_solution(InitialData(1.0, 0.5, 0.2, 1.0))
+        for row in list(csv.reader(io.StringIO(out)))[1:]:
+            t, x, y, z = (float(v) for v in row[:4])
+            p = sol.point(-t)
+            assert (x, y, z) == (p.x, -p.y, -p.z)
 
     def test_json_format(self, capsys):
         _, out, _ = run_cli(
@@ -117,6 +125,18 @@ class TestSample:
         text = path.read_text().splitlines()
         parsed = [float(v) for v in text[1].split(",")]
         assert parsed == list(rows[0])
+
+    def test_csv_digits_match_format(self, tmp_path):
+        specials = [0.0, -0.0, 5e-324, -2.5e-310, math.inf, -math.inf, math.nan, 1e308,
+                    -1.7976931348623157e308, 2.2250738585072014e-308]
+        rng = random.Random(5)
+        randoms = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-20, 20) for _ in range(40)]
+        values = specials + randoms
+        rows = [tuple(values[i:i + 5]) for i in range(0, len(values), 5)]
+        path = tmp_path / "digits.csv"
+        export_samples(rows, ["t", "x", "y", "z", "energy_residual"], str(path))
+        expected = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in rows)
+        assert path.read_text() == "t,x,y,z,energy_residual\n" + expected
 
     def test_zero_rows_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"

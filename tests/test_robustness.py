@@ -20,7 +20,7 @@ from heisenmag.periodic import (
     solve_dc,
 )
 from heisenmag.quartic import Branch, InitialData, build_profile
-from heisenmag.trajectory import make_solution, reflect_for_negative_x0
+from heisenmag.trajectory import make_solution
 
 
 class TestRandomCrossValidation:
@@ -64,7 +64,7 @@ class TestRandomCrossValidation:
                 rng.normal(0, 1.0),
                 abs(rng.normal(0, 1.0)),
             )
-            refl = reflect_for_negative_x0(data)
+            refl = make_solution(data)
             cfg = OracleConfig(rel_tol=1e-12, abs_tol=1e-14, t_span=(0.0, 8.0))
             orc = integrate_general(
                 LorentzForce(0, 1, data.rho),

@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from heisenmag.errors import DomainError
 from heisenmag.heisenberg import HeisenbergPoint, LorentzForce
 from heisenmag.oracle import (
     OracleConfig,
@@ -14,6 +13,7 @@ from heisenmag.oracle import (
     integrate_general,
     reduced_ode_residual,
 )
+from heisenmag.periodic import initial_from_cde
 from heisenmag import elliptic, trajectory
 from heisenmag.quartic import Branch, InitialData, build_profile
 from heisenmag.trajectory import (
@@ -21,7 +21,6 @@ from heisenmag.trajectory import (
     energy,
     exact_trajectory,
     make_solution,
-    reflect_for_negative_x0,
     translate,
 )
 
@@ -84,7 +83,7 @@ class TestBranchSolutions:
         monkeypatch.setattr(trajectory, "quad", no_quad)
         sol = make_solution(data)
         assert sol.profile.branch is branch
-        refl = reflect_for_negative_x0(InitialData(-data.x0, data.y0, data.z0, data.rho))
+        refl = make_solution(InitialData(-data.x0, data.y0, data.z0, data.rho))
         ts = (-41.3, -0.35, 0.0, 3.3, 58.2)
         for traj in (sol, refl):
             assert len(traj.sample(ts)) == len(ts)
@@ -323,20 +322,23 @@ class TestExactForce:
 class TestSymmetries:
     def test_reflection_initial_velocity(self):
         data = InitialData(-1.0, 0.5, 0.2, 1.0)
-        refl = reflect_for_negative_x0(data)
+        refl = make_solution(data)
+        assert refl.sigma == -1.0
         v = refl.velocity(0.0)
         np.testing.assert_allclose(v, (-1.0, 0.5, 0.2), atol=1e-10)
 
     def test_reflection_zero_is_identity_transform(self):
-        data = InitialData(0.0, 0.3, -0.4, 1.0)
-        refl = reflect_for_negative_x0(data)
+        # x0 = 0 is a turning point, so x is even in t and the time
+        # reversal leaves it: -0.0 keeps sigma = +1
+        refl = make_solution(InitialData(-0.0, 0.3, -0.4, 1.0))
         sol = make_solution(InitialData(0.0, 0.3, -0.4, 1.0))
+        assert refl.sigma == sol.sigma == 1.0
         for t in (0.5, 2.0):
             assert abs(refl.x(t) - sol.x(-t)) < 1e-12
 
     def test_reflection_against_oracle(self):
         data = InitialData(-1.0, 0.5, 0.2, 1.0)
-        refl = reflect_for_negative_x0(data)
+        refl = make_solution(data)
         cfg = OracleConfig(rel_tol=1e-12, abs_tol=1e-14, t_span=(0.0, 10.0))
         orc = integrate_general(
             LorentzForce(0.0, 1.0, 1.0),
@@ -352,10 +354,6 @@ class TestSymmetries:
         assert energy(InitialData(-1.0, 0.5, 0.2, 1.0)) == energy(
             InitialData(1.0, 0.5, 0.2, 1.0)
         )
-
-    def test_reflection_rejects_positive(self):
-        with pytest.raises(DomainError):
-            reflect_for_negative_x0(InitialData(1.0, 0.0, 0.0, 1.0))
 
     def test_translate_base_point(self):
         sol = make_solution(InitialData(1.0, 0.5, 0.2, 1.0))
@@ -385,6 +383,61 @@ class TestSymmetries:
         for t, s in zip(orc.t, orc.states):
             p = moved.point(t)
             assert max(abs(p.x - s[0]), abs(p.y - s[1]), abs(p.z - s[2])) < 1e-8
+
+
+def _same_bits(a, b):
+    """Equal values with equal signs, zeros included; NaN never matches."""
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestTimeReversal:
+    """x0 < 0 is the |x0| curve run backwards: (x, -x', -y, -z) at -t."""
+
+    TS = np.concatenate([np.linspace(-30.0, 30.0, 121), [0.0, -0.0, 1e-9, -1e-9]])
+    SCALAR_TS = (0.0, -0.0, 1e-9, 0.35, -2.7, 13.1)
+
+    @pytest.mark.parametrize("branch,data", ALL_CASES, ids=lambda v: str(v)[:40])
+    def test_bit_for_bit(self, branch, data):
+        pos = make_solution(data)
+        neg = make_solution(InitialData(-float(data.x0), data.y0, data.z0, data.rho))
+        for sol in (pos, neg):
+            d = sol.data
+            np.testing.assert_allclose(sol.velocity(0.0), (d.x0, d.y0, d.z0),
+                                       rtol=0.0, atol=1e-10 * d.scale())
+        if data.x0 == 0:
+            # -0.0 stays on the + side: the same curve, z up to the sign of a zero
+            assert neg.sigma == pos.sigma == 1.0
+            got, ref = neg.evaluate(self.TS), pos.evaluate(self.TS)
+            assert all(_same_bits(g, r) for g, r in zip(got[:3], ref[:3]))
+            assert np.array_equal(got[3], ref[3])
+            return
+        assert (pos.sigma, neg.sigma) == (1.0, -1.0)
+        assert neg.profile.branch is branch and neg.phase == pos.phase
+        x, xp, y, z = pos.evaluate(-self.TS)
+        for got, ref in zip(neg.evaluate(self.TS), (x, -xp, -y, -z)):
+            assert _same_bits(got, ref)
+        for t in self.SCALAR_TS:
+            p, q = neg.point(t), pos.point(-t)
+            xp_, yp_, zp_ = pos.velocity(-t)
+            assert repr(neg.x(t)) == repr(pos.x(-t))
+            assert repr(neg.x_prime(t)) == repr(-pos.x_prime(-t))
+            assert repr(neg.y(t)) == repr(-pos.y(-t))
+            assert repr(neg.z(t)) == repr(-pos.z(-t))
+            assert repr((p.x, p.y, p.z)) == repr((q.x, -q.y, -q.z))
+            assert repr(neg.velocity(t)) == repr((-xp_, yp_, zp_))
+        assert repr(neg.x_period) == repr(pos.x_period)
+
+    def test_y_over_period(self):
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            c, d, e, rho = (rng.uniform(0.5, 2.2), rng.uniform(0.1, 0.9),
+                            rng.uniform(-0.95, 0.95), rng.uniform(0, 2))
+            data = initial_from_cde(c, d, e, rho)
+            sol = make_solution(InitialData(-data.x0, data.y0, data.z0, data.rho))
+            assert sol.sigma == -1.0
+            y = sol.evaluate([sol.x_period])[2][0]
+            assert abs(sol.y_over_period() - y) <= 1e-12 * max(1.0, abs(y))
 
 
 class TestEnergy:
@@ -422,7 +475,7 @@ class TestArrayEvaluation:
         _assert_evaluate_matches_accessors(sol, self.TS)
 
     def test_reflected(self):
-        refl = reflect_for_negative_x0(InitialData(-1.0, 0.5, 0.2, 1.0))
+        refl = make_solution(InitialData(-1.0, 0.5, 0.2, 1.0))
         _assert_evaluate_matches_accessors(refl, self.TS)
         x, xp, y, z = refl.evaluate([0.0])
         assert max(abs(x[0]), abs(xp[0] + 1.0), abs(y[0]), abs(z[0])) < 1e-12
@@ -454,7 +507,7 @@ class TestArrayEvaluation:
 
     def test_empty_times(self):
         for traj in (make_solution(InitialData(1.0, 0.5, 0.2, 1.0)),
-                     reflect_for_negative_x0(InitialData(-1.0, 0.5, 0.2, 1.0))):
+                     make_solution(InitialData(-1.0, 0.5, 0.2, 1.0))):
             cols = traj.evaluate([])
             assert len(cols) == 4 and all(c.shape == (0,) for c in cols)
             assert traj.sample([]) == []
