@@ -45,6 +45,7 @@ from .oracle import (
 from .periodic import (
     LatticeElement,
     build_periodic,
+    energy_cde,
     energy_of_c,
     exact_periodic_family,
     find_lambda_periodic,
@@ -441,7 +442,7 @@ def crit_unique_dc(tol: float = 1.0) -> CriterionResult:
         d = solve_dc(float(c), rho)
         worst_resid = max(worst_resid, abs(psi_tilde(float(c), d, rho)))
         ds.append(d)
-        es.append(energy_of_c(float(c), rho))
+        es.append(energy_cde(float(c), d, rho))
     increasing_d = all(a < b for a, b in zip(ds, ds[1:]))
     increasing_e = all(a < b for a, b in zip(es, es[1:]))
     tail = energy_of_c(1.0 + 1e-4, rho)

@@ -2,8 +2,10 @@
 
 Subcommands: classify, classify-ic, sample, periodic, lattice,
 lattice-obstruction, verify, elliptic.  Output is JSON (default for the
-scalar reports) or CSV (trajectory samples); floats are rendered with 17
-significant digits so files round-trip bit-exactly.
+scalar reports) or CSV (trajectory samples); floats are written in their
+shortest repr (JSON) or with 17 significant digits (CSV), so files
+round-trip bit-exactly.  Option values may be negative numbers in any
+float form, e.g. --x0 -1e-3 or --lambda -1,0.5.
 
 Exit codes: 0 success, 1 domain error, 2 verification failure, 64 usage
 error.  HEISENMAG_TOL scales every verification threshold.
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from . import acceptance
@@ -41,27 +44,18 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads only -1 and -1.5 as values; no option here starts
+        # with a digit, so -1e-3 and -1,0.5 are values too
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):  # argparse default exits with code 2
         raise _UsageError(message)
 
 
-def _f(v: float) -> str:
-    return format(float(v), ".17g")
-
-
-def _render_floats(obj):
-    """JSON-ready structure with 17-significant-digit float rendering."""
-    if isinstance(obj, float):
-        return float(_f(obj))
-    if isinstance(obj, dict):
-        return {k: _render_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_render_floats(v) for v in obj]
-    return obj
-
-
 def _emit_json(obj, out) -> None:
-    json.dump(_render_floats(obj), out, indent=2)
+    json.dump(obj, out, indent=2)
     out.write("\n")
 
 

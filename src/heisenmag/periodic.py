@@ -15,6 +15,10 @@ root d_c, the energy map c -> En(c, d_c) is an increasing bijection of
 (1, inf) onto (0, inf), and lattice-periodic curves come from tuning
 Psi = y1/n on a fixed-energy surface and conjugating.
 
+The closed trajectory of energy E is one solve of psi_tilde along the
+level set d = h_E(c), refused at the floor c = 1 + 1e-11 unless psi_tilde
+changes sign in d there and the level set passes above d_c there.
+
 Each root, and the conjugacy shift, is found on a sign-changing bracket by
 Brent's method (scipy.optimize.brentq); d_c must leave |psi_tilde| <= 1e-12.
 """
@@ -235,23 +239,44 @@ def energy_of_c(c: float, rho: float) -> float:
     return energy_cde(c, solve_dc(c, rho), rho)
 
 
+def _h_energy(c: float, energy: float, rho: float) -> float:
+    """d >= 0 with En(c, d) = energy, or 0.0; callers check 0 < d < 1."""
+    c4 = c ** 4
+    # (c - 1)(c + 1), not c^2 - 1: no cancellation as c -> 1
+    num = 2.0 * c4 * energy - (c4 + rho * rho) * ((c - 1.0) * (c + 1.0)) ** 2
+    return math.sqrt(max(0.0, num) / (4.0 * c * c * (c4 + rho * rho)))
+
+
 def solve_c_for_energy(energy: float, rho: float) -> float:
-    """The unique c > 1 whose periodic family has the given energy."""
+    """The unique c > 1 whose periodic family has the given energy.
+
+    psi_tilde falls as d rises, so along the level set d = h_E(c), clamped
+    into the chart, it is negative below the root in c and positive above.
+    """
     check_finite(energy=energy, rho=rho)
     if energy <= 0.0:
         raise DomainError(f"energy must be positive, got {energy}")
+
+    def psi_on_level(c: float) -> float:
+        d = min(1.0 - _CHART_BAND, max(_CHART_BAND, _h_energy(c, energy, rho)))
+        return psi_tilde(c, d, rho)
+
     # closer to c = 1, psi_tilde is flat below the 1e-12 residual gate
-    floor = energy_of_c(_C_FLOOR, rho)
-    if not floor < energy:
+    f_band = psi_tilde(_C_FLOOR, _CHART_BAND, rho)
+    if not f_band > 0.0:
+        raise ConvergenceError(f"d_c bracket failed at c={_C_FLOOR}: psi={f_band}")
+    if not psi_on_level(_C_FLOOR) < 0.0:
+        floor = energy_of_c(_C_FLOOR, rho)
         raise DomainError(
-            f"energy {energy} is below {floor}, the smallest resolvable at rho = {rho}"
+            f"energy {energy} lies below the smallest resolvable at rho = {rho}, "
+            f"about {floor}"
         )
     hi = 2.0
-    while energy_of_c(hi, rho) < energy:
+    while psi_on_level(hi) < 0.0:
         hi *= 2.0
         if hi > 1e9:
             raise ConvergenceError("energy bracket blew up")
-    return _brent(lambda c: energy_of_c(c, rho) - energy, _C_FLOOR, hi)
+    return _brent(psi_on_level, _C_FLOOR, hi)
 
 
 def build_periodic(
@@ -290,15 +315,21 @@ def build_periodic(
     return sol, report
 
 
+def _worst(*gaps) -> float:
+    """Largest |gap| over equal-length arrays of coordinate mismatches."""
+    return float(np.max(np.abs(gaps)))
+
+
 def equienergy_conjugacy(
     sol1: TrajectorySolution, sol2: TrajectorySolution, n_check: int = 25
 ) -> tuple[float, HeisenbergPoint, float]:
     """Exhibit sol2(t) = sigma1(C)^{-1} sigma1(t + C).
 
     Both inputs must be periodic trajectories of the same energy (same
-    (c, d_c), different e).  Returns (C, p, residual) where p =
-    sigma1(C)^{-1}, C solves x1(C) = z0_2 - z0_1 with matching slope
-    sign, and residual is the worst coordinate mismatch on a grid.
+    (c, d_c), different e), and their point must accept an array of
+    times.  Returns (C, p, residual) where p = sigma1(C)^{-1}, C solves
+    x1(C) = z0_2 - z0_1 with matching slope sign, and residual is the
+    worst coordinate mismatch on a grid.
     """
     omega = sol1.x_period
     if omega is None or sol2.x_period is None:
@@ -306,9 +337,10 @@ def equienergy_conjugacy(
     target = sol2.data.z0 - sol1.data.z0
     shift = None
     grid = np.linspace(0.0, omega, 257)
-    vals = [sol1.x(t) - target for t in grid]
+    x, xp, _, _ = sol1.evaluate(grid)
+    vals = x - target
     for i in range(len(grid) - 1):
-        if vals[i] == 0.0 and sol1.x_prime(grid[i]) * sol2.data.x0 >= 0.0:
+        if vals[i] == 0.0 and xp[i] * sol2.data.x0 >= 0.0:
             shift = grid[i]
             break
         if vals[i] * vals[i + 1] < 0.0:
@@ -321,15 +353,10 @@ def equienergy_conjugacy(
     if shift is None:
         raise ConvergenceError("no parameter shift C with x1(C) = z0_2 - z0_1")
     p = sol1.point(shift).inverse()
-    moved = translate(sol1, p)
-    residual = 0.0
-    for t in np.linspace(0.0, omega, n_check):
-        lhs = moved.point(t + shift)
-        rhs = sol2.point(t)
-        residual = max(
-            residual, abs(lhs.x - rhs.x), abs(lhs.y - rhs.y), abs(lhs.z - rhs.z)
-        )
-    return shift, p, residual
+    ts = np.linspace(0.0, omega, n_check)
+    lhs = translate(sol1, p).point(ts + shift)
+    rhs = sol2.point(ts)
+    return shift, p, _worst(lhs.x - rhs.x, lhs.y - rhs.y, lhs.z - rhs.z)
 
 
 # --- the exact-force periodic family --------------------------------------------
@@ -429,19 +456,15 @@ def lambda_periodic_residual(
 
     The conditions are x(t) = x(t+omega), y(t) + y1 = y(t+omega) and
     z(t) + z1 - y1 x(t)/2 = z(t+omega), i.e. lam * sigma(t) = sigma(t+omega)
-    in exponential coordinates.
+    in exponential coordinates.  traj.point must accept an array of times.
     """
-    worst = 0.0
-    for t in np.linspace(0.0, omega, n_grid):
-        p1 = traj.point(t)
-        p2 = traj.point(t + omega)
-        worst = max(
-            worst,
-            abs(p1.x - p2.x),
-            abs(p1.y + lam.y1 - p2.y),
-            abs(p1.z + lam.z1 - 0.5 * lam.y1 * p1.x - p2.z),
-        )
-    return worst
+    ts = np.linspace(0.0, omega, n_grid)
+    p1, p2 = traj.point(ts), traj.point(ts + omega)
+    return _worst(
+        p1.x - p2.x,
+        p1.y + lam.y1 - p2.y,
+        p1.z + lam.z1 - 0.5 * lam.y1 * p1.x - p2.z,
+    )
 
 
 def lambda_periodic_test(
@@ -474,18 +497,6 @@ class LambdaPeriodicResult:
     residual: float
 
 
-def _h_energy(c: float, energy: float, rho: float) -> float | None:
-    """d with En(c, d) = energy, or None where the surface leaves (0,1)."""
-    c4 = c ** 4
-    num = 2.0 * c4 * energy - (c4 + rho * rho) * (c * c - 1.0) ** 2
-    if num < 0.0:
-        return None
-    d = math.sqrt(num / (4.0 * c * c * (c4 + rho * rho)))
-    if not 0.0 < d < 1.0:
-        return None
-    return d
-
-
 def find_lambda_periodic(
     lam: LatticeElement, energy: float, rho: float, e: float = 0.0
 ) -> LambdaPeriodicResult:
@@ -511,9 +522,7 @@ def find_lambda_periodic(
 
     def psi_on_surface(c: float) -> float | None:
         d = _h_energy(c, energy, rho)
-        if d is None:
-            return None
-        return psi(c, d, e, rho)
+        return psi(c, d, e, rho) if 0.0 < d < 1.0 else None
 
     # h_E decreases through d_{c0} at c0, so Psi > 0 for c > c0 and < 0 below
     direction = 1.0 if lam.y1 > 0.0 else -1.0
@@ -534,23 +543,16 @@ def find_lambda_periodic(
     n = max(1, math.ceil(abs(lam.y1) / (0.95 * abs(best_val))))
     target = lam.y1 / n
 
-    lo_c, hi_c = (c0, best_c) if best_c > c0 else (best_c, c0)
-    # Psi - target changes sign between c0 (Psi = 0) and the window edge
-    f_lo = (psi_on_surface(lo_c) or 0.0) - target
-    f_hi = (psi_on_surface(hi_c) or 0.0) - target
-    if f_lo * f_hi > 0.0:
-        raise ConvergenceError("Psi target not bracketed on the energy surface")
-
     def psi_minus_target(c: float) -> float:
         val = psi_on_surface(c)
         if val is None:
             raise ConvergenceError("energy surface left the chart while solving")
         return val - target
 
-    c_star = _brent(psi_minus_target, lo_c, hi_c)
+    # Psi - target changes sign between c0 (Psi = 0) and the window edge
+    # brentq returns a point it evaluated, so d_star lies in (0, 1)
+    c_star = _brent(psi_minus_target, min(c0, best_c), max(c0, best_c))
     d_star = _h_energy(c_star, energy, rho)
-    if d_star is None:
-        raise ConvergenceError("tuned parameter left the energy surface")
     data = initial_from_cde(c_star, d_star, e, rho)
     sol = make_solution(data)
     omega1 = sol.x_period
@@ -561,7 +563,7 @@ def find_lambda_periodic(
     moved = translate(sol, HeisenbergPoint(a, 0.0, 0.0))
     omega = n * omega1
     residual = lambda_periodic_residual(moved, lam, omega)
-    if residual > _LAMBDA_RESIDUAL:
+    if not residual <= _LAMBDA_RESIDUAL:
         raise ConvergenceError(
             f"constructed trajectory misses lambda-periodicity: residual {residual}"
         )
@@ -587,23 +589,17 @@ def primitive_period(
     if max_multiple is None:
         max_multiple = 2 * result.n + 4
     p0_inv = traj.point(0.0).inverse()
+    ts = np.array([0.37, 1.13]) * omega1
     for m in range(1, max_multiple + 1):
         g = traj.point(m * omega1) * p0_inv
         if not lattice.is_member(g, tol):
             continue
         lam0 = lattice.snap(g)
-        ok = True
-        for t in (0.37 * omega1, 1.13 * omega1):
-            lhs = lam0.point() * traj.point(t)
-            rhs = traj.point(t + m * omega1)
-            if max(abs(lhs.x - rhs.x), abs(lhs.y - rhs.y), abs(lhs.z - rhs.z)) > tol:
-                ok = False
-                break
-        if ok:
+        lhs = lam0.point() * traj.point(ts)
+        rhs = traj.point(ts + m * omega1)
+        if _worst(lhs.x - rhs.x, lhs.y - rhs.y, lhs.z - rhs.z) <= tol:
             return lam0, m * omega1
-    raise ConvergenceError(
-        f"no lattice recurrence within {max_multiple} x-periods"
-    )
+    raise ConvergenceError(f"no lattice recurrence within {max_multiple} x-periods")
 
 
 def lattice_obstruction_check(basis, radius: int = 64, tol: float = 1e-9) -> bool:

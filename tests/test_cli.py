@@ -9,6 +9,7 @@ import random
 import pytest
 
 from heisenmag.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, export_samples, main
+from heisenmag.periodic import build_periodic
 from heisenmag.quartic import InitialData
 from heisenmag.trajectory import make_solution
 
@@ -153,6 +154,15 @@ class TestPeriodic:
         obj = json.loads(out)
         assert obj["closure_residual"] < 1e-7
         assert abs(obj["energy_error"]) < 1e-9
+
+    def test_floats_round_trip_bit_for_bit(self, capsys):
+        _, out, _ = run_cli(["periodic", "--rho", "3", "--energy", "0.05", "--e", "0.4"], capsys)
+        obj = json.loads(out)
+        _, report = build_periodic(0.05, 0.4, 3.0)
+        data = report.pop("initial_data")
+        report.update(x0=data.x0, y0=data.y0, z0=data.z0)
+        for key, value in report.items():
+            assert float(obj[key]).hex() == float(value).hex(), key
 
 
 class TestLattice:
@@ -321,6 +331,25 @@ class TestExitCodes:
             code, _, err = run_cli(argv, capsys)
             assert code == EXIT_USAGE
             assert err.startswith("usage error:")
+
+    @pytest.mark.parametrize(
+        "argv, read, value",
+        [
+            (["lattice", "--k", "1", "--energy", "1", "--lambda", "-1,0.5"],
+             lambda obj: obj["lambda"]["y1"], -1.0),
+            (["lattice-obstruction", "--basis", "-0.5,1,0,1"],
+             lambda obj: obj["basis"][0][0], -0.5),
+            (["classify-ic", "--y0", "0.5", "--z0", "0.2", "--rho", "1", "--x0", "-1e-3"],
+             lambda obj: obj["x0"], -1e-3),
+        ],
+    )
+    def test_negative_option_values(self, argv, read, value, capsys):
+        # the negative value comes last, as its own token and as --flag=value
+        joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+        for form in (argv, joined):
+            code, out, _ = run_cli(form, capsys)
+            assert code == EXIT_OK
+            assert read(json.loads(out)) == value
 
     def test_bad_lambda_format(self, capsys):
         code, _, _ = run_cli(

@@ -1,6 +1,7 @@
 """Periodicity: the (c,d,e) chart, Psi, d_c, energy, lattices."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -243,7 +244,47 @@ class TestEnergyBijection:
 
         monkeypatch.setattr(periodic, "psi_tilde", counted)
         solve_c_for_energy(1.0, 1.0)
-        assert 0 < len(calls) < 400
+        assert 0 < len(calls) < 40
+
+    def test_single_solve_on_the_level_set(self, monkeypatch):
+        def nested(*args):
+            raise AssertionError("nested d_c solve")
+
+        monkeypatch.setattr(periodic, "solve_dc", nested)
+        monkeypatch.setattr(periodic, "energy_of_c", nested)
+        c = solve_c_for_energy(1.0, 1.0)
+        assert abs(energy_cde(c, solve_dc(c, 1.0), 1.0) - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("rho", [0.0, 1.0, 3.0, 10.0])
+    def test_floor_boundary(self, rho):
+        floor = energy_of_c(periodic._C_FLOOR, rho)
+        for factor in (0.5, 0.9):
+            with pytest.raises(DomainError, match="smallest resolvable"):
+                solve_c_for_energy(factor * floor, rho)
+        for factor in (1.1, 2.0):
+            assert solve_c_for_energy(factor * floor, rho) > periodic._C_FLOOR
+
+    def test_unresolvable_rho_is_convergence_error(self):
+        # psi_tilde(1 + 1e-11, 1e-12) underflows to 0: no sign change in d
+        with pytest.raises(ConvergenceError):
+            solve_c_for_energy(1.0, 1000.0)
+
+    def test_level_set_inverts_the_energy(self):
+        # the energy of the returned d, evaluated exactly, is E to 8 ulp
+        def exact_energy(c, d, rho):
+            c, d, rho = Fraction(c), Fraction(d), Fraction(rho)
+            return (c ** 4 + rho ** 2) * ((c * c - 1) ** 2 + 4 * c * c * d * d) / (2 * c ** 4)
+
+        checked = 0
+        for rho in (0.0, 0.3, 1.0, 3.0, 10.0, 100.0):
+            for energy in (1e-6, 1e-3, 0.05, 1.0, 10.0, 1e4):
+                for c in np.linspace(0.05, 30.0, 2000):
+                    d = periodic._h_energy(float(c), energy, rho)
+                    if 0.0 < d < 1.0:
+                        en = float(exact_energy(float(c), d, rho))
+                        assert abs(en - energy) <= 8 * math.ulp(energy)
+                        checked += 1
+        assert checked > 300
 
 
 class TestBrent:
@@ -355,6 +396,16 @@ class TestLambdaPeriodic:
         # x1 != 0 fails before any curve evaluation (kernel condition)
         lam = LatticeElement(0.7, 1.0, 0.5)
         assert lambda_periodic_test(object(), lam, 1.0) is False
+
+    def test_nan_curve_is_not_periodic(self):
+        class NanCurve:
+            def point(self, ts):
+                nan = np.full_like(ts, math.nan)
+                return HeisenbergPoint(nan, nan, nan)
+
+        lam = LatticeElement(0.0, 1.0, 0.5)
+        assert math.isnan(lambda_periodic_residual(NanCurve(), lam, 1.0))
+        assert lambda_periodic_test(NanCurve(), lam, 1.0) is False
 
     def test_conjugation_formula(self):
         # exp(a e1) exp(y1 e2 + z e3) exp(-a e1) = exp(y1 e2 + (z + a y1) e3)
