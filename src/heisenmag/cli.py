@@ -14,6 +14,7 @@ error.  HEISENMAG_TOL scales every verification threshold.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -47,8 +48,8 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # argparse reads only -1 and -1.5 as values; no option here starts
-        # with a digit, so -1e-3 and -1,0.5 are values too
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        # with a digit, inf or nan, so -1e-3, -1,0.5, -inf and -nan are too
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):  # argparse default exits with code 2
         raise _UsageError(message)
@@ -249,7 +250,11 @@ def _cmd_elliptic(args, out) -> int:
     return EXIT_OK if result.passed else EXIT_VERIFY
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argparse tree, built on first call and shared by every later one:
+    it binds the _cmd_* handlers as they are at that first build, and
+    callers must not mutate it (parse_args leaves it unchanged)."""
     parser = _Parser(prog="heisenmag", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -152,9 +152,9 @@ def cde_from_initial(data: InitialData) -> CdeCoordinates:
 
 
 def energy_cde(c: float, d: float, rho: float) -> float:
-    """Energy in the chart; does not involve e."""
+    """Energy in the chart, free of cancellation as c -> 1; does not involve e."""
     c4 = c ** 4
-    return (c4 + rho * rho) * (c4 + 4.0 * c * c * d * d - 2.0 * c * c + 1.0) / (2.0 * c4)
+    return (c4 + rho * rho) * (((c - 1.0) * (c + 1.0)) ** 2 + 4.0 * c * c * d * d) / (2.0 * c4)
 
 
 # --- the periodicity function Psi ---------------------------------------------

@@ -133,6 +133,11 @@ def _coefficient_scale(p0: float, q0: float, rho: float) -> float:
     return m.max(1.0, abs(2.0 * p0), m.pow(abs(8.0 * rho), 2.0 / 3.0), m.pow(abs(q0), 0.5))
 
 
+def _is_cusp(p0: float, q0: float, rho: float) -> bool:
+    """p0^2 + 3 q0 = 0 within the zero band, in eta^4 units: the cusp stratum."""
+    return abs(p0 * p0 + 3.0 * q0) <= _ZERO_TOL * _coefficient_scale(p0, q0, rho) ** 2
+
+
 def delta_band(p0: float, q0: float, rho: float) -> float:
     """Half-width of the band around Delta = 0 inside which the data count
     as the repeated-root stratum; floats or equal-length arrays."""
@@ -314,7 +319,7 @@ def _profile_pos(data, p0, q0, rho, delta, ordered):
 
 
 def _profile_zero(data, p0, q0, rho, delta, roots):
-    if abs(p0 * p0 + 3.0 * q0) <= _ZERO_TOL * _coefficient_scale(p0, q0, rho) ** 4:
+    if _is_cusp(p0, q0, rho):
         # triple root; exactly -cbrt(rho)
         r = -math.copysign(abs(rho) ** (1.0 / 3.0), rho)
         mu, branch = 0.0, Branch.ZERO_CUSP
@@ -372,13 +377,12 @@ def mu_r_closed_forms(profile: QuarticProfile) -> dict[str, float]:
     if profile.mu is None:
         raise DomainError("closed forms for r and mu exist only on the Delta = 0 stratum")
     p0, q0, rho = profile.p0, profile.q0, profile.rho
-    disc2 = p0 * p0 + 3.0 * q0
-    if abs(disc2) <= _ZERO_TOL * _coefficient_scale(p0, q0, rho) ** 4:
+    if _is_cusp(p0, q0, rho):
         raise DomainError("cusp stratum p0^2 + 3 q0 = 0 has no rational r formula")
     denom = p0 ** 3 - p0 * q0 + 36.0 * rho * rho
     if denom == 0.0:
-        raise ZeroDivisionError("r formula denominator p0^3 - p0 q0 + 36 rho^2 vanishes")
-    r_formula = 2.0 * rho * disc2 / denom
+        raise DomainError("r formula denominator p0^3 - p0 q0 + 36 rho^2 vanishes")
+    r_formula = 2.0 * rho * (p0 * p0 + 3.0 * q0) / denom
     return {
         "r_formula": r_formula,
         "mu_formula": 0.5 * (p0 + 3.0 * r_formula * r_formula),

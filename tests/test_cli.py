@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from heisenmag import cli
 from heisenmag.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, export_samples, main
 from heisenmag.periodic import build_periodic
 from heisenmag.quartic import InitialData
@@ -266,6 +267,10 @@ class TestExitCodes:
             ["lattice", "--k", "1", "--lambda", "1,nan", "--energy", "1"],
             ["lattice", "--k", "1", "--lambda", "1,0.5", "--energy", "1", "--rho", "inf"],
             ["lattice-obstruction", "--basis", "nan,1,0,1"],
+            ["classify-ic", "--x0", "-inf", "--y0", "0", "--z0", "-1", "--rho", "1"],
+            ["classify-ic", "--x0", "-Infinity", "--y0", "0", "--z0", "-1", "--rho", "1"],
+            ["classify-ic", "--x0", "-nan", "--y0", "0", "--z0", "-1", "--rho", "1"],
+            ["lattice", "--k", "1", "--lambda", "-inf,0.5", "--energy", "1"],
         ],
     )
     def test_non_finite_input_is_domain_error(self, argv, capsys):
@@ -362,3 +367,46 @@ class TestExitCodes:
         _, out1, _ = run_cli(args, capsys)
         _, out2, _ = run_cli(args, capsys)
         assert out1 == out2
+
+
+class TestSharedParser:
+    SEQUENCE = (
+        ["sample", "--x0", "1", "--y0", "0.5", "--z0", "0.2", "--rho", "1",
+         "--t-max", "1", "--dt", "0.25"],
+        ["sample", "--x0", "1", "--y0", "0.5", "--z0", "0.2", "--rho", "1",
+         "--t-max", "1", "--dt", "0.25", "--format", "json"],
+        ["sample", "--x0", "1"],
+        ["periodic", "--rho", "1", "--energy", "2", "--e", "0.5"],
+        ["lattice", "--k", "1", "--energy", "1", "--lambda", "-1,0.5"],
+        ["classify-ic", "--x0", "-inf", "--y0", "0", "--z0", "-1", "--rho", "1"],
+        ["sample", "--x0", "1", "--y0", "0.5", "--z0", "0.2", "--rho", "1",
+         "--t-max", "1", "--dt", "0.25"],
+    )
+
+    def test_built_once_per_process(self, monkeypatch, capsys):
+        classify = ["classify", "--alpha", "4", "--beta", "3", "--rho", "2"]
+        assert main(classify) == EXIT_OK
+        built = []
+        init = cli._Parser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counted)
+        assert main(classify) == EXIT_OK
+        assert main(self.SEQUENCE[0]) == EXIT_OK
+        assert built == []
+
+    def test_no_state_carries_between_calls(self, monkeypatch, capsys):
+        def run_sequence():
+            return [run_cli(argv, capsys)[:2] for argv in self.SEQUENCE]
+
+        shared = run_sequence()
+        fresh = cli.build_parser.__wrapped__()
+        assert fresh is not cli.build_parser()
+        monkeypatch.setattr(cli, "build_parser", lambda: fresh)
+        assert run_sequence() == shared
+        codes = [code for code, _ in shared]
+        assert codes == [EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_DOMAIN, EXIT_OK]
+        assert shared[0][1] == shared[-1][1] and shared[0][1].startswith("t,x,y,z")

@@ -286,6 +286,25 @@ class TestEnergyBijection:
                         checked += 1
         assert checked > 300
 
+    def test_energy_cde_is_exact_to_8_ulp(self):
+        # against the exact rational energy of the same float (c, d), along
+        # the level sets where the expanded (c^2 - 1)^2 used to cancel
+        cs = [1.0 + 10.0 ** -k for k in range(1, 16)] + np.linspace(1.05, 3.0, 40).tolist()
+        checked = 0
+        for rho in (0.0, 0.3, 1.0, 3.0, 10.0, 100.0):
+            for energy in (1e-6, 1e-4, 1e-2, 1.0, 10.0):
+                for c in cs:
+                    d = periodic._h_energy(c, energy, rho)
+                    if 0.0 < d < 1.0:
+                        fc, fd, fr = Fraction(c), Fraction(d), Fraction(rho)
+                        exact = float(
+                            (fc ** 4 + fr * fr) * ((fc * fc - 1) ** 2 + 4 * fc * fc * fd * fd)
+                            / (2 * fc ** 4)
+                        )
+                        assert abs(energy_cde(c, d, rho) - exact) <= 8 * math.ulp(exact)
+                        checked += 1
+        assert checked > 300
+
 
 class TestBrent:
     def test_failures_are_typed(self):

@@ -1,11 +1,15 @@
 """Quartic profile construction, discriminant strata, branch tags."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from heisenmag.errors import DomainError
+from heisenmag.acceptance import _first_integral_drift, representative_data
+from heisenmag.errors import DomainError, HeisenmagError
 from heisenmag.quartic import (
     Branch,
     InitialData,
@@ -14,6 +18,7 @@ from heisenmag.quartic import (
     monic_coefficients,
     mu_r_closed_forms,
 )
+from heisenmag.trajectory import make_solution
 
 CBRT2 = 2.0 ** (1.0 / 3.0)
 
@@ -101,6 +106,50 @@ class TestZeroStratum:
         prof = build_profile(InitialData(0, 2, 2, 1))
         with pytest.raises(DomainError):
             mu_r_closed_forms(prof)
+
+    def test_closed_forms_reject_vanishing_denominator(self):
+        # rho = 0 and p0 = 0 exactly: p0^3 - p0 q0 + 36 rho^2 = 0 off the cusp
+        prof = build_profile(InitialData(0, -0.9921875, 0.125, 0))
+        assert prof.mu is not None and prof.p0 == 0.0 and prof.rho == 0.0
+        with pytest.raises(DomainError, match="denominator"):
+            mu_r_closed_forms(prof)
+
+    # |p0|, |q0|, |rho| stay below ~1e76 on every profile build_profile
+    # returns: past that its discriminant overflows
+    _coefficient = st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+        st.floats(-1e76, 1e76, allow_nan=False, allow_infinity=False),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(_coefficient, _coefficient, _coefficient)
+    def test_closed_forms_raise_only_typed_errors(self, p0, q0, rho):
+        base = build_profile(InitialData(0, 2, -4.75, 1))
+        prof = dataclasses.replace(base, p0=p0, q0=q0, rho=rho)
+        try:
+            forms = mu_r_closed_forms(prof)
+        except HeisenmagError:
+            return
+        assert set(forms) == {"r_formula", "mu_formula"}
+
+    @pytest.mark.parametrize("rho", [0.5, 1.0, 3.5])
+    def test_cusp_anchors_keep_their_tag(self, rho):
+        prof = build_profile(representative_data(Branch.ZERO_CUSP, rho))
+        assert prof.branch is Branch.ZERO_CUSP
+        assert prof.mu == 0.0
+
+    def test_cusp_band_is_in_eta4_units(self):
+        # z0 + rho dominates: two root clusters near +-(z0 + rho), not a triple
+        # root; a band in scale^4 tagged it ZERO_CUSP and built x(1.23e-5) =
+        # 1.31e-6 where the Taylor oracle gives 2.29e-6
+        data = InitialData(
+            0.09705465603312724, -657852.6440832185, -0.016337706933550872, 0.038187968317787306
+        )
+        try:
+            sol = make_solution(data)
+        except HeisenmagError:
+            return
+        assert _first_integral_drift(sol, data) <= 1e-9 * data.scale() ** 2
 
 
 class TestPositiveStratum:
