@@ -214,6 +214,8 @@ def _cmd_verify(args, out) -> int:
         record.pop("data")
         _emit_json(record, out)
         return EXIT_OK
+    if args.rho is not None:
+        raise _UsageError("--rho applies only to --case")
     names = list(acceptance.CRITERIA) if args.suite == "all" else [args.suite]
     failed = 0
     records = []
@@ -299,7 +301,7 @@ def build_parser() -> _Parser:
     p.add_argument("--suite", default="all")
     p.add_argument("--case", choices=[b.value for b in Branch if b is not Branch.TRIVIAL],
                    default=None, help="cross-validate one branch representative")
-    p.add_argument("--rho", type=float, default=None)
+    p.add_argument("--rho", type=float, default=None, help="force level of --case")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true",
                    help="one JSON record per criterion: name, passed, elapsed, details")

@@ -10,10 +10,11 @@ of a modulus once: K and E are read off it, and its descending Landen
 modulo the real period, which keeps full accuracy as k -> 1 where
 scipy.special.ellipj does not, together with Jacobi's zeta function Z(u)
 from the same phases, so Jacobi's epsilon E(am u, k) = (E/K) u + Z(u)
-costs no further integral.  F(phi, k) and the complete third kind go
-through the Carlson symmetric forms RF and RJ of scipy.special (Carlson's
-duplication algorithm, DLMF 19.36).  The tests cross-check the whole
-kernel against direct quadrature of the defining integrals.
+costs no further integral.  The ascending phases on the same scheme give
+F(phi, k), the inverse of the amplitude.  Only the complete third kind
+goes through the Carlson symmetric forms RF and RJ of scipy.special
+(Carlson's duplication algorithm, DLMF 19.36).  The tests cross-check the
+whole kernel against direct quadrature of the defining integrals.
 """
 
 from __future__ import annotations
@@ -47,35 +48,38 @@ def _check_modulus(k: float) -> None:
         raise DomainError(f"modulus k must satisfy 0 <= k < 1, got {k}")
 
 
-def _agm_scheme(k: float) -> tuple[list[float], list[float]]:
-    """AGM sequences (a_n, c_n) for a0 = 1, b0 = k' = sqrt(1 - k^2)."""
+def _agm_scheme(k: float) -> tuple[list[float], list[float], list[float]]:
+    """AGM sequences (a_n, b_n, c_n) for a0 = 1, b0 = k' = sqrt(1 - k^2); b_n
+    is kept, since a_n - 2 c_{n+1} cancels as k -> 1, where b_0 is small."""
     kp2 = (1.0 - k) * (1.0 + k)
     a, b, c = 1.0, math.sqrt(kp2), k
-    aa, cc = [a], [c]
+    aa, bb, cc = [a], [b], [c]
     for _ in range(64):
         if abs(c) <= _EPS * a:
             break
         a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
         aa.append(a)
+        bb.append(b)
         cc.append(c)
     else:
         raise ConvergenceError("AGM failed to converge")
-    return aa, cc
+    return aa, bb, cc
 
 
 class AGM:
     """The AGM scheme of one modulus k, run once.
 
-    K = pi / (2 a_N) and E = K (1 - sum 2^(n-1) c_n^2) are read off it, and
-    descend(u) runs the descending Landen recurrence on it (A&S 17.6), so a
-    caller that evaluates many points of one modulus runs the AGM once.
+    K = pi / (2 a_N) and E = K (1 - sum 2^(n-1) c_n^2) are read off it,
+    descend(u) runs the descending Landen recurrence on it and F(phi) the
+    ascending one (A&S 17.6), so a caller that evaluates many points of one
+    modulus, or inverts one, runs the AGM once.
     """
 
-    __slots__ = ("k", "K", "_aa", "_cc")
+    __slots__ = ("k", "K", "_aa", "_bb", "_cc")
 
     def __init__(self, k: float) -> None:
         _check_modulus(k)
-        self._aa, self._cc = _agm_scheme(k)
+        self._aa, self._bb, self._cc = _agm_scheme(k)
         self.k = k
         self.K = math.pi / (2.0 * self._aa[-1])
 
@@ -108,6 +112,18 @@ class AGM:
             phi = 0.5 * (phi + m.asin(cc[i] / aa[i] * s))
         return phi, turns, zeta
 
+    def F(self, phi: float) -> float:
+        """F(phi, k) for any real phi from the ascending phases
+        tan(phi_{n+1} - phi_n) = (b_n / a_n) tan phi_n, phi_0 = phi, as
+        phi_N / (2^N a_N) (A&S 17.6.9).  The step's arctangent lags phi_n by
+        less than pi/2, so math.remainder modulo 2 pi puts it in phi_n's turn
+        exactly; no reduction modulo a rounded pi costs digits near pi/2."""
+        aa = self._aa
+        for a, b in zip(aa, self._bb[:-1]):
+            lag = phi - math.atan2(b * math.sin(phi), a * math.cos(phi))
+            phi = 2.0 * phi - math.remainder(lag, math.tau)
+        return phi / (2.0 ** (len(aa) - 1) * aa[-1])
+
     def sn_cn_dn(self, am):
         """sn, cn, dn at amplitude am (a float or an array); dn from
         k'^2 + k^2 cn^2, stable near k -> 1."""
@@ -131,24 +147,8 @@ def complete_K_and_E(k: float) -> tuple[float, float]:
 
 
 def ellip_f(phi: float, k: float) -> float:
-    """Incomplete first-kind integral F(phi, k) for any real phi.
-
-    F is odd and F(phi + n pi) = F(phi) + 2n K, so phi reduces to
-    |phi| <= pi/2, where the Carlson form RF evaluates it.
-    """
-    _check_modulus(k)
-    if phi == 0.0:
-        return 0.0
-    if phi < 0.0:
-        return -ellip_f(-phi, k)
-    n = math.floor(phi / math.pi + 0.5)
-    shift = 2.0 * n * complete_K(k) if n else 0.0
-    phi = phi - n * math.pi
-    sign = 1.0
-    if phi < 0.0:
-        sign, phi = -1.0, -phi
-    s, c = math.sin(phi), math.cos(phi)
-    return shift + sign * float(s * elliprf(c * c, 1.0 - (k * s) ** 2, 1.0))
+    """Incomplete first-kind integral F(phi, k) for any real phi."""
+    return AGM(k).F(phi)
 
 
 def complete_Pi(alpha2: float, k: float) -> float:
@@ -180,8 +180,7 @@ def inverse_cn(v: float, k: float) -> float:
     _check_modulus(k)
     if abs(v) > 1.0 + _INVERSE_BAND:
         raise DomainError(f"inverse_cn argument must lie in [-1, 1], got {v}")
-    v = min(1.0, max(-1.0, v))
-    return ellip_f(math.acos(v), k)
+    return AGM(k).F(math.acos(min(1.0, max(-1.0, v))))
 
 
 def inverse_sn(v: float, k: float) -> float:
@@ -189,8 +188,7 @@ def inverse_sn(v: float, k: float) -> float:
     _check_modulus(k)
     if abs(v) > 1.0 + _INVERSE_BAND:
         raise DomainError(f"inverse_sn argument must lie in [-1, 1], got {v}")
-    v = min(1.0, max(-1.0, v))
-    return ellip_f(math.asin(v), k)
+    return AGM(k).F(math.asin(min(1.0, max(-1.0, v))))
 
 
 # --- Reference closed forms used by the verification corpus -----------------

@@ -151,7 +151,7 @@ def _newton(x, step, residual):
     for _ in range(4):
         cand = step(x)
         cand_norm = math.inf if cand is None else residual(cand)
-        if cand_norm >= norm:
+        if not cand_norm < norm:  # a NaN residual stops it too
             break
         x, norm = cand, cand_norm
     return x
@@ -264,10 +264,14 @@ class QuarticProfile:
 
 def build_profile(data: InitialData) -> QuarticProfile:
     """Classify the initial condition into its solution-branch stratum."""
-    p0, q0 = monic_coefficients(data)
     rho = data.rho
-    delta = discriminant(p0, q0, rho)
-    boundary = abs(delta) <= delta_band(p0, q0, rho)
+    try:  # Python's float ** raises on overflow where * gives inf
+        p0, q0 = monic_coefficients(data)
+        delta, band = discriminant(p0, q0, rho), delta_band(p0, q0, rho)
+    except OverflowError as exc:
+        raise DomainError(f"the speed quartic of {data} overflows a float") from exc
+    check_finite(p0=p0, q0=q0, delta=delta, delta_band=band)
+    boundary = abs(delta) <= band
 
     # m(z0 + rho) = -4 x0^2 <= 0: the factor with the larger discriminant holds a
     # real pair; the other's is real iff Delta > 0, or in the band iff its disc >= 0

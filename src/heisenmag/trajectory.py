@@ -37,7 +37,7 @@ import numpy as np
 from scipy.integrate import quad  # noqa: F401
 
 from ._ops import ops
-from .elliptic import AGM, inverse_cn, inverse_sn
+from .elliptic import AGM
 from .errors import BranchConsistencyError, DomainError
 from .heisenberg import HeisenbergPoint
 from .quartic import Branch, InitialData, QuarticProfile, build_profile
@@ -83,18 +83,26 @@ class _ClosedForm(NamedTuple):
     # u -> (x, x', F) with F' = (x + z0 + rho)^2 in t, from one evaluation;
     # u is a float or an array
     state: Callable
+    # the principal inverse at x = 0; at a turning point (x0 = 0) its argument snaps to
+    # the exact boundary, where a float one loses half its digits through the branch point
+    phase: float
     period: float | None = None  # omega, the x-period
     f_over_period: float | None = None  # F(omega) - F(0)
 
 
-def _profile_neg(data: InitialData, prof: QuarticProfile) -> _ClosedForm:
+def _profile_neg(data: InitialData, prof: QuarticProfile, turning: bool) -> _ClosedForm:
     r1, r4, d1, d4 = prof.r1, prof.r4, prof.delta1, prof.delta4
+    zr = data.zr
+    num = (r4 - zr) * d1 - (zr - r1) * d4
+    if turning:  # z0 + rho is r1 or r4; the sign of num says which
+        cn0 = math.copysign(1.0, num)
+    else:
+        cn0 = _clamped_unit(num / ((r4 - zr) * d1 + (zr - r1) * d4), "cn constant argument")
     agm = AGM(prof.k)
     big_k, big_e = agm.K, agm.E
     a = 0.5 * math.sqrt(d1 * d4)
     num0, num1 = r1 * d4 + r4 * d1, r1 * d4 - r4 * d1
     den0, den1 = d1 + d4, d4 - d1
-    zr = data.zr
     slope = 2.0 * d1 * d4 * (r1 - r4)  # N S - M D of the Moebius form
     c0 = -prof.p0 - 0.5 * ((r1 + r4) ** 2 + d1 * d4)
 
@@ -109,21 +117,27 @@ def _profile_neg(data: InitialData, prof: QuarticProfile) -> _ClosedForm:
             (c0 * u + d1 * d4 * (epsilon - den1 * sn * dn / den)) / a,
         )
 
-    return _ClosedForm(a, state, 4.0 * big_k / a, 4.0 * (c0 * big_k + d1 * d4 * big_e) / a)
+    period, f_inc = 4.0 * big_k / a, 4.0 * (c0 * big_k + d1 * d4 * big_e) / a
+    return _ClosedForm(a, state, agm.F(math.acos(cn0)), period, f_inc)
 
 
-def _profile_pos(data: InitialData, prof: QuarticProfile) -> _ClosedForm:
-    r1, r2, r3, r4 = sorted(r.real for r in prof.roots)
-    agm = AGM(prof.k1)
-    big_k, big_e = agm.K, agm.E
-    a = 0.25 * math.sqrt((r4 - r2) * (r3 - r1))
+def _profile_pos(data: InitialData, prof: QuarticProfile, turning: bool) -> _ClosedForm:
+    r1, r2, r3, r4 = (r.real for r in prof.roots)  # build_profile sorts them
     zr = data.zr
     if prof.branch is Branch.POS_LOW:
+        sn2 = ((r4 - r2) * (zr - r1)) / ((r2 - r1) * (r4 - zr))
         kappa = (r2 - r1) / (r4 - r2)
         base, span, sign = r4, r4 - r1, -1.0
     else:
+        sn2 = ((r3 - r1) * (r4 - zr)) / ((r4 - r3) * (zr - r1))
         kappa = (r4 - r3) / (r3 - r1)
         base, span, sign = r1, r4 - r1, 1.0
+    sn2 = _clamped_unit(sn2, "sn^2 constant argument")
+    if turning:
+        sn2 = 0.0 if sn2 < 0.5 else 1.0
+    agm = AGM(prof.k1)
+    big_k, big_e = agm.K, agm.E
+    a = 0.25 * math.sqrt((r4 - r2) * (r3 - r1))
     # no third-kind term: the quartic's missing cubic term cancels it
     c0 = base * base - span * span / (2.0 * (1.0 + kappa))
     c1 = span * span * kappa / (2.0 * (prof.k1 * prof.k1 + kappa) * (1.0 + kappa))
@@ -138,12 +152,27 @@ def _profile_pos(data: InitialData, prof: QuarticProfile) -> _ClosedForm:
             (c0 * u + c1 * (big_e / big_k * u + zeta + kappa * sn * cn * dn / q)) / a,
         )
 
-    return _ClosedForm(a, state, 2.0 * big_k / a, 2.0 * (c0 * big_k + c1 * big_e) / a)
+    period, f_inc = 2.0 * big_k / a, 2.0 * (c0 * big_k + c1 * big_e) / a
+    return _ClosedForm(a, state, -sign * agm.F(math.asin(math.sqrt(max(0.0, sn2)))), period, f_inc)
 
 
-def _profile_mu_pos(data: InitialData, prof: QuarticProfile) -> _ClosedForm:
-    r, mu = prof.r_double, prof.mu
+def _repeated_root(data: InitialData, prof: QuarticProfile) -> tuple[float, float, float, float]:
+    """r, mu, the amplitude sqrt(r^2 - mu) of g = -2 mu / (x + z0 + rho - r),
+    and the argument (g(0) - r) / amplitude of its cosine or cosh at x = 0."""
+    r, mu, zr = prof.r_double, prof.mu, data.zr
+    if zr == r:
+        raise DomainError(f"z0 + rho = {zr} sits on the repeated root, where x' vanishes")
+    if not r * r - mu > 0.0:
+        raise DomainError(f"r^2 - mu = {r * r - mu} leaves the repeated-root profile no amplitude")
     g_amp = math.sqrt(r * r - mu)
+    return r, mu, g_amp, (-2.0 * mu / (zr - r) - r) / g_amp
+
+
+def _profile_mu_pos(data: InitialData, prof: QuarticProfile, turning: bool) -> _ClosedForm:
+    r, mu, g_amp, arg = _repeated_root(data, prof)
+    arg = _clamped_unit(arg, "cosine constant argument")
+    if turning:
+        arg = math.copysign(1.0, arg)
     b = math.sqrt(mu)
     zr = data.zr
 
@@ -159,15 +188,18 @@ def _profile_mu_pos(data: InitialData, prof: QuarticProfile) -> _ClosedForm:
         )
 
     omega = 2.0 * math.pi / b
-    return _ClosedForm(b, state, omega, r * r * omega)
+    return _ClosedForm(b, state, -math.acos(arg), omega, r * r * omega)
 
 
-def _profile_mu_neg(data: InitialData, prof: QuarticProfile) -> _ClosedForm:
-    r, mu = prof.r_double, prof.mu
+def _profile_mu_neg(data: InitialData, prof: QuarticProfile, turning: bool) -> _ClosedForm:
+    r, mu, g_amp, arg = _repeated_root(data, prof)
+    # g = r + sa cosh u, the sign of sa picking the side of the saddle
+    side = 1.0 if prof.branch is Branch.ZERO_MU_NEG_RIGHT else -1.0
+    cosh0 = 1.0 if turning else _clamped_ge1(side * arg, "cosh constant argument")
+    phase = side * math.acosh(cosh0)
     b = math.sqrt(-mu)
     zr = data.zr
-    # g = r + sa cosh u, the sign of sa picking the side of the saddle
-    sa = math.sqrt(r * r - mu) * (1.0 if prof.branch is Branch.ZERO_MU_NEG_RIGHT else -1.0)
+    sa = g_amp * side
 
     def state(u):
         # in e = exp(-|u|) no term overflows at any u, and as e underflows
@@ -182,83 +214,35 @@ def _profile_mu_neg(data: InitialData, prof: QuarticProfile) -> _ClosedForm:
             (r * r * u - 4.0 * mu * t) / b,
         )
 
-    return _ClosedForm(b, state)
+    return _ClosedForm(b, state, phase)
 
 
-def _profile_cusp(data: InitialData, prof: QuarticProfile) -> _ClosedForm:
+def _profile_cusp(data: InitialData, prof: QuarticProfile, turning: bool) -> _ClosedForm:
     r = prof.r_double
     zr = data.zr
+    if zr == r:
+        raise DomainError(f"z0 + rho = {zr} sits on the triple root, where x' vanishes")
+    arg = (3.0 * r + zr) / (r - zr)
+    if arg < -_CLAMP_BAND:
+        raise DomainError(f"cusp constant argument {arg} is negative")
+    if turning:
+        arg = 0.0
 
     def state(s):
         q = 1.0 + (r * s) ** 2
         return -4.0 * r / q + r - zr, 8.0 * r ** 3 * s / q ** 2, r * r * (s + 8.0 * s / q)
 
-    return _ClosedForm(1.0, state)
+    return _ClosedForm(1.0, state, math.sqrt(max(0.0, arg)) / r)
 
 
-def _profile_trivial(data: InitialData, prof: QuarticProfile) -> _ClosedForm:
+def _profile_trivial(data: InitialData, prof: QuarticProfile, turning: bool) -> _ClosedForm:
     zr = data.zr
 
     def state(u):
         zero = u * 0.0 + 0.0  # +0.0, shaped like u
         return zero, zero, zr * zr * u
 
-    return _ClosedForm(1.0, state)
-
-
-def _principal_phase(data: InitialData, prof: QuarticProfile, scale: float) -> float:
-    """The inverse-function phase constant on its principal branch.
-
-    A vanishing x0 puts the start at a turning point, where the inverse
-    function's argument is exactly +-1 (or 0); evaluating it in floats
-    loses half the digits through the square-root branch point, so that
-    case snaps the argument to its exact boundary value.
-    """
-    zr = data.zr
-    branch = prof.branch
-    turning = abs(data.x0) <= _VANISHING_BAND * scale
-    if branch is Branch.NEG:
-        d1, d4 = prof.delta1, prof.delta4
-        num = (prof.r4 - zr) * d1 - (zr - prof.r1) * d4
-        den = (prof.r4 - zr) * d1 + (zr - prof.r1) * d4
-        if turning:  # z0 + rho is r1 or r4; the sign of num says which
-            return inverse_cn(math.copysign(1.0, num), prof.k)
-        return inverse_cn(_clamped_unit(num / den, "cn constant argument"), prof.k)
-    if branch in (Branch.POS_LOW, Branch.POS_HIGH):
-        r1, r2, r3, r4 = sorted(r.real for r in prof.roots)
-        if branch is Branch.POS_LOW:
-            arg2 = ((r4 - r2) * (zr - r1)) / ((r2 - r1) * (r4 - zr))
-            sign = 1.0
-        else:
-            arg2 = ((r3 - r1) * (r4 - zr)) / ((r4 - r3) * (zr - r1))
-            sign = -1.0
-        arg2 = _clamped_unit(arg2, "sn^2 constant argument")
-        if turning:
-            arg2 = 0.0 if arg2 < 0.5 else 1.0
-        return sign * inverse_sn(math.sqrt(max(0.0, arg2)), prof.k1)
-    if branch is Branch.TRIVIAL:
-        return 0.0  # x(t) = 0 has no phase
-    r, mu = prof.r_double, prof.mu
-    if zr == r:
-        raise DomainError(f"z0 + rho = {zr} sits on the repeated root, where x' vanishes")
-    if branch is Branch.ZERO_CUSP:
-        arg = (3.0 * r + zr) / (r - zr)
-        if arg < -_CLAMP_BAND:
-            raise DomainError(f"cusp constant argument {arg} is negative")
-        if turning:
-            arg = 0.0
-        return math.sqrt(max(0.0, arg)) / r
-    if not r * r - mu > 0.0:  # the cosine and cosh profiles take its root next
-        raise DomainError(f"r^2 - mu = {r * r - mu} leaves the repeated-root profile no amplitude")
-    arg = (-2.0 * mu / (zr - r) - r) / math.sqrt(r * r - mu)
-    if branch is Branch.ZERO_MU_POS:
-        arg = _clamped_unit(arg, "cosine constant argument")
-        if turning:
-            arg = math.copysign(1.0, arg)
-        return -math.acos(arg)
-    if branch is Branch.ZERO_MU_NEG_RIGHT:
-        return math.acosh(1.0 if turning else _clamped_ge1(arg, "cosh constant argument"))
-    return -math.acosh(1.0 if turning else _clamped_ge1(-arg, "cosh constant argument"))
+    return _ClosedForm(1.0, state, 0.0)  # x(t) = 0 has no phase
 
 
 _PROFILE_BUILDERS = {
@@ -362,17 +346,16 @@ def make_solution(data: InitialData) -> TrajectorySolution:
     scale = data.scale()
     sigma = -1.0 if data.x0 < 0.0 else 1.0
     prof = build_profile(data)
-    principal = _principal_phase(data, prof, scale)
-    closed = _PROFILE_BUILDERS[prof.branch](data, prof)
+    closed = _PROFILE_BUILDERS[prof.branch](data, prof, abs(data.x0) <= _VANISHING_BAND * scale)
     tol0 = _X0_BAND * scale
-    for flipped, phase in ((False, principal), (True, -principal)):
+    for flipped, phase in ((False, closed.phase), (True, -closed.phase)):
         x_start, xp0, f0 = closed.state(phase)
         if abs(x_start) <= tol0 and xp0 * sigma * data.x0 >= -tol0:
             break
     else:
         raise BranchConsistencyError(
-            f"branch {prof.branch}: x(0) = {closed.state(principal)[0]} with principal "
-            f"constant {principal}; no sign correction restores x(0) = 0"
+            f"branch {prof.branch}: x(0) = {closed.state(closed.phase)[0]} with principal "
+            f"constant {closed.phase}; no sign correction restores x(0) = 0"
         )
     v = _velocity(data, x_start, sigma * xp0, 0.0)  # y(0) = 0
     err = max(abs(v[0] - data.x0), abs(v[1] - data.y0), abs(v[2] - data.z0))

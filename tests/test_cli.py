@@ -271,6 +271,10 @@ class TestExitCodes:
             ["classify-ic", "--x0", "-Infinity", "--y0", "0", "--z0", "-1", "--rho", "1"],
             ["classify-ic", "--x0", "-nan", "--y0", "0", "--z0", "-1", "--rho", "1"],
             ["lattice", "--k", "1", "--lambda", "-inf,0.5", "--energy", "1"],
+            # finite, but the speed quartic overflows a float
+            ["sample", "--x0", "1e100", "--y0", "0", "--z0", "0", "--rho", "1",
+             "--t-max", "1", "--dt", "0.5"],
+            ["classify-ic", "--x0", "1e100", "--y0", "0", "--z0", "0", "--rho", "1"],
         ],
     )
     def test_non_finite_input_is_domain_error(self, argv, capsys):
@@ -332,6 +336,7 @@ class TestExitCodes:
             ["lattice", "--k", "1", "--lambda", "1,abc", "--energy", "1"],
             ["lattice-obstruction", "--basis", "1,x,0,1"],
             ["verify", "--suite", "discriminant", "--seed", "-1"],
+            ["verify", "--suite", "discriminant", "--rho", "2"],
         ):
             code, _, err = run_cli(argv, capsys)
             assert code == EXIT_USAGE

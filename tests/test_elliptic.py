@@ -98,6 +98,23 @@ class TestIncompleteIntegrals:
     def test_oddness(self):
         assert abs(el.ellip_f(-1.1, 0.6) + el.ellip_f(1.1, 0.6)) < 1e-14
 
+    def test_f_against_mpmath(self):
+        # k ~ U[0, 1) and k = 1 - 10^U[-14, -1]; phi in [0, pi], then any real phi
+        rng = np.random.default_rng(11)
+        for i in range(800):
+            k = rng.uniform(0.0, 1.0) if i % 2 else 1.0 - 10.0 ** rng.uniform(-14.0, -1.0)
+            phi = rng.uniform(0.0, math.pi) if i < 600 else rng.uniform(-40.0, 40.0)
+            with mpmath.workdps(40):
+                oracle = mpmath.ellipf(phi, mpmath.mpf(k) ** 2)
+            assert abs(el.ellip_f(phi, k) - oracle) <= 2e-13 * abs(oracle), (phi, k)
+
+    def test_f_reuses_the_scheme(self):
+        agm = el.AGM(0.8)
+        assert agm.F(0.0) == 0.0
+        assert agm.F(math.pi / 2.0) == pytest.approx(agm.K, rel=1e-15)
+        assert agm.F(math.pi) == pytest.approx(2.0 * agm.K, rel=1e-15)
+        assert el.AGM(0.0).F(2.5) == 2.5
+
 
 class TestJacobiFunctions:
     def test_at_zero(self):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heisenmag import quartic
 from heisenmag.acceptance import _first_integral_drift, representative_data
 from heisenmag.errors import DomainError, HeisenmagError
 from heisenmag.quartic import (
@@ -259,3 +260,24 @@ class TestRandomCensus:
         assert prof.roots[0].real < prof.roots[1].real
         assert prof.roots[3].imag > 0.0  # r3-analog carries +Im
         assert abs(prof.roots[2] - prof.roots[3].conjugate()) < 1e-12
+
+
+class TestOverflow:
+    @pytest.mark.parametrize(
+        "values",
+        [(1e100, 0, 0, 1), (0, 1e80, 0, 1), (1, 0, 0, 1e80), (1e200, 0, 0, 0), (1e154, 1, 1, 1)],
+    )
+    def test_overflowing_data_is_domain_error(self, values):
+        data = InitialData(*map(float, values))
+        with pytest.raises(DomainError):
+            build_profile(data)
+        with pytest.raises(DomainError):
+            make_solution(data)
+
+    def test_large_data_still_builds(self):
+        sol = make_solution(InitialData(1e50, 0.5, 0.2, 1.0))
+        assert sol.profile.branch is Branch.NEG
+
+    def test_newton_stops_on_nan_residual(self):
+        assert quartic._newton(1.0, lambda v: None, lambda v: math.nan) == 1.0
+        assert quartic._newton(1.0, lambda v: v + 1.0, lambda v: math.nan) == 1.0

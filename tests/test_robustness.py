@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from heisenmag import acceptance
@@ -21,6 +23,19 @@ from heisenmag.periodic import (
 )
 from heisenmag.quartic import Branch, InitialData, build_profile
 from heisenmag.trajectory import make_solution
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)  # signed zeros and subnormals too
+
+
+@settings(max_examples=1500, deadline=None)
+@given(_FINITE, _FINITE, _FINITE, _FINITE)
+def test_every_finite_datum_builds_or_raises_typed(x0, y0, z0, rho):
+    """Any finite data either build and evaluate, or raise a HeisenmagError."""
+    try:
+        make_solution(InitialData(x0, y0, z0, rho)).evaluate([0.0, 0.5, 3.0])
+    except HeisenmagError:
+        pass
 
 
 class TestRandomCrossValidation:

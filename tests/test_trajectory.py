@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from heisenmag.acceptance import representative_data
+from heisenmag.errors import HeisenmagError
 from heisenmag.heisenberg import HeisenbergPoint, LorentzForce
 from heisenmag.oracle import (
     OracleConfig,
@@ -69,6 +71,54 @@ def test_evaluation_runs_no_agm(monkeypatch):
             sol.velocity(t)
         sol.sample(ts[140:])
         assert len(runs) == built, f"{len(runs) - built} AGM runs evaluating {data}"
+
+
+def _wide_box(n, seed=0):
+    """Each coordinate 0 with probability 0.1, else +-10^U[-6, 6]; rho >= 0."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        v = [0.0 if rng.uniform() < 0.1 else 10.0 ** rng.uniform(-6.0, 6.0) for _ in range(4)]
+        signs = rng.choice([-1.0, 1.0], 3)
+        yield InitialData(v[0] * signs[0], v[1] * signs[1], v[2] * signs[2], v[3])
+
+
+def test_construction_calls_no_carlson_form(monkeypatch):
+    """The phase constant inverts on the solution's AGM, not through scipy's R_F."""
+
+    def refuse(*args):
+        raise AssertionError("make_solution reached scipy's elliprf")
+
+    monkeypatch.setattr(elliptic, "elliprf", refuse)
+    for branch in Branch:
+        if branch is not Branch.TRIVIAL:
+            make_solution(representative_data(branch))
+    built = 0
+    for data in _wide_box(400):
+        try:
+            make_solution(data)
+        except HeisenmagError:
+            continue
+        built += 1
+    assert built > 100
+
+
+def test_one_agm_per_elliptic_solution(monkeypatch):
+    runs = []
+    init = elliptic.AGM.__init__
+
+    def counted(self, k):
+        runs.append(k)
+        init(self, k)
+
+    monkeypatch.setattr(elliptic.AGM, "__init__", counted)
+    for branch in (Branch.NEG, Branch.POS_LOW, Branch.POS_HIGH):
+        for data in BRANCH_CASES[branch]:
+            runs.clear()
+            sol = make_solution(data)
+            assert len(runs) == 1, (data, runs)
+            if data == InitialData(1.0, 0.5, 0.2, 1.0):
+                # past the cn quarter period: the inverse reads phi > pi/2, F > K
+                assert abs(sol.phase) > sol.x_period * sol._closed.rate / 4.0
 
 
 @pytest.mark.parametrize("branch,data", ALL_CASES, ids=lambda v: str(v)[:40])
@@ -483,7 +533,7 @@ class TestArrayEvaluation:
     def test_modulus_zero(self):
         data = InitialData(1.0, 0.5, 0.2, 1.0)
         prof = dataclasses.replace(build_profile(data), k=0.0)
-        state = trajectory._profile_neg(data, prof).state
+        state = trajectory._profile_neg(data, prof, False).state
         us = np.linspace(-10.0, 10.0, 41)
         cols = state(us)
         for i, u in enumerate(us.tolist()):
