@@ -13,6 +13,13 @@ non-periodic repeated-root branches approach a saddle of the effective
 potential, where any float64 integrator loses e^{sqrt(-mu) t} accuracy;
 they are compared on [0, 20] with `oracle.taylor_reduced`, a 30-digit
 fixed-point Taylor integration of the reduced system.
+
+Criterion 3 computes the closed-form roots of its 10^4 samples in one
+`quartic_roots` call on columns.  The quadrature references of criteria 4
+(y over one x-period) and 11 (the appendix integrals over one period of
+cn) integrate smooth periodic functions over a period, so they are
+periodic trapezoid sums (`_periodic_integral`), which converge
+exponentially, with the integrand evaluated once per level on an array.
 """
 
 from __future__ import annotations
@@ -24,7 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
-from scipy.integrate import quad
 
 from . import elliptic
 from .errors import (
@@ -110,6 +116,10 @@ _EL_RESIDUAL_GATE = 1e-5  # 10: Euler-Lagrange residual on trajectories
 _EL_CONTROL_FLOOR = 1e-2  # 10: ... and its floor off them
 _LEGENDRE_GATE = 1e-12  # 11: Legendre relation defect
 _IDENTITY_GATE = 1e-10  # 11: appendix integrals against quadrature and at k = 0
+# 4, 11: two successive periodic trapezoid sums agree within this, times max(1, period)
+_TRAPEZOID_BAND = 1e-13
+_TRAPEZOID_START = 32  # points of the first trapezoid sum
+_TRAPEZOID_CAP = 1 << 14  # points past which the sums count as not settling
 
 
 def tolerance_scale() -> float:
@@ -186,22 +196,46 @@ def _first_integral_drift(sol, data: InitialData) -> float:
     return float(np.max(np.abs(drift)))
 
 
-def _y_over_period_by_quadrature(sol) -> float:
-    """y(omega) by adaptive quadrature of y' = x^2/2 + (z0+rho) x + y0.
+def _periodic_integral(f, period: float):
+    """Integral over [0, period] of a smooth f of that period.
 
-    Independent of the closed form that TrajectorySolution.y_over_period
+    The equispaced trapezoid sum converges exponentially on such an
+    integrand (Trefethen and Weideman, SIAM Review 56(3), 2014).  f takes
+    an array of times and returns its values along the last axis, so one
+    call may carry several integrands.  Each level doubles the points and
+    evaluates f once, on the midpoints of the last level, until two
+    successive sums agree within _TRAPEZOID_BAND * max(1, period).
+    """
+    band = _TRAPEZOID_BAND * max(1.0, period)
+    n = _TRAPEZOID_START
+    total = period / n * np.sum(f(period / n * np.arange(n)), axis=-1)
+    while n < _TRAPEZOID_CAP:
+        midpoints = period / n * (np.arange(n) + 0.5)
+        refined = 0.5 * (total + period / n * np.sum(f(midpoints), axis=-1))
+        n *= 2
+        gap = float(np.max(np.abs(refined - total)))
+        if gap <= band:
+            return refined
+        total = refined
+    raise ConvergenceError(
+        f"trapezoid sums over [0, {period}] still differ by {gap} at {n} points"
+    )
+
+
+def _y_over_period_by_trapezoid(sol) -> float:
+    """y(omega) as the periodic trapezoid sum of y' = x^2/2 + (z0+rho) x + y0.
+
+    x comes from the curve's arrays (TrajectorySolution.evaluate), so this
+    is independent of the closed form that TrajectorySolution.y_over_period
     returns, which criterion 4 compares it against.
     """
-    zr, y0, omega = sol.data.zr, sol.data.y0, sol.x_period
+    zr, y0 = sol.data.zr, sol.data.y0
 
-    def y_prime(s: float) -> float:
-        x = sol.x(s)
+    def y_prime(ts):
+        x = sol.evaluate(ts)[0]
         return 0.5 * x * x + zr * x + y0
 
-    val, err = quad(y_prime, 0.0, omega, epsabs=1e-12, epsrel=1e-12, limit=400)
-    if err > 1e-11 * max(1.0, omega):
-        raise ConvergenceError(f"quadrature over [0, {omega}] reports error {err}")
-    return val
+    return float(_periodic_integral(y_prime, sol.x_period))
 
 
 def check_branch(branch: Branch, rho: float | None = None) -> dict:
@@ -284,17 +318,16 @@ def crit_first_integral(tol: float = 1.0) -> CriterionResult:
 def crit_discriminant(tol: float = 1.0, seed: int = 0) -> CriterionResult:
     """3: discriminant sign agrees with the real-root count; Viete holds.
 
-    The count comes from an independent reference, the eigenvalues of the
-    companion matrices (what np.roots solves), in one batched call; the
-    Viete residuals are those of the closed-form roots.
+    The closed-form roots come from one quartic_roots call on the columns,
+    equal bit for bit to the roots of each row.  The count comes from an
+    independent reference, the eigenvalues of the companion matrices (what
+    np.roots solves), in one batched call; the Viete residuals are those
+    of the closed-form roots.
     """
     rng = np.random.default_rng(seed)
     n = 10_000
     p0, q0, rho, delta, band = _discriminant_columns(rng.uniform(-3.0, 3.0, (n, 4)))
-    roots = np.empty((n, 4), dtype=complex)
-    # quartic_roots on Python floats, converted one row at a time
-    for i, row in enumerate(zip(map(float, p0), map(float, q0), map(float, rho))):
-        roots[i] = quartic_roots(*row)
+    roots = quartic_roots(p0, q0, rho)
     boundary = np.abs(delta) <= band
     rscale = np.maximum(1.0, np.abs(roots).max(axis=1))
     r0, r1, r2, r3 = roots.T
@@ -337,7 +370,11 @@ def _discriminant_columns(draws: np.ndarray):
 
 
 def crit_periodicity_criterion(tol: float = 1.0, seed: int = 0) -> CriterionResult:
-    """4: y(omega) closed form matches quadrature below, negative above."""
+    """4: y(omega) closed form matches quadrature below, negative above.
+
+    The quadrature is the periodic trapezoid sum of y' over one x-period,
+    on the curve's arrays (_y_over_period_by_trapezoid).
+    """
     rng = np.random.default_rng(seed)
     worst_gap = 0.0
     # negative discriminant: the chart guarantees the stratum
@@ -347,7 +384,7 @@ def crit_periodicity_criterion(tol: float = 1.0, seed: int = 0) -> CriterionResu
         e = rng.uniform(-1.0, 1.0)
         rho = rng.uniform(0.0, 2.0)
         sol = make_solution(initial_from_cde(c, d, e, rho))
-        gap = abs(_y_over_period_by_quadrature(sol) - sol.y_over_period())
+        gap = abs(_y_over_period_by_trapezoid(sol) - sol.y_over_period())
         worst_gap = max(worst_gap, gap)
     # four real roots: sample root configurations directly
     pos_all_negative = True
@@ -377,7 +414,7 @@ def crit_periodicity_criterion(tol: float = 1.0, seed: int = 0) -> CriterionResu
         sol = make_solution(data)
         if sol.profile.branch not in (Branch.POS_LOW, Branch.POS_HIGH):
             continue
-        val = max(_y_over_period_by_quadrature(sol), sol.y_over_period())
+        val = max(_y_over_period_by_trapezoid(sol), sol.y_over_period())
         worst_pos = max(worst_pos, val)
         pos_all_negative = pos_all_negative and val < 0.0
         count += 1
@@ -400,7 +437,7 @@ def crit_periodicity_criterion(tol: float = 1.0, seed: int = 0) -> CriterionResu
         sol = make_solution(data)
         if sol.profile.branch is not Branch.ZERO_MU_POS:
             continue
-        quadrature, closed = _y_over_period_by_quadrature(sol), sol.y_over_period()
+        quadrature, closed = _y_over_period_by_trapezoid(sol), sol.y_over_period()
         worst_mu = max(worst_mu, quadrature, closed)
         worst_mu_gap = max(worst_mu_gap, abs(quadrature - closed))
         mu_all_negative = mu_all_negative and quadrature < 0.0 and closed < 0.0
@@ -562,7 +599,12 @@ def crit_lagrangian(tol: float = 1.0) -> CriterionResult:
 
 
 def crit_elliptic_kernel(tol: float = 1.0) -> CriterionResult:
-    """11: Legendre relation and the appendix integral identities."""
+    """11: Legendre relation and the appendix integral identities.
+
+    The quadrature of the appendix integrals over one period 4K of cn is
+    the periodic trapezoid sum, one special.ellipj call on each level's
+    array of points for both integrands.
+    """
     worst_leg = max(
         abs(elliptic.legendre_relation_defect(float(k)))
         for k in np.linspace(0.01, 0.99, 50)
@@ -575,16 +617,12 @@ def crit_elliptic_kernel(tol: float = 1.0) -> CriterionResult:
     ]
     for a, b, k in cases:
         vals = elliptic.appendix_integrals(a, b, k)
-        period = 4.0 * elliptic.complete_K(k)
-        m = k * k
 
-        def cn(s):
-            return special.ellipj(s, m)[1]
+        def powers(ts, a=a, b=b, m=k * k):  # 1/(a cn + b) and its square
+            inv = 1.0 / (a * special.ellipj(ts, m)[1] + b)
+            return np.stack([inv, inv * inv])
 
-        i1, _ = quad(lambda s: 1.0 / (a * cn(s) + b), 0.0, period,
-                     epsabs=1e-13, epsrel=1e-13, limit=400)
-        i2, _ = quad(lambda s: 1.0 / (a * cn(s) + b) ** 2, 0.0, period,
-                     epsabs=1e-13, epsrel=1e-13, limit=400)
+        i1, i2 = _periodic_integral(powers, 4.0 * elliptic.complete_K(k)).tolist()
         worst_app = max(worst_app, abs(vals["I1"] - i1), abs(vals["I2"] - i2))
     k0 = elliptic.appendix_integrals(1.0, 2.0, 0.0)
     worst_k0 = max(

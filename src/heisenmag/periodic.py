@@ -77,6 +77,8 @@ _CHART_BAND = 1e-12  # round-off admitted at the (c, d, e) chart edges and of k^
 _LATTICE_BAND = 1e-12  # |x1| or |y1| of a lattice element read as zero
 _CROSSING_SLOPE = 1e-9  # x' x0 at the conjugacy crossing read as non-negative
 _LAMBDA_RESIDUAL = 1e-7  # gate on a constructed curve's lambda-periodicity residual
+_OBSTRUCTION_RADIUS = 64  # largest multiple m of a basis column tried
+_OBSTRUCTION_BAND = 1e-9  # relative zero of a first coordinate, and of a basis determinant
 
 
 # --- the (c, d, e) chart -------------------------------------------------------
@@ -198,6 +200,7 @@ _RTOL = 4.0 * np.finfo(float).eps
 _XTOL = 5e-324
 _DC_TOL = 1e-12
 _C_FLOOR = 1.0 + 1e-11
+_C_CEILING = 2.0 ** 29  # the last end of the energy's c bracket tried
 _SWEEP_STEPS = 400
 
 
@@ -247,6 +250,27 @@ def _h_energy(c: float, energy: float, rho: float) -> float:
     return math.sqrt(max(0.0, num) / (4.0 * c * c * (c4 + rho * rho)))
 
 
+def _check_resolvable(energy: float, rho: float) -> None:
+    """DomainError unless psi_tilde stays finite on [_C_FLOOR, _C_CEILING]
+    and the energy's c lies below _C_CEILING.
+
+    psi_tilde squares rho^2 + c^6.  En(c, d_c) increases in c, and
+    En(c, d) < (1 + rho^2 / c^4)(c^2 + 1)^2 / 2 for d < 1, so an energy
+    above that bound at the ceiling has its c above it.
+    """
+    try:  # Python's float ** raises on overflow where * gives inf
+        square = (rho * rho + _C_CEILING ** 6) ** 2
+    except OverflowError:
+        square = math.inf
+    if not math.isfinite(square):
+        raise DomainError(f"rho = {rho} is too large: (rho^2 + c^6)^2 overflows a float")
+    top = 0.5 * (1.0 + rho * rho / _C_CEILING ** 4) * (_C_CEILING ** 2 + 1.0) ** 2
+    if energy > top:
+        raise DomainError(
+            f"energy {energy} lies above the largest resolvable at rho = {rho}, about {top}"
+        )
+
+
 def solve_c_for_energy(energy: float, rho: float) -> float:
     """The unique c > 1 whose periodic family has the given energy.
 
@@ -256,6 +280,7 @@ def solve_c_for_energy(energy: float, rho: float) -> float:
     check_finite(energy=energy, rho=rho)
     if energy <= 0.0:
         raise DomainError(f"energy must be positive, got {energy}")
+    _check_resolvable(energy, rho)
 
     def psi_on_level(c: float) -> float:
         d = min(1.0 - _CHART_BAND, max(_CHART_BAND, _h_energy(c, energy, rho)))
@@ -274,7 +299,7 @@ def solve_c_for_energy(energy: float, rho: float) -> float:
     hi = 2.0
     while psi_on_level(hi) < 0.0:
         hi *= 2.0
-        if hi > 1e9:
+        if hi > _C_CEILING:
             raise ConvergenceError("energy bracket blew up")
     return _brent(psi_on_level, _C_FLOOR, hi)
 
@@ -518,6 +543,12 @@ def find_lambda_periodic(
         raise DomainError("energy must be positive")
     if rho < 0.0:
         raise DomainError("canonical force has rho >= 0")
+    # the residual gate is absolute: past it, y1 and z1 are not resolved
+    if max(math.ulp(lam.y1), math.ulp(lam.z1)) > _LAMBDA_RESIDUAL:
+        raise DomainError(
+            f"lambda = (0, {lam.y1}, {lam.z1}) is too large: its float spacing "
+            f"exceeds the lambda-periodicity gate {_LAMBDA_RESIDUAL}"
+        )
     c0 = solve_c_for_energy(energy, rho)
 
     def psi_on_surface(c: float) -> float | None:
@@ -602,26 +633,35 @@ def primitive_period(
     raise ConvergenceError(f"no lattice recurrence within {max_multiple} x-periods")
 
 
-def lattice_obstruction_check(basis, radius: int = 64, tol: float = 1e-9) -> bool:
+def lattice_obstruction_check(basis) -> bool:
     """Whether some nonzero integer combination of the basis columns has
     zero first coordinate.
 
     That is the existence condition for candidate period elements
     exp(y1 e2 + z1 e3) in the lattice spanned by the columns (the centre
-    step never obstructs).  An exhaustive search over 1 <= m <= radius
-    tries the integer n nearest to -m a1 / a2 for each m.
+    step never obstructs).  An exhaustive search over
+    1 <= m <= _OBSTRUCTION_RADIUS tries the integer n nearest to -m a1 / a2
+    for each m.  Columns that are linearly dependent within
+    _OBSTRUCTION_BAND (the determinant of the unit columns) span no
+    lattice, and raise DomainError.
     """
     b = np.asarray(basis, dtype=float)
     if b.shape != (2, 2):
         raise DomainError("basis must be a 2x2 matrix with generator columns")
     if not np.all(np.isfinite(b)):
         raise DomainError("basis entries must be finite")
+    lengths = (math.hypot(*b[:, 0]), math.hypot(*b[:, 1]))
+    if min(lengths) == 0.0 or abs(np.linalg.det(b / lengths)) <= _OBSTRUCTION_BAND:
+        raise DomainError(
+            f"basis columns {b[:, 0].tolist()} and {b[:, 1].tolist()} are linearly "
+            "dependent: they span no lattice"
+        )
     a1, a2 = float(b[0, 0]), float(b[0, 1])
     scale = max(abs(a1), abs(a2), 1.0)
-    if abs(a1) <= tol * scale or abs(a2) <= tol * scale:
+    if abs(a1) <= _OBSTRUCTION_BAND * scale or abs(a2) <= _OBSTRUCTION_BAND * scale:
         return True
-    for m in range(1, radius + 1):
+    for m in range(1, _OBSTRUCTION_RADIUS + 1):
         n = round(-a1 * m / a2)
-        if abs(m * a1 + n * a2) <= tol * scale * (m + abs(n) + 1):
+        if abs(m * a1 + n * a2) <= _OBSTRUCTION_BAND * scale * (m + abs(n) + 1):
             return True
     return False

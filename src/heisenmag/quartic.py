@@ -146,43 +146,67 @@ def delta_band(p0: float, q0: float, rho: float) -> float:
 
 def _newton(x, step, residual):
     """Newton steps from x while they lower the residual, at most four:
-    near a double root the step is round-off, and this keeps it out."""
+    near a double root the step is round-off, and this keeps it out.
+
+    The steps give NaN where they would divide by zero, which stops them.
+    On arrays the rule holds per element.  An element whose step does not
+    lower its residual (a NaN residual included) keeps its x, so its next
+    step is the same one and it stays stopped.
+    """
     norm = residual(x)
+    m = ops(norm)
     for _ in range(4):
         cand = step(x)
-        cand_norm = math.inf if cand is None else residual(cand)
-        if not cand_norm < norm:  # a NaN residual stops it too
+        cand_norm = residual(cand)
+        lower = cand_norm < norm  # a NaN residual stops it too
+        if not m.any(lower):
             break
-        x, norm = cand, cand_norm
+        x, norm = m.where(lower, (cand, cand_norm), (x, norm))
     return x
 
 
-def _resolvent_root(p0: float, q0: float, rho: float) -> float:
-    """Largest root U >= 0 of U^3 + 4 p0 U^2 + 4 (p0^2 - q0) U - 64 rho^2,
-    by Cardano's or Viete's trigonometric form, then _newton."""
-    c2, c1, c0 = 4.0 * p0, 4.0 * (p0 * p0 - q0), -64.0 * rho * rho
-    if c0 == 0.0:  # U (U^2 + c2 U + c1): the quadratic's larger root or 0
-        return max(0.0, 2.0 * (math.sqrt(q0) - p0)) if q0 >= 0.0 else 0.0
+def _resolvent_root(p0, q0, rho):
+    """Largest root U >= 0 of U^3 + 4 p0 U^2 + 4 (p0^2 - q0) U - 64 rho^2."""
+    m = ops(p0)
+    c0 = -64.0 * rho * rho
+    return m.branch(c0 == 0.0, _factored_root, _cubic_root, p0, q0, rho, c0, m)
+
+
+def _factored_root(p0, q0, rho, c0, m):
+    """At c0 = 0 the cubic is U (U^2 + 4 p0 U + 4 (p0^2 - q0)): the
+    quadratic's larger root, or 0."""
+    return m.where(q0 >= 0.0, m.max(0.0, 2.0 * (m.sqrt(m.max(0.0, q0)) - p0)), 0.0)
+
+
+def _cubic_root(p0, q0, rho, c0, m):
+    """Cardano's or Viete's trigonometric form, then _newton on the cubic."""
+    c2, c1 = 4.0 * p0, 4.0 * (p0 * p0 - q0)
     q = 4.0 * (p0 * p0 + 3.0 * q0) / 9.0
-    r = -8.0 * (p0 ** 3 - 9.0 * p0 * q0 + 108.0 * rho * rho) / 27.0
-    if r * r < q ** 3:  # three real roots
-        theta = math.acos(min(1.0, max(-1.0, r / (q * math.sqrt(q)))))
-        u = -2.0 * math.sqrt(q) * math.cos((theta + 2.0 * math.pi) / 3.0) - c2 / 3.0
-    else:
-        big = -math.copysign((abs(r) + math.sqrt(r * r - q ** 3)) ** (1.0 / 3.0), r)
-        u = big + (q / big if big != 0.0 else 0.0) - c2 / 3.0
+    r = -8.0 * (m.pow(p0, 3) - 9.0 * p0 * q0 + 108.0 * rho * rho) / 27.0
 
     def cubic(v):
         return ((v + c2) * v + c1) * v + c0
 
     def step(v):
-        slope = (3.0 * v + 2.0 * c2) * v + c1
-        return v - cubic(v) / slope if slope != 0.0 else None
+        return v - m.div(cubic(v), (3.0 * v + 2.0 * c2) * v + c1, math.nan)
 
-    return max(0.0, _newton(u, step, lambda v: abs(cubic(v))))
+    u = m.branch(r * r < m.pow(q, 3), _viete, _cardano, q, r, m) - c2 / 3.0
+    return m.max(0.0, _newton(u, step, lambda v: abs(cubic(v))))
 
 
-def _descartes_factors(p0: float, q0: float, rho: float):
+def _viete(q, r, m):
+    """The largest root of the depressed cubic when all three are real."""
+    theta = m.acos(m.min(1.0, m.max(-1.0, r / (q * m.sqrt(q)))))
+    return -2.0 * m.sqrt(q) * m.cos((theta + 2.0 * math.pi) / 3.0)
+
+
+def _cardano(q, r, m):
+    """The real root of the depressed cubic when it has one."""
+    big = -m.copysign(m.pow(abs(r) + m.sqrt(r * r - m.pow(q, 3)), 1.0 / 3.0), r)
+    return big + m.div(q, big, 0.0)
+
+
+def _descartes_factors(p0, q0, rho):
     """m = (eta^2 + s eta + a)(eta^2 - s eta + b), as (discriminant, s, a) per factor.
 
     a + b = 2 p0 + s^2, s (b - a) = -8 rho, a b = q0: the larger of a, b
@@ -190,51 +214,66 @@ def _descartes_factors(p0: float, q0: float, rho: float):
     the smaller from a b = q0, and Newton steps on all three take out the
     error that close resolvent roots leave in s^2.
     """
+    m = ops(p0)
     u = _resolvent_root(p0, q0, rho)
-    s = math.sqrt(u)
+    s = m.sqrt(u)
     total = 2.0 * p0 + u  # a + b
-    diff = -8.0 * rho / s if s != 0.0 else math.sqrt(max(0.0, total * total - 4.0 * q0))
-    big = 0.5 * (total + math.copysign(diff, total))
-    small = q0 / big if big != 0.0 else 0.0
-    a, b = (small, big) if math.copysign(diff, total) == diff else (big, small)
+    diff = m.div(-8.0 * rho, s, m.sqrt(m.max(0.0, total * total - 4.0 * q0)))
+    signed = m.copysign(diff, total)
+    big = 0.5 * (total + signed)
+    small = m.div(q0, big, 0.0)
+    a, b = m.where(signed == diff, (small, big), (big, small))
     scale = _coefficient_scale(p0, q0, rho)
-    weights = (scale, math.sqrt(scale), 1.0)  # the three equations in eta^4 units
+    w1, w2 = scale, m.sqrt(scale)  # the three equations in eta^4 units
 
     def equations(x):
         s, a, b = x
         return a + b - s * s - 2.0 * p0, s * (b - a) + 8.0 * rho, a * b - q0
 
     def residual(x):
-        return sum(abs(f) * w for f, w in zip(equations(x), weights))
+        f1, f2, f3 = equations(x)
+        return sum((abs(f1) * w1, abs(f2) * w2, abs(f3)))
 
     def step(x):
         s, a, b = x
         f1, f2, f3 = equations(x)
-        det = 2.0 * s * s * (a + b) + (b - a) ** 2
-        if s == 0.0 or det == 0.0:
-            return None
-        ds = (s * ((a + b) * f1 - 2.0 * f3) - (b - a) * f2) / det
-        dsum, ddiff = 2.0 * s * ds - f1, -(f2 + (b - a) * ds) / s  # da + db, db - da
+        det = 2.0 * s * s * (a + b) + m.pow(b - a, 2)
+        ds = m.div(s * ((a + b) * f1 - 2.0 * f3) - (b - a) * f2, det, math.nan)
+        dsum = 2.0 * s * ds - f1  # da + db
+        ddiff = m.div(-(f2 + (b - a) * ds), s, math.nan)  # db - da
         return s + ds, a + 0.5 * (dsum - ddiff), b + 0.5 * (dsum + ddiff)
 
     s, a, b = _newton((s, a, b), step, residual)
     return (s * s - 4.0 * a, s, a), (s * s - 4.0 * b, -s, b)
 
 
-def _factor_roots(disc: float, s: float, c: float, real: bool):
+def _factor_roots(disc, s, c, real: bool):
     """Roots of eta^2 + s eta + c: a real pair without cancellation
-    (disc clamped at 0), else the complex pair, -Im first."""
+    (disc clamped at 0) when real is set, else the complex pair, -Im first."""
+    m = ops(s)
     if real:
-        big = -0.5 * (s + math.copysign(math.sqrt(max(0.0, disc)), s))
-        return (big, c / big) if big != 0.0 else (0.0, 0.0)
-    w = 0.5 * math.sqrt(max(0.0, -disc))
-    return complex(-0.5 * s, -w), complex(-0.5 * s, w)
+        big = -0.5 * (s + m.copysign(m.sqrt(m.max(0.0, disc)), s))
+        return big + 0.0, m.div(c, big, 0.0)  # + 0.0 turns a -0.0 root into 0.0
+    w = 0.5 * m.sqrt(m.max(0.0, -disc))
+    return m.complex(-0.5 * s, -w), m.complex(-0.5 * s, w)
 
 
-def quartic_roots(p0: float, q0: float, rho: float) -> np.ndarray:
-    """The four roots of the speed quartic from Descartes' factorisation."""
-    factors = _descartes_factors(p0, q0, rho)
-    return np.array([r for f in factors for r in _factor_roots(*f, f[0] >= 0.0)], dtype=complex)
+def quartic_roots(p0, q0, rho) -> np.ndarray:
+    """The four roots of the speed quartic from Descartes' factorisation.
+
+    p0, q0, rho are floats, or equal-length arrays with one row of four
+    roots per entry; a row equals the roots of its floats bit for bit,
+    except that where Python's ** raises OverflowError on the floats, the
+    row holds inf or NaN.
+    """
+    m = ops(p0)
+    roots = []
+    with m.quiet():
+        for f in _descartes_factors(p0, q0, rho):
+            roots += m.branch(
+                f[0] >= 0.0, lambda: _factor_roots(*f, True), lambda: _factor_roots(*f, False)
+            )
+    return np.array(roots, dtype=complex).T
 
 
 @dataclass(frozen=True)
@@ -281,7 +320,7 @@ def build_profile(data: InitialData) -> QuarticProfile:
     pair = sorted(_factor_roots(*wide, True))
     other = _factor_roots(*narrow, narrow_real)
     reals = sorted(pair + list(other)) if narrow_real else pair
-    ordered = tuple(complex(r) for r in reals) + (() if narrow_real else other)
+    ordered = tuple(map(complex, reals)) + (() if narrow_real else other)
 
     if trivial:
         return QuarticProfile(

@@ -5,10 +5,22 @@ report, or `heisenmag verify --suite all` for the same checks from the
 CLI.  HEISENMAG_TOL scales the thresholds.
 """
 
-import numpy as np
+import math
+from collections import Counter
 
-from heisenmag import acceptance
-from heisenmag.quartic import InitialData, delta_band, discriminant, monic_coefficients
+import numpy as np
+import pytest
+
+from heisenmag import acceptance, quartic
+from heisenmag.errors import ConvergenceError
+from heisenmag.quartic import (
+    InitialData,
+    delta_band,
+    discriminant,
+    monic_coefficients,
+    quartic_roots,
+)
+from heisenmag.trajectory import TrajectorySolution
 
 
 def _run(name):
@@ -48,6 +60,91 @@ def test_criterion_03_columns_equal_scalar_formulas():
         p0, q0 = monic_coefficients(InitialData(x0, y0, z0, rho))
         rows.append((p0, q0, rho, discriminant(p0, q0, rho), delta_band(p0, q0, rho)))
     assert np.array_equal(columns.view(np.int64), np.array(rows).view(np.int64))
+
+
+def test_criterion_03_batched_roots_equal_scalar_roots(monkeypatch):
+    # criterion 3's columns at seed 0, then edge rows: rho = 0, s = 0 (the
+    # trivial datum at the origin), and rho^2 overflowing to inf
+    draws = np.random.default_rng(0).uniform(-3.0, 3.0, (10_000, 4))
+    p0, q0, rho, _, _ = acceptance._discriminant_columns(draws)
+    edges = [
+        (*monic_coefficients(data), data.rho)
+        for data in (InitialData(0.5, 0.3, -0.2, 0.0), InitialData(0.0, 0.0, 0.0, 0.0))
+    ]
+    edges.append((1.0, 1.0, 1e200))
+    p0, q0, rho = (np.concatenate([col, extra]) for col, extra in zip((p0, q0, rho), zip(*edges)))
+    batched = quartic_roots(p0, q0, rho)
+
+    newton = quartic._newton
+    starts = []
+
+    def spied(x, step, residual):
+        starts.append(residual(x))
+        return newton(x, step, residual)
+
+    monkeypatch.setattr(quartic, "_newton", spied)
+    rows = np.array([quartic_roots(*row) for row in zip(p0.tolist(), q0.tolist(), rho.tolist())])
+    assert batched.shape == rows.shape == (10_003, 4)
+    assert np.array_equal(np.ascontiguousarray(batched).view(np.int64), rows.view(np.int64))
+    # the edge rows reach the branches they are there for: the last row's
+    # two Newton runs start at a NaN residual, the one before it at s = 0
+    assert math.isnan(starts[-1]) and math.isnan(starts[-2])
+    assert quartic._descartes_factors(*map(float, (p0[-2], q0[-2], rho[-2])))[0][1] == 0.0
+
+
+def test_criterion_03_solves_roots_once(monkeypatch):
+    calls = []
+    factors = quartic._descartes_factors
+
+    def counted(*args):
+        calls.append(args)
+        return factors(*args)
+
+    monkeypatch.setattr(quartic, "_descartes_factors", counted)
+    acceptance.run_criterion("discriminant", seed=0)
+    assert len(calls) == 1
+
+
+def test_criterion_04_reference_runs_on_arrays(monkeypatch):
+    # the trapezoid reference reads x from evaluate, a few arrays per curve
+    x_calls, evaluated = [], []  # the curves stay referenced, so their ids stay distinct
+    x, evaluate = TrajectorySolution.x, TrajectorySolution.evaluate
+
+    def counted_x(self, t):
+        x_calls.append(t)
+        return x(self, t)
+
+    def counted_evaluate(self, ts):
+        evaluated.append(self)
+        return evaluate(self, ts)
+
+    monkeypatch.setattr(TrajectorySolution, "x", counted_x)
+    monkeypatch.setattr(TrajectorySolution, "evaluate", counted_evaluate)
+    acceptance.run_criterion("periodicity", seed=0)
+    per_curve = Counter(map(id, evaluated))
+    assert x_calls == []
+    assert len(per_curve) >= 300 and max(per_curve.values()) <= 6
+
+
+class TestPeriodicIntegral:
+    def test_smooth_periodic_integrand(self):
+        val = acceptance._periodic_integral(lambda t: 1.0 / (2.0 + np.cos(t)), 2.0 * math.pi)
+        assert abs(val - 2.0 * math.pi / math.sqrt(3.0)) <= 1e-14
+
+    def test_several_integrands_in_one_call(self):
+        def powers(t):
+            inv = 1.0 / (2.0 + np.cos(t))
+            return np.stack([inv, inv * inv])
+
+        i1, i2 = acceptance._periodic_integral(powers, 2.0 * math.pi)
+        assert abs(i1 - 2.0 * math.pi / math.sqrt(3.0)) <= 1e-14
+        assert abs(i2 - 4.0 * math.pi / 3.0 ** 1.5) <= 1e-14
+
+    def test_unsettled_sums_raise(self):
+        # the sawtooth t on [0, 2 pi) jumps at the period's end: its sums
+        # fall by pi^2 / n at each doubling and never agree to the band
+        with pytest.raises(ConvergenceError, match="trapezoid sums"):
+            acceptance._periodic_integral(lambda t: t, 2.0 * math.pi)
 
 
 def test_criterion_04_periodicity_criterion():

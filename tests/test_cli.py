@@ -283,6 +283,28 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["periodic", "--rho", "1e200", "--energy", "1"], "rho = 1e+200"),
+            (["periodic", "--rho", "1", "--energy", "1e300"], "energy 1e+300"),
+            (["lattice", "--k", "1", "--lambda", "1,0.5", "--energy", "1e300"], "energy 1e+300"),
+            (["lattice", "--k", "1", "--lambda", "1e300,0.5", "--energy", "1"],
+             "lambda = (0, 1e+300, 0.5)"),
+        ],
+    )
+    def test_huge_periodic_input_is_named(self, argv, named, capsys):
+        # finite, but past what the periodic solvers resolve in floats
+        code, _, err = run_cli(argv, capsys)
+        assert code == EXIT_DOMAIN
+        assert err.startswith("error:") and named in err
+
+    @pytest.mark.parametrize("basis", ["1,0,0,0", "1,2,2,4"])
+    def test_degenerate_basis_is_domain_error(self, basis, capsys):
+        code, out, err = run_cli(["lattice-obstruction", "--basis", basis], capsys)
+        assert code == EXIT_DOMAIN
+        assert out == "" and "linearly dependent" in err
+
     def test_energy_below_floor_is_domain_error(self, capsys):
         code, _, err = run_cli(["periodic", "--rho", "3", "--energy", "1e-10"], capsys)
         assert code == EXIT_DOMAIN

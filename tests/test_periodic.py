@@ -269,6 +269,21 @@ class TestEnergyBijection:
         with pytest.raises(ConvergenceError):
             solve_c_for_energy(1.0, 1000.0)
 
+    @pytest.mark.parametrize("energy, rho, named", [
+        (1.0, 1e200, "rho = 1e+200"),  # rho^2 overflows to inf
+        (1.0, 1e100, "rho = 1e+100"),  # Python's ** overflows on (rho^2 + c^6)^2
+        (1e300, 1.0, "energy 1e+300"),  # its c lies far past the bracket
+        (4.2e34, 0.0, "energy 4.2e+34"),  # just above the bound at the bracket's end
+    ])
+    def test_out_of_range_input_is_named(self, energy, rho, named):
+        for solve in (solve_c_for_energy, lambda en, r: build_periodic(en, 0.0, r)):
+            with pytest.raises(DomainError) as info:
+                solve(energy, rho)
+            assert named in str(info.value)
+
+    def test_energy_just_below_the_ceiling_bound_solves(self):
+        assert solve_c_for_energy(4e34, 0.0) > 1e8
+
     def test_level_set_inverts_the_energy(self):
         # the energy of the returned d, evaluated exactly, is E to 8 ulp
         def exact_energy(c, d, rho):
@@ -436,6 +451,16 @@ class TestLambdaPeriodic:
         assert abs(out.y - y1) < 1e-15
         assert abs(out.z - (z + a * y1)) < 1e-14
 
+    @pytest.mark.parametrize("y1", [1e300, 1e20, -2.0 ** 29])
+    def test_unresolved_lambda_is_named(self, y1):
+        # the float spacing of y1 is above the absolute residual gate
+        with pytest.raises(DomainError, match="lambda = "):
+            find_lambda_periodic(LatticeElement(0.0, y1, 0.5), 1.0, 1.0)
+
+    def test_huge_energy_is_named(self):
+        with pytest.raises(DomainError, match="energy 1e"):
+            find_lambda_periodic(LatticeElement(0.0, 1.0, 0.5), 1e300, 1.0)
+
     def test_larger_y1_needs_power_or_window(self):
         lam = LatticeElement(0.0, 5.0, 0.5)
         res = find_lambda_periodic(lam, 1.0, 1.0)
@@ -530,3 +555,17 @@ class TestObstruction:
 
     def test_zero_column_admits(self):
         assert lattice_obstruction_check([[0.0, 1.3], [1.0, 0.4]]) is True
+
+    @pytest.mark.parametrize("basis", [
+        [[1.0, 0.0], [0.0, 0.0]],  # a zero column
+        [[1.0, 2.0], [2.0, 4.0]],  # parallel columns
+        [[0.0, 0.0], [0.0, 0.0]],
+        [[1.0, 1.0 + 1e-12], [1.0, 1.0]],
+    ])
+    def test_dependent_columns_are_refused(self, basis):
+        with pytest.raises(DomainError, match="linearly dependent"):
+            lattice_obstruction_check(basis)
+
+    def test_scaled_bases_are_not_refused(self):
+        assert lattice_obstruction_check([[1e-200, 0.0], [0.0, 1e-200]]) is True
+        assert lattice_obstruction_check([[1e200, 0.0], [0.0, 1e200]]) is True
