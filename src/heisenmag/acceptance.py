@@ -109,7 +109,7 @@ _VIETE_GATE = 1e-9  # 3: scaled Viete residuals of the closed-form roots
 _REAL_EIGENVALUE_BAND = 1e-7  # 3: |Im| / scale of a reference eigenvalue counted real
 _Y_PERIOD_GATE = 1e-8  # 4: closed-form y(omega) against quadrature
 _PSI_RESIDUAL_GATE = 1e-12  # 5: psi_tilde at the solved d_c
-_ENERGY_TAIL_GATE = 1e-3  # 5: En(c) at c = 1 + 1e-4
+_ENERGY_TAIL_GATE = 1e-3  # 5: En(c) at c = _ENERGY_TAIL_C
 _CLOSURE_GATE = 1e-7  # 6, 8: closure of periodic and lambda-periodic curves
 _EXACT_CLOSURE_GATE = 1e-8  # 7: closure of the exact-force family
 _EL_RESIDUAL_GATE = 1e-5  # 10: Euler-Lagrange residual on trajectories
@@ -120,6 +120,10 @@ _IDENTITY_GATE = 1e-10  # 11: appendix integrals against quadrature and at k = 0
 _TRAPEZOID_BAND = 1e-13
 _TRAPEZOID_START = 32  # points of the first trapezoid sum
 _TRAPEZOID_CAP = 1 << 14  # points past which the sums count as not settling
+_DOP853_RTOL = 1e-11  # 1, 10: DOP853's rtol in the oracle runs
+_DOP853_ATOL = 1e-13  # 1, 10: ... and its atol
+_C_GRID_SLACK = 1e-9  # 5: keeps c = 5.0 inside the arange of the c grid
+_ENERGY_TAIL_C = 1.0 + 1e-4  # 5: the c at which the energy tail is read
 
 
 def tolerance_scale() -> float:
@@ -259,7 +263,7 @@ def check_branch(branch: Branch, rho: float | None = None) -> dict:
     omega = sol.x_period
     record["first_integral_drift"] = _first_integral_drift(sol, data)
     if omega is not None:
-        cfg = OracleConfig(rel_tol=1e-11, abs_tol=1e-13, t_span=(0.0, _window(sol)))
+        cfg = OracleConfig(rel_tol=_DOP853_RTOL, abs_tol=_DOP853_ATOL, t_span=(0.0, _window(sol)))
         force = LorentzForce(0.0, 1.0, data.rho)
         orc = integrate_general(force, StateVector.from_initial_data(data), cfg, n_samples=201)
         ts, reference = orc.t, orc.states[:, :3]
@@ -472,7 +476,7 @@ def _data_from_quartic(p0: float, rho: float, zr: float, roots) -> InitialData |
 def crit_unique_dc(tol: float = 1.0) -> CriterionResult:
     """5: unique d_c with tiny residual; d_c and En(c) increase; En -> 0."""
     rho = 1.0
-    cs = np.arange(1.1, 5.0 + 1e-9, 0.1)
+    cs = np.arange(1.1, 5.0 + _C_GRID_SLACK, 0.1)
     worst_resid = 0.0
     ds, es = [], []
     for c in cs:
@@ -482,7 +486,7 @@ def crit_unique_dc(tol: float = 1.0) -> CriterionResult:
         es.append(energy_cde(float(c), d, rho))
     increasing_d = all(a < b for a, b in zip(ds, ds[1:]))
     increasing_e = all(a < b for a, b in zip(es, es[1:]))
-    tail = energy_of_c(1.0 + 1e-4, rho)
+    tail = energy_of_c(_ENERGY_TAIL_C, rho)
     passed = (
         worst_resid < _PSI_RESIDUAL_GATE * tol
         and increasing_d
@@ -581,7 +585,7 @@ def crit_lagrangian(tol: float = 1.0) -> CriterionResult:
         (LorentzForce(0.0, 1.0, 1.0), InitialData(0.5, 0.3, -0.2, 1.0)),
         (LorentzForce(0.7, 1.2, 0.9), InitialData(0.4, -0.3, 0.6, 0.9)),
     ):
-        cfg = OracleConfig(rel_tol=1e-11, abs_tol=1e-13, t_span=(0.0, 10.0))
+        cfg = OracleConfig(rel_tol=_DOP853_RTOL, abs_tol=_DOP853_ATOL, t_span=(0.0, 10.0))
         orc = integrate_general(force, StateVector.from_initial_data(data), cfg, n_samples=10001)
         residuals = euler_lagrange_residual(force, orc.t, orc.states)
         worst_true = max(worst_true, *(float(np.max(np.abs(r))) for r in residuals))

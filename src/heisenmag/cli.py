@@ -20,6 +20,8 @@ import math
 import re
 import sys
 
+import numpy as np
+
 from . import acceptance
 from .errors import DomainError, HeisenmagError, check_finite
 from .heisenberg import LorentzForce, canonical_to_json, classify_force
@@ -38,6 +40,8 @@ EXIT_DOMAIN = 1
 EXIT_VERIFY = 2
 EXIT_USAGE = 64
 _MAX_GRID_POINTS = 10 ** 7
+_GRID_SLACK = 1e-9  # added to t_max / dt, so a t_max on the grid is not lost to rounding
+_END_BAND = 1e-12  # last grid time read as t_max, relative to max(1, t_max)
 
 
 class _UsageError(Exception):
@@ -89,14 +93,14 @@ def _time_grid(t_max: float, dt: float) -> list[float]:
         raise HeisenmagError("--dt must be positive")
     if t_max < 0.0:
         return []
-    steps = t_max / dt + 1e-9
+    steps = t_max / dt + _GRID_SLACK
     if steps >= _MAX_GRID_POINTS:
         raise DomainError(
             f"--t-max / --dt asks for {steps + 1:.3g} grid points, over {_MAX_GRID_POINTS}"
         )
     n = int(math.floor(steps))
     ts = [i * dt for i in range(n + 1)]
-    if not ts or abs(ts[-1] - t_max) > 1e-12 * max(1.0, t_max):
+    if not ts or abs(ts[-1] - t_max) > _END_BAND * max(1.0, t_max):
         ts.append(t_max)
     return ts
 
@@ -141,11 +145,15 @@ def _cmd_sample(args, out) -> int:
     data = InitialData(args.x0, args.y0, args.z0, args.rho)
     traj = make_solution(data)
     ts = _time_grid(args.t_max, args.dt)
-    x, xp, y, z = traj.evaluate(ts)
-    # body-frame speed needs no y: y' = h(x) - 1 and the centre
-    # component of the velocity sits at the conserved level x + z0
-    speed_sq = xp ** 2 + (data.h(x) - 1.0) ** 2 + (x + data.z0) ** 2
-    residual = 0.5 * speed_sq - data.energy()
+    with np.errstate(all="ignore"):  # overflow is refused below
+        x, xp, y, z = traj.evaluate(ts)
+        # body-frame speed needs no y: y' = h(x) - 1 and the centre
+        # component of the velocity sits at the conserved level x + z0
+        speed_sq = xp ** 2 + (data.h(x) - 1.0) ** 2 + (x + data.z0) ** 2
+        residual = 0.5 * speed_sq - data.energy()
+    # z is finite only where y is, and the residual only where x and x' are
+    if not (np.isfinite(z).all() and np.isfinite(residual).all()):
+        raise DomainError(f"the trajectory leaves the float range on [0, {args.t_max}]")
     rows = zip(ts, *(v.tolist() for v in (x, y, z, residual)))
     export_samples(rows, ["t", "x", "y", "z", "energy_residual"], args.output, args.format)
     return EXIT_OK

@@ -51,6 +51,11 @@ __all__ = [
     "canonical_to_json",
 ]
 
+_PLANE_BAND = 1e-12  # e3-component of a j_map argument read as zero, relative
+_ORBIT_BAND = 1e-12  # ||U|| or |rho| read as zero in classify_force, relative to scale
+_UNIT_BAND = 1e-12  # |r| read as 1 in an isotropy witness
+_ISOTROPY_BAND = 1e-10  # entrywise mismatch of psi F psi^-1 and r F, relative to scale
+
 
 @dataclass(frozen=True)
 class HeisenbergPoint:
@@ -105,7 +110,7 @@ def j_map(zc: float, v: AlgebraVector) -> AlgebraVector:
     Defined by <j(Z)U, V> = <Z, [U, V]>; on this algebra j(zc*e3) acts on
     (a, b) as zc*(-b, a).
     """
-    if abs(v.c) > 1e-12 * max(1.0, abs(v.a), abs(v.b)):
+    if abs(v.c) > _PLANE_BAND * max(1.0, abs(v.a), abs(v.b)):
         raise DomainError("j_map argument must lie in span{e1, e2}")
     return AlgebraVector(-zc * v.b, zc * v.a, 0.0)
 
@@ -178,15 +183,16 @@ def act_on_force(force: LorentzForce, b: np.ndarray, r: float) -> LorentzForce:
     return LorentzForce(alpha=s * u[1], beta=s * u[0], rho=s * force.rho)
 
 
-def classify_force(force: LorentzForce, tol: float = 1e-12) -> CanonicalForce:
+def classify_force(force: LorentzForce) -> CanonicalForce:
     """Canonical orbit representative with an explicit witness (B, r).
 
     Applying the witness action to the input reproduces the canonical
     matrix: act_on_force(force, B, r) == canonical.  For U != 0 the
     representative is F_{e1, |rho|/||U||}; for U = 0, rho != 0 it is the
-    exact force F_{0,1}; the zero force is its own class.
+    exact force F_{0,1}; the zero force is its own class.  ||U|| and |rho|
+    count as zero within _ORBIT_BAND times the force's scale.
     """
-    band = tol * force.scale()
+    band = _ORBIT_BAND * force.scale()
     unorm = force.u_norm
     if unorm <= band:
         if abs(force.rho) <= band:
@@ -215,12 +221,12 @@ def isotropy_member(force: LorentzForce, b: np.ndarray, r: float) -> bool:
     psi is the orthogonal automorphism induced by B.  Equivalently
     (B, r) . F = F under the action on forces.
     """
-    if abs(abs(r) - 1.0) > 1e-12:
+    if abs(abs(r) - 1.0) > _UNIT_BAND:
         return False
     psi = automorphism_matrix(b)
     f = force.matrix()
     lhs = psi @ f @ np.linalg.inv(psi)
-    return bool(np.max(np.abs(lhs - r * f)) <= 1e-10 * force.scale())
+    return bool(np.max(np.abs(lhs - r * f)) <= _ISOTROPY_BAND * force.scale())
 
 
 def potential_one_form(

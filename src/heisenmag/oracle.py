@@ -52,14 +52,11 @@ __all__ = [
 class OracleConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = math.inf
     t_span: tuple[float, float] = (0.0, 20.0)
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
             raise DomainError("oracle tolerances must be finite and positive")
-        if not self.max_step > 0.0:
-            raise DomainError(f"oracle max_step must be positive, got {self.max_step}")
         span = tuple(self.t_span)
         if len(span) != 2 or not all(map(math.isfinite, span)) or span[0] == span[1]:
             raise DomainError(f"oracle t_span must be two distinct finite times: {self.t_span}")
@@ -154,7 +151,6 @@ def integrate_general(
         method="DOP853",
         rtol=cfg.rel_tol,
         atol=cfg.abs_tol,
-        max_step=cfg.max_step,
         dense_output=True,
         t_eval=t_eval,
     )
@@ -294,6 +290,7 @@ def lagrangian_gradients(force: LorentzForce, s: StateVector) -> tuple[float, fl
 
 
 _FD4_FIRST = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
+_UNIFORM_BAND = 1e-9  # spacing mismatch, relative to the first step, of a uniform grid
 
 
 def euler_lagrange_residual(
@@ -309,7 +306,7 @@ def euler_lagrange_residual(
     if len(t) < 5:
         raise DomainError("need at least 5 uniform samples for 4th-order stencils")
     dt = t[1] - t[0]
-    if np.max(np.abs(np.diff(t) - dt)) > 1e-9 * abs(dt):
+    if np.max(np.abs(np.diff(t) - dt)) > _UNIFORM_BAND * abs(dt):
         raise DomainError("euler_lagrange_residual requires a uniform grid")
     n = len(t)
     s = StateVector(*np.asarray(states, dtype=float).T)
@@ -323,32 +320,32 @@ def euler_lagrange_residual(
 
 
 _FD6_SECOND = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
+# The elliptic evaluations behind x carry ~1e-14 noise, which a second
+# difference divides by the step squared; the 6th-order stencil at step
+# 8e-3 keeps that amplification and the truncation both below ~4e-9, under
+# the 1e-8 acceptance threshold (a 2nd-order stencil at 1e-4 would sit at
+# ~3e-8 from round-off alone).
+_FD_STEP = 8e-3
 
 
-def fd_second_derivative(f, t, h: float = 8e-3):
-    """6th-order central second difference of f at t, a float or an array
-    of times that f accepts whole."""
+def fd_second_derivative(f, t):
+    """6th-order central second difference of f at t with step _FD_STEP,
+    t a float or an array of times that f accepts whole."""
+    h = _FD_STEP
     vals = np.array([f(t + i * h) for i in range(-3, 4)])
     xpp = np.dot(_FD6_SECOND, vals) / (h * h)
     return float(xpp) if np.ndim(xpp) == 0 else xpp
 
 
-def reduced_ode_residual(
-    x_func, data: InitialData, ts, h: float = 8e-3
-) -> float:
+def reduced_ode_residual(x_func, data: InitialData, ts) -> float:
     """max |x'' + h'(x) h(x) - rho| over ts, x'' by finite differences.
 
-    x_func is called on arrays of times, seven of them for the stencil.
-
-    The elliptic evaluations behind x carry ~1e-14 noise, which a second
-    difference divides by h^2; the 6th-order stencil at step 8e-3 keeps
-    that amplification and the truncation both below ~4e-9, under the
-    1e-8 acceptance threshold (a 2nd-order stencil at 1e-4 would sit at
-    ~3e-8 from round-off alone).
+    x_func is called on arrays of times, seven of them for the stencil
+    (fd_second_derivative; _FD_STEP says why its step is 8e-3).
     """
     ts = np.asarray(ts, dtype=float)
     if ts.size == 0:
         return 0.0
-    xpp = fd_second_derivative(x_func, ts, h)
+    xpp = fd_second_derivative(x_func, ts)
     x = x_func(ts)
     return float(np.max(np.abs(xpp + data.h_prime(x) * data.h(x) - data.rho)))

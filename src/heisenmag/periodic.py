@@ -26,6 +26,7 @@ Brent's method (scipy.optimize.brentq); d_c must leave |psi_tilde| <= 1e-12.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,12 @@ _CROSSING_SLOPE = 1e-9  # x' x0 at the conjugacy crossing read as non-negative
 _LAMBDA_RESIDUAL = 1e-7  # gate on a constructed curve's lambda-periodicity residual
 _OBSTRUCTION_RADIUS = 64  # largest multiple m of a basis column tried
 _OBSTRUCTION_BAND = 1e-9  # relative zero of a first coordinate, and of a basis determinant
+_K_SQ_CEILING = 1.0 - 1e-16  # k^2 is clamped below this, so K(k) stays finite
+_MEMBER_BAND = 1e-9  # default distance from Gamma_k read as membership
+_RECURRENCE_BAND = 1e-6  # lattice distance and period mismatch of a recurrence in primitive_period
+_LAMBDA_GRID = 33  # points on [0, omega] of the lambda-periodicity residual
+_CROSSING_GRID = 257  # points on [0, omega] scanned for the conjugacy crossing
+_CONJUGACY_GRID = 25  # points on [0, omega] of the conjugacy residual
 
 
 # --- the (c, d, e) chart -------------------------------------------------------
@@ -163,7 +170,9 @@ def energy_cde(c: float, d: float, rho: float) -> float:
 
 
 def _psi_parts(c: float, d: float, rho: float) -> tuple[float, float]:
-    """(S, k): S = sqrt((rho^2+c^6)^2 - 4 rho^2 d^2 c^6) and the modulus."""
+    """(S, psi_tilde) with S = sqrt((rho^2+c^6)^2 - 4 rho^2 d^2 c^6)."""
+    if c <= 0.0 or not 0.0 < d < 1.0:
+        raise DomainError(f"psi_tilde needs c > 0 and d in (0, 1), got c={c}, d={d}")
     c6 = c ** 6
     inner = (rho * rho + c6) ** 2 - 4.0 * rho * rho * d * d * c6
     if inner < 0.0:
@@ -172,23 +181,20 @@ def _psi_parts(c: float, d: float, rho: float) -> tuple[float, float]:
     k_sq = (2.0 * c6 * d * d - rho * rho - c6) / (2.0 * s) + 0.5
     if k_sq < -_CHART_BAND or k_sq > 1.0 + _CHART_BAND:
         raise DomainError(f"modulus squared {k_sq} outside [0, 1]")
-    k = math.sqrt(min(1.0 - 1e-16, max(0.0, k_sq)))
-    return s, k
+    k = math.sqrt(min(_K_SQ_CEILING, max(0.0, k_sq)))
+    big_k, big_e = complete_K_and_E(k)
+    return s, big_e - ((rho * rho + c ** 4) / (2.0 * s) + 0.5) * big_k
 
 
 def psi_tilde(c: float, d: float, rho: float) -> float:
     """E(k) - ((rho^2+c^4)/(2S) + 1/2) K(k); same sign as y(omega)."""
-    if c <= 0.0 or not 0.0 < d < 1.0:
-        raise DomainError(f"psi_tilde needs c > 0 and d in (0, 1), got c={c}, d={d}")
-    s, k = _psi_parts(c, d, rho)
-    big_k, big_e = complete_K_and_E(k)
-    return big_e - ((rho * rho + c ** 4) / (2.0 * s) + 0.5) * big_k
+    return _psi_parts(c, d, rho)[1]
 
 
 def psi(c: float, d: float, e: float, rho: float) -> float:
     """y over one x-period as a function of the chart; e does not enter."""
-    s, _ = _psi_parts(c, d, rho)
-    return 8.0 / (c * c) * math.sqrt(s) * psi_tilde(c, d, rho)
+    s, tilde = _psi_parts(c, d, rho)
+    return 8.0 / (c * c) * math.sqrt(s) * tilde
 
 
 # --- unique root d_c and the energy bijection -----------------------------------
@@ -201,7 +207,8 @@ _XTOL = 5e-324
 _DC_TOL = 1e-12
 _C_FLOOR = 1.0 + 1e-11
 _C_CEILING = 2.0 ** 29  # the last end of the energy's c bracket tried
-_SWEEP_STEPS = 400
+_SWEEP_STEPS = 400  # c steps of the Psi window sweep
+_SWEEP_FLOOR = 1e-4  # smallest c step of that sweep
 
 
 def _brent(f, lo: float, hi: float) -> float:
@@ -325,6 +332,7 @@ def build_periodic(
     omega = sol.x_period
     if omega is None:
         raise ConvergenceError("periodic construction produced a non-periodic branch")
+    end = sol.point(omega)
     report = {
         "c": c,
         "d": d,
@@ -332,9 +340,9 @@ def build_periodic(
         "rho": rho,
         "initial_data": data,
         "period": omega,
-        "closure_x": abs(sol.x(omega)),
-        "closure_y": abs(sol.y(omega)),
-        "closure_z": abs(sol.z(omega)),
+        "closure_x": abs(end.x),
+        "closure_y": abs(end.y),
+        "closure_z": abs(end.z),
         "energy_error": abs(data.energy() - energy),
     }
     return sol, report
@@ -346,22 +354,23 @@ def _worst(*gaps) -> float:
 
 
 def equienergy_conjugacy(
-    sol1: TrajectorySolution, sol2: TrajectorySolution, n_check: int = 25
+    sol1: TrajectorySolution, sol2: TrajectorySolution
 ) -> tuple[float, HeisenbergPoint, float]:
     """Exhibit sol2(t) = sigma1(C)^{-1} sigma1(t + C).
 
     Both inputs must be periodic trajectories of the same energy (same
     (c, d_c), different e), and their point must accept an array of
     times.  Returns (C, p, residual) where p = sigma1(C)^{-1}, C solves
-    x1(C) = z0_2 - z0_1 with matching slope sign, and residual is the
-    worst coordinate mismatch on a grid.
+    x1(C) = z0_2 - z0_1 with matching slope sign (the crossing is
+    bracketed on a _CROSSING_GRID scan of one period), and residual is the
+    worst coordinate mismatch on _CONJUGACY_GRID points of one period.
     """
     omega = sol1.x_period
     if omega is None or sol2.x_period is None:
         raise DomainError("equienergy conjugacy needs periodic trajectories")
     target = sol2.data.z0 - sol1.data.z0
     shift = None
-    grid = np.linspace(0.0, omega, 257)
+    grid = np.linspace(0.0, omega, _CROSSING_GRID)
     x, xp, _, _ = sol1.evaluate(grid)
     vals = x - target
     for i in range(len(grid) - 1):
@@ -378,7 +387,7 @@ def equienergy_conjugacy(
     if shift is None:
         raise ConvergenceError("no parameter shift C with x1(C) = z0_2 - z0_1")
     p = sol1.point(shift).inverse()
-    ts = np.linspace(0.0, omega, n_check)
+    ts = np.linspace(0.0, omega, _CONJUGACY_GRID)
     lhs = translate(sol1, p).point(ts + shift)
     rhs = sol2.point(ts)
     return shift, p, _worst(lhs.x - rhs.x, lhs.y - rhs.y, lhs.z - rhs.z)
@@ -442,8 +451,8 @@ class GammaLattice:
     k: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise DomainError("Gamma_k requires k >= 1")
+        if not 1 <= self.k <= sys.float_info.max:
+            raise DomainError(f"Gamma_k requires 1 <= k <= {sys.float_info.max}, got {self.k}")
 
     @property
     def center_step(self) -> float:
@@ -451,13 +460,16 @@ class GammaLattice:
 
     def snap(self, p: HeisenbergPoint) -> LatticeElement:
         step = self.center_step
-        return LatticeElement(round(p.x), round(p.y), round(p.z / step) * step)
+        turns = p.z / step
+        if not math.isfinite(turns):
+            raise DomainError(f"z = {p.z} is too large to place on Gamma_{self.k}")
+        return LatticeElement(round(p.x), round(p.y), round(turns) * step)
 
     def distance(self, p: HeisenbergPoint) -> float:
         s = self.snap(p)
         return max(abs(p.x - s.x1), abs(p.y - s.y1), abs(p.z - s.z1))
 
-    def is_member(self, p: HeisenbergPoint, tol: float = 1e-9) -> bool:
+    def is_member(self, p: HeisenbergPoint, tol: float = _MEMBER_BAND) -> bool:
         return self.distance(p) <= tol
 
     def reduce(self, p: HeisenbergPoint) -> HeisenbergPoint:
@@ -474,16 +486,15 @@ class GammaLattice:
         return q
 
 
-def lambda_periodic_residual(
-    traj, lam: LatticeElement, omega: float, n_grid: int = 33
-) -> float:
-    """Worst violation of the three lattice-period conditions on a grid.
+def lambda_periodic_residual(traj, lam: LatticeElement, omega: float) -> float:
+    """Worst violation of the three lattice-period conditions on
+    _LAMBDA_GRID points of [0, omega].
 
     The conditions are x(t) = x(t+omega), y(t) + y1 = y(t+omega) and
     z(t) + z1 - y1 x(t)/2 = z(t+omega), i.e. lam * sigma(t) = sigma(t+omega)
     in exponential coordinates.  traj.point must accept an array of times.
     """
-    ts = np.linspace(0.0, omega, n_grid)
+    ts = np.linspace(0.0, omega, _LAMBDA_GRID)
     p1, p2 = traj.point(ts), traj.point(ts + omega)
     return _worst(
         p1.x - p2.x,
@@ -492,17 +503,16 @@ def lambda_periodic_residual(
     )
 
 
-def lambda_periodic_test(
-    traj, lam: LatticeElement, omega: float, tol: float = _LAMBDA_RESIDUAL, n_grid: int = 33
-) -> bool:
-    """Whether the trajectory is lam-periodic with the given period.
+def lambda_periodic_test(traj, lam: LatticeElement, omega: float) -> bool:
+    """Whether the trajectory is lam-periodic with the given period, within
+    _LAMBDA_RESIDUAL.
 
     A nonzero e1-component of lam fails immediately: the period element
     must lie in the kernel of the centre block of the force.
     """
-    if abs(lam.x1) > tol:
+    if abs(lam.x1) > _LAMBDA_RESIDUAL:
         return False
-    return lambda_periodic_residual(traj, lam, omega, n_grid) <= tol
+    return lambda_periodic_residual(traj, lam, omega) <= _LAMBDA_RESIDUAL
 
 
 @dataclass
@@ -557,7 +567,7 @@ def find_lambda_periodic(
 
     # h_E decreases through d_{c0} at c0, so Psi > 0 for c > c0 and < 0 below
     direction = 1.0 if lam.y1 > 0.0 else -1.0
-    step = direction * max(1e-4, 0.02 * c0)
+    step = direction * max(_SWEEP_FLOOR, 0.02 * c0)
     best_c, best_val = None, 0.0
     c = c0
     for _ in range(_SWEEP_STEPS):
@@ -604,31 +614,28 @@ def find_lambda_periodic(
 
 
 def primitive_period(
-    result: LambdaPeriodicResult,
-    lattice: GammaLattice,
-    tol: float = 1e-6,
-    max_multiple: int | None = None,
+    result: LambdaPeriodicResult, lattice: GammaLattice
 ) -> tuple[LatticeElement, float]:
     """Generator (lambda0, omega0) of the lattice periods of the trajectory.
 
-    Scans multiples of the x-period, forms sigma(m w1) sigma(0)^{-1},
-    verifies it acts as a period uniformly in t, and returns the first one
-    landing on the lattice; every other lattice period is a power of it.
+    Scans the multiples m <= 2 n + 4 of the x-period, forms
+    sigma(m w1) sigma(0)^{-1}, verifies it acts as a period uniformly in t,
+    and returns the first one landing on the lattice, both within
+    _RECURRENCE_BAND; every other lattice period is a power of it.
     """
     traj = result.trajectory
     omega1 = result.base_period
-    if max_multiple is None:
-        max_multiple = 2 * result.n + 4
+    max_multiple = 2 * result.n + 4
     p0_inv = traj.point(0.0).inverse()
     ts = np.array([0.37, 1.13]) * omega1
     for m in range(1, max_multiple + 1):
         g = traj.point(m * omega1) * p0_inv
-        if not lattice.is_member(g, tol):
+        if not lattice.is_member(g, _RECURRENCE_BAND):
             continue
         lam0 = lattice.snap(g)
         lhs = lam0.point() * traj.point(ts)
         rhs = traj.point(ts + m * omega1)
-        if _worst(lhs.x - rhs.x, lhs.y - rhs.y, lhs.z - rhs.z) <= tol:
+        if _worst(lhs.x - rhs.x, lhs.y - rhs.y, lhs.z - rhs.z) <= _RECURRENCE_BAND:
             return lam0, m * omega1
     raise ConvergenceError(f"no lattice recurrence within {max_multiple} x-periods")
 

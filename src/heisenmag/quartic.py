@@ -144,24 +144,24 @@ def delta_band(p0: float, q0: float, rho: float) -> float:
     return _ZERO_TOL * ops(p0).pow(_coefficient_scale(p0, q0, rho), 6)
 
 
-def _newton(x, step, residual):
+def _newton(x, update):
     """Newton steps from x while they lower the residual, at most four:
     near a double root the step is round-off, and this keeps it out.
 
-    The steps give NaN where they would divide by zero, which stops them.
-    On arrays the rule holds per element.  An element whose step does not
-    lower its residual (a NaN residual included) keeps its x, so its next
-    step is the same one and it stays stopped.
+    update(x) gives the residual at x and the point one Newton step from
+    x, from one evaluation of the equations.  The steps give NaN where
+    they would divide by zero, which stops them.  On arrays the rule holds
+    per element.  An element whose step does not lower its residual (a NaN
+    residual included) keeps its x and its step, so it stays stopped.
     """
-    norm = residual(x)
+    norm, cand = update(x)
     m = ops(norm)
     for _ in range(4):
-        cand = step(x)
-        cand_norm = residual(cand)
+        cand_norm, cand_next = update(cand)
         lower = cand_norm < norm  # a NaN residual stops it too
         if not m.any(lower):
             break
-        x, norm = m.where(lower, (cand, cand_norm), (x, norm))
+        x, norm, cand = m.where(lower, (cand, cand_norm, cand_next), (x, norm, cand))
     return x
 
 
@@ -184,14 +184,12 @@ def _cubic_root(p0, q0, rho, c0, m):
     q = 4.0 * (p0 * p0 + 3.0 * q0) / 9.0
     r = -8.0 * (m.pow(p0, 3) - 9.0 * p0 * q0 + 108.0 * rho * rho) / 27.0
 
-    def cubic(v):
-        return ((v + c2) * v + c1) * v + c0
-
-    def step(v):
-        return v - m.div(cubic(v), (3.0 * v + 2.0 * c2) * v + c1, math.nan)
+    def update(v):
+        f = ((v + c2) * v + c1) * v + c0
+        return abs(f), v - m.div(f, (3.0 * v + 2.0 * c2) * v + c1, math.nan)
 
     u = m.branch(r * r < m.pow(q, 3), _viete, _cardano, q, r, m) - c2 / 3.0
-    return m.max(0.0, _newton(u, step, lambda v: abs(cubic(v))))
+    return m.max(0.0, _newton(u, update))
 
 
 def _viete(q, r, m):
@@ -226,24 +224,17 @@ def _descartes_factors(p0, q0, rho):
     scale = _coefficient_scale(p0, q0, rho)
     w1, w2 = scale, m.sqrt(scale)  # the three equations in eta^4 units
 
-    def equations(x):
+    def update(x):
         s, a, b = x
-        return a + b - s * s - 2.0 * p0, s * (b - a) + 8.0 * rho, a * b - q0
-
-    def residual(x):
-        f1, f2, f3 = equations(x)
-        return sum((abs(f1) * w1, abs(f2) * w2, abs(f3)))
-
-    def step(x):
-        s, a, b = x
-        f1, f2, f3 = equations(x)
+        f1, f2, f3 = a + b - s * s - 2.0 * p0, s * (b - a) + 8.0 * rho, a * b - q0
         det = 2.0 * s * s * (a + b) + m.pow(b - a, 2)
         ds = m.div(s * ((a + b) * f1 - 2.0 * f3) - (b - a) * f2, det, math.nan)
         dsum = 2.0 * s * ds - f1  # da + db
         ddiff = m.div(-(f2 + (b - a) * ds), s, math.nan)  # db - da
-        return s + ds, a + 0.5 * (dsum - ddiff), b + 0.5 * (dsum + ddiff)
+        norm = sum((abs(f1) * w1, abs(f2) * w2, abs(f3)))
+        return norm, (s + ds, a + 0.5 * (dsum - ddiff), b + 0.5 * (dsum + ddiff))
 
-    s, a, b = _newton((s, a, b), step, residual)
+    s, a, b = _newton((s, a, b), update)
     return (s * s - 4.0 * a, s, a), (s * s - 4.0 * b, -s, b)
 
 
@@ -262,14 +253,19 @@ def quartic_roots(p0, q0, rho) -> np.ndarray:
     """The four roots of the speed quartic from Descartes' factorisation.
 
     p0, q0, rho are floats, or equal-length arrays with one row of four
-    roots per entry; a row equals the roots of its floats bit for bit,
-    except that where Python's ** raises OverflowError on the floats, the
-    row holds inf or NaN.
+    roots per entry; a row equals the roots of its floats bit for bit.
+    Where Python's ** overflows on the floats, as at (1e100, 1, 1), they
+    raise DomainError, while numpy's power gives inf and the row holds
+    whatever the formulas make of it: finite roots at (1e100, 1, 1).
     """
     m = ops(p0)
     roots = []
     with m.quiet():
-        for f in _descartes_factors(p0, q0, rho):
+        try:  # Python's float ** raises on overflow where numpy gives inf
+            factors = _descartes_factors(p0, q0, rho)
+        except OverflowError as exc:
+            raise DomainError(f"the speed quartic ({p0}, {q0}, {rho}) overflows a float") from exc
+        for f in factors:
             roots += m.branch(
                 f[0] >= 0.0, lambda: _factor_roots(*f, True), lambda: _factor_roots(*f, False)
             )
@@ -307,14 +303,15 @@ def build_profile(data: InitialData) -> QuarticProfile:
     try:  # Python's float ** raises on overflow where * gives inf
         p0, q0 = monic_coefficients(data)
         delta, band = discriminant(p0, q0, rho), delta_band(p0, q0, rho)
+        check_finite(p0=p0, q0=q0, delta=delta, delta_band=band)
+        factors = _descartes_factors(p0, q0, rho)
     except OverflowError as exc:
         raise DomainError(f"the speed quartic of {data} overflows a float") from exc
-    check_finite(p0=p0, q0=q0, delta=delta, delta_band=band)
     boundary = abs(delta) <= band
 
     # m(z0 + rho) = -4 x0^2 <= 0: the factor with the larger discriminant holds a
     # real pair; the other's is real iff Delta > 0, or in the band iff its disc >= 0
-    wide, narrow = sorted(_descartes_factors(p0, q0, rho), reverse=True)
+    wide, narrow = sorted(factors, reverse=True)
     trivial = data.is_trivial
     narrow_real = narrow[0] >= 0.0 if boundary or trivial else delta > 0.0
     pair = sorted(_factor_roots(*wide, True))

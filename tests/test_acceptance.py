@@ -78,9 +78,9 @@ def test_criterion_03_batched_roots_equal_scalar_roots(monkeypatch):
     newton = quartic._newton
     starts = []
 
-    def spied(x, step, residual):
-        starts.append(residual(x))
-        return newton(x, step, residual)
+    def spied(x, update):
+        starts.append(update(x)[0])
+        return newton(x, update)
 
     monkeypatch.setattr(quartic, "_newton", spied)
     rows = np.array([quartic_roots(*row) for row in zip(p0.tolist(), q0.tolist(), rho.tolist())])

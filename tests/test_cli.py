@@ -291,6 +291,9 @@ class TestExitCodes:
             (["lattice", "--k", "1", "--lambda", "1,0.5", "--energy", "1e300"], "energy 1e+300"),
             (["lattice", "--k", "1", "--lambda", "1e300,0.5", "--energy", "1"],
              "lambda = (0, 1e+300, 0.5)"),
+            (["lattice", "--k", "1", "--lambda", "1,1e308", "--energy", "1"], "z = 1e+308"),
+            (["lattice", "--k", "1" + "0" * 400, "--lambda", "1,0.5", "--energy", "1"],
+             "Gamma_k requires"),
         ],
     )
     def test_huge_periodic_input_is_named(self, argv, named, capsys):
@@ -333,6 +336,17 @@ class TestExitCodes:
         assert code == EXIT_DOMAIN
         assert err.startswith("error:")
         assert "Traceback" not in err
+        assert out == ""
+
+    def test_curve_past_the_float_range_is_domain_error(self, capsys):
+        # y grows like (p0/2 - 1) t with p0 ~ -(z0 + rho)^2, past 1e308 at the last row
+        code, out, err = run_cli(
+            ["sample", "--x0", "-1.5", "--y0", "-1.5", "--z0", "-1.5", "--rho", "2e16",
+             "--t-max", "1e304", "--dt", "5e303"],
+            capsys,
+        )
+        assert code == EXIT_DOMAIN
+        assert err.startswith("error:") and "float range" in err
         assert out == ""
 
     def test_huge_grid_is_domain_error(self, capsys):

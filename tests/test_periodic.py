@@ -523,6 +523,13 @@ class TestGammaLattice:
     def test_rejects_bad_k(self):
         with pytest.raises(DomainError):
             GammaLattice(0)
+        with pytest.raises(DomainError):  # 1/2k would not be a float
+            GammaLattice(10 ** 400)
+
+    def test_snap_refuses_a_centre_past_the_float_range(self):
+        # z / (1/2k) overflows; round() of the inf would raise OverflowError
+        with pytest.raises(DomainError):
+            GammaLattice(1).snap(HeisenbergPoint(0.0, 1.0, 1e308))
 
 
 def _recover_lattice_word(lattice, p, q, radius=6):

@@ -278,6 +278,15 @@ class TestOverflow:
         sol = make_solution(InitialData(1e50, 0.5, 0.2, 1.0))
         assert sol.profile.branch is Branch.NEG
 
+    def test_quartic_roots_overflow_is_domain_error(self):
+        # Python's ** overflows on the floats; numpy's power gives inf, and
+        # the array row still holds the finite roots the formulas make of it
+        with pytest.raises(DomainError):
+            quartic.quartic_roots(1e100, 1.0, 1.0)
+        row = quartic.quartic_roots(np.array([1e100]), np.array([1.0]), np.array([1.0]))[0]
+        assert np.all(np.isfinite(row))
+        assert abs(abs(row[3]) - math.sqrt(2e100)) <= 1e-12 * math.sqrt(2e100)
+
     def test_newton_stops_on_nan_residual(self):
-        assert quartic._newton(1.0, lambda v: None, lambda v: math.nan) == 1.0
-        assert quartic._newton(1.0, lambda v: v + 1.0, lambda v: math.nan) == 1.0
+        assert quartic._newton(1.0, lambda v: (math.nan, None)) == 1.0
+        assert quartic._newton(1.0, lambda v: (math.nan, v + 1.0)) == 1.0

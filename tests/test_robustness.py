@@ -1,5 +1,9 @@
 """Randomized sweeps and edge cases beyond the anchored representatives."""
 
+import contextlib
+import io
+import json
+import math
 import os
 
 import numpy as np
@@ -8,17 +12,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from heisenmag import acceptance
+from heisenmag import acceptance, cli
 from heisenmag.elliptic import AGM
 from heisenmag.errors import DomainError, HeisenmagError
-from heisenmag.heisenberg import LorentzForce
+from heisenmag.heisenberg import HeisenbergPoint, LorentzForce
 from heisenmag.oracle import OracleConfig, StateVector, integrate_general
 from heisenmag.periodic import (
     GammaLattice,
     LatticeElement,
     build_periodic,
+    cde_from_initial,
     find_lambda_periodic,
     primitive_period,
+    solve_c_for_energy,
     solve_dc,
 )
 from heisenmag.quartic import Branch, InitialData, build_profile
@@ -36,6 +42,88 @@ def test_every_finite_datum_builds_or_raises_typed(x0, y0, z0, rho):
         make_solution(InitialData(x0, y0, z0, rho)).evaluate([0.0, 0.5, 3.0])
     except HeisenmagError:
         pass
+
+
+# wide draws and the float range's ends, mixed with moderate non-negative
+# values so that the builds are reached too
+_EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+_VALUE = st.one_of(_FINITE, st.sampled_from(_EXTREMES), st.floats(0.0, 4.0))
+
+
+def _numbers(report):
+    """Every number in a report: its values, items and public dataclass fields."""
+    if isinstance(report, (int, float)):
+        yield report
+    elif isinstance(report, dict):
+        for v in report.values():
+            yield from _numbers(v)
+    elif isinstance(report, (list, tuple)):
+        for v in report:
+            yield from _numbers(v)
+    elif hasattr(report, "__dataclass_fields__"):
+        for name in report.__dataclass_fields__:
+            yield from _numbers(getattr(report, name))
+
+
+def _run_cli(*argv):
+    """The report of one in-process CLI call, or None when it refuses."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main([str(a) for a in argv])  # str of a float is its repr
+    assert code in (cli.EXIT_OK, cli.EXIT_DOMAIN, cli.EXIT_USAGE), (argv, code)
+    if code != cli.EXIT_OK:
+        return None
+    if argv[0] == "sample":  # CSV
+        return [float(v) for row in out.getvalue().splitlines()[1:] for v in row.split(",")]
+    return json.loads(out.getvalue())
+
+
+def _member(k, y, z):
+    """The element of Gamma_k nearest to exp(y e2 + z e3)."""
+    return GammaLattice(k).snap(HeisenbergPoint(0.0, y, z))
+
+
+def _sample(x0, y0, z0, rho, t_max, dt):
+    if dt > 0.0 and not t_max / dt <= 64.0:  # a small grid: at most 65 points
+        dt = t_max / 64.0
+    return _run_cli("sample", "--x0", x0, "--y0", y0, "--z0", z0, "--rho", rho,
+                    "--t-max", t_max, "--dt", dt)
+
+
+def _lattice(k, y, z, energy, rho):
+    lam = _member(k, y, z)
+    return _run_cli("lattice", "--k", k, "--lambda", f"{float(lam.y1)!r},{float(lam.z1)!r}",
+                    "--energy", energy, "--rho", rho)
+
+
+_ENTRY_POINTS = {
+    "solve_c_for_energy": lambda v, k: solve_c_for_energy(v[0], v[1]),
+    "build_periodic": lambda v, k: build_periodic(v[0], v[1], v[2])[1],
+    "find_lambda_periodic": lambda v, k: {
+        key: val for key, val in vars(find_lambda_periodic(_member(k, v[0], v[1]), *v[2:5])).items()
+        if key not in ("trajectory", "base_solution")
+    },
+    "cde_from_initial": lambda v, k: cde_from_initial(InitialData(*v[:4])),
+    "classify-ic": lambda v, k: _run_cli(
+        "classify-ic", "--x0", v[0], "--y0", v[1], "--z0", v[2], "--rho", v[3]),
+    "sample": lambda v, k: _sample(*v),
+    "periodic": lambda v, k: _run_cli("periodic", "--rho", v[0], "--energy", v[1], "--e", v[2]),
+    "lattice": lambda v, k: _lattice(k, *v[:4]),
+    "lattice-obstruction": lambda v, k: _run_cli(
+        "lattice-obstruction", "--basis", ",".join(map(repr, v[:4]))),
+}
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(sorted(_ENTRY_POINTS)), st.tuples(*[_VALUE] * 6), st.integers(1, 8))
+def test_periodic_lattice_and_cli_entry_points_return_or_raise_typed(entry, values, k):
+    """Any finite input to the periodic, lattice and CLI entry points either
+    returns a finite report or raises a HeisenmagError (CLI exit 1 or 64)."""
+    try:
+        report = _ENTRY_POINTS[entry](values, k)
+    except HeisenmagError:
+        return
+    assert all(math.isfinite(v) for v in _numbers(report)), (entry, values, k, report)
 
 
 class TestRandomCrossValidation:
@@ -150,9 +238,7 @@ class TestPowerConstruction:
         res = find_lambda_periodic(LatticeElement(0, 50.0, 0.5), 1.0, 1.0)
         assert res.n > 1
         assert res.residual < 1e-7
-        lam0, omega0 = primitive_period(
-            res, GammaLattice(1), max_multiple=2 * res.n + 4
-        )
+        lam0, omega0 = primitive_period(res, GammaLattice(1))
         assert (lam0.y1, lam0.z1) == (50.0, 0.5)
         assert abs(omega0 - res.n * res.base_period) < 1e-9
 
