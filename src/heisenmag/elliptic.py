@@ -48,45 +48,43 @@ def _check_modulus(k: float) -> None:
         raise DomainError(f"modulus k must satisfy 0 <= k < 1, got {k}")
 
 
-def _agm_scheme(k: float) -> tuple[list[float], list[float], list[float]]:
-    """AGM sequences (a_n, b_n, c_n) for a0 = 1, b0 = k' = sqrt(1 - k^2); b_n
-    is kept, since a_n - 2 c_{n+1} cancels as k -> 1, where b_0 is small."""
+def _agm_scheme(k: float) -> tuple[list[float], list[float], list[float], float]:
+    """AGM sequences (a_n, b_n, c_n) from a0 = 1, b0 = k', and sum 2^(n-1) c_n^2;
+    b_n is kept, since a_n - 2 c_{n+1} cancels as k -> 1, where b_0 is small."""
     kp2 = (1.0 - k) * (1.0 + k)
     a, b, c = 1.0, math.sqrt(kp2), k
     aa, bb, cc = [a], [b], [c]
-    for _ in range(64):
+    c_sum = 0.5 * c ** 2
+    for n in range(1, 65):
         if abs(c) <= _EPS * a:
             break
         a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
         aa.append(a)
         bb.append(b)
         cc.append(c)
+        c_sum += 2.0 ** (n - 1) * c ** 2
     else:
         raise ConvergenceError("AGM failed to converge")
-    return aa, bb, cc
+    return aa, bb, cc, c_sum
 
 
 class AGM:
     """The AGM scheme of one modulus k, run once.
 
-    K = pi / (2 a_N) and E = K (1 - sum 2^(n-1) c_n^2) are read off it,
-    descend(u) runs the descending Landen recurrence on it and F(phi) the
-    ascending one (A&S 17.6), so a caller that evaluates many points of one
-    modulus, or inverts one, runs the AGM once.
+    K = pi / (2 a_N) and E = K (1 - sum 2^(n-1) c_n^2) are stored from the
+    scheme's one loop, descend(u) runs the descending Landen recurrence on
+    it and F(phi) the ascending one (A&S 17.6), so a caller that evaluates
+    many points of one modulus, or inverts one, runs the AGM once.
     """
 
-    __slots__ = ("k", "K", "_aa", "_bb", "_cc")
+    __slots__ = ("k", "K", "E", "_aa", "_bb", "_cc")
 
     def __init__(self, k: float) -> None:
         _check_modulus(k)
-        self._aa, self._bb, self._cc = _agm_scheme(k)
+        self._aa, self._bb, self._cc, c_sum = _agm_scheme(k)
         self.k = k
         self.K = math.pi / (2.0 * self._aa[-1])
-
-    @property
-    def E(self) -> float:
-        """E(k), computed on access: complete_K needs none of it."""
-        return self.K * (1.0 - sum(2.0 ** (n - 1) * c ** 2 for n, c in enumerate(self._cc)))
+        self.E = self.K * (1.0 - c_sum)
 
     def descend(self, u):
         """(phi, turns, Z(u)) with am(u) = phi + 2 pi turns, turns = floor(u / 4K).

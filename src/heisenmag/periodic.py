@@ -20,7 +20,8 @@ level set d = h_E(c), refused at the floor c = 1 + 1e-11 unless psi_tilde
 changes sign in d there and the level set passes above d_c there.
 
 Each root, and the conjugacy shift, is found on a sign-changing bracket by
-Brent's method (scipy.optimize.brentq); d_c must leave |psi_tilde| <= 1e-12.
+Brent's method, step for step as scipy.optimize.brentq but reusing the end
+values it is handed; d_c must leave |psi_tilde| <= 1e-12 at the returned root.
 """
 
 from __future__ import annotations
@@ -30,13 +31,11 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .elliptic import complete_K_and_E
 from .errors import (
     ConvergenceError,
     DomainError,
-    HeisenmagError,
     LambdaNotFoundError,
     check_finite,
 )
@@ -200,10 +199,11 @@ def psi(c: float, d: float, e: float, rho: float) -> float:
 # --- unique root d_c and the energy bijection -----------------------------------
 
 
-# rtol = 4 eps is the smallest scipy accepts and xtol (the smallest
-# subnormal) is negligible, so every root is resolved to float precision.
-_RTOL = 4.0 * np.finfo(float).eps
+# rtol = 4 eps is the smallest brentq accepts and xtol (the smallest subnormal)
+# is negligible; both are Python floats, so no numpy scalar enters a root.
+_RTOL = 4.0 * sys.float_info.epsilon
 _XTOL = 5e-324
+_BRENT_ITER = 100  # brentq's default iteration cap
 _DC_TOL = 1e-12
 _C_FLOOR = 1.0 + 1e-11
 _C_CEILING = 2.0 ** 29  # the last end of the energy's c bracket tried
@@ -211,14 +211,52 @@ _SWEEP_STEPS = 400  # c steps of the Psi window sweep
 _SWEEP_FLOOR = 1e-4  # smallest c step of that sweep
 
 
-def _brent(f, lo: float, hi: float) -> float:
-    """Root of f on [lo, hi], whose end values differ in sign."""
-    try:
-        return brentq(f, lo, hi, xtol=_XTOL, rtol=_RTOL)
-    except HeisenmagError:
-        raise
-    except (ValueError, RuntimeError) as exc:
-        raise ConvergenceError(f"Brent's method failed on [{lo}, {hi}]: {exc}") from exc
+def _brent(f, lo: float, hi: float, f_lo: float, f_hi: float) -> tuple[float, float]:
+    """(x, f(x)) at a root of f on [lo, hi], given f_lo = f(lo) and f_hi = f(hi).
+
+    Brent's method (Brent 1973, ch. 4) step for step as scipy.optimize.brentq
+    runs it, so x is the same float.  NaN values, ends of one sign and runs
+    past _BRENT_ITER steps raise ConvergenceError; errors from f pass through.
+    """
+
+    def failed(reason: str) -> ConvergenceError:
+        return ConvergenceError(f"Brent's method failed on [{lo}, {hi}]: {reason}")
+
+    def checked(x: float, fx: float) -> float:
+        if math.isnan(fx):
+            raise failed(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur, fpre, fcur = lo, hi, checked(lo, f_lo), checked(hi, f_hi)
+    if fpre == 0.0 or fcur == 0.0:
+        return (xpre, fpre) if fpre == 0.0 else (xcur, fcur)
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise failed("f(a) and f(b) must have different signs")
+    for _ in range(_BRENT_ITER):  # the signs differ, so the first step sets xblk
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, fcur
+        short = abs(spre) > delta and abs(fcur) < abs(fpre)
+        if short:
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            short = 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if short else (sbis, sbis)  # else bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = checked(xcur, f(xcur))
+    raise failed(f"Failed to converge after {_BRENT_ITER} iterations.")
 
 
 def solve_dc(c: float, rho: float) -> float:
@@ -237,8 +275,7 @@ def solve_dc(c: float, rho: float) -> float:
         raise ConvergenceError(
             f"d_c bracket failed at c={c}: psi({lo})={f_lo}, psi({hi})={f_hi}"
         )
-    d = _brent(lambda d: psi_tilde(c, d, rho), lo, hi)
-    f_d = psi_tilde(c, d, rho)
+    d, f_d = _brent(lambda d: psi_tilde(c, d, rho), lo, hi, f_lo, f_hi)
     if abs(f_d) > _DC_TOL:
         raise ConvergenceError(f"psi_tilde residual {f_d} at c={c} exceeds {_DC_TOL}")
     return d
@@ -297,18 +334,20 @@ def solve_c_for_energy(energy: float, rho: float) -> float:
     f_band = psi_tilde(_C_FLOOR, _CHART_BAND, rho)
     if not f_band > 0.0:
         raise ConvergenceError(f"d_c bracket failed at c={_C_FLOOR}: psi={f_band}")
-    if not psi_on_level(_C_FLOOR) < 0.0:
+    f_floor = psi_on_level(_C_FLOOR)
+    if not f_floor < 0.0:
         floor = energy_of_c(_C_FLOOR, rho)
         raise DomainError(
             f"energy {energy} lies below the smallest resolvable at rho = {rho}, "
             f"about {floor}"
         )
-    hi = 2.0
-    while psi_on_level(hi) < 0.0:
+    hi, f_hi = 2.0, psi_on_level(2.0)
+    while f_hi < 0.0:
         hi *= 2.0
         if hi > _C_CEILING:
             raise ConvergenceError("energy bracket blew up")
-    return _brent(psi_on_level, _C_FLOOR, hi)
+        f_hi = psi_on_level(hi)
+    return _brent(psi_on_level, _C_FLOOR, hi, f_floor, f_hi)[0]
 
 
 def build_periodic(
@@ -373,12 +412,17 @@ def equienergy_conjugacy(
     grid = np.linspace(0.0, omega, _CROSSING_GRID)
     x, xp, _, _ = sol1.evaluate(grid)
     vals = x - target
+
+    def gap(t: float) -> float:
+        return sol1.x(t) - target
+
     for i in range(len(grid) - 1):
         if vals[i] == 0.0 and xp[i] * sol2.data.x0 >= 0.0:
             shift = grid[i]
             break
         if vals[i] * vals[i + 1] < 0.0:
-            cand = _brent(lambda t: sol1.x(t) - target, grid[i], grid[i + 1])
+            lo, hi = float(grid[i]), float(grid[i + 1])  # vals can be an ulp off gap
+            cand, _ = _brent(gap, lo, hi, gap(lo), gap(hi))
             # the crossing must also carry the right slope sign; if not,
             # the matching crossing is the other one in the period
             if sol1.x_prime(cand) * sol2.data.x0 >= -_CROSSING_SLOPE:
@@ -495,12 +539,9 @@ def lambda_periodic_residual(traj, lam: LatticeElement, omega: float) -> float:
     in exponential coordinates.  traj.point must accept an array of times.
     """
     ts = np.linspace(0.0, omega, _LAMBDA_GRID)
-    p1, p2 = traj.point(ts), traj.point(ts + omega)
-    return _worst(
-        p1.x - p2.x,
-        p1.y + lam.y1 - p2.y,
-        p1.z + lam.z1 - 0.5 * lam.y1 * p1.x - p2.z,
-    )
+    p = traj.point(np.concatenate((ts, ts + omega)))
+    (x1, x2), (y1, y2), (z1, z2) = (v.reshape(2, -1) for v in (p.x, p.y, p.z))
+    return _worst(x1 - x2, y1 + lam.y1 - y2, z1 + lam.z1 - 0.5 * lam.y1 * x1 - z2)
 
 
 def lambda_periodic_test(traj, lam: LatticeElement, omega: float) -> bool:
@@ -590,9 +631,10 @@ def find_lambda_periodic(
             raise ConvergenceError("energy surface left the chart while solving")
         return val - target
 
-    # Psi - target changes sign between c0 (Psi = 0) and the window edge
-    # brentq returns a point it evaluated, so d_star lies in (0, 1)
-    c_star = _brent(psi_minus_target, min(c0, best_c), max(c0, best_c))
+    # Psi - target changes sign between c0 (Psi = 0) and the window edge;
+    # _brent returns a point it evaluated, so d_star lies in (0, 1)
+    (lo, f_lo), (hi, f_hi) = sorted([(c0, psi_minus_target(c0)), (best_c, best_val - target)])
+    c_star, _ = _brent(psi_minus_target, lo, hi, f_lo, f_hi)
     d_star = _h_energy(c_star, energy, rho)
     data = initial_from_cde(c_star, d_star, e, rho)
     sol = make_solution(data)

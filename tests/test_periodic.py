@@ -1,5 +1,6 @@
 """Periodicity: the (c,d,e) chart, Psi, d_c, energy, lattices."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -246,6 +247,24 @@ class TestEnergyBijection:
         solve_c_for_energy(1.0, 1.0)
         assert 0 < len(calls) < 40
 
+    @pytest.mark.parametrize("solve, most", [
+        (lambda: build_periodic(1.0, 0.0, 1.0), 21),
+        (lambda: solve_c_for_energy(1.0, 1.0), 10),
+    ], ids=["build_periodic", "solve_c_for_energy"])
+    def test_psi_evaluations_are_not_repeated(self, monkeypatch, solve, most):
+        # Brent is handed the bracket's end values, and solve_dc reads its
+        # residual off Brent's last value
+        calls = []
+        parts = periodic._psi_parts
+
+        def counted(c, d, rho):
+            calls.append((c, d))
+            return parts(c, d, rho)
+
+        monkeypatch.setattr(periodic, "_psi_parts", counted)
+        solve()
+        assert 0 < len(calls) <= most
+
     def test_single_solve_on_the_level_set(self, monkeypatch):
         def nested(*args):
             raise AssertionError("nested d_c solve")
@@ -321,19 +340,64 @@ class TestEnergyBijection:
         assert checked > 300
 
 
+def _brent_families(rng):
+    """Seeded (f, lo, hi) brackets, some with a flat or kinked root, some
+    with an end exactly at the root."""
+    a, b = rng.uniform(0.1, 5.0), rng.uniform(-2.0, 2.0)
+    lo, hi = sorted(rng.uniform(-4.0, 4.0, 2).tolist())
+    rho = 10.0 ** rng.uniform(-2.0, 1.0)
+    return [
+        (lambda x: math.sin(a * x) - b / 2.0, lo, hi),
+        (lambda x: x ** 3 - a * x - b, lo, hi),
+        (lambda x: math.expm1(a * x) - b, lo, hi),
+        (lambda x: math.atan(a * (x - b)), lo, hi),
+        (lambda x: a * (x - b) ** 5 + 1e-300, lo, hi),  # flat: often no convergence
+        (lambda x: math.copysign(abs(x - b) ** 0.5, x - b), lo, hi),
+        (lambda x: x - round(b), float(round(b)), hi + 3.0),  # f(lo) == 0
+        (lambda d: psi_tilde(1.0 + a, d, rho), 1e-12, 1.0 - 1e-12),
+    ]
+
+
 class TestBrent:
     def test_failures_are_typed(self):
         with pytest.raises(ConvergenceError):
-            periodic._brent(lambda x: 1.0, 0.0, 1.0)
+            periodic._brent(lambda x: 1.0, 0.0, 1.0, 1.0, 1.0)
         with pytest.raises(ConvergenceError):
-            periodic._brent(lambda x: math.nan, 0.0, 1.0)
+            periodic._brent(lambda x: math.nan, 0.0, 1.0, math.nan, math.nan)
 
     def test_domain_error_passes_through(self):
         def f(x):
             raise DomainError("outside")
 
         with pytest.raises(DomainError):
-            periodic._brent(f, 0.0, 1.0)
+            periodic._brent(f, 0.0, 1.0, -1.0, 1.0)
+
+    def test_nan_inside_the_bracket_is_typed(self):
+        with pytest.raises(ConvergenceError, match="is NaN"):
+            periodic._brent(lambda x: math.nan, 0.0, 1.0, -1.0, 1.0)
+
+    def test_matches_scipy_brentq_bit_for_bit(self):
+        from scipy.optimize import brentq
+
+        rng = np.random.default_rng(41)
+        compared = failed = 0
+        while compared < 10_000:
+            for f, lo, hi in _brent_families(rng):
+                f_lo, f_hi = f(lo), f(hi)
+                if not f_lo * f_hi <= 0.0:
+                    continue
+                compared += 1
+                try:
+                    root = brentq(f, lo, hi, xtol=periodic._XTOL, rtol=periodic._RTOL)
+                except RuntimeError as exc:
+                    failed += 1
+                    with pytest.raises(ConvergenceError, match=str(exc)):
+                        periodic._brent(f, lo, hi, f_lo, f_hi)
+                    continue
+                x, f_x = periodic._brent(f, lo, hi, f_lo, f_hi)
+                assert type(x) is float and x == root, (lo, hi)
+                assert f_x == f(x)
+        assert 0 < failed < compared // 4
 
 
 class TestBuildPeriodic:
@@ -358,6 +422,17 @@ class TestBuildPeriodic:
         for t in (0.3, 1.1, 2.9):
             p1, p2 = sol.point(t), sol.point(t + omega)
             assert max(abs(p1.x - p2.x), abs(p1.y - p2.y), abs(p1.z - p2.z)) < 1e-9
+
+    @pytest.mark.parametrize("energy", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("rho", [0.0, 1.0])
+    def test_outputs_are_python_floats(self, energy, rho):
+        # a numpy scalar in the solver would carry into every field, and
+        # slow down everything built on it
+        _, rep = build_periodic(energy, 0.3, rho)
+        data = rep["initial_data"]
+        fields = {f.name: getattr(data, f.name) for f in dataclasses.fields(data)}
+        for name, value in {**fields, "c": rep["c"], "d": rep["d"], "period": rep["period"]}.items():
+            assert type(value) is float, name
 
     def test_equienergy_conjugacy(self):
         s1, _ = build_periodic(2.0, 0.3, rho=1.0)
@@ -430,6 +505,19 @@ class TestLambdaPeriodic:
         # x1 != 0 fails before any curve evaluation (kernel condition)
         lam = LatticeElement(0.7, 1.0, 0.5)
         assert lambda_periodic_test(object(), lam, 1.0) is False
+
+    def test_residual_evaluates_the_curve_once(self):
+        res = find_lambda_periodic(LatticeElement(0.0, 1.0, 0.5), 1.0, 1.0)
+        calls = []
+
+        class Counted:
+            def point(self, ts):
+                calls.append(len(ts))
+                return res.trajectory.point(ts)
+
+        residual = lambda_periodic_residual(Counted(), res.lam, res.omega)
+        assert residual == lambda_periodic_residual(res.trajectory, res.lam, res.omega)
+        assert calls == [2 * periodic._LAMBDA_GRID]
 
     def test_nan_curve_is_not_periodic(self):
         class NanCurve:
