@@ -14,7 +14,8 @@ xi - beta x - alpha y = z0, so that combination is conserved by the flow;
 it is monitored, never enforced, and its drift is reported.
 
 `taylor_reduced` integrates the reduced system x'' = rho - h'(x) h(x),
-y' = h(x) - 1 to about 30 digits, for the saddle branches where float64
+y' = h(x) - 1 to about 32 digits with dense output; criterion 1 checks
+every branch against it, the saddle branches included, where float64
 loses e^{sqrt(-mu) t}.  The module also evaluates the natural Lagrangian
 and finite-difference Euler-Lagrange residuals along sampled curves.
 """
@@ -138,6 +139,8 @@ def integrate_general(
     identity (the equations above assume that base point) and the output is translated
     back.
     """
+    if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
+        raise DomainError(f"oracle n_samples must be a positive integer, got {n_samples!r}")
     base = HeisenbergPoint(s0.x, s0.y, s0.z)
     # velocity of p^-1 * gamma at the identity: v-part unchanged,
     # centre part loses the (p, velocity) cross term
@@ -165,11 +168,11 @@ def integrate_general(
     return traj
 
 
-# --- 30-digit Taylor oracle for the reduced system ------------------------------
+# --- Taylor oracle for the reduced system ---------------------------------------
 
-_TAYLOR_ORDER = 30
+_TAYLOR_EPS = 1e-32  # absolute tolerance of a step
+_TAYLOR_ORDER = math.ceil(math.log(1.0 / _TAYLOR_EPS) / 2.0) + 1  # Jorba and Zou's 38
 _FRAC_BITS = 112  # fixed-point fraction bits, about 33.7 decimal digits
-_TAYLOR_EPS = 1e-32  # bound on each trailing Taylor term of a step
 _ONE = 1 << _FRAC_BITS
 
 
@@ -179,62 +182,70 @@ def _fixed(v: float) -> int:
     return (num << _FRAC_BITS) // den
 
 
-def _taylor_step(x: int, u: int, y: int, zr: int, c: int, rho: int, t_left: int):
-    """One step of order n = 30 from (x, u, y), at most t_left long.
+def _taylor_series(x: int, u: int, y: int, zr: int, c: int, rho: int):
+    """Taylor coefficients of order n = 38 of (x, u, y) at a state, and their step.
 
     Coefficients by Cauchy products, with w = x + zr: (k+1) x_{k+1} = u_k,
     g_k = (w*w)_k / 2 (+ c at k = 0), (k+1) u_{k+1} = rho d_k0 - (w*g)_k and
-    (k+1) y_{k+1} = g_k - d_k0.  The step is h = min (eps/|c_j|)^(1/j) / 2
-    over the three components and j in {n, n-1}.
+    (k+1) y_{k+1} = g_k - d_k0.  The step is Jorba and Zou's h = r / e^2 with
+    r = min |c_j|^(-1/j) over j in {n-1, n}, |c_j| the largest of the three
+    components; it is infinite when all of those vanish.
     """
     n, f = _TAYLOR_ORDER, _FRAC_BITS
     xs, us, ys, ws, gs = [x], [u], [y], [x + zr], []
     for k in range(n):
-        g = sum(map(operator.mul, ws, reversed(ws))) >> (f + 1)
+        half = (k + 1) >> 1  # (w*w)_k is twice the sum below, plus w_{k/2}^2
+        ww = sum(map(operator.mul, ws[:half], reversed(ws[k - half + 1:]))) << 1
+        g = (ww + ws[half] * ws[half] if k % 2 == 0 else ww) >> (f + 1)
         gs.append(g + c if k == 0 else g)
         wg = sum(map(operator.mul, ws, reversed(gs))) >> f
         xs.append(us[k] // (k + 1))
         us.append(((rho if k == 0 else 0) - wg) // (k + 1))
         ys.append((gs[k] - (_ONE if k == 0 else 0)) // (k + 1))
         ws.append(xs[-1])
-    h = 0.5 * min(
-        ((_TAYLOR_EPS * (_ONE / abs(cs[j]))) ** (1.0 / j)
-         for cs in (xs, us, ys) for j in (n, n - 1) if cs[j]),
-        default=math.inf,
-    )
-    step = t_left if h >= t_left / _ONE else _fixed(h)
+    r = min(((_ONE / max(map(abs, (xs[j], us[j], ys[j])))) ** (1.0 / j)
+             for j in (n - 1, n) if xs[j] or us[j] or ys[j]), default=math.inf)
+    step = _fixed(r / math.e ** 2) if r < math.inf else r
     if step <= 0:
-        raise ConvergenceError(f"Taylor step underflows: h = {h}")
-    x, u, y = xs[n], us[n], ys[n]
-    for k in range(n - 1, -1, -1):
-        x, u, y = xs[k] + (x * step >> f), us[k] + (u * step >> f), ys[k] + (y * step >> f)
-    return x, u, y, step
+        raise ConvergenceError(f"Taylor step underflows: h = {r / math.e ** 2}")
+    return (xs, us, ys), step
+
+
+def _horner(cs: list[int], dt: int) -> int:
+    """The series cs at dt, both in fixed point."""
+    acc = cs[-1]
+    for ck in reversed(cs[:-1]):
+        acc = ck + (acc * dt >> _FRAC_BITS)
+    return acc
 
 
 def taylor_reduced(data: InitialData, ts) -> np.ndarray:
-    """Rows (x, x', y, z) at the ascending times ts >= 0, integrated to ~30 digits.
+    """Rows (x, x', y, z) at the ascending times ts >= 0, integrated to ~32 digits.
 
     Integrates x' = u, u' = rho - w g, y' = g - 1 with w = x + z0 + rho and
-    g = w^2/2 + y0 + 1 - (z0+rho)^2/2 = h(x) by Taylor steps of order 30
-    (Jorba & Zou, Exp. Math. 14(1), 2005) in Python-int fixed point with
-    112 fractional bits, each step cut to land exactly on the next requested
-    time.  z comes from the conserved level -x y/2 - (z0+rho) y - x' + x0.
-    Each output is rounded once from the fixed-point state.
+    g = w^2/2 + y0 + 1 - (z0+rho)^2/2 = h(x) by Taylor steps of order 38
+    and length r/e^2 (Jorba & Zou, Exp. Math. 14(1), 2005), in Python-int
+    fixed point with 112 fractional bits.  The steps do not depend on ts:
+    each requested time is read off the series of the step that holds it
+    (dense output), so a row equals the row of that time requested alone.
+    z comes from the conserved level -x y/2 - (z0+rho) y - x' + x0.  Each
+    output is rounded once from the fixed-point state.
     """
     ts = np.asarray(ts, dtype=float)
-    if not np.all(np.isfinite(ts)) or np.any(ts < 0.0) or np.any(np.diff(ts) < 0.0):
-        raise DomainError("the Taylor oracle needs finite, non-negative, ascending times")
-    f = _FRAC_BITS
+    if ts.ndim != 1 or not np.all(np.isfinite(ts)) or np.any(ts < 0.0) or np.any(np.diff(ts) < 0):
+        raise DomainError("the Taylor oracle needs a 1-D array of finite, ascending times >= 0")
     rho, x0 = _fixed(data.rho), _fixed(data.x0)
     zr = _fixed(data.z0) + rho
-    c = _fixed(data.y0) + _ONE - (zr * zr >> (f + 1))
-    x, u, y, now = 0, x0, 0, 0
+    c = _fixed(data.y0) + _ONE - (zr * zr >> (_FRAC_BITS + 1))
+    now = 0
+    series, step = _taylor_series(0, x0, 0, zr, c, rho)
     out = np.empty((len(ts), 4))
     for i, t in enumerate(ts):
-        while now < _fixed(t):
-            x, u, y, step = _taylor_step(x, u, y, zr, c, rho, _fixed(t) - now)
+        while now + step < _fixed(t):
             now += step
-        z = -(x * y >> (f + 1)) - (zr * y >> f) - u + x0
+            series, step = _taylor_series(*(_horner(cs, step) for cs in series), zr, c, rho)
+        x, u, y = (_horner(cs, _fixed(t) - now) for cs in series)
+        z = -(x * y >> (_FRAC_BITS + 1)) - (zr * y >> _FRAC_BITS) - u + x0
         out[i] = x / _ONE, u / _ONE, y / _ONE, z / _ONE
     return out
 

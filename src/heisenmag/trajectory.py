@@ -426,7 +426,7 @@ def exact_trajectory(data: InitialData, t: float) -> HeisenbergPoint:
 
 
 # perfbench calls this name and traces ReflectedTrajectory.sample; both
-# aliases go with the benchmark retarget (ROADMAP item 5)
+# aliases go with the benchmark retarget (ROADMAP item 3)
 def reflect_for_negative_x0(data: InitialData) -> TrajectorySolution:
     return make_solution(data)
 

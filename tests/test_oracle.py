@@ -1,12 +1,14 @@
 """Numerical oracle: integrators, conserved quantities, Lagrangian checks."""
 
+import itertools
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
-from heisenmag.acceptance import crit_closed_form, representative_data
+from heisenmag import acceptance, oracle
+from heisenmag.acceptance import _ALL_BRANCHES, check_branch, crit_closed_form, representative_data
 from heisenmag.errors import DomainError
 from heisenmag.heisenberg import LorentzForce
 from heisenmag.oracle import (
@@ -50,6 +52,12 @@ class TestConfig:
 
     def test_accepts_backward_span(self):
         OracleConfig(t_span=(5.0, 0.0))
+
+    def test_integrate_general_rejects_bad_sample_counts(self):
+        force, s0 = LorentzForce(0.0, 1.0, 1.0), StateVector(0, 0, 0, 0.5, 0.3, -0.2)
+        for n_samples in (0, -3, 2.5):
+            with pytest.raises(DomainError):
+                integrate_general(force, s0, OracleConfig(t_span=(0.0, 1.0)), n_samples)
 
 
 class TestGeneralIntegrator:
@@ -223,6 +231,19 @@ class TestTaylorOracle:
                 for got, w in zip(row[:3], want):
                     assert abs(got - w) < 1e-15 + math.ulp(got) / 2, (got, w)
 
+    def test_periodic_branch_within_1e_15_of_60_digit_reference(self):
+        # criterion 1 compares the periodic branches with the oracle over
+        # two periods; read POS_HIGH at half of that window and at its end
+        from heisenmag.trajectory import make_solution
+
+        data = representative_data(Branch.POS_HIGH)
+        window = 2.0 * make_solution(data).x_period
+        ts = (0.5 * window, window)
+        with mpmath.workdps(60):
+            for row, want in zip(taylor_reduced(data, ts), _mp_taylor(data, ts)):
+                for got, w in zip(row[:3], want):
+                    assert abs(got - w) < 1e-15 + math.ulp(got) / 2, (got, w)
+
     def test_closed_form_criterion_needs_no_odefun(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("mpmath.odefun called")
@@ -233,9 +254,47 @@ class TestTaylorOracle:
 
     def test_rejects_unordered_or_negative_times(self):
         data = InitialData(1.0, 0.5, 0.2, 1.0)
-        for ts in ((1.0, 0.5), (-1.0,), (math.nan,)):
+        for ts in ((1.0, 0.5), (-1.0,), (math.nan,), [[0.5, 1.0], [1.5, 2.0]], 1.0):
             with pytest.raises(DomainError):
                 taylor_reduced(data, ts)
+
+    def test_closed_form_criterion_runs_no_dop853(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrate_general called")
+
+        monkeypatch.setattr(acceptance, "integrate_general", refuse)
+        for branch in _ALL_BRANCHES:
+            rec = check_branch(branch)
+            assert rec["ode_residual"] < 1e-8 and rec["oracle_distance"] < 1e-6, rec
+        result = crit_closed_form()
+        assert result.passed, result.line()
+
+    def test_periodic_branch_at_large_rho_tracks_the_oracle(self):
+        # DOP853 at rtol 1e-11 put this 4.5e-6 from the closed form
+        assert check_branch(Branch.POS_LOW, 50.0)["oracle_distance"] < 1e-6
+
+    @pytest.mark.parametrize("branch", (Branch.POS_LOW, Branch.ZERO_MU_NEG_LEFT))
+    def test_dense_output_equals_each_time_alone(self, branch, monkeypatch):
+        data = representative_data(branch)
+        ts = np.linspace(0.37, 9.1, 61)
+        steps = []
+        series = oracle._taylor_series
+
+        def record(*args):
+            coefficients, step = series(*args)
+            steps.append(step)
+            return coefficients, step
+
+        monkeypatch.setattr(oracle, "_taylor_series", record)
+        rows = taylor_reduced(data, ts)
+        monkeypatch.setattr(oracle, "_taylor_series", series)
+        # every time lies strictly inside a step, and some step holds several
+        ends = set(itertools.accumulate(steps))
+        assert not ends & {oracle._fixed(t) for t in ts}
+        assert len(steps) < len(ts)
+        for t, row in zip(ts, rows):
+            alone = taylor_reduced(data, [t])[0]
+            assert np.array_equal(row.view(np.int64), alone.view(np.int64)), t
 
 
 class TestLagrangian:
