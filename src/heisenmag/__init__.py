@@ -48,7 +48,6 @@ from .periodic import (
     exact_periodic_family,
     find_lambda_periodic,
     initial_from_cde,
-    lambda_periodic_test,
     lattice_obstruction_check,
     primitive_period,
     psi,
@@ -66,8 +65,6 @@ from .quartic import (
 from .trajectory import (
     ExactTrajectory,
     TrajectorySolution,
-    energy,
-    exact_trajectory,
     make_solution,
     translate,
 )

@@ -217,11 +217,11 @@ def _cmd_verify(args, out) -> int:
     if args.seed < 0:
         raise _UsageError(f"--seed must be non-negative, got {args.seed}")
     if args.case is not None:
-        branch = Branch(args.case)
-        record = acceptance.check_branch(branch, args.rho)
+        record = acceptance.check_branch(Branch(args.case), args.rho)
         record.pop("data")
+        record["passed"] = acceptance.closed_form_passed(record, acceptance.tolerance_scale())
         _emit_json(record, out)
-        return EXIT_OK
+        return EXIT_OK if record["passed"] else EXIT_VERIFY
     if args.rho is not None:
         raise _UsageError("--rho applies only to --case")
     names = list(acceptance.CRITERIA) if args.suite == "all" else [args.suite]

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import math
 
-from scipy.special import elliprf, elliprj
-
 from ._ops import ops
 from .errors import ConvergenceError, DomainError
 
@@ -33,14 +31,11 @@ __all__ = [
     "complete_Pi",
     "ellip_f",
     "jacobi_sn_cn_dn",
-    "inverse_cn",
-    "inverse_sn",
     "appendix_integrals",
     "legendre_relation_defect",
 ]
 
 _EPS = 2.220446049250313e-16
-_INVERSE_BAND = 1e-12  # round-off admitted in an inverse_cn / inverse_sn argument
 
 
 def _check_modulus(k: float) -> None:
@@ -151,6 +146,8 @@ def ellip_f(phi: float, k: float) -> float:
 
 def complete_Pi(alpha2: float, k: float) -> float:
     """Complete third-kind integral Pi(alpha^2, k) for alpha^2 < 1."""
+    from scipy.special import elliprf, elliprj  # here, so importing heisenmag loads no scipy
+
     _check_modulus(k)
     if alpha2 >= 1.0:
         raise DomainError(
@@ -171,22 +168,6 @@ def jacobi_sn_cn_dn(u: float, k: float) -> tuple[float, float, float]:
     """sn, cn, dn at (u, k), from the reduced amplitude."""
     agm = AGM(k)
     return agm.sn_cn_dn(agm.descend(u)[0])
-
-
-def inverse_cn(v: float, k: float) -> float:
-    """Principal inverse of cn: the u in [0, 2K] with cn(u, k) = v."""
-    _check_modulus(k)
-    if abs(v) > 1.0 + _INVERSE_BAND:
-        raise DomainError(f"inverse_cn argument must lie in [-1, 1], got {v}")
-    return AGM(k).F(math.acos(min(1.0, max(-1.0, v))))
-
-
-def inverse_sn(v: float, k: float) -> float:
-    """Principal inverse of sn: the u in [-K, K] with sn(u, k) = v."""
-    _check_modulus(k)
-    if abs(v) > 1.0 + _INVERSE_BAND:
-        raise DomainError(f"inverse_sn argument must lie in [-1, 1], got {v}")
-    return AGM(k).F(math.asin(min(1.0, max(-1.0, v))))
 
 
 # --- Reference closed forms used by the verification corpus -----------------

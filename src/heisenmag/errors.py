@@ -4,6 +4,16 @@ import math
 
 import numpy as np
 
+__all__ = [
+    "HeisenmagError",
+    "DomainError",
+    "ConvergenceError",
+    "BranchConsistencyError",
+    "IntervalError",
+    "LambdaNotFoundError",
+    "check_finite",
+]
+
 
 class HeisenmagError(Exception):
     """Base class for all errors raised by this package."""

@@ -45,9 +45,6 @@ __all__ = [
     "isotropy_member",
     "potential_one_form",
     "coordinate_two_form",
-    "closedness_cyclic_sum",
-    "force_to_json",
-    "force_from_json",
     "canonical_to_json",
 ]
 
@@ -100,9 +97,6 @@ class AlgebraVector:
     def dot(self, other: "AlgebraVector") -> float:
         return self.a * other.a + self.b * other.b + self.c * other.c
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.c], dtype=float)
-
 
 def j_map(zc: float, v: AlgebraVector) -> AlgebraVector:
     """j(zc*e3) applied to v in span{e1,e2}: the scaled rotation zc*J.
@@ -131,10 +125,6 @@ class LorentzForce:
         return np.array(
             [[0.0, -r, -b], [r, 0.0, -a], [b, a, 0.0]], dtype=float
         )
-
-    def apply(self, v: AlgebraVector) -> AlgebraVector:
-        w = self.matrix() @ v.as_array()
-        return AlgebraVector(w[0], w[1], w[2])
 
     @property
     def u_norm(self) -> float:
@@ -254,30 +244,6 @@ def coordinate_two_form(
     """
     a, b, r = force.alpha, force.beta, force.rho
     return (r - 0.5 * b * p.x - 0.5 * a * p.y, b, a)
-
-
-def closedness_cyclic_sum(
-    force: LorentzForce, u: AlgebraVector, v: AlgebraVector, w: AlgebraVector
-) -> float:
-    """<[U,V], FW> + <[V,W], FU> + <[W,U], FV>; zero for every Lorentz force."""
-    return (
-        u.bracket(v).dot(force.apply(w))
-        + v.bracket(w).dot(force.apply(u))
-        + w.bracket(u).dot(force.apply(v))
-    )
-
-
-def force_to_json(force: LorentzForce) -> str:
-    return json.dumps(
-        {"alpha": force.alpha, "beta": force.beta, "rho": force.rho}
-    )
-
-
-def force_from_json(text: str) -> LorentzForce:
-    obj = json.loads(text)
-    return LorentzForce(
-        alpha=float(obj["alpha"]), beta=float(obj["beta"]), rho=float(obj["rho"])
-    )
 
 
 def canonical_to_json(canonical: CanonicalForce) -> str:

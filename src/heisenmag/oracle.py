@@ -27,7 +27,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import ConvergenceError, DomainError
 from .heisenberg import HeisenbergPoint, LorentzForce
@@ -139,6 +138,8 @@ def integrate_general(
     identity (the equations above assume that base point) and the output is translated
     back.
     """
+    from scipy.integrate import solve_ivp  # here, so importing heisenmag loads no scipy
+
     if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
         raise DomainError(f"oracle n_samples must be a positive integer, got {n_samples!r}")
     base = HeisenbergPoint(s0.x, s0.y, s0.z)

@@ -19,9 +19,12 @@ The closed trajectory of energy E is one solve of psi_tilde along the
 level set d = h_E(c), refused at the floor c = 1 + 1e-11 unless psi_tilde
 changes sign in d there and the level set passes above d_c there.
 
-Each root, and the conjugacy shift, is found on a sign-changing bracket by
-Brent's method, step for step as scipy.optimize.brentq but reusing the end
-values it is handed; d_c must leave |psi_tilde| <= 1e-12 at the returned root.
+Each root (d_c, the energy's c, and the lattice-tuned c) is found on a
+sign-changing bracket by Brent's method, step for step as
+scipy.optimize.brentq but reusing the end values it is handed; d_c must
+leave |psi_tilde| <= 1e-12 at the returned root.  A constructed
+lattice-periodic curve must meet its lattice-period conditions within 1e-7
+(`lambda_periodic_residual`), or the construction is refused.
 """
 
 from __future__ import annotations
@@ -60,13 +63,11 @@ __all__ = [
     "energy_cde",
     "solve_c_for_energy",
     "build_periodic",
-    "equienergy_conjugacy",
     "ExactPeriodicFamily",
     "exact_periodic_family",
     "LatticeElement",
     "GammaLattice",
     "lambda_periodic_residual",
-    "lambda_periodic_test",
     "LambdaPeriodicResult",
     "find_lambda_periodic",
     "primitive_period",
@@ -75,7 +76,6 @@ __all__ = [
 
 _CHART_BAND = 1e-12  # round-off admitted at the (c, d, e) chart edges and of k^2 in [0, 1]
 _LATTICE_BAND = 1e-12  # |x1| or |y1| of a lattice element read as zero
-_CROSSING_SLOPE = 1e-9  # x' x0 at the conjugacy crossing read as non-negative
 _LAMBDA_RESIDUAL = 1e-7  # gate on a constructed curve's lambda-periodicity residual
 _OBSTRUCTION_RADIUS = 64  # largest multiple m of a basis column tried
 _OBSTRUCTION_BAND = 1e-9  # relative zero of a first coordinate, and of a basis determinant
@@ -83,8 +83,6 @@ _K_SQ_CEILING = 1.0 - 1e-16  # k^2 is clamped below this, so K(k) stays finite
 _MEMBER_BAND = 1e-9  # default distance from Gamma_k read as membership
 _RECURRENCE_BAND = 1e-6  # lattice distance and period mismatch of a recurrence in primitive_period
 _LAMBDA_GRID = 33  # points on [0, omega] of the lambda-periodicity residual
-_CROSSING_GRID = 257  # points on [0, omega] scanned for the conjugacy crossing
-_CONJUGACY_GRID = 25  # points on [0, omega] of the conjugacy residual
 
 
 # --- the (c, d, e) chart -------------------------------------------------------
@@ -392,51 +390,6 @@ def _worst(*gaps) -> float:
     return float(np.max(np.abs(gaps)))
 
 
-def equienergy_conjugacy(
-    sol1: TrajectorySolution, sol2: TrajectorySolution
-) -> tuple[float, HeisenbergPoint, float]:
-    """Exhibit sol2(t) = sigma1(C)^{-1} sigma1(t + C).
-
-    Both inputs must be periodic trajectories of the same energy (same
-    (c, d_c), different e), and their point must accept an array of
-    times.  Returns (C, p, residual) where p = sigma1(C)^{-1}, C solves
-    x1(C) = z0_2 - z0_1 with matching slope sign (the crossing is
-    bracketed on a _CROSSING_GRID scan of one period), and residual is the
-    worst coordinate mismatch on _CONJUGACY_GRID points of one period.
-    """
-    omega = sol1.x_period
-    if omega is None or sol2.x_period is None:
-        raise DomainError("equienergy conjugacy needs periodic trajectories")
-    target = sol2.data.z0 - sol1.data.z0
-    shift = None
-    grid = np.linspace(0.0, omega, _CROSSING_GRID)
-    x, xp, _, _ = sol1.evaluate(grid)
-    vals = x - target
-
-    def gap(t: float) -> float:
-        return sol1.x(t) - target
-
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0 and xp[i] * sol2.data.x0 >= 0.0:
-            shift = grid[i]
-            break
-        if vals[i] * vals[i + 1] < 0.0:
-            lo, hi = float(grid[i]), float(grid[i + 1])  # vals can be an ulp off gap
-            cand, _ = _brent(gap, lo, hi, gap(lo), gap(hi))
-            # the crossing must also carry the right slope sign; if not,
-            # the matching crossing is the other one in the period
-            if sol1.x_prime(cand) * sol2.data.x0 >= -_CROSSING_SLOPE:
-                shift = cand
-                break
-    if shift is None:
-        raise ConvergenceError("no parameter shift C with x1(C) = z0_2 - z0_1")
-    p = sol1.point(shift).inverse()
-    ts = np.linspace(0.0, omega, _CONJUGACY_GRID)
-    lhs = translate(sol1, p).point(ts + shift)
-    rhs = sol2.point(ts)
-    return shift, p, _worst(lhs.x - rhs.x, lhs.y - rhs.y, lhs.z - rhs.z)
-
-
 # --- the exact-force periodic family --------------------------------------------
 
 
@@ -542,18 +495,6 @@ def lambda_periodic_residual(traj, lam: LatticeElement, omega: float) -> float:
     p = traj.point(np.concatenate((ts, ts + omega)))
     (x1, x2), (y1, y2), (z1, z2) = (v.reshape(2, -1) for v in (p.x, p.y, p.z))
     return _worst(x1 - x2, y1 + lam.y1 - y2, z1 + lam.z1 - 0.5 * lam.y1 * x1 - z2)
-
-
-def lambda_periodic_test(traj, lam: LatticeElement, omega: float) -> bool:
-    """Whether the trajectory is lam-periodic with the given period, within
-    _LAMBDA_RESIDUAL.
-
-    A nonzero e1-component of lam fails immediately: the period element
-    must lie in the kernel of the centre block of the force.
-    """
-    if abs(lam.x1) > _LAMBDA_RESIDUAL:
-        return False
-    return lambda_periodic_residual(traj, lam, omega) <= _LAMBDA_RESIDUAL
 
 
 @dataclass

@@ -8,10 +8,10 @@ import random
 
 import pytest
 
-from heisenmag import cli
+from heisenmag import acceptance, cli
 from heisenmag.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, export_samples, main
 from heisenmag.periodic import build_periodic
-from heisenmag.quartic import InitialData
+from heisenmag.quartic import Branch, InitialData
 from heisenmag.trajectory import make_solution
 
 
@@ -221,6 +221,23 @@ class TestVerify:
         assert code == EXIT_OK
         obj = json.loads(out)
         assert obj["ode_residual"] < 1e-8
+        assert obj["passed"] is True
+
+    @pytest.mark.parametrize("field", ["ode_residual", "oracle_distance"])
+    def test_failing_case_is_verification_failure(self, field, monkeypatch, capsys):
+        # a record over one of criterion 1's gates fails --case and criterion 1 alike
+        record = {**acceptance.check_branch(Branch.NEG), field: 1.0}
+        monkeypatch.setattr(acceptance, "check_branch", lambda branch, rho=None: dict(record))
+        code, out, _ = run_cli(["verify", "--case", "NEG"], capsys)
+        assert code == EXIT_VERIFY
+        obj = json.loads(out)
+        assert obj["passed"] is False and obj[field] == 1.0
+        assert acceptance.crit_closed_form().passed is False
+        # both read their thresholds through HEISENMAG_TOL
+        monkeypatch.setenv("HEISENMAG_TOL", "1e9")
+        code, out, _ = run_cli(["verify", "--case", "NEG"], capsys)
+        assert code == EXIT_OK and json.loads(out)["passed"] is True
+        assert acceptance.run_criterion("closed-form").passed is True
 
     def test_json_records(self, capsys):
         code, out, _ = run_cli(["verify", "--suite", "lattice-obstruction", "--json"], capsys)

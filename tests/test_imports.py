@@ -1,7 +1,12 @@
 """The library imports no root finder: scipy.optimize is a test-time
-reference only."""
+reference only.  The user paths (construction, evaluation, the periodic
+solvers and the CLI's sample, periodic and lattice) load no scipy at all."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 _SRC = Path(__file__).resolve().parents[1] / "src" / "heisenmag"
@@ -38,3 +43,65 @@ def test_optimize_lint_sees_every_import_form():
     ):
         assert _imports_optimize(source), source
     assert not _imports_optimize("from scipy.special import elliprf\nfrom . import optimize\n")
+
+
+# Runs in a fresh interpreter and prints the scipy modules loaded after the
+# user paths, then after one complete_Pi call, which must load scipy.special.
+_USER_PATHS = """
+import contextlib, io, json, sys
+import numpy as np
+import heisenmag
+from heisenmag import cli, elliptic
+from heisenmag.acceptance import representative_data
+from heisenmag.errors import HeisenmagError
+from heisenmag.periodic import LatticeElement, build_periodic, find_lambda_periodic
+from heisenmag.quartic import Branch, InitialData
+from heisenmag.trajectory import make_solution
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+ts = np.linspace(0.0, 10.0, 11)
+for branch in Branch:
+    if branch is not Branch.TRIVIAL:
+        make_solution(representative_data(branch)).evaluate(ts)
+# each coordinate 0 with probability 0.1, else +-10^U[-6, 6]; rho >= 0
+rng = np.random.default_rng(0)
+built = 0
+for _ in range(400):
+    v = [0.0 if rng.uniform() < 0.1 else 10.0 ** rng.uniform(-6.0, 6.0) for _ in range(4)]
+    s = rng.choice([-1.0, 1.0], 3)
+    try:
+        make_solution(InitialData(v[0] * s[0], v[1] * s[1], v[2] * s[2], v[3])).evaluate(ts)
+    except HeisenmagError:
+        continue
+    built += 1
+build_periodic(1.0, 0.5, 1.0)
+find_lambda_periodic(LatticeElement(0.0, 1.0, 0.5), 1.0, 1.0)
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (
+        ["sample", "--x0", "1", "--y0", "0.5", "--z0", "0.2", "--rho", "1",
+         "--t-max", "2", "--dt", "0.5"],
+        ["periodic", "--rho", "1", "--energy", "1", "--e", "0.5"],
+        ["lattice", "--k", "1", "--lambda", "1,0.5", "--energy", "1"],
+    ):
+        codes.append(cli.main(argv))
+user = scipy_modules()
+elliptic.complete_Pi(-0.5, 0.5)
+print(json.dumps({"built": built, "codes": codes, "user": user, "after_pi": scipy_modules()}))
+"""
+
+
+def test_user_paths_load_no_scipy():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(_SRC.parent), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", _USER_PATHS], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout)
+    assert out["built"] > 100
+    assert out["codes"] == [0, 0, 0]
+    assert out["user"] == []
+    # the probe sees scipy once a path that needs it runs
+    assert "scipy.special" in out["after_pi"]

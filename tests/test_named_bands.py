@@ -53,9 +53,6 @@ _RETIRED_KEYWORDS = [
     (oracle.fd_second_derivative, "h"),
     (oracle.reduced_ode_residual, "h"),
     (periodic.lambda_periodic_residual, "n_grid"),
-    (periodic.lambda_periodic_test, "tol"),
-    (periodic.lambda_periodic_test, "n_grid"),
-    (periodic.equienergy_conjugacy, "n_check"),
     (periodic.primitive_period, "tol"),
     (periodic.primitive_period, "max_multiple"),
 ]
@@ -66,6 +63,12 @@ _RETIRED_KEYWORDS = [
 )
 def test_retired_keyword_is_gone(fn, name):
     assert name not in inspect.signature(fn).parameters
+
+
+def test_retired_functions_are_gone():
+    # they carried retired keywords, and had no caller outside their tests
+    for name in ("lambda_periodic_test", "equienergy_conjugacy"):
+        assert not hasattr(periodic, name)
 
 
 def test_oracle_config_has_no_max_step():

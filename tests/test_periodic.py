@@ -19,12 +19,10 @@ from heisenmag.periodic import (
     cde_from_initial,
     energy_cde,
     energy_of_c,
-    equienergy_conjugacy,
     exact_periodic_family,
     find_lambda_periodic,
     initial_from_cde,
     lambda_periodic_residual,
-    lambda_periodic_test,
     lattice_obstruction_check,
     primitive_period,
     psi,
@@ -434,14 +432,6 @@ class TestBuildPeriodic:
         for name, value in {**fields, "c": rep["c"], "d": rep["d"], "period": rep["period"]}.items():
             assert type(value) is float, name
 
-    def test_equienergy_conjugacy(self):
-        s1, _ = build_periodic(2.0, 0.3, rho=1.0)
-        s2, _ = build_periodic(2.0, -0.5, rho=1.0)
-        shift, base, residual = equienergy_conjugacy(s1, s2)
-        assert residual < 1e-9
-        # the shift satisfies x1(C) = z0_2 - z0_1
-        assert abs(s1.x(shift) - (s2.data.z0 - s1.data.z0)) < 1e-10
-
 
 class TestExactFamily:
     def test_threshold(self):
@@ -477,7 +467,7 @@ class TestLambdaPeriodic:
         lam = LatticeElement(0.0, 1.0, 0.5)
         res = find_lambda_periodic(lam, 1.0, 1.0)
         assert res.residual < 1e-7
-        assert lambda_periodic_test(res.trajectory, lam, res.omega)
+        assert lambda_periodic_residual(res.trajectory, lam, res.omega) <= periodic._LAMBDA_RESIDUAL
         # energy preserved by the construction
         assert abs(res.base_solution.data.energy() - 1.0) < 1e-10
 
@@ -501,10 +491,15 @@ class TestLambdaPeriodic:
         y1 = sol.y(omega1)
         assert abs(sol.z(omega1) + sol.data.zr * y1) < 1e-9
 
-    def test_kernel_condition(self):
-        # x1 != 0 fails before any curve evaluation (kernel condition)
-        lam = LatticeElement(0.7, 1.0, 0.5)
-        assert lambda_periodic_test(object(), lam, 1.0) is False
+    def test_kernel_condition(self, monkeypatch):
+        # x1 != 0 is refused before any curve is built (kernel condition)
+        def refuse(*args):
+            raise AssertionError("built a curve for x1 != 0")
+
+        monkeypatch.setattr(periodic, "solve_c_for_energy", refuse)
+        monkeypatch.setattr(periodic, "make_solution", refuse)
+        with pytest.raises(LambdaNotFoundError):
+            find_lambda_periodic(LatticeElement(0.7, 1.0, 0.5), 1.0, 1.0)
 
     def test_residual_evaluates_the_curve_once(self):
         res = find_lambda_periodic(LatticeElement(0.0, 1.0, 0.5), 1.0, 1.0)
@@ -527,7 +522,7 @@ class TestLambdaPeriodic:
 
         lam = LatticeElement(0.0, 1.0, 0.5)
         assert math.isnan(lambda_periodic_residual(NanCurve(), lam, 1.0))
-        assert lambda_periodic_test(NanCurve(), lam, 1.0) is False
+        assert not lambda_periodic_residual(NanCurve(), lam, 1.0) <= periodic._LAMBDA_RESIDUAL
 
     def test_conjugation_formula(self):
         # exp(a e1) exp(y1 e2 + z e3) exp(-a e1) = exp(y1 e2 + (z + a y1) e3)
