@@ -4,17 +4,19 @@ Everything here uses the modulus k convention (not the parameter m = k^2):
 
     K(k) = integral_0^{pi/2} dtheta / sqrt(1 - k^2 sin^2 theta)
 
-and similarly for E and Pi.  One kernel object, AGM(k), runs the AGM scheme
-of a modulus once: K and E are read off it, and its descending Landen
-(AGM phase) recurrence gives the amplitude am(u) with argument reduction
-modulo the real period, which keeps full accuracy as k -> 1 where
-scipy.special.ellipj does not, together with Jacobi's zeta function Z(u)
-from the same phases, so Jacobi's epsilon E(am u, k) = (E/K) u + Z(u)
-costs no further integral.  The ascending phases on the same scheme give
-F(phi, k), the inverse of the amplitude.  Only the complete third kind
-goes through the Carlson symmetric forms RF and RJ of scipy.special
-(Carlson's duplication algorithm, DLMF 19.36).  The tests cross-check the
-whole kernel against direct quadrature of the defining integrals.
+and similarly for E and Pi.  Callers that need only the complete integrals
+K and E call complete_K_and_E, an AGM loop that keeps no sequence.  The
+kernel object AGM(k) runs the same scheme once and keeps its levels for
+descend and F: its descending Landen (AGM phase) recurrence gives the
+amplitude am(u) with argument reduction modulo the real period, which keeps
+full accuracy as k -> 1 where scipy.special.ellipj does not, together with
+Jacobi's zeta function Z(u) from the same phases, so Jacobi's epsilon
+E(am u, k) = (E/K) u + Z(u) costs no further integral.  The ascending
+phases on the same scheme give F(phi, k), the inverse of the amplitude.
+Only the complete third kind goes through the Carlson symmetric forms RF
+and RJ of scipy.special (Carlson's duplication algorithm, DLMF 19.36).  The
+tests cross-check the whole kernel against direct quadrature of the
+defining integrals.
 """
 
 from __future__ import annotations
@@ -127,13 +129,31 @@ class AGM:
 
 def complete_K(k: float) -> float:
     """Complete elliptic integral of the first kind via the AGM."""
-    return AGM(k).K
+    return complete_K_and_E(k)[0]
 
 
 def complete_K_and_E(k: float) -> tuple[float, float]:
-    """K(k) and E(k) from a single AGM run."""
-    agm = AGM(k)
-    return agm.K, agm.E
+    """K(k) and E(k) from one AGM run that keeps no level, for callers that
+    need only the complete integrals.
+
+    The updates, the c_n^2 terms and the order of their sum are those of
+    _agm_scheme, and the weight 2^(n-1) doubles exactly, so both equal
+    AGM(k).K and AGM(k).E bit for bit.
+    """
+    _check_modulus(k)
+    a, b, c = 1.0, math.sqrt((1.0 - k) * (1.0 + k)), k
+    c_sum = 0.5 * c ** 2
+    weight = 1.0
+    for _ in range(64):
+        if abs(c) <= _EPS * a:
+            break
+        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+        c_sum += weight * c ** 2
+        weight += weight
+    else:
+        raise ConvergenceError("AGM failed to converge")
+    big_k = math.pi / (2.0 * a)
+    return big_k, big_k * (1.0 - c_sum)
 
 
 # --- Incomplete integrals --------------------------------------------------

@@ -158,22 +158,42 @@ def cde_from_initial(data: InitialData) -> CdeCoordinates:
 
 
 def energy_cde(c: float, d: float, rho: float) -> float:
-    """Energy in the chart, free of cancellation as c -> 1; does not involve e."""
-    c4 = c ** 4
-    return (c4 + rho * rho) * (((c - 1.0) * (c + 1.0)) ** 2 + 4.0 * c * c * d * d) / (2.0 * c4)
+    """Energy in the chart, free of cancellation as c -> 1; does not involve e.
+
+    DomainError when it does not come out a finite float.
+    """
+    try:  # Python's float ** raises on overflow, and c^4 may underflow to 0
+        c4 = c ** 4
+        square = ((c - 1.0) * (c + 1.0)) ** 2
+        energy = (c4 + rho * rho) * (square + 4.0 * c * c * d * d) / (2.0 * c4)
+    except (OverflowError, ZeroDivisionError):
+        energy = math.inf
+    if not energy < math.inf:  # the energy is >= 0, so this also catches NaN
+        raise DomainError(f"the chart energy at c={c}, d={d}, rho={rho} is not a finite float")
+    return energy
 
 
 # --- the periodicity function Psi ---------------------------------------------
 
 
 def _psi_parts(c: float, d: float, rho: float) -> tuple[float, float]:
-    """(S, psi_tilde) with S = sqrt((rho^2+c^6)^2 - 4 rho^2 d^2 c^6)."""
+    """(S, psi_tilde) with S = sqrt((rho^2+c^6)^2 - 4 rho^2 d^2 c^6).
+
+    S^2 >= (1 - d^2)(rho^2 + c^6)^2 > 0 in exact arithmetic; a DomainError
+    names the input where the float S^2 overflows, or rounds to zero or below.
+    """
     if c <= 0.0 or not 0.0 < d < 1.0:
         raise DomainError(f"psi_tilde needs c > 0 and d in (0, 1), got c={c}, d={d}")
-    c6 = c ** 6
-    inner = (rho * rho + c6) ** 2 - 4.0 * rho * rho * d * d * c6
-    if inner < 0.0:
-        raise DomainError("invalid (c, d) pair: negative inner square root")
+    try:  # Python's float ** raises on overflow where * gives inf
+        c6 = c ** 6
+        inner = (rho * rho + c6) ** 2 - 4.0 * rho * rho * d * d * c6
+    except OverflowError:
+        inner = math.inf
+    if not 0.0 < inner < math.inf:  # NaN too, from inf - inf
+        raise DomainError(
+            f"psi_tilde at c={c}, d={d}, rho={rho} is out of float range: "
+            f"S^2 = (rho^2 + c^6)^2 - 4 rho^2 d^2 c^6 evaluates to {inner}"
+        )
     s = math.sqrt(inner)
     k_sq = (2.0 * c6 * d * d - rho * rho - c6) / (2.0 * s) + 0.5
     if k_sq < -_CHART_BAND or k_sq > 1.0 + _CHART_BAND:
@@ -191,7 +211,13 @@ def psi_tilde(c: float, d: float, rho: float) -> float:
 def psi(c: float, d: float, e: float, rho: float) -> float:
     """y over one x-period as a function of the chart; e does not enter."""
     s, tilde = _psi_parts(c, d, rho)
-    return 8.0 / (c * c) * math.sqrt(s) * tilde
+    try:
+        value = 8.0 / (c * c) * math.sqrt(s) * tilde
+    except ZeroDivisionError:  # c^2 underflows to 0
+        value = math.inf
+    if not abs(value) < math.inf:  # NaN too, from inf * 0
+        raise DomainError(f"psi at c={c}, d={d}, rho={rho} is not a finite float")
+    return value
 
 
 # --- unique root d_c and the energy bijection -----------------------------------
@@ -220,12 +246,13 @@ def _brent(f, lo: float, hi: float, f_lo: float, f_hi: float) -> tuple[float, fl
     def failed(reason: str) -> ConvergenceError:
         return ConvergenceError(f"Brent's method failed on [{lo}, {hi}]: {reason}")
 
-    def checked(x: float, fx: float) -> float:
-        if math.isnan(fx):
-            raise failed(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
+    def nan_at(x: float) -> ConvergenceError:
+        return failed(f"The function value at x={x} is NaN; solver cannot continue.")
 
-    xpre, xcur, fpre, fcur = lo, hi, checked(lo, f_lo), checked(hi, f_hi)
+    for x, fx in ((lo, f_lo), (hi, f_hi)):
+        if math.isnan(fx):
+            raise nan_at(x)
+    xpre, xcur, fpre, fcur = lo, hi, f_lo, f_hi
     if fpre == 0.0 or fcur == 0.0:
         return (xpre, fpre) if fpre == 0.0 else (xcur, fcur)
     if (fpre < 0.0) == (fcur < 0.0):
@@ -253,7 +280,9 @@ def _brent(f, lo: float, hi: float, f_lo: float, f_hi: float) -> tuple[float, fl
         spre, scur = (scur, stry) if short else (sbis, sbis)  # else bisect
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
-        fcur = checked(xcur, f(xcur))
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise nan_at(xcur)
     raise failed(f"Failed to converge after {_BRENT_ITER} iterations.")
 
 

@@ -39,14 +39,18 @@ class TestCompleteIntegrals:
         assert abs(el.AGM(0.0).E - math.pi / 2.0) < 1e-15
 
     def test_e_is_the_scheme_sum_bit_for_bit(self):
-        # E is stored from the scheme's loop, with the sum taken term by term
+        # E is stored from the scheme's loop, with the sum taken term by term,
+        # and the list-free loop of complete_K_and_E gives the same bits
         rng = np.random.default_rng(43)
-        ks = [0.0, *rng.uniform(0.0, 1.0, 2000), *(1.0 - 10.0 ** rng.uniform(-15, -1, 2000))]
+        ks = [0.0, 5e-324, 1e-310, *rng.uniform(0.0, 1.0, 2000),
+              *(1.0 - 10.0 ** rng.uniform(-16, -1, 2000))]
         for k in map(float, ks):
             agm = el.AGM(k)
             terms = (2.0 ** (n - 1) * c ** 2 for n, c in enumerate(agm._cc))
             assert agm.E == agm.K * (1.0 - sum(terms)), k
             assert type(agm.E) is float
+            assert el.complete_K_and_E(k) == (agm.K, agm.E), k
+            assert el.complete_K(k) == agm.K, k
 
     def test_k_against_quadrature(self):
         for k in (0.1, 0.5, 0.77, 0.95):

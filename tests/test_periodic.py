@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from heisenmag import periodic
+from heisenmag import elliptic, periodic
 from heisenmag.elliptic import complete_K_and_E
 from heisenmag.errors import ConvergenceError, DomainError, LambdaNotFoundError
 from heisenmag.heisenberg import HeisenbergPoint
@@ -262,6 +262,26 @@ class TestEnergyBijection:
         monkeypatch.setattr(periodic, "_psi_parts", counted)
         solve()
         assert 0 < len(calls) <= most
+
+    @pytest.mark.parametrize("solve, expected", [
+        (lambda: solve_c_for_energy(1.0, 1.0), 0),
+        (lambda: solve_dc(2.0, 1.0), 0),
+        (lambda: build_periodic(1.0, 0.0, 1.0), 1),
+        (lambda: find_lambda_periodic(LatticeElement(0, 1.0, 0.5), 1.0, 1.0), 1),
+    ], ids=["solve_c_for_energy", "solve_dc", "build_periodic", "find_lambda_periodic"])
+    def test_psi_builds_no_agm_scheme(self, monkeypatch, solve, expected):
+        # psi_tilde reads K and E off the list-free loop; only the built
+        # solution keeps an AGM scheme
+        builds = []
+        init = elliptic.AGM.__init__
+
+        def counted(self, k):
+            builds.append(k)
+            init(self, k)
+
+        monkeypatch.setattr(elliptic.AGM, "__init__", counted)
+        solve()
+        assert len(builds) == expected
 
     def test_single_solve_on_the_level_set(self, monkeypatch):
         def nested(*args):

@@ -22,8 +22,12 @@ from heisenmag.periodic import (
     LatticeElement,
     build_periodic,
     cde_from_initial,
+    energy_cde,
+    energy_of_c,
     find_lambda_periodic,
     primitive_period,
+    psi,
+    psi_tilde,
     solve_c_for_energy,
     solve_dc,
 )
@@ -97,6 +101,11 @@ def _lattice(k, y, z, energy, rho):
 
 
 _ENTRY_POINTS = {
+    "psi_tilde": lambda v, k: psi_tilde(*v[:3]),
+    "psi": lambda v, k: psi(*v[:4]),
+    "solve_dc": lambda v, k: solve_dc(*v[:2]),
+    "energy_of_c": lambda v, k: energy_of_c(*v[:2]),
+    "energy_cde": lambda v, k: energy_cde(*v[:3]),
     "solve_c_for_energy": lambda v, k: solve_c_for_energy(v[0], v[1]),
     "build_periodic": lambda v, k: build_periodic(v[0], v[1], v[2])[1],
     "find_lambda_periodic": lambda v, k: {
@@ -114,7 +123,7 @@ _ENTRY_POINTS = {
 }
 
 
-@settings(max_examples=600, deadline=None)
+@settings(max_examples=900, deadline=None)
 @given(st.sampled_from(sorted(_ENTRY_POINTS)), st.tuples(*[_VALUE] * 6), st.integers(1, 8))
 def test_periodic_lattice_and_cli_entry_points_return_or_raise_typed(entry, values, k):
     """Any finite input to the periodic, lattice and CLI entry points either
@@ -124,6 +133,34 @@ def test_periodic_lattice_and_cli_entry_points_return_or_raise_typed(entry, valu
     except HeisenmagError:
         return
     assert all(math.isfinite(v) for v in _numbers(report)), (entry, values, k, report)
+
+
+@pytest.mark.parametrize("fn, args, named", [
+    # Python's float ** raises OverflowError on (rho^2 + c^6)^2
+    (psi_tilde, (1e26, 0.5, 1.0), "c=1e+26"),
+    (psi, (1e26, 0.5, 0.0, 1.0), "c=1e+26"),
+    (solve_dc, (1e26, 1.0), "c=1e+26"),
+    (energy_of_c, (1e26, 1.0), "c=1e+26"),
+    (psi_tilde, (2.0, 0.5, 1e154), "rho=1e+154"),
+    (psi, (2.0, 0.5, 0.0, 1e154), "rho=1e+154"),
+    (solve_dc, (2.0, 1e154), "rho=1e+154"),
+    (energy_of_c, (2.0, 1e154), "rho=1e+154"),
+    # rho^2 overflows to inf, so S^2 evaluates inf - inf to NaN
+    (psi_tilde, (2.0, 0.5, 1.5e154), "rho=1.5e+154"),
+    (solve_dc, (2.0, 1e160), "rho=1e+160"),
+    # S^2 underflows to 0, and c^2 in psi to 0
+    (psi_tilde, (1e-60, 0.5, 0.0), "c=1e-60"),
+    (psi, (1e-170, 0.5, 0.0, 1.0), "c=1e-170"),
+    # the chart energy: NaN, OverflowError, inf and a division by zero
+    (energy_cde, (1e77, 0.5, 1.0), "c=1e+77"),
+    (energy_cde, (1.2e77, 0.5, 1.0), "c=1.2e+77"),
+    (energy_cde, (2.0, 0.5, 1.4e154), "rho=1.4e+154"),
+    (energy_cde, (0.0, 0.5, 1.0), "c=0.0"),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_chart_functions_name_out_of_range_input(fn, args, named):
+    with pytest.raises(DomainError) as info:
+        fn(*args)
+    assert named in str(info.value)
 
 
 class TestRandomCrossValidation:
