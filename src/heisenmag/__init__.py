@@ -31,7 +31,6 @@ from .heisenberg import (
     potential_one_form,
 )
 from .oracle import (
-    OracleConfig,
     StateVector,
     euler_lagrange_residual,
     integrate_general,

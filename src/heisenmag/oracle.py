@@ -11,7 +11,7 @@ force F_{U,rho} (U = beta e1 + alpha e2) as a first-order system in
 
 The centre equation is the exact time derivative of
 xi - beta x - alpha y = z0, so that combination is conserved by the flow;
-it is monitored, never enforced, and its drift is reported.
+it is not enforced, and a test checks its drift along the rows.
 
 `taylor_reduced` integrates the reduced system x'' = rho - h'(x) h(x),
 y' = h(x) - 1 to about 32 digits with dense output; criterion 1 checks
@@ -29,13 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .heisenberg import HeisenbergPoint, LorentzForce
+from .heisenberg import LorentzForce
 from .quartic import InitialData
 
 __all__ = [
-    "OracleConfig",
     "StateVector",
-    "OracleTrajectory",
     "integrate_general",
     "taylor_reduced",
     "lagrangian_value",
@@ -49,20 +47,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class OracleConfig:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    t_span: tuple[float, float] = (0.0, 20.0)
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
-            raise DomainError("oracle tolerances must be finite and positive")
-        span = tuple(self.t_span)
-        if len(span) != 2 or not all(map(math.isfinite, span)) or span[0] == span[1]:
-            raise DomainError(f"oracle t_span must be two distinct finite times: {self.t_span}")
-
-
-@dataclass(frozen=True)
 class StateVector:
     """A state (x, y, z, x', y', z'); the fields may be equal-length
     arrays, one state per entry, for the Lagrangian functions."""
@@ -73,10 +57,6 @@ class StateVector:
     xp: float
     yp: float
     zp: float
-
-    @staticmethod
-    def from_array(a) -> "StateVector":
-        return StateVector(*(float(v) for v in a))
 
     @staticmethod
     def from_initial_data(data: InitialData) -> "StateVector":
@@ -97,76 +77,45 @@ def _rhs(force: LorentzForce):
     return rhs
 
 
-@dataclass
-class OracleTrajectory:
-    """Dense integrator output, translated back to the requested base point."""
-
-    force: LorentzForce
-    base: HeisenbergPoint
-    t: np.ndarray
-    states: np.ndarray  # shape (n, 6), already in the original frame
-    constraint_drift: float  # max |xi - beta x - alpha y - z0| at the identity frame
-    _dense: object
-
-    def state(self, t: float) -> StateVector:
-        s = self._dense(t)
-        return StateVector.from_array(self._to_original(np.asarray(s)))
-
-    def _to_original(self, s: np.ndarray) -> np.ndarray:
-        """One state (shape (6,)) or states as columns (shape (6, n))."""
-        p = self.base
-        if p.x == 0.0 and p.y == 0.0 and p.z == 0.0:
-            return s
-        out = np.array(s, dtype=float)
-        x, y = s[0], s[1]
-        out[0] = p.x + x
-        out[1] = p.y + y
-        out[2] = p.z + s[2] + 0.5 * (p.x * y - p.y * x)
-        out[5] = s[5] + 0.5 * (p.x * s[4] - p.y * s[3])
-        return out
+_DOP853_RTOL = 1e-11  # DOP853's relative tolerance
+_DOP853_ATOL = 1e-13  # ... and its absolute tolerance
 
 
-def integrate_general(
-    force: LorentzForce,
-    s0: StateVector,
-    cfg: OracleConfig = OracleConfig(),
-    n_samples: int = 801,
-) -> OracleTrajectory:
-    """Adaptive DOP853 run of the full system from an arbitrary start.
+def integrate_general(force: LorentzForce, s0: StateVector, ts) -> np.ndarray:
+    """Rows (x, y, z, x', y', z') at the times ts of an adaptive DOP853 run
+    of the full system that starts from s0 at ts[0].
 
-    A start away from the identity is first left-translated to the
-    identity (the equations above assume that base point) and the output is translated
-    back.
+    ts is a 1-D array of at least two finite, strictly monotone times; a
+    descending ts integrates backward.  A start away from the identity is
+    first left-translated to the identity (the equations above assume that
+    base point) and the rows are translated back.
     """
     from scipy.integrate import solve_ivp  # here, so importing heisenmag loads no scipy
 
-    if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
-        raise DomainError(f"oracle n_samples must be a positive integer, got {n_samples!r}")
-    base = HeisenbergPoint(s0.x, s0.y, s0.z)
+    ts = np.asarray(ts, dtype=float)
+    monotone = ts.ndim == 1 and (np.all(np.diff(ts) > 0.0) or np.all(np.diff(ts) < 0.0))
+    if not monotone or len(ts) < 2 or not np.all(np.isfinite(ts)):
+        raise DomainError("the DOP853 oracle needs a 1-D array of 2 or more finite, monotone times")
     # velocity of p^-1 * gamma at the identity: v-part unchanged,
     # centre part loses the (p, velocity) cross term
     zp0 = s0.zp - 0.5 * (s0.x * s0.yp - s0.y * s0.xp)
-    y0 = np.array([0.0, 0.0, 0.0, s0.xp, s0.yp, zp0])
-    t_eval = np.linspace(cfg.t_span[0], cfg.t_span[1], n_samples)
     sol = solve_ivp(
         _rhs(force),
-        cfg.t_span,
-        y0,
+        (ts[0], ts[-1]),
+        [0.0, 0.0, 0.0, s0.xp, s0.yp, zp0],
         method="DOP853",
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
-        dense_output=True,
-        t_eval=t_eval,
+        rtol=_DOP853_RTOL,
+        atol=_DOP853_ATOL,
+        t_eval=ts,
     )
     if not sol.success:
         raise ConvergenceError(f"oracle integration failed: {sol.message}")
-    ys = sol.y.T
-    xi = ys[:, 5] + 0.5 * (ys[:, 3] * ys[:, 1] - ys[:, 0] * ys[:, 4])
-    conserved = xi - force.beta * ys[:, 0] - force.alpha * ys[:, 1]
-    drift = float(np.max(np.abs(conserved - zp0)))
-    traj = OracleTrajectory(force, base, sol.t, ys, drift, sol.sol)
-    traj.states = traj._to_original(ys.T).T  # the columns map as one state
-    return traj
+    x, y, z, u, v, w = sol.y
+    if s0.x or s0.y or s0.z:  # back to p * gamma; its centre velocity regains the cross term
+        z = s0.z + z + 0.5 * (s0.x * y - s0.y * x)
+        w = w + 0.5 * (s0.x * v - s0.y * u)
+        x, y = s0.x + x, s0.y + y
+    return np.column_stack((x, y, z, u, v, w))
 
 
 # --- Taylor oracle for the reduced system ---------------------------------------

@@ -321,27 +321,6 @@ def _h_energy(c: float, energy: float, rho: float) -> float:
     return math.sqrt(max(0.0, num) / (4.0 * c * c * (c4 + rho * rho)))
 
 
-def _check_resolvable(energy: float, rho: float) -> None:
-    """DomainError unless psi_tilde stays finite on [_C_FLOOR, _C_CEILING]
-    and the energy's c lies below _C_CEILING.
-
-    psi_tilde squares rho^2 + c^6.  En(c, d_c) increases in c, and
-    En(c, d) < (1 + rho^2 / c^4)(c^2 + 1)^2 / 2 for d < 1, so an energy
-    above that bound at the ceiling has its c above it.
-    """
-    try:  # Python's float ** raises on overflow where * gives inf
-        square = (rho * rho + _C_CEILING ** 6) ** 2
-    except OverflowError:
-        square = math.inf
-    if not math.isfinite(square):
-        raise DomainError(f"rho = {rho} is too large: (rho^2 + c^6)^2 overflows a float")
-    top = 0.5 * (1.0 + rho * rho / _C_CEILING ** 4) * (_C_CEILING ** 2 + 1.0) ** 2
-    if energy > top:
-        raise DomainError(
-            f"energy {energy} lies above the largest resolvable at rho = {rho}, about {top}"
-        )
-
-
 def solve_c_for_energy(energy: float, rho: float) -> float:
     """The unique c > 1 whose periodic family has the given energy.
 
@@ -351,7 +330,6 @@ def solve_c_for_energy(energy: float, rho: float) -> float:
     check_finite(energy=energy, rho=rho)
     if energy <= 0.0:
         raise DomainError(f"energy must be positive, got {energy}")
-    _check_resolvable(energy, rho)
 
     def psi_on_level(c: float) -> float:
         d = min(1.0 - _CHART_BAND, max(_CHART_BAND, _h_energy(c, energy, rho)))
@@ -372,7 +350,7 @@ def solve_c_for_energy(energy: float, rho: float) -> float:
     while f_hi < 0.0:
         hi *= 2.0
         if hi > _C_CEILING:
-            raise ConvergenceError("energy bracket blew up")
+            raise DomainError(f"energy {energy} lies above the largest resolvable at rho = {rho}")
         f_hi = psi_on_level(hi)
     return _brent(psi_on_level, _C_FLOOR, hi, f_floor, f_hi)[0]
 

@@ -303,7 +303,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, named",
         [
-            (["periodic", "--rho", "1e200", "--energy", "1"], "rho = 1e+200"),
+            (["periodic", "--rho", "1e200", "--energy", "1"], "rho=1e+200"),
             (["periodic", "--rho", "1", "--energy", "1e300"], "energy 1e+300"),
             (["lattice", "--k", "1", "--lambda", "1,0.5", "--energy", "1e300"], "energy 1e+300"),
             (["lattice", "--k", "1", "--lambda", "1e300,0.5", "--energy", "1"],

@@ -2,7 +2,6 @@
 keyword knobs that no caller set stay retired."""
 
 import ast
-import dataclasses
 import inspect
 from pathlib import Path
 
@@ -71,5 +70,6 @@ def test_retired_functions_are_gone():
         assert not hasattr(periodic, name)
 
 
-def test_oracle_config_has_no_max_step():
-    assert "max_step" not in {f.name for f in dataclasses.fields(oracle.OracleConfig)}
+def test_dop853_oracle_takes_only_the_times():
+    # its tolerances are module constants; no config object or sample count
+    assert list(inspect.signature(oracle.integrate_general).parameters) == ["force", "s0", "ts"]

@@ -12,7 +12,6 @@ from heisenmag.acceptance import _ALL_BRANCHES, check_branch, crit_closed_form, 
 from heisenmag.errors import DomainError
 from heisenmag.heisenberg import LorentzForce
 from heisenmag.oracle import (
-    OracleConfig,
     StateVector,
     euler_lagrange_residual,
     fd_second_derivative,
@@ -29,45 +28,40 @@ from heisenmag.quartic import Branch, InitialData
 _NON_PERIODIC = (Branch.ZERO_MU_NEG_RIGHT, Branch.ZERO_MU_NEG_LEFT, Branch.ZERO_CUSP)
 
 
-class TestConfig:
-    def test_rejects_bad_tolerances(self):
-        with pytest.raises(DomainError):
-            OracleConfig(rel_tol=0.0)
-        with pytest.raises(DomainError):
-            OracleConfig(abs_tol=-1e-9)
-        # constructs only: a nan or inf rel_tol and a nan end time keep
-        # DOP853 stepping until killed
-        for kwargs in (
-            {"rel_tol": math.nan},
-            {"rel_tol": math.inf},
-            {"abs_tol": math.nan},
-            {"abs_tol": math.inf},
-            {"t_span": (0.0, math.nan)},
-            {"t_span": (-math.inf, 1.0)},
-            {"t_span": (2.0, 2.0)},
-            {"t_span": (0.0,)},
-        ):
-            with pytest.raises(DomainError):
-                OracleConfig(**kwargs)
-
-    def test_accepts_backward_span(self):
-        OracleConfig(t_span=(5.0, 0.0))
-
-    def test_integrate_general_rejects_bad_sample_counts(self):
-        force, s0 = LorentzForce(0.0, 1.0, 1.0), StateVector(0, 0, 0, 0.5, 0.3, -0.2)
-        for n_samples in (0, -3, 2.5):
-            with pytest.raises(DomainError):
-                integrate_general(force, s0, OracleConfig(t_span=(0.0, 1.0)), n_samples)
-
-
 class TestGeneralIntegrator:
+    @pytest.mark.parametrize(
+        "ts",
+        [
+            (0.0, math.nan),
+            (0.0, math.inf),
+            (-math.inf, 1.0),
+            (2.0, 2.0),
+            (0.0,),
+            (),
+            [[0.0, 1.0], [2.0, 3.0]],
+            1.0,
+            (0.0, 2.0, 1.0),
+            (0.0, 1.0, 1.0, 2.0),
+        ],
+        ids=str,
+    )
+    def test_rejects_bad_times(self, ts):
+        # non-finite, coincident, too few, not 1-D or not monotone
+        with pytest.raises(DomainError):
+            integrate_general(LorentzForce(0.0, 1.0, 1.0), StateVector(0, 0, 0, 0.5, 0.3, -0.2), ts)
+
+    def test_descending_times_integrate_backward(self):
+        force, s0 = LorentzForce(0.0, 1.0, 1.0), StateVector(0.4, -0.7, 0.25, 0.5, 0.3, -0.2)
+        fwd = integrate_general(force, s0, np.linspace(0.0, 2.0, 21))
+        back = integrate_general(force, StateVector(*fwd[-1]), np.linspace(2.0, 0.0, 21))
+        assert np.max(np.abs(fwd[0] - (0.4, -0.7, 0.25, 0.5, 0.3, -0.2))) < 1e-15
+        assert np.max(np.abs(back[::-1] - fwd)) < 1e-9
+
     def test_central_geodesic(self):
         # F = 0 with a purely central start moves along the centre
-        cfg = OracleConfig(t_span=(0.0, 5.0))
-        orc = integrate_general(
-            LorentzForce(0, 0, 0), StateVector(0, 0, 0, 0, 0, 1.3), cfg, n_samples=51
-        )
-        for t, s in zip(orc.t, orc.states):
+        ts = np.linspace(0.0, 5.0, 51)
+        rows = integrate_general(LorentzForce(0, 0, 0), StateVector(0, 0, 0, 0, 0, 1.3), ts)
+        for t, s in zip(ts, rows):
             assert abs(s[0]) < 1e-12 and abs(s[1]) < 1e-12
             assert abs(s[2] - 1.3 * t) < 1e-10
 
@@ -76,65 +70,59 @@ class TestGeneralIntegrator:
 
         data = InitialData(0.6, -0.4, 0.8, 2.0)
         traj = ExactTrajectory(data)
-        cfg = OracleConfig(rel_tol=1e-12, abs_tol=1e-14, t_span=(0.0, 10.0))
-        orc = integrate_general(
-            LorentzForce(0, 0, 2.0), StateVector(0, 0, 0, 0.6, -0.4, 0.8), cfg,
-            n_samples=101,
-        )
-        for t, s in zip(orc.t, orc.states):
+        ts = np.linspace(0.0, 10.0, 101)
+        rows = integrate_general(LorentzForce(0, 0, 2.0), StateVector(0, 0, 0, 0.6, -0.4, 0.8), ts)
+        for t, s in zip(ts, rows):
             p = traj.point(t)
             assert max(abs(p.x - s[0]), abs(p.y - s[1]), abs(p.z - s[2])) < 1e-8
 
     def test_metric_speed_constant(self):
-        cfg = OracleConfig(rel_tol=1e-11, abs_tol=1e-13, t_span=(0.0, 15.0))
-        orc = integrate_general(
-            LorentzForce(0.7, 1.2, 0.9), StateVector(0, 0, 0, 0.5, -0.2, 0.4), cfg
+        rows = integrate_general(
+            LorentzForce(0.7, 1.2, 0.9), StateVector(0, 0, 0, 0.5, -0.2, 0.4),
+            np.linspace(0.0, 15.0, 801),
         )
-        speeds = [metric_speed_sq(StateVector.from_array(s)) for s in orc.states]
+        speeds = [metric_speed_sq(StateVector(*s)) for s in rows]
         assert max(abs(v - speeds[0]) for v in speeds) < 1e-9
 
     def test_constraint_monitored(self):
-        cfg = OracleConfig(rel_tol=1e-11, abs_tol=1e-13, t_span=(0.0, 10.0))
-        orc = integrate_general(
-            LorentzForce(0.0, 1.0, 1.0), StateVector(0, 0, 0, 0.5, 0.3, -0.2), cfg
+        # xi - beta x - alpha y stays at z0' = -0.2, which the flow does not enforce
+        force = LorentzForce(0.0, 1.0, 1.0)
+        rows = integrate_general(
+            force, StateVector(0, 0, 0, 0.5, 0.3, -0.2), np.linspace(0.0, 10.0, 801)
         )
-        assert orc.constraint_drift < 1e-9
+        x, y, _, xp, yp, zp = rows.T
+        xi = zp + 0.5 * (xp * y - x * yp)
+        assert np.max(np.abs(xi - force.beta * x - force.alpha * y + 0.2)) < 1e-9
 
     def test_arbitrary_base_point(self):
         # same curve left-translated: integrate from p and from e, compare
-        cfg = OracleConfig(rel_tol=1e-12, abs_tol=1e-14, t_span=(0.0, 6.0))
+        ts = np.linspace(0.0, 6.0, 61)
         force = LorentzForce(0.0, 1.0, 1.0)
-        at_identity = integrate_general(
-            force, StateVector(0, 0, 0, 0.5, 0.3, -0.2), cfg, n_samples=61
-        )
+        at_identity = integrate_general(force, StateVector(0, 0, 0, 0.5, 0.3, -0.2), ts)
         p = (0.4, -0.7, 0.25)
         # velocity of the translate at p: centre picks up the cross term
         zp = -0.2 + 0.5 * (p[0] * 0.3 - p[1] * 0.5)
-        moved = integrate_general(
-            force, StateVector(p[0], p[1], p[2], 0.5, 0.3, zp), cfg, n_samples=61
-        )
+        moved = integrate_general(force, StateVector(p[0], p[1], p[2], 0.5, 0.3, zp), ts)
         from heisenmag.heisenberg import HeisenbergPoint, group_product
 
         base = HeisenbergPoint(*p)
-        for s_id, s_mv in zip(at_identity.states, moved.states):
+        for s_id, s_mv in zip(at_identity, moved):
             expected = group_product(base, HeisenbergPoint(s_id[0], s_id[1], s_id[2]))
             assert abs(expected.x - s_mv[0]) < 1e-9
             assert abs(expected.y - s_mv[1]) < 1e-9
             assert abs(expected.z - s_mv[2]) < 1e-9
 
     def test_reversibility(self):
-        cfg = OracleConfig(rel_tol=1e-11, abs_tol=1e-13, t_span=(0.0, 10.0))
+        ts = np.linspace(0.0, 10.0, 801)
         force = LorentzForce(0.3, 0.8, 1.1)
-        fwd = integrate_general(force, StateVector(0, 0, 0, 0.5, 0.3, -0.2), cfg)
-        end = fwd.state(10.0)
-        back_cfg = OracleConfig(rel_tol=1e-11, abs_tol=1e-13, t_span=(0.0, 10.0))
+        end = StateVector(*integrate_general(force, StateVector(0, 0, 0, 0.5, 0.3, -0.2), ts)[-1])
         # reverse time: flip velocities and the force sign stays (t -> -t)
         back = integrate_general(
             LorentzForce(-0.3, -0.8, -1.1),
             StateVector(end.x, end.y, end.z, -end.xp, -end.yp, -end.zp),
-            back_cfg,
+            ts,
         )
-        final = back.state(10.0)
+        final = StateVector(*back[-1])
         assert max(abs(final.x), abs(final.y), abs(final.z)) < 1e-8
         assert max(abs(final.xp + 0.5), abs(final.yp + 0.3), abs(final.zp - 0.2)) < 1e-8
 
@@ -312,10 +300,11 @@ class TestLagrangian:
 
     def test_lagrangian_not_constant_but_energy_is(self):
         force = LorentzForce(0.0, 1.0, 1.0)
-        cfg = OracleConfig(rel_tol=1e-11, abs_tol=1e-13, t_span=(0.0, 10.0))
-        orc = integrate_general(force, StateVector(0, 0, 0, 0.5, 0.3, -0.2), cfg)
-        lags = [lagrangian_value(force, StateVector.from_array(s)) for s in orc.states]
-        speeds = [metric_speed_sq(StateVector.from_array(s)) for s in orc.states]
+        rows = integrate_general(
+            force, StateVector(0, 0, 0, 0.5, 0.3, -0.2), np.linspace(0.0, 10.0, 801)
+        )
+        lags = [lagrangian_value(force, StateVector(*s)) for s in rows]
+        speeds = [metric_speed_sq(StateVector(*s)) for s in rows]
         assert max(lags) - min(lags) > 1e-3
         assert max(speeds) - min(speeds) < 1e-9
 
@@ -326,9 +315,9 @@ class TestEulerLagrange:
             (LorentzForce(0.0, 1.0, 1.0), (0.5, 0.3, -0.2)),
             (LorentzForce(0.7, 1.2, 0.9), (0.4, -0.3, 0.6)),
         ):
-            cfg = OracleConfig(rel_tol=1e-11, abs_tol=1e-13, t_span=(0.0, 10.0))
-            orc = integrate_general(force, StateVector(0, 0, 0, *v0), cfg, n_samples=10001)
-            rx, ry, rz = euler_lagrange_residual(force, orc.t, orc.states)
+            ts = np.linspace(0.0, 10.0, 10001)
+            rows = integrate_general(force, StateVector(0, 0, 0, *v0), ts)
+            rx, ry, rz = euler_lagrange_residual(force, ts, rows)
             assert np.max(np.abs(rx)) < 1e-5
             assert np.max(np.abs(ry)) < 1e-5
             assert np.max(np.abs(rz)) < 1e-5
@@ -367,17 +356,17 @@ class TestEulerLagrange:
     def test_columns_equal_per_row_reference(self):
         # a start off the identity also maps the states back as columns
         force = LorentzForce(0.7, 1.2, 0.9)
-        cfg = OracleConfig(rel_tol=1e-11, abs_tol=1e-13, t_span=(0.0, 5.0))
-        orc = integrate_general(force, StateVector(0.3, -0.2, 0.1, 0.4, -0.3, 0.6), cfg, 501)
-        n = len(orc.t)
+        ts = np.linspace(0.0, 5.0, 501)
+        rows = integrate_general(force, StateVector(0.3, -0.2, 0.1, 0.4, -0.3, 0.6), ts)
+        n = len(ts)
         momenta, grads = np.empty((n, 3)), np.empty((n, 3))
         for i in range(n):
-            s = StateVector.from_array(orc.states[i])
+            s = StateVector(*rows[i])
             momenta[i] = lagrangian_momenta(force, s)
             grads[i] = lagrangian_gradients(force, s)
-        dt = orc.t[1] - orc.t[0]
+        dt = ts[1] - ts[0]
         stencil = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-        residuals = euler_lagrange_residual(force, orc.t, orc.states)
+        residuals = euler_lagrange_residual(force, ts, rows)
         for q, res in enumerate(residuals):
             ref = np.convolve(momenta[:, q], stencil[::-1], mode="valid") / dt - grads[2 : n - 2, q]
             assert np.array_equal(res.view(np.int64), ref.view(np.int64))

@@ -307,8 +307,8 @@ class TestEnergyBijection:
             solve_c_for_energy(1.0, 1000.0)
 
     @pytest.mark.parametrize("energy, rho, named", [
-        (1.0, 1e200, "rho = 1e+200"),  # rho^2 overflows to inf
-        (1.0, 1e100, "rho = 1e+100"),  # Python's ** overflows on (rho^2 + c^6)^2
+        (1.0, 1e200, "rho=1e+200"),  # rho^2 overflows to inf
+        (1.0, 1e100, "rho=1e+100"),  # Python's ** overflows on (rho^2 + c^6)^2
         (1e300, 1.0, "energy 1e+300"),  # its c lies far past the bracket
         (4.2e34, 0.0, "energy 4.2e+34"),  # just above the bound at the bracket's end
     ])

@@ -16,7 +16,7 @@ from heisenmag import acceptance, cli
 from heisenmag.elliptic import AGM
 from heisenmag.errors import DomainError, HeisenmagError
 from heisenmag.heisenberg import HeisenbergPoint, LorentzForce
-from heisenmag.oracle import OracleConfig, StateVector, integrate_general
+from heisenmag.oracle import StateVector, integrate_general
 from heisenmag.periodic import (
     GammaLattice,
     LatticeElement,
@@ -183,14 +183,11 @@ class TestRandomCrossValidation:
             omega = sol.x_period
             if omega is None or omega > 60.0:
                 continue
-            cfg = OracleConfig(rel_tol=1e-11, abs_tol=1e-13, t_span=(0.0, 2 * omega))
-            orc = integrate_general(
-                LorentzForce(0, 1, data.rho),
-                StateVector.from_initial_data(data),
-                cfg,
-                n_samples=41,
+            ts = np.linspace(0.0, 2 * omega, 41)
+            rows = integrate_general(
+                LorentzForce(0, 1, data.rho), StateVector.from_initial_data(data), ts
             )
-            for (px, py, pz), s in zip(sol.sample(orc.t), orc.states):
+            for (px, py, pz), s in zip(sol.sample(ts), rows):
                 assert max(abs(px - s[0]), abs(py - s[1]), abs(pz - s[2])) < 1e-6
             counts[branch] += 1
         assert min(counts.values()) >= 8
@@ -205,14 +202,11 @@ class TestRandomCrossValidation:
                 abs(rng.normal(0, 1.0)),
             )
             refl = make_solution(data)
-            cfg = OracleConfig(rel_tol=1e-12, abs_tol=1e-14, t_span=(0.0, 8.0))
-            orc = integrate_general(
-                LorentzForce(0, 1, data.rho),
-                StateVector(0, 0, 0, data.x0, data.y0, data.z0),
-                cfg,
-                n_samples=17,
+            ts = np.linspace(0.0, 8.0, 17)
+            rows = integrate_general(
+                LorentzForce(0, 1, data.rho), StateVector(0, 0, 0, data.x0, data.y0, data.z0), ts
             )
-            for t, s in zip(orc.t, orc.states):
+            for t, s in zip(ts, rows):
                 p = refl.point(t)
                 assert max(abs(p.x - s[0]), abs(p.y - s[1]), abs(p.z - s[2])) < 1e-7
 

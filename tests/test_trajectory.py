@@ -8,7 +8,6 @@ import pytest
 
 from heisenmag.heisenberg import HeisenbergPoint, LorentzForce
 from heisenmag.oracle import (
-    OracleConfig,
     StateVector,
     integrate_general,
     reduced_ode_residual,
@@ -273,14 +272,11 @@ class TestAgainstOracle:
     def test_periodic_branches_track_oracle(self, data):
         sol = make_solution(data)
         t_max = 2.0 * sol.x_period
-        cfg = OracleConfig(rel_tol=1e-11, abs_tol=1e-13, t_span=(0.0, t_max))
-        orc = integrate_general(
-            LorentzForce(0.0, 1.0, data.rho),
-            StateVector.from_initial_data(data),
-            cfg,
-            n_samples=161,
+        ts = np.linspace(0.0, t_max, 161)
+        rows = integrate_general(
+            LorentzForce(0.0, 1.0, data.rho), StateVector.from_initial_data(data), ts
         )
-        for (px, py, pz), s in zip(sol.sample(orc.t), orc.states):
+        for (px, py, pz), s in zip(sol.sample(ts), rows):
             assert abs(px - s[0]) < 1e-6
             assert abs(py - s[1]) < 1e-6
             assert abs(pz - s[2]) < 1e-6
@@ -290,14 +286,11 @@ class TestAgainstOracle:
         # comparison runs in the acceptance suite against high precision
         data = InitialData(2.0, -2.0, 0.0, 1.0)
         sol = make_solution(data)
-        cfg = OracleConfig(rel_tol=1e-12, abs_tol=1e-14, t_span=(0.0, 6.0))
-        orc = integrate_general(
-            LorentzForce(0.0, 1.0, data.rho),
-            StateVector.from_initial_data(data),
-            cfg,
-            n_samples=61,
+        ts = np.linspace(0.0, 6.0, 61)
+        rows = integrate_general(
+            LorentzForce(0.0, 1.0, data.rho), StateVector.from_initial_data(data), ts
         )
-        for (px, py, pz), s in zip(sol.sample(orc.t), orc.states):
+        for (px, py, pz), s in zip(sol.sample(ts), rows):
             assert max(abs(px - s[0]), abs(py - s[1]), abs(pz - s[2])) < 1e-7
 
 
@@ -356,14 +349,11 @@ class TestSymmetries:
     def test_reflection_against_oracle(self):
         data = InitialData(-1.0, 0.5, 0.2, 1.0)
         refl = make_solution(data)
-        cfg = OracleConfig(rel_tol=1e-12, abs_tol=1e-14, t_span=(0.0, 10.0))
-        orc = integrate_general(
-            LorentzForce(0.0, 1.0, 1.0),
-            StateVector(0, 0, 0, data.x0, data.y0, data.z0),
-            cfg,
-            n_samples=101,
+        ts = np.linspace(0.0, 10.0, 101)
+        rows = integrate_general(
+            LorentzForce(0.0, 1.0, 1.0), StateVector(0, 0, 0, data.x0, data.y0, data.z0), ts
         )
-        for t, s in zip(orc.t, orc.states):
+        for t, s in zip(ts, rows):
             p = refl.point(t)
             assert max(abs(p.x - s[0]), abs(p.y - s[1]), abs(p.z - s[2])) < 1e-7
 
@@ -388,14 +378,9 @@ class TestSymmetries:
         sol = make_solution(InitialData(1.0, 0.5, 0.2, 1.0))
         moved = translate(sol, HeisenbergPoint(0.5, -0.3, 0.7))
         v0 = moved.velocity(0.0)
-        cfg = OracleConfig(rel_tol=1e-12, abs_tol=1e-14, t_span=(0.0, 8.0))
-        orc = integrate_general(
-            LorentzForce(0.0, 1.0, 1.0),
-            StateVector(0.5, -0.3, 0.7, *v0),
-            cfg,
-            n_samples=81,
-        )
-        for t, s in zip(orc.t, orc.states):
+        ts = np.linspace(0.0, 8.0, 81)
+        rows = integrate_general(LorentzForce(0.0, 1.0, 1.0), StateVector(0.5, -0.3, 0.7, *v0), ts)
+        for t, s in zip(ts, rows):
             p = moved.point(t)
             assert max(abs(p.x - s[0]), abs(p.y - s[1]), abs(p.z - s[2])) < 1e-8
 
