@@ -17,7 +17,9 @@ Criterion 3 computes the closed-form roots of its 10^4 samples in one
 (y over one x-period) and 11 (the appendix integrals over one period of
 cn) integrate smooth periodic functions over a period, so they are
 periodic trapezoid sums (`_periodic_integral`), which converge
-exponentially, with the integrand evaluated once per level on an array.
+exponentially.  The integrand is evaluated on arrays: once for the first
+two levels together (the first sum's points and their midpoints), then
+once per later level, on its midpoints.
 """
 
 from __future__ import annotations
@@ -200,24 +202,30 @@ def _periodic_integral(f, period: float):
     The equispaced trapezoid sum converges exponentially on such an
     integrand (Trefethen and Weideman, SIAM Review 56(3), 2014).  f takes
     an array of times and returns its values along the last axis, so one
-    call may carry several integrands.  Each level doubles the points and
+    call may carry several integrands.  The first call carries the first
+    level pair: the _TRAPEZOID_START points of the first sum, then their
+    midpoints, which refine it.  Each later level doubles the points and
     evaluates f once, on the midpoints of the last level, until two
     successive sums agree within _TRAPEZOID_BAND * max(1, period).
     """
     band = _TRAPEZOID_BAND * max(1.0, period)
     n = _TRAPEZOID_START
-    total = period / n * np.sum(f(period / n * np.arange(n)), axis=-1)
-    while n < _TRAPEZOID_CAP:
-        midpoints = period / n * (np.arange(n) + 0.5)
-        refined = 0.5 * (total + period / n * np.sum(f(midpoints), axis=-1))
+    h = period / n
+    values = f(h * np.concatenate((np.arange(n), np.arange(n) + 0.5)))
+    total = h * np.sum(values[..., :n], axis=-1)
+    midvalues = values[..., n:]
+    while True:
+        refined = 0.5 * (total + period / n * np.sum(midvalues, axis=-1))
         n *= 2
         gap = float(np.max(np.abs(refined - total)))
         if gap <= band:
             return refined
+        if n >= _TRAPEZOID_CAP:
+            raise ConvergenceError(
+                f"trapezoid sums over [0, {period}] still differ by {gap} at {n} points"
+            )
         total = refined
-    raise ConvergenceError(
-        f"trapezoid sums over [0, {period}] still differ by {gap} at {n} points"
-    )
+        midvalues = f(period / n * (np.arange(n) + 0.5))
 
 
 def _y_over_period_by_trapezoid(sol) -> float:
@@ -594,8 +602,8 @@ def crit_elliptic_kernel(tol: float = 1.0) -> CriterionResult:
     """11: Legendre relation and the appendix integral identities.
 
     The quadrature of the appendix integrals over one period 4K of cn is
-    the periodic trapezoid sum, one special.ellipj call on each level's
-    array of points for both integrands.
+    the periodic trapezoid sum: one special.ellipj call for its first
+    level pair, then one per later level, each for both integrands.
     """
     from scipy import special  # the reference cn, here so importing heisenmag loads no scipy
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, check_finite
 from .heisenberg import LorentzForce
 from .quartic import InitialData
 
@@ -67,7 +67,8 @@ def _rhs(force: LorentzForce):
     alpha, beta, rho = force.alpha, force.beta, force.rho
 
     def rhs(t, s):
-        x, y, _, u, v, w = s
+        # Python floats: the same IEEE operations as on numpy scalars, without their overhead
+        x, y, _, u, v, w = s.tolist()
         xi = w + 0.5 * (u * y - x * v)
         xpp = rho * beta - (xi + rho) * (v + beta)
         ypp = rho * alpha + (xi + rho) * (u - alpha)
@@ -96,6 +97,7 @@ def integrate_general(force: LorentzForce, s0: StateVector, ts) -> np.ndarray:
     monotone = ts.ndim == 1 and (np.all(np.diff(ts) > 0.0) or np.all(np.diff(ts) < 0.0))
     if not monotone or len(ts) < 2 or not np.all(np.isfinite(ts)):
         raise DomainError("the DOP853 oracle needs a 1-D array of 2 or more finite, monotone times")
+    check_finite(x=s0.x, y=s0.y, z=s0.z, xp=s0.xp, yp=s0.yp, zp=s0.zp)
     # velocity of p^-1 * gamma at the identity: v-part unchanged,
     # centre part loses the (p, velocity) cross term
     zp0 = s0.zp - 0.5 * (s0.x * s0.yp - s0.y * s0.xp)
@@ -266,9 +268,12 @@ def euler_lagrange_residual(
     t = np.asarray(t, dtype=float)
     if len(t) < 5:
         raise DomainError("need at least 5 uniform samples for 4th-order stencils")
+    if not np.all(np.isfinite(t)):
+        raise DomainError("euler_lagrange_residual requires finite times")
     dt = t[1] - t[0]
-    if np.max(np.abs(np.diff(t) - dt)) > _UNIFORM_BAND * abs(dt):
-        raise DomainError("euler_lagrange_residual requires a uniform grid")
+    # written as not-<= so that a NaN spread (from spacings that overflow) fails too
+    if not (dt != 0.0 and np.max(np.abs(np.diff(t) - dt)) <= _UNIFORM_BAND * abs(dt)):
+        raise DomainError("euler_lagrange_residual requires a uniform grid of distinct times")
     n = len(t)
     s = StateVector(*np.asarray(states, dtype=float).T)
     momenta = lagrangian_momenta(force, s)

@@ -358,6 +358,11 @@ def make_solution(data: InitialData) -> TrajectorySolution:
             f"branch {prof.branch}: x(0) = {closed.state(closed.phase)[0]} with principal "
             f"constant {closed.phase}; no sign correction restores x(0) = 0"
         )
+    if not all(map(math.isfinite, (phase, x_start, xp0, f0))):
+        raise BranchConsistencyError(
+            f"branch {prof.branch}: the state (x, x', F) = ({x_start}, {xp0}, {f0}) at the "
+            f"phase constant {phase} is not finite"
+        )
     v = _velocity(data, x_start, sigma * xp0, 0.0)  # y(0) = 0
     err = max(abs(v[0] - data.x0), abs(v[1] - data.y0), abs(v[2] - data.z0))
     if err > _SLOPE_BAND * scale:

@@ -20,7 +20,7 @@ from heisenmag.quartic import (
     monic_coefficients,
     quartic_roots,
 )
-from heisenmag.trajectory import TrajectorySolution
+from heisenmag.trajectory import TrajectorySolution, make_solution
 
 
 def _run(name):
@@ -124,6 +124,22 @@ def test_criterion_04_reference_runs_on_arrays(monkeypatch):
     per_curve = Counter(map(id, evaluated))
     assert x_calls == []
     assert len(per_curve) >= 300 and max(per_curve.values()) <= 6
+    # one call for each integral's first level pair: 349 in all at seed 0
+    assert len(evaluated) <= 360
+
+
+def _level_by_level(f, period):
+    """The periodic trapezoid sums with one call of f per level."""
+    band = acceptance._TRAPEZOID_BAND * max(1.0, period)
+    n = acceptance._TRAPEZOID_START
+    total = period / n * np.sum(f(period / n * np.arange(n)), axis=-1)
+    while True:
+        midpoints = period / n * (np.arange(n) + 0.5)
+        refined = 0.5 * (total + period / n * np.sum(f(midpoints), axis=-1))
+        n *= 2
+        if np.max(np.abs(refined - total)) <= band:
+            return refined
+        total = refined
 
 
 class TestPeriodicIntegral:
@@ -139,6 +155,37 @@ class TestPeriodicIntegral:
         i1, i2 = acceptance._periodic_integral(powers, 2.0 * math.pi)
         assert abs(i1 - 2.0 * math.pi / math.sqrt(3.0)) <= 1e-14
         assert abs(i2 - 4.0 * math.pi / 3.0 ** 1.5) <= 1e-14
+
+    def test_first_call_carries_the_first_level_pair(self):
+        sizes = []
+
+        def f(t):
+            sizes.append(t.size)
+            return 1.0 / (1.05 + np.cos(t))
+
+        acceptance._periodic_integral(f, 2.0 * math.pi)
+        assert sizes[0] == 2 * acceptance._TRAPEZOID_START
+        assert len(sizes) > 1  # this integrand needs later levels too
+
+    @pytest.mark.parametrize("case", ["2+cos", "1.05+cos", "powers", "curve"])
+    def test_equals_the_level_by_level_sums(self, case):
+        def powers(t):
+            inv = 1.0 / (2.0 + np.cos(t))
+            return np.stack([inv, inv * inv])
+
+        sol = make_solution(InitialData(1.0, 0.5, 0.2, 1.0))
+
+        def y_prime(t):
+            x = sol.evaluate(t)[0]
+            return 0.5 * x * x + sol.data.zr * x + sol.data.y0
+
+        f, period = {
+            "2+cos": (lambda t: 1.0 / (2.0 + np.cos(t)), 2.0 * math.pi),
+            "1.05+cos": (lambda t: 1.0 / (1.05 + np.cos(t)), 2.0 * math.pi),
+            "powers": (powers, 2.0 * math.pi),
+            "curve": (y_prime, sol.x_period),
+        }[case]
+        assert np.array_equal(acceptance._periodic_integral(f, period), _level_by_level(f, period))
 
     def test_unsettled_sums_raise(self):
         # the sawtooth t on [0, 2 pi) jumps at the period's end: its sums

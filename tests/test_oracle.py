@@ -50,6 +50,35 @@ class TestGeneralIntegrator:
         with pytest.raises(DomainError):
             integrate_general(LorentzForce(0.0, 1.0, 1.0), StateVector(0, 0, 0, 0.5, 0.3, -0.2), ts)
 
+    def test_rejects_non_finite_start(self):
+        s0 = StateVector(0.0, 0.0, 0.0, math.nan, 0.3, -0.2)
+        with pytest.raises(DomainError, match="xp must be finite"):
+            integrate_general(LorentzForce(0.0, 1.0, 1.0), s0, np.linspace(0.0, 1.0, 5))
+
+    def test_rows_equal_a_run_on_numpy_scalars(self):
+        # the right-hand side works on Python floats, which are the same IEEE
+        # operations as numpy scalars: DOP853 takes the same steps, bit for bit
+        from scipy.integrate import solve_ivp
+
+        force = LorentzForce(0.7, 1.2, 0.9)
+        alpha, beta, rho = force.alpha, force.beta, force.rho
+
+        def rhs(t, s):  # s unpacked into numpy float64 scalars
+            x, y, _, u, v, w = s
+            xi = w + 0.5 * (u * y - x * v)
+            xpp = rho * beta - (xi + rho) * (v + beta)
+            ypp = rho * alpha + (xi + rho) * (u - alpha)
+            zpp = beta * u + alpha * v - 0.5 * (xpp * y - x * ypp)
+            return (u, v, w, xpp, ypp, zpp)
+
+        ts = np.linspace(0.0, 10.0, 10001)
+        ref = solve_ivp(
+            rhs, (0.0, 10.0), [0.0, 0.0, 0.0, 0.4, -0.3, 0.6], method="DOP853",
+            rtol=oracle._DOP853_RTOL, atol=oracle._DOP853_ATOL, t_eval=ts,
+        )
+        rows = integrate_general(force, StateVector(0.0, 0.0, 0.0, 0.4, -0.3, 0.6), ts)
+        assert np.array_equal(rows, ref.y.T)
+
     def test_descending_times_integrate_backward(self):
         force, s0 = LorentzForce(0.0, 1.0, 1.0), StateVector(0.4, -0.7, 0.25, 0.5, 0.3, -0.2)
         fwd = integrate_general(force, s0, np.linspace(0.0, 2.0, 21))
@@ -377,6 +406,17 @@ class TestEulerLagrange:
         states = np.zeros((6, 6))
         with pytest.raises(DomainError):
             euler_lagrange_residual(force, ts, states)
+
+    def test_rejects_non_finite_grid(self):
+        # a NaN spacing compares False with the band, so it must not pass as uniform
+        ts = np.array([0.0, 1.0, 2.0, 3.0, math.nan, 5.0])
+        with pytest.raises(DomainError, match="finite"):
+            euler_lagrange_residual(LorentzForce(0, 1, 1), ts, np.zeros((6, 6)))
+
+    def test_rejects_zero_spacing_grid(self):
+        ts = np.full(6, 2.0)
+        with pytest.raises(DomainError, match="distinct"):
+            euler_lagrange_residual(LorentzForce(0, 1, 1), ts, np.zeros((6, 6)))
 
 
 class TestReducedOdeResidual:

@@ -8,13 +8,13 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from heisenmag import acceptance, cli
 from heisenmag.elliptic import AGM
-from heisenmag.errors import DomainError, HeisenmagError
+from heisenmag.errors import BranchConsistencyError, DomainError, HeisenmagError
 from heisenmag.heisenberg import HeisenbergPoint, LorentzForce
 from heisenmag.oracle import StateVector, integrate_general
 from heisenmag.periodic import (
@@ -38,14 +38,26 @@ from heisenmag.trajectory import make_solution
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)  # signed zeros and subnormals too
 
 
+# a subnormal rho inside the Delta band: the saddle phase constant is infinite
+_INFINITE_PHASE = (1.0, -1e7, 0.0, 2.2250738585072014e-308)
+
+
 @settings(max_examples=1500, deadline=None)
 @given(_FINITE, _FINITE, _FINITE, _FINITE)
+@example(*_INFINITE_PHASE)
 def test_every_finite_datum_builds_or_raises_typed(x0, y0, z0, rho):
     """Any finite data either build and evaluate, or raise a HeisenmagError."""
     try:
         make_solution(InitialData(x0, y0, z0, rho)).evaluate([0.0, 0.5, 3.0])
     except HeisenmagError:
         pass
+
+
+def test_non_finite_phase_constant_is_refused():
+    # tagged ZERO_MU_NEG_RIGHT, its phase constant is inf and F(0) NaN, while
+    # the x'(0) check passes at err = 1.0 against its band of 1.0
+    with pytest.raises(BranchConsistencyError, match="not finite"):
+        make_solution(InitialData(*_INFINITE_PHASE))
 
 
 # wide draws and the float range's ends, mixed with moderate non-negative
