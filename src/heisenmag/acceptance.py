@@ -9,14 +9,15 @@ threshold is multiplied by `tolerance_scale()` (HEISENMAG_TOL).
 Criterion 1 checks every branch representative against one independent
 integration, `oracle.taylor_reduced`: a fixed-point Taylor run of the
 reduced system to about 32 digits, which also holds the three saddle
-branches, where any float64 integrator loses e^{sqrt(-mu) t}.  Only
-criterion 10 runs the DOP853 oracle of the full system.
+branches, where any float64 integrator loses e^{sqrt(-mu) t}.  Criterion
+10 runs `oracle.integrate_general`, the same Taylor method on the full
+system in floats.
 
 Criterion 3 computes the closed-form roots of its 10^4 samples in one
 `quartic_roots` call on columns.  The quadrature references of criteria 4
-(y over one x-period) and 11 (the appendix integrals over one period of
-cn) integrate smooth periodic functions over a period, so they are
-periodic trapezoid sums (`_periodic_integral`), which converge
+(y over one x-period) and 11 (the appendix integrals, over one period of
+the amplitude) integrate smooth periodic functions over a period, so they
+are periodic trapezoid sums (`_periodic_integral`), which converge
 exponentially.  The integrand is evaluated on arrays: once for the first
 two levels together (the first sum's points and their midpoints), then
 once per later level, on its midpoints.
@@ -598,33 +599,37 @@ def crit_lagrangian(tol: float = 1.0) -> CriterionResult:
     )
 
 
-def crit_elliptic_kernel(tol: float = 1.0) -> CriterionResult:
-    """11: Legendre relation and the appendix integral identities.
+# 11: the (A, B, k) at which the appendix integrals meet their quadrature
+_APPENDIX_CASES = [(a, b, k) for k in (0.0, 0.2, 0.5, 0.8, 0.95)
+                   for (a, b) in ((1.0, 2.0), (0.7, 1.3), (0.5, 3.0), (2.5, -3.0))]
 
-    The quadrature of the appendix integrals over one period 4K of cn is
-    the periodic trapezoid sum: one special.ellipj call for its first
-    level pair, then one per later level, each for both integrands.
+
+def _appendix_by_trapezoid(a: float, b: float, k: float) -> np.ndarray:
+    """The integrals over [0, 4K] of 1/(a cn + b) and its square, by quadrature.
+
+    phi = am u (dphi = dn u du) makes them integrals of (a cos phi + b)^-j
+    / sqrt(k'^2 + k^2 cos^2 phi) over [0, 2 pi]: periodic trapezoid sums
+    that need neither cn nor K, so nothing of appendix_integrals.
     """
-    from scipy import special  # the reference cn, here so importing heisenmag loads no scipy
+    def powers(phi):  # 1/(a cos + b) and its square, over dn
+        cos = np.cos(phi)
+        inv = 1.0 / (a * cos + b)
+        return np.stack([inv, inv * inv]) / np.sqrt((1.0 - k) * (1.0 + k) + (k * cos) ** 2)
 
+    return _periodic_integral(powers, 2.0 * math.pi)
+
+
+def crit_elliptic_kernel(tol: float = 1.0) -> CriterionResult:
+    """11: Legendre relation and the appendix integral identities, the
+    latter against _appendix_by_trapezoid."""
     worst_leg = max(
         abs(elliptic.legendre_relation_defect(float(k)))
         for k in np.linspace(0.01, 0.99, 50)
     )
     worst_app = 0.0
-    cases = [
-        (a, b, k)
-        for k in (0.0, 0.2, 0.5, 0.8, 0.95)
-        for (a, b) in ((1.0, 2.0), (0.7, 1.3), (0.5, 3.0), (2.5, -3.0))
-    ]
-    for a, b, k in cases:
+    for a, b, k in _APPENDIX_CASES:
         vals = elliptic.appendix_integrals(a, b, k)
-
-        def powers(ts, a=a, b=b, m=k * k):  # 1/(a cn + b) and its square
-            inv = 1.0 / (a * special.ellipj(ts, m)[1] + b)
-            return np.stack([inv, inv * inv])
-
-        i1, i2 = _periodic_integral(powers, 4.0 * elliptic.complete_K(k)).tolist()
+        i1, i2 = _appendix_by_trapezoid(a, b, k).tolist()
         worst_app = max(worst_app, abs(vals["I1"] - i1), abs(vals["I2"] - i2))
     k0 = elliptic.appendix_integrals(1.0, 2.0, 0.0)
     worst_k0 = max(

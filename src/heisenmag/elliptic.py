@@ -13,10 +13,10 @@ full accuracy as k -> 1 where scipy.special.ellipj does not, together with
 Jacobi's zeta function Z(u) from the same phases, so Jacobi's epsilon
 E(am u, k) = (E/K) u + Z(u) costs no further integral.  The ascending
 phases on the same scheme give F(phi, k), the inverse of the amplitude.
-Only the complete third kind goes through the Carlson symmetric forms RF
-and RJ of scipy.special (Carlson's duplication algorithm, DLMF 19.36).  The
-tests cross-check the whole kernel against direct quadrature of the
-defining integrals.
+The complete third kind runs the same AGM with one more sequence (DLMF
+19.8(i)), summed so that no term cancels.  The tests cross-check the whole
+kernel against direct quadrature of the defining integrals and against
+50-digit mpmath.
 """
 
 from __future__ import annotations
@@ -165,20 +165,37 @@ def ellip_f(phi: float, k: float) -> float:
 
 
 def complete_Pi(alpha2: float, k: float) -> float:
-    """Complete third-kind integral Pi(alpha^2, k) for alpha^2 < 1."""
-    from scipy.special import elliprf, elliprj  # here, so importing heisenmag loads no scipy
+    """Complete third-kind integral Pi(alpha^2, k) for finite alpha^2 < 1.
 
+    The AGM form of DLMF 19.8.6-7, Pi = pi / (4 AGM(1, k')) (2 + alpha^2 /
+    (1 - alpha^2) sum Q_n) with p_0^2 = 1 - alpha^2, is summed as
+    sum Q_n (1 - eps_n) + Q_n / p_0^2, since 2 - sum Q_n = sum Q_n (1 - eps_n)
+    and 1 - eps_n = 2 a_n g_n / (p_n^2 + a_n g_n): for alpha^2 <= 0 no term
+    is negative.  Where 2 (1 - alpha^2) < k'^2 the sums run at
+    p_0^2 = 1 - N = k'^2 / (1 - alpha^2) instead, and (alpha^2 - k^2) Pi(alpha^2)
+    = alpha^2 (1 - N) Pi(N) - k^2 K (t -> k'^2 / t in Carlson's R_J) becomes
+    Pi = pi / (4 AGM(1, k')) (2 + alpha^2 / (1 - alpha^2) sum Q_n (1 - eps_n)),
+    again with no term negative.
+    """
     _check_modulus(k)
-    if alpha2 >= 1.0:
-        raise DomainError(
-            f"third-kind integral needs alpha^2 < 1, got {alpha2}"
-        )
-    if alpha2 == 0.0:
-        return complete_K(k)
-    kp2 = (1.0 - k) * (1.0 + k)
-    return float(
-        elliprf(0.0, kp2, 1.0) + (alpha2 / 3.0) * elliprj(0.0, kp2, 1.0, 1.0 - alpha2)
-    )
+    if not -math.inf < alpha2 < 1.0:
+        raise DomainError(f"third-kind integral needs a finite alpha^2 < 1, got {alpha2}")
+    kp2, p2 = (1.0 - k) * (1.0 + k), 1.0 - alpha2
+    near_pole = 2.0 * p2 < kp2
+    a, g, p = 1.0, math.sqrt(kp2), math.sqrt(kp2 / p2 if near_pole else p2)
+    q, q_sum, q_eps_sum = 1.0, 0.0, 0.0  # Q_n, sum Q_n, sum Q_n (1 - eps_n)
+    for _ in range(64 + max(0, math.frexp(p)[1])):  # p_n halves while well above a_n
+        pp, ag = p * p, a * g
+        term = q * 2.0 * ag / (pp + ag)
+        if q_eps_sum + term == q_eps_sum and q_sum + q == q_sum and abs(a - g) <= _EPS * a:
+            break
+        q_sum, q_eps_sum = q_sum + q, q_eps_sum + term
+        q *= 0.5 * (pp - ag) / (pp + ag)
+        p, a, g = 0.5 * (pp + ag) / p, 0.5 * (a + g), math.sqrt(ag)
+    else:
+        raise ConvergenceError(f"third-kind AGM failed to converge at alpha^2 = {alpha2}, k = {k}")
+    bracket = 2.0 + alpha2 * q_eps_sum / p2 if near_pole else q_eps_sum + q_sum / p2
+    return math.pi / (4.0 * a) * bracket
 
 
 # --- Jacobi elliptic functions ----------------------------------------------

@@ -1,8 +1,9 @@
 """Independent numerical ground truth for the magnetic system on H3.
 
-Integrates the full second-order system for any left-invariant Lorentz
-force F_{U,rho} (U = beta e1 + alpha e2) as a first-order system in
-(x, y, z, x', y', z'):
+One Taylor method, with Jorba and Zou's order and step and dense output,
+runs two oracles.  `integrate_general` integrates, in floats, the full
+second-order system for any left-invariant Lorentz force F_{U,rho}
+(U = beta e1 + alpha e2) as a first-order system in (x, y, z, x', y', z'):
 
     xi   = z' + (x' y - x y')/2
     x''  = rho beta  - (xi + rho)(y' + beta)
@@ -13,15 +14,18 @@ The centre equation is the exact time derivative of
 xi - beta x - alpha y = z0, so that combination is conserved by the flow;
 it is not enforced, and a test checks its drift along the rows.
 
-`taylor_reduced` integrates the reduced system x'' = rho - h'(x) h(x),
-y' = h(x) - 1 to about 32 digits with dense output; criterion 1 checks
-every branch against it, the saddle branches included, where float64
-loses e^{sqrt(-mu) t}.  The module also evaluates the natural Lagrangian
-and finite-difference Euler-Lagrange residuals along sampled curves.
+Criterion 10 checks the Lagrangian on its rows.  `taylor_reduced`
+integrates the reduced system x'' = rho - h'(x) h(x), y' = h(x) - 1 to
+about 32 digits in fixed point; criterion 1 checks every branch against
+it, the saddle branches included, where float64 loses e^{sqrt(-mu) t}.
+The module also evaluates the natural Lagrangian and finite-difference
+Euler-Lagrange residuals along sampled curves.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -63,67 +67,113 @@ class StateVector:
         return StateVector(0.0, 0.0, 0.0, data.x0, data.y0, data.z0)
 
 
-def _rhs(force: LorentzForce):
-    alpha, beta, rho = force.alpha, force.beta, force.rho
-
-    def rhs(t, s):
-        # Python floats: the same IEEE operations as on numpy scalars, without their overhead
-        x, y, _, u, v, w = s.tolist()
-        xi = w + 0.5 * (u * y - x * v)
-        xpp = rho * beta - (xi + rho) * (v + beta)
-        ypp = rho * alpha + (xi + rho) * (u - alpha)
-        zpp = beta * u + alpha * v - 0.5 * (xpp * y - x * ypp)
-        return (u, v, w, xpp, ypp, zpp)
-
-    return rhs
+# --- Taylor integration, shared by both oracles -----------------------------------
 
 
-_DOP853_RTOL = 1e-11  # DOP853's relative tolerance
-_DOP853_ATOL = 1e-13  # ... and its absolute tolerance
+def _jz_order(eps: float) -> int:
+    """Jorba and Zou's order for the absolute tolerance eps of a step."""
+    return math.ceil(math.log(1.0 / eps) / 2.0) + 1
+
+
+def _jz_step(series, one) -> float:
+    """Jorba and Zou's step r / e^2 for component series of order n: r is the
+    smallest (one / |c_j|)^(1/j) over j = n - 1, n with |c_j| > 0 the largest
+    over the components, in units where one is 1; infinite when both vanish."""
+    n = len(series[0]) - 1
+    sizes = (max(abs(cs[j]) for cs in series) for j in (n - 1, n))
+    r = min(((one / s) ** (1.0 / j) for j, s in zip((n - 1, n), sizes) if s), default=math.inf)
+    return r / math.e ** 2
+
+
+def _taylor_steps(start, times, series_at, values_at) -> list:
+    """Each step's values at the ascending times >= 0 of a Taylor run from start
+    at 0: series_at(state) gives a series and its step, values_at(series,
+    offsets) its values there.  The steps do not depend on the times; each
+    time is read off the series of the step that holds it (dense output)."""
+    now, i, chunks = 0, 0, []
+    series, step = series_at(start)
+    while True:
+        j = bisect.bisect_right(times, now + step, i)
+        chunks.append(values_at(series, [t - now for t in times[i:j]]))
+        if j == len(times):
+            return chunks
+        if not now < now + step:
+            raise ConvergenceError(f"Taylor step {step} does not advance the time {now}")
+        i, now = j, now + step
+        series, step = series_at(values_at(series, [step])[0])
+
+
+_FLOAT_EPS = 1e-16  # absolute tolerance of a float Taylor step
+_FLOAT_ORDER = _jz_order(_FLOAT_EPS)  # 20
+_TAYLOR_EPS = 1e-32  # absolute tolerance of a fixed-point step
+_TAYLOR_ORDER = _jz_order(_TAYLOR_EPS)  # 38
+
+
+def _cauchy(a: list, b: list) -> float:
+    """The last coefficient of the product of two series of equal length."""
+    return sum(map(operator.mul, a, reversed(b)))
+
+
+def _full_series(state, alpha: float, beta: float, rho: float) -> list[list[float]]:
+    """Order-20 Taylor coefficients of (x, y, z, x', y', z') at a state, in
+    Python floats: xi, x'', y'' and z'' by Cauchy products from the equations
+    above, then (k+1) c_{k+1} = (c')_k."""
+    xs, ys, zs, us, vs, ws = ([c] for c in state)
+    xi_rho, xpps, ypps = [], [], []
+    for k in range(_FLOAT_ORDER):
+        xi = ws[k] + 0.5 * (_cauchy(us, ys) - _cauchy(xs, vs))
+        xi_rho.append(xi + rho if k == 0 else xi)
+        xpps.append((rho * beta if k == 0 else 0.0) - _cauchy(xi_rho, vs) - beta * xi_rho[k])
+        ypps.append((rho * alpha if k == 0 else 0.0) + _cauchy(xi_rho, us) - alpha * xi_rho[k])
+        zpp = beta * us[k] + alpha * vs[k] - 0.5 * (_cauchy(xpps, ys) - _cauchy(xs, ypps))
+        for cs, dc in zip((xs, ys, zs, us, vs, ws), (us[k], vs[k], ws[k], xpps[k], ypps[k], zpp)):
+            cs.append(dc / (k + 1))
+    return [xs, ys, zs, us, vs, ws]
 
 
 def integrate_general(force: LorentzForce, s0: StateVector, ts) -> np.ndarray:
-    """Rows (x, y, z, x', y', z') at the times ts of an adaptive DOP853 run
-    of the full system that starts from s0 at ts[0].
+    """Rows (x, y, z, x', y', z') at the times ts of the full system from s0 at ts[0].
 
-    ts is a 1-D array of at least two finite, strictly monotone times; a
-    descending ts integrates backward.  A start away from the identity is
-    first left-translated to the identity (the equations above assume that
-    base point) and the rows are translated back.
+    Float Taylor steps of order 20 for _FLOAT_EPS; a step's rows are its
+    coefficients times the powers of their offsets (dense output).  ts is a
+    1-D array of two or more finite, strictly monotone times; descending
+    times run backward.  A start off the identity is left-translated to it
+    (the equations above assume that base point), and the rows back.
     """
-    from scipy.integrate import solve_ivp  # here, so importing heisenmag loads no scipy
-
     ts = np.asarray(ts, dtype=float)
-    monotone = ts.ndim == 1 and (np.all(np.diff(ts) > 0.0) or np.all(np.diff(ts) < 0.0))
-    if not monotone or len(ts) < 2 or not np.all(np.isfinite(ts)):
-        raise DomainError("the DOP853 oracle needs a 1-D array of 2 or more finite, monotone times")
+    if not (ts.ndim == 1 and len(ts) >= 2 and np.all(np.isfinite(ts))
+            and (np.all(ts[1:] > ts[:-1]) or np.all(ts[1:] < ts[:-1]))
+            and math.isfinite(float(ts[-1]) - float(ts[0]))):
+        raise DomainError("the Taylor oracle needs a 1-D array of 2 or more finite, monotone times")
     check_finite(x=s0.x, y=s0.y, z=s0.z, xp=s0.xp, yp=s0.yp, zp=s0.zp)
-    # velocity of p^-1 * gamma at the identity: v-part unchanged,
-    # centre part loses the (p, velocity) cross term
-    zp0 = s0.zp - 0.5 * (s0.x * s0.yp - s0.y * s0.xp)
-    sol = solve_ivp(
-        _rhs(force),
-        (ts[0], ts[-1]),
-        [0.0, 0.0, 0.0, s0.xp, s0.yp, zp0],
-        method="DOP853",
-        rtol=_DOP853_RTOL,
-        atol=_DOP853_ATOL,
-        t_eval=ts,
-    )
-    if not sol.success:
-        raise ConvergenceError(f"oracle integration failed: {sol.message}")
-    x, y, z, u, v, w = sol.y
-    if s0.x or s0.y or s0.z:  # back to p * gamma; its centre velocity regains the cross term
-        z = s0.z + z + 0.5 * (s0.x * y - s0.y * x)
-        w = w + 0.5 * (s0.x * v - s0.y * u)
-        x, y = s0.x + x, s0.y + y
-    return np.column_stack((x, y, z, u, v, w))
+    x, y, z, xp, yp, zp = map(float, (s0.x, s0.y, s0.z, s0.xp, s0.yp, s0.zp))
+    alpha, beta, rho = map(float, (force.alpha, force.beta, force.rho))
+    sigma = 1.0 if ts[-1] > ts[0] else -1.0
+
+    def series_at(state):
+        series = _full_series([float(v) for v in state], alpha, beta, rho)
+        # Python floats overflow to inf quietly: refuse before any array arithmetic
+        if not math.isfinite(sum(map(abs, itertools.chain.from_iterable(series)))):
+            raise ConvergenceError(f"the Taylor series of the full system overflows from {s0}")
+        matrix = np.array(series).T
+        # orders that vanish are dropped: on a polynomial motion the step is infinite
+        degree = max(np.flatnonzero(matrix.any(axis=1)), default=0)
+        return matrix[:degree + 1], _jz_step(series, 1.0)
+
+    def values_at(matrix, offsets):
+        return np.vander(sigma * np.array(offsets), len(matrix), increasing=True) @ matrix
+
+    # at the identity the centre velocity loses the (p, velocity) cross term,
+    # and back at p * gamma it regains it
+    start = (0.0, 0.0, 0.0, xp, yp, zp - 0.5 * (x * yp - y * xp))
+    taus = (sigma * (ts - ts[0])).tolist()
+    gx, gy, gz, u, v, w = np.concatenate(_taylor_steps(start, taus, series_at, values_at)).T
+    return np.column_stack((x + gx, y + gy, z + gz + 0.5 * (x * gy - y * gx),
+                            u, v, w + 0.5 * (x * v - y * u)))
 
 
 # --- Taylor oracle for the reduced system ---------------------------------------
 
-_TAYLOR_EPS = 1e-32  # absolute tolerance of a step
-_TAYLOR_ORDER = math.ceil(math.log(1.0 / _TAYLOR_EPS) / 2.0) + 1  # Jorba and Zou's 38
 _FRAC_BITS = 112  # fixed-point fraction bits, about 33.7 decimal digits
 _ONE = 1 << _FRAC_BITS
 
@@ -139,9 +189,7 @@ def _taylor_series(x: int, u: int, y: int, zr: int, c: int, rho: int):
 
     Coefficients by Cauchy products, with w = x + zr: (k+1) x_{k+1} = u_k,
     g_k = (w*w)_k / 2 (+ c at k = 0), (k+1) u_{k+1} = rho d_k0 - (w*g)_k and
-    (k+1) y_{k+1} = g_k - d_k0.  The step is Jorba and Zou's h = r / e^2 with
-    r = min |c_j|^(-1/j) over j in {n-1, n}, |c_j| the largest of the three
-    components; it is infinite when all of those vanish.
+    (k+1) y_{k+1} = g_k - d_k0.  The step is _jz_step's, in fixed point.
     """
     n, f = _TAYLOR_ORDER, _FRAC_BITS
     xs, us, ys, ws, gs = [x], [u], [y], [x + zr], []
@@ -150,17 +198,13 @@ def _taylor_series(x: int, u: int, y: int, zr: int, c: int, rho: int):
         ww = sum(map(operator.mul, ws[:half], reversed(ws[k - half + 1:]))) << 1
         g = (ww + ws[half] * ws[half] if k % 2 == 0 else ww) >> (f + 1)
         gs.append(g + c if k == 0 else g)
-        wg = sum(map(operator.mul, ws, reversed(gs))) >> f
+        wg = _cauchy(ws, gs) >> f
         xs.append(us[k] // (k + 1))
         us.append(((rho if k == 0 else 0) - wg) // (k + 1))
         ys.append((gs[k] - (_ONE if k == 0 else 0)) // (k + 1))
         ws.append(xs[-1])
-    r = min(((_ONE / max(map(abs, (xs[j], us[j], ys[j])))) ** (1.0 / j)
-             for j in (n - 1, n) if xs[j] or us[j] or ys[j]), default=math.inf)
-    step = _fixed(r / math.e ** 2) if r < math.inf else r
-    if step <= 0:
-        raise ConvergenceError(f"Taylor step underflows: h = {r / math.e ** 2}")
-    return (xs, us, ys), step
+    step = _jz_step((xs, us, ys), _ONE)
+    return (xs, us, ys), (_fixed(step) if step < math.inf else step)
 
 
 def _horner(cs: list[int], dt: int) -> int:
@@ -189,14 +233,14 @@ def taylor_reduced(data: InitialData, ts) -> np.ndarray:
     rho, x0 = _fixed(data.rho), _fixed(data.x0)
     zr = _fixed(data.z0) + rho
     c = _fixed(data.y0) + _ONE - (zr * zr >> (_FRAC_BITS + 1))
-    now = 0
-    series, step = _taylor_series(0, x0, 0, zr, c, rho)
+
+    def values_at(series, offsets):
+        return [[_horner(cs, dt) for cs in series] for dt in offsets]
+
+    chunks = _taylor_steps((0, x0, 0), [_fixed(t) for t in ts.tolist()],
+                           lambda state: _taylor_series(*state, zr, c, rho), values_at)
     out = np.empty((len(ts), 4))
-    for i, t in enumerate(ts):
-        while now + step < _fixed(t):
-            now += step
-            series, step = _taylor_series(*(_horner(cs, step) for cs in series), zr, c, rho)
-        x, u, y = (_horner(cs, _fixed(t) - now) for cs in series)
+    for i, (x, u, y) in enumerate(itertools.chain.from_iterable(chunks)):
         z = -(x * y >> (_FRAC_BITS + 1)) - (zr * y >> _FRAC_BITS) - u + x0
         out[i] = x / _ONE, u / _ONE, y / _ONE, z / _ONE
     return out
@@ -270,9 +314,11 @@ def euler_lagrange_residual(
         raise DomainError("need at least 5 uniform samples for 4th-order stencils")
     if not np.all(np.isfinite(t)):
         raise DomainError("euler_lagrange_residual requires finite times")
-    dt = t[1] - t[0]
-    # written as not-<= so that a NaN spread (from spacings that overflow) fails too
-    if not (dt != 0.0 and np.max(np.abs(np.diff(t) - dt)) <= _UNIFORM_BAND * abs(dt)):
+    # spacings may overflow to inf and their spread to NaN; the not-<= form refuses both
+    with np.errstate(over="ignore", invalid="ignore"):
+        dt = t[1] - t[0]
+        uniform = dt != 0.0 and np.max(np.abs(np.diff(t) - dt)) <= _UNIFORM_BAND * abs(dt)
+    if not uniform:
         raise DomainError("euler_lagrange_residual requires a uniform grid of distinct times")
     n = len(t)
     s = StateVector(*np.asarray(states, dtype=float).T)

@@ -55,9 +55,10 @@ _VANISHING_BAND = 1e-12  # x0 at a turning point, z0 + rho of a subgroup
 
 
 def __getattr__(name: str):
-    # perfbench's tracer patches `quad` here, though no evaluation calls it;
-    # resolved on first read so importing the library loads no scipy.  This
-    # name goes with the benchmark's retarget (ROADMAP item 3).
+    # perfbench's tracer patches `quad` here, though no evaluation calls it.
+    # Only perfbench, which installs scipy, reads this name, so scipy loads on
+    # that first read and the library needs numpy alone.  This name goes with
+    # the benchmark's retarget (ROADMAP item 3).
     if name == "quad":
         from scipy.integrate import quad
 

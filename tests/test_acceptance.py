@@ -194,6 +194,23 @@ class TestPeriodicIntegral:
             acceptance._periodic_integral(lambda t: t, 2.0 * math.pi)
 
 
+def test_appendix_reference_matches_the_cn_form():
+    # the amplitude form of criterion 11's quadrature against the integrals
+    # over [0, 4K] on scipy's cn
+    from scipy.special import ellipj
+
+    from heisenmag.elliptic import complete_K
+
+    for a, b, k in acceptance._APPENDIX_CASES:
+        def powers(ts, a=a, b=b, m=k * k):
+            inv = 1.0 / (a * ellipj(ts, m)[1] + b)
+            return np.stack([inv, inv * inv])
+
+        cn_form = acceptance._periodic_integral(powers, 4.0 * complete_K(k))
+        amplitude_form = acceptance._appendix_by_trapezoid(a, b, k)
+        assert np.max(np.abs(amplitude_form - cn_form)) <= 1e-13, (a, b, k)
+
+
 def test_criterion_04_periodicity_criterion():
     r = _run("periodicity")
     assert r.details["neg_closed_vs_quad"] < 1e-8

@@ -91,6 +91,63 @@ class TestCompleteIntegrals:
             assert abs(el.legendre_relation_defect(float(k))) < 1e-12
 
 
+_PI_MODULI = (0.0, 0.5, 0.99, 1.0 - 1e-10)
+
+
+def _pi_parameters(k):
+    """alpha^2 in [-1e300, -1e8], [-1e8, -10], [-10, 0], (0, k^2] and
+    (k^2, 1 - 1e-15]; mpmath takes a good part of a second for each
+    |alpha^2| >= 1e100, so only three such points are drawn."""
+    k2 = k * k
+    huge = {0.5: (-1e300, -1e150), 1.0 - 1e-10: (-1e200,)}.get(k, ())
+    return (
+        *huge, -1e80, -1e50, -1e16, -1e8,
+        -123456.7, -1e3, -10.0,
+        -3.3, -0.5, -1e-8, 0.0,
+        *(k2 * f for f in (1e-12, 0.3, 0.9, 1.0) if k2),
+        *(k2 + (1.0 - 1e-15 - k2) * f for f in (1e-9, 0.3, 0.7, 0.99)),
+        1.0 - 1e-8, 1.0 - 1e-15,
+    )
+
+
+class TestCompletePi:
+    @pytest.mark.parametrize("k", _PI_MODULI, ids=str)
+    def test_against_50_digit_mpmath(self, k):
+        with mpmath.workdps(50):
+            for alpha2 in _pi_parameters(k):
+                want = mpmath.ellippi(mpmath.mpf(alpha2), mpmath.mpf(k) ** 2)
+                assert abs(el.complete_Pi(alpha2, k) - want) <= 1e-14 * want, (alpha2, k)
+
+    def test_far_negative_parameter(self):
+        want = 1.5707963267948966e-25
+        assert abs(el.complete_Pi(-1e50, 0.5) - want) <= 1e-14 * want
+
+    def test_every_finite_parameter_below_one_converges(self):
+        rng = np.random.default_rng(11)
+        alpha2s = [-1.7976931348623157e308, -5e-324, 5e-324, 1.0 - 2.0 ** -53,
+                   *(-(10.0 ** rng.uniform(-300.0, 308.0, 200))),
+                   *(1.0 - 10.0 ** rng.uniform(-15.9, 0.0, 200))]
+        for k in (0.0, 5e-324, 0.5, 1.0 - 1e-10, 1.0 - 2.0 ** -53):
+            for alpha2 in alpha2s:
+                value = el.complete_Pi(float(alpha2), k)
+                assert 0.0 < value < math.inf, (alpha2, k)
+
+    def test_rejects_non_finite_parameters(self):
+        for bad in (math.nan, -math.inf, math.inf):
+            with pytest.raises(DomainError):
+                el.complete_Pi(bad, 0.5)
+
+    def test_against_carlson_forms(self):
+        # scipy's R_F and R_J (Carlson's duplication), where they hold
+        from scipy.special import elliprf, elliprj
+
+        for k in (0.0, 0.3, 0.5, 0.8, 0.99):
+            kp2 = (1.0 - k) * (1.0 + k)
+            for alpha2 in np.linspace(-10.0, 1.0, 111, endpoint=False).tolist():
+                want = elliprf(0.0, kp2, 1.0) + alpha2 / 3.0 * elliprj(0.0, kp2, 1.0, 1.0 - alpha2)
+                assert abs(el.complete_Pi(alpha2, k) - want) <= 1e-13 * want, (alpha2, k)
+
+
 class TestIncompleteIntegrals:
     def test_f_against_quadrature(self):
         for phi, k in ((0.3, 0.5), (1.2, 0.8), (2.5, 0.4), (4.0, 0.6)):

@@ -1,6 +1,8 @@
-"""The library imports no root finder: scipy.optimize is a test-time
-reference only.  The user paths (construction, evaluation, the periodic
-solvers and the CLI's sample, periodic and lattice) load no scipy at all."""
+"""numpy is the library's only runtime dependency: scipy is a test-time
+reference.  No module imports scipy.optimize, only the `trajectory.quad`
+shim that perfbench reads imports scipy at all, and the user paths
+(construction, evaluation, the periodic solvers, complete Pi and the CLI's
+sample, periodic, lattice, verify and elliptic) load no scipy module."""
 
 import ast
 import json
@@ -9,7 +11,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-_SRC = Path(__file__).resolve().parents[1] / "src" / "heisenmag"
+import pytest
+
+_ROOT = Path(__file__).resolve().parents[1]
+_SRC = _ROOT / "src" / "heisenmag"
 
 
 def _imported(source: str) -> set[str]:
@@ -45,8 +50,27 @@ def test_optimize_lint_sees_every_import_form():
     assert not _imports_optimize("from scipy.special import elliprf\nfrom . import optimize\n")
 
 
+def test_only_the_perfbench_shim_imports_scipy():
+    scipy_users = {
+        p.name: sorted(n for n in _imported(p.read_text(encoding="utf-8"))
+                       if n == "scipy" or n.startswith("scipy."))
+        for p in sorted(_SRC.glob("*.py"))
+    }
+    assert {name: ns for name, ns in scipy_users.items() if ns} == {
+        "trajectory.py": ["scipy.integrate", "scipy.integrate.quad"]
+    }
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    project = tomllib.loads((_ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert project["dependencies"] == ["numpy>=1.24"]
+    assert "scipy>=1.10" in project["optional-dependencies"]["test"]
+
+
 # Runs in a fresh interpreter and prints the scipy modules loaded after the
-# user paths, then after one complete_Pi call, which must load scipy.special.
+# user paths, complete Pi and the CLI's verify and elliptic, then after an
+# explicit scipy import, which the probe must see.
 _USER_PATHS = """
 import contextlib, io, json, sys
 import numpy as np
@@ -78,6 +102,7 @@ for _ in range(400):
     built += 1
 build_periodic(1.0, 0.5, 1.0)
 find_lambda_periodic(LatticeElement(0.0, 1.0, 0.5), 1.0, 1.0)
+elliptic.complete_Pi(-0.5, 0.5)
 codes = []
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in (
@@ -85,11 +110,13 @@ with contextlib.redirect_stdout(io.StringIO()):
          "--t-max", "2", "--dt", "0.5"],
         ["periodic", "--rho", "1", "--energy", "1", "--e", "0.5"],
         ["lattice", "--k", "1", "--lambda", "1,0.5", "--energy", "1"],
+        ["verify", "--suite", "all"],
+        ["elliptic", "--check"],
     ):
         codes.append(cli.main(argv))
 user = scipy_modules()
-elliptic.complete_Pi(-0.5, 0.5)
-print(json.dumps({"built": built, "codes": codes, "user": user, "after_pi": scipy_modules()}))
+import scipy.integrate
+print(json.dumps({"built": built, "codes": codes, "user": user, "control": scipy_modules()}))
 """
 
 
@@ -101,7 +128,7 @@ def test_user_paths_load_no_scipy():
     assert run.returncode == 0, run.stderr
     out = json.loads(run.stdout)
     assert out["built"] > 100
-    assert out["codes"] == [0, 0, 0]
+    assert out["codes"] == [0, 0, 0, 0, 0]
     assert out["user"] == []
-    # the probe sees scipy once a path that needs it runs
-    assert "scipy.special" in out["after_pi"]
+    # the probe sees scipy once something imports it
+    assert "scipy.integrate" in out["control"]

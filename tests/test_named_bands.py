@@ -70,6 +70,6 @@ def test_retired_functions_are_gone():
         assert not hasattr(periodic, name)
 
 
-def test_dop853_oracle_takes_only_the_times():
-    # its tolerances are module constants; no config object or sample count
+def test_full_system_oracle_takes_only_the_times():
+    # its step tolerance is a module constant; no config object or sample count
     assert list(inspect.signature(oracle.integrate_general).parameters) == ["force", "s0", "ts"]

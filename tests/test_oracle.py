@@ -9,7 +9,7 @@ import pytest
 
 from heisenmag import acceptance, oracle
 from heisenmag.acceptance import _ALL_BRANCHES, check_branch, crit_closed_form, representative_data
-from heisenmag.errors import DomainError
+from heisenmag.errors import ConvergenceError, DomainError
 from heisenmag.heisenberg import LorentzForce
 from heisenmag.oracle import (
     StateVector,
@@ -26,6 +26,11 @@ from heisenmag.oracle import (
 from heisenmag.quartic import Branch, InitialData
 
 _NON_PERIODIC = (Branch.ZERO_MU_NEG_RIGHT, Branch.ZERO_MU_NEG_LEFT, Branch.ZERO_CUSP)
+# criterion 10's two (force, start velocity) cases
+_CRITERION_10_CASES = (
+    (LorentzForce(0.0, 1.0, 1.0), (0.5, 0.3, -0.2)),
+    (LorentzForce(0.7, 1.2, 0.9), (0.4, -0.3, 0.6)),
+)
 
 
 class TestGeneralIntegrator:
@@ -55,15 +60,26 @@ class TestGeneralIntegrator:
         with pytest.raises(DomainError, match="xp must be finite"):
             integrate_general(LorentzForce(0.0, 1.0, 1.0), s0, np.linspace(0.0, 1.0, 5))
 
-    def test_rows_equal_a_run_on_numpy_scalars(self):
-        # the right-hand side works on Python floats, which are the same IEEE
-        # operations as numpy scalars: DOP853 takes the same steps, bit for bit
+    def test_rejects_an_overflowing_start(self):
+        # the series overflows at this start: a typed refusal, and no numpy
+        # RuntimeWarning (an error under the suite's filter) on the way
+        s0 = StateVector(0.0, 0.0, 0.0, 1e200, 0.3, -0.2)
+        with pytest.raises(ConvergenceError, match=r"xp=1e\+200"):
+            integrate_general(LorentzForce(0, 1, 1), s0, np.linspace(0.0, 1.0, 5))
+
+    def test_rejects_a_time_span_that_overflows(self):
+        with pytest.raises(DomainError, match="finite, monotone"):
+            integrate_general(LorentzForce(0, 1, 1), StateVector(0, 0, 0, 0.5, 0.3, -0.2),
+                              (-1e308, 0.0, 1e308))
+
+    @pytest.mark.parametrize(("force", "v0"), _CRITERION_10_CASES, ids=["force-A", "force-B"])
+    def test_rows_match_dop853(self, force, v0):
+        # an independent adaptive Runge-Kutta run of the same equations
         from scipy.integrate import solve_ivp
 
-        force = LorentzForce(0.7, 1.2, 0.9)
         alpha, beta, rho = force.alpha, force.beta, force.rho
 
-        def rhs(t, s):  # s unpacked into numpy float64 scalars
+        def rhs(t, s):
             x, y, _, u, v, w = s
             xi = w + 0.5 * (u * y - x * v)
             xpp = rho * beta - (xi + rho) * (v + beta)
@@ -72,12 +88,28 @@ class TestGeneralIntegrator:
             return (u, v, w, xpp, ypp, zpp)
 
         ts = np.linspace(0.0, 10.0, 10001)
-        ref = solve_ivp(
-            rhs, (0.0, 10.0), [0.0, 0.0, 0.0, 0.4, -0.3, 0.6], method="DOP853",
-            rtol=oracle._DOP853_RTOL, atol=oracle._DOP853_ATOL, t_eval=ts,
-        )
-        rows = integrate_general(force, StateVector(0.0, 0.0, 0.0, 0.4, -0.3, 0.6), ts)
-        assert np.array_equal(rows, ref.y.T)
+        ref = solve_ivp(rhs, (0.0, 10.0), [0.0, 0.0, 0.0, *v0], method="DOP853",
+                        rtol=1e-11, atol=1e-13, t_eval=ts)
+        rows = integrate_general(force, StateVector(0.0, 0.0, 0.0, *v0), ts)
+        assert np.max(np.abs(rows - ref.y.T)) < 1e-9
+
+    def test_rows_are_read_off_the_steps(self, monkeypatch):
+        # the steps do not depend on the times: a run that asks for the
+        # endpoints only takes the same steps as one on a fine grid
+        force, s0 = LorentzForce(0.7, 1.2, 0.9), StateVector(0, 0, 0, 0.4, -0.3, 0.6)
+        steps = []
+        jz_step = oracle._jz_step
+
+        def record(*args):
+            steps.append(jz_step(*args))
+            return steps[-1]
+
+        monkeypatch.setattr(oracle, "_jz_step", record)
+        fine = integrate_general(force, s0, np.linspace(0.0, 10.0, 1001))
+        fine_steps, steps[:] = steps[:], []
+        ends = integrate_general(force, s0, (0.0, 10.0))
+        assert steps == fine_steps and 10 < len(steps) < 100
+        assert np.max(np.abs(ends - fine[[0, -1]])) < 1e-12
 
     def test_descending_times_integrate_backward(self):
         force, s0 = LorentzForce(0.0, 1.0, 1.0), StateVector(0.4, -0.7, 0.25, 0.5, 0.3, -0.2)
@@ -93,6 +125,12 @@ class TestGeneralIntegrator:
         for t, s in zip(ts, rows):
             assert abs(s[0]) < 1e-12 and abs(s[1]) < 1e-12
             assert abs(s[2] - 1.3 * t) < 1e-10
+
+    def test_polynomial_motion_at_far_times(self):
+        # a straight line takes one infinite step; its rows stay exact
+        rows = integrate_general(LorentzForce(0, 0, 0), StateVector(0, 0, 0, 0, 0, 1.3),
+                                 [0.0, 1e20, 1e300])
+        assert rows[:, 2].tolist() == [0.0, 1.3e20, 1.3e300]
 
     def test_exact_force_against_closed_form(self):
         from heisenmag.trajectory import ExactTrajectory
@@ -340,10 +378,7 @@ class TestLagrangian:
 
 class TestEulerLagrange:
     def test_residual_vanishes_on_trajectories(self):
-        for force, v0 in (
-            (LorentzForce(0.0, 1.0, 1.0), (0.5, 0.3, -0.2)),
-            (LorentzForce(0.7, 1.2, 0.9), (0.4, -0.3, 0.6)),
-        ):
+        for force, v0 in _CRITERION_10_CASES:
             ts = np.linspace(0.0, 10.0, 10001)
             rows = integrate_general(force, StateVector(0, 0, 0, *v0), ts)
             rx, ry, rz = euler_lagrange_residual(force, ts, rows)
@@ -411,6 +446,12 @@ class TestEulerLagrange:
         # a NaN spacing compares False with the band, so it must not pass as uniform
         ts = np.array([0.0, 1.0, 2.0, 3.0, math.nan, 5.0])
         with pytest.raises(DomainError, match="finite"):
+            euler_lagrange_residual(LorentzForce(0, 1, 1), ts, np.zeros((6, 6)))
+
+    def test_rejects_a_grid_whose_spacings_overflow(self):
+        # finite times 2e308 apart: a typed refusal, no numpy overflow warning
+        ts = np.array([0.0, 1e308, -1e308, 1e308, -1e308, 0.0])
+        with pytest.raises(DomainError, match="uniform"):
             euler_lagrange_residual(LorentzForce(0, 1, 1), ts, np.zeros((6, 6)))
 
     def test_rejects_zero_spacing_grid(self):
