@@ -14,7 +14,9 @@ branches, where any float64 integrator loses e^{sqrt(-mu) t}.  Criterion
 system in floats.
 
 Criterion 3 computes the closed-form roots of its 10^4 samples in one
-`quartic_roots` call on columns.  The quadrature references of criteria 4
+`quartic_roots` call on columns, and counts their real roots from the
+signs of the quartic at its critical points (`_real_root_counts`), with
+no eigensolve.  The quadrature references of criteria 4
 (y over one x-period) and 11 (the appendix integrals, over one period of
 the amplitude) integrate smooth periodic functions over a period, so they
 are periodic trapezoid sums (`_periodic_integral`), which converge
@@ -105,7 +107,6 @@ _ODE_RESIDUAL_GATE = 1e-8  # 1: finite-difference x'' + h'(x) h(x) - rho
 _ORACLE_GATE = 1e-6  # 1: closed-form coordinates against an independent oracle
 _DRIFT_GATE = 1e-9  # 2, 6: first-integral drift, energy error
 _VIETE_GATE = 1e-9  # 3: scaled Viete residuals of the closed-form roots
-_REAL_EIGENVALUE_BAND = 1e-7  # 3: |Im| / scale of a reference eigenvalue counted real
 _Y_PERIOD_GATE = 1e-8  # 4: closed-form y(omega) against quadrature
 _PSI_RESIDUAL_GATE = 1e-12  # 5: psi_tilde at the solved d_c
 _ENERGY_TAIL_GATE = 1e-3  # 5: En(c) at c = _ENERGY_TAIL_C
@@ -323,9 +324,9 @@ def crit_discriminant(tol: float = 1.0, seed: int = 0) -> CriterionResult:
 
     The closed-form roots come from one quartic_roots call on the columns,
     equal bit for bit to the roots of each row.  The count comes from an
-    independent reference, the eigenvalues of the companion matrices (what
-    np.roots solves), in one batched call; the Viete residuals are those
-    of the closed-form roots.
+    independent reference, the signs of m at its critical points
+    (_real_root_counts), on the same columns; the Viete residuals are
+    those of the closed-form roots.
     """
     rng = np.random.default_rng(seed)
     n = 10_000
@@ -344,12 +345,7 @@ def crit_discriminant(tol: float = 1.0, seed: int = 0) -> CriterionResult:
         float(np.max(np.abs(e3 - 8.0 * rho) / rscale ** 3)),
         float(np.max(np.abs(e4 - q0) / rscale ** 4)),
     )
-    companion = np.zeros((n, 4, 4))
-    companion[:, 0, 1:] = np.stack([-2.0 * p0, 8.0 * rho, -q0], axis=1)
-    companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
-    eig = np.linalg.eigvals(companion)
-    eig_scale = np.maximum(1.0, np.abs(eig).max(axis=1, keepdims=True))
-    n_real = np.sum(np.abs(eig.imag) <= _REAL_EIGENVALUE_BAND * eig_scale, axis=1)
+    n_real = _real_root_counts(p0, q0, rho)
     mismatches = int(np.sum(~boundary & ((delta > 0.0) != (n_real == 4))))
     passed = mismatches == 0 and worst_viete < _VIETE_GATE * tol
     return CriterionResult(
@@ -361,6 +357,35 @@ def crit_discriminant(tol: float = 1.0, seed: int = 0) -> CriterionResult:
             "worst_viete": worst_viete,
         },
     )
+
+
+def _real_root_counts(p0, q0, rho) -> np.ndarray:
+    """Real-root counts of m(eta) = eta^4 + 2 p0 eta^2 - 8 rho eta + q0,
+    one per entry of the equal-length arrays p0, q0 and rho.
+
+    The critical points of m are the roots of eta^3 + p0 eta - 2 rho.
+    Where p0^3 + 27 rho^2 < 0 there are three, from Viete's trigonometric
+    form in ascending order; elsewhere there is one, from Cardano's
+    cancellation-free form A = cbrt(rho + sign(rho) sqrt(rho^2 + p0^3/27)),
+    eta = A - p0/(3A), and it fills all three slots.  m is monotone
+    between its critical points and positive at both ends (Rolle and the
+    intermediate value theorem), so the count is the number of sign
+    changes in (+, m(c1), m(c2), m(c3), +).  It is exact off the Delta = 0
+    band: Delta (scaled by 1/256) equals the product of m over all three
+    critical points, complex ones included, so each |m(c_i)| is about
+    1e-9 scale^2 or more there, while a critical point's rounding error
+    enters m only at second order (m' = 0 there), about 1e-16 scale^2.
+    Each formula runs on every row, hence the errstate.
+    """
+    with np.errstate(all="ignore"):
+        s = np.sqrt(-p0 / 3.0)
+        third = np.arccos(np.clip(rho / (s * s * s), -1.0, 1.0)) / 3.0
+        viete = 2.0 * s * np.cos(third + np.array([[2.0], [-2.0], [0.0]]) * (np.pi / 3.0))
+        a = np.cbrt(rho + np.copysign(np.sqrt(rho * rho + (p0 / 3.0) ** 3), rho))
+        cardano = np.where(a == 0.0, 0.0, a - p0 / (3.0 * a))
+    crit = np.where(p0 ** 3 + 27.0 * rho * rho < 0.0, viete, cardano)
+    m = ((crit * crit + 2.0 * p0) * crit - 8.0 * rho) * crit + q0
+    return np.count_nonzero(np.diff(m < 0.0, axis=0, prepend=False, append=False), axis=0)
 
 
 def _discriminant_columns(draws: np.ndarray):

@@ -157,11 +157,17 @@ def cde_from_initial(data: InitialData) -> CdeCoordinates:
     return CdeCoordinates(c, d, min(1.0, max(-1.0, e)), data.rho)
 
 
+def _check_chart(name: str, c: float, d: float) -> None:
+    if c <= 0.0 or not 0.0 < d < 1.0:
+        raise DomainError(f"{name} needs c > 0 and d in (0, 1), got c={c}, d={d}")
+
+
 def energy_cde(c: float, d: float, rho: float) -> float:
     """Energy in the chart, free of cancellation as c -> 1; does not involve e.
 
-    DomainError when it does not come out a finite float.
+    DomainError off the chart or when it does not come out a finite float.
     """
+    _check_chart("energy_cde", c, d)
     try:  # Python's float ** raises on overflow, and c^4 may underflow to 0
         c4 = c ** 4
         square = ((c - 1.0) * (c + 1.0)) ** 2
@@ -182,8 +188,7 @@ def _psi_parts(c: float, d: float, rho: float) -> tuple[float, float]:
     S^2 >= (1 - d^2)(rho^2 + c^6)^2 > 0 in exact arithmetic; a DomainError
     names the input where the float S^2 overflows, or rounds to zero or below.
     """
-    if c <= 0.0 or not 0.0 < d < 1.0:
-        raise DomainError(f"psi_tilde needs c > 0 and d in (0, 1), got c={c}, d={d}")
+    _check_chart("psi_tilde", c, d)
     try:  # Python's float ** raises on overflow where * gives inf
         c6 = c ** 6
         inner = (rho * rho + c6) ** 2 - 4.0 * rho * rho * d * d * c6

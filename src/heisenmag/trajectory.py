@@ -58,7 +58,7 @@ def __getattr__(name: str):
     # perfbench's tracer patches `quad` here, though no evaluation calls it.
     # Only perfbench, which installs scipy, reads this name, so scipy loads on
     # that first read and the library needs numpy alone.  This name goes with
-    # the benchmark's retarget (ROADMAP item 3).
+    # the benchmark's retarget (ROADMAP item 5).
     if name == "quad":
         from scipy.integrate import quad
 
@@ -429,7 +429,7 @@ class ExactTrajectory:
 
 
 # perfbench calls this name and traces ReflectedTrajectory.sample; both
-# aliases go with the benchmark retarget (ROADMAP item 3)
+# aliases go with the benchmark retarget (ROADMAP item 5)
 def reflect_for_negative_x0(data: InitialData) -> TrajectorySolution:
     return make_solution(data)
 

@@ -105,6 +105,14 @@ def test_criterion_03_solves_roots_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_criterion_03_runs_no_eigensolve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigvals called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    assert acceptance.run_criterion("discriminant", seed=0).passed
+
+
 def test_criterion_04_reference_runs_on_arrays(monkeypatch):
     # the trapezoid reference reads x from evaluate, a few arrays per curve
     x_calls, evaluated = [], []  # the curves stay referenced, so their ids stay distinct

@@ -168,6 +168,10 @@ def test_periodic_lattice_and_cli_entry_points_return_or_raise_typed(entry, valu
     (energy_cde, (1.2e77, 0.5, 1.0), "c=1.2e+77"),
     (energy_cde, (2.0, 0.5, 1.4e154), "rho=1.4e+154"),
     (energy_cde, (0.0, 0.5, 1.0), "c=0.0"),
+    # off the chart: c <= 0, d outside (0, 1)
+    (energy_cde, (-2.0, 0.5, 1.0), "c=-2.0"),
+    (energy_cde, (2.0, 0.0, 1.0), "d=0.0"),
+    (energy_cde, (2.0, 1.5, 1.0), "d=1.5"),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_chart_functions_name_out_of_range_input(fn, args, named):
     with pytest.raises(DomainError) as info:

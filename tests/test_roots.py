@@ -1,9 +1,12 @@
-"""Closed-form roots of the speed quartic against Viete and an eigenvalue count."""
+"""Closed-form roots of the speed quartic, and criterion 3's real-root count,
+against Viete and an eigenvalue count."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heisenmag import acceptance
 from heisenmag.quartic import (
     InitialData,
     build_profile,
@@ -61,20 +64,54 @@ def test_viete_and_real_count(x0, y0, z0, rho):
         assert closed_form_real_count(r) == eigenvalue_real_counts([(p0, q0, rho)])[0]
 
 
-def test_real_count_matches_eigenvalues_on_magnitude_box():
+def magnitude_box():
+    """(p0, q0, rho) rows off the Delta = 0 band among 2,000 seeded draws,
+    each coordinate +-10^e with e in [-3, 3], and rho = 0 in about a quarter."""
     rng = np.random.default_rng(6)
-    coef, counts = [], []
+    coef = []
     for _ in range(2000):
         v = rng.choice([-1.0, 1.0], 4) * 10.0 ** rng.uniform(-3.0, 3.0, 4)
         if rng.uniform() < 0.25:
             v[3] = 0.0
         p0, q0 = monic_coefficients(InitialData(*v))
-        if in_band(p0, q0, v[3]):
-            continue
-        coef.append((p0, q0, v[3]))
-        counts.append(closed_form_real_count(quartic_roots(p0, q0, v[3])))
+        if not in_band(p0, q0, v[3]):
+            coef.append((p0, q0, v[3]))
+    return coef
+
+
+def test_real_count_matches_eigenvalues_on_magnitude_box():
+    coef = magnitude_box()
     assert len(coef) > 1000
+    counts = [closed_form_real_count(quartic_roots(*row)) for row in coef]
     assert np.array_equal(np.array(counts), eigenvalue_real_counts(coef))
+
+
+def test_critical_value_count_matches_eigenvalues():
+    # criterion 3's columns at seeds 0-4 off its Delta = 0 band, and the magnitude box
+    rows = [np.array(magnitude_box())]
+    for seed in range(5):
+        draws = np.random.default_rng(seed).uniform(-3.0, 3.0, (10_000, 4))
+        p0, q0, rho, delta, band = acceptance._discriminant_columns(draws)
+        rows.append(np.stack([p0, q0, rho], axis=1)[np.abs(delta) > band])
+    coef = np.concatenate(rows)
+    assert len(coef) > 50_000
+    counts = acceptance._real_root_counts(*coef.T)
+    assert np.array_equal(counts, eigenvalue_real_counts(coef))
+
+
+@pytest.mark.parametrize("roots, n_real, three_critical_points", [
+    ([-3, -1, 1, 3], 4, True),  # rho = 0
+    ([-2, 0, 1 + 1j, 1 - 1j], 2, False),
+    ([1 + 1j, 1 - 1j, -1 + 2j, -1 - 2j], 0, False),
+    ([-1, 1, 1j, -1j], 2, False),  # eta^4 - 1: rho = p0 = 0, so A = 0
+], ids=["four-real", "two-real", "none-real", "eta4-minus-1"])
+def test_critical_value_count_on_exact_quartics(roots, n_real, three_critical_points):
+    one, cubic, two_p0, minus_8rho, q0 = np.poly(roots).real  # exact on small integers
+    assert (one, cubic) == (1.0, 0.0)
+    p0, rho = two_p0 / 2.0, -minus_8rho / 8.0
+    assert (p0 ** 3 + 27.0 * rho * rho < 0.0) == three_critical_points
+    counts = acceptance._real_root_counts(np.array([p0]), np.array([q0]), np.array([rho]))
+    assert counts.tolist() == [n_real]
 
 
 def test_exact_double_roots():
