@@ -175,15 +175,7 @@ def representative_data(branch: Branch, rho: float | None = None) -> InitialData
     raise DomainError(f"no representative for branch {branch}")
 
 
-_ALL_BRANCHES = (
-    Branch.NEG,
-    Branch.POS_LOW,
-    Branch.POS_HIGH,
-    Branch.ZERO_MU_POS,
-    Branch.ZERO_MU_NEG_RIGHT,
-    Branch.ZERO_MU_NEG_LEFT,
-    Branch.ZERO_CUSP,
-)
+_ALL_BRANCHES = tuple(b for b in Branch if b is not Branch.TRIVIAL)
 
 
 def _window(sol) -> float:
@@ -414,62 +406,20 @@ def crit_periodicity_criterion(tol: float = 1.0, seed: int = 0) -> CriterionResu
         sol = make_solution(initial_from_cde(c, d, e, rho))
         gap = abs(_y_over_period_by_trapezoid(sol) - sol.y_over_period())
         worst_gap = max(worst_gap, gap)
-    # four real roots: sample root configurations directly
     pos_all_negative = True
     worst_pos = -math.inf
-    count = 0
-    while count < 100:
-        roots = np.sort(rng.normal(0.0, 1.5, 4))
-        roots -= roots.mean()
-        gaps = np.diff(roots)
-        if np.min(gaps) < 0.05:
-            continue
-        if (roots[0] + roots[3]) * (2.0 * _p0_of(roots) + roots[0] ** 2 + roots[3] ** 2) < 0:
-            roots = -roots[::-1]  # flip to make rho >= 0
-        p0 = _p0_of(roots)
-        rho = float(np.sum(
-            [roots[i] * roots[j] * roots[k]
-             for i in range(4) for j in range(i + 1, 4) for k in range(j + 1, 4)]
-        )) / 8.0
-        if rho < 0.0:
-            continue
-        r1, r2, r3, r4 = (float(v) for v in roots)
-        lo, hi = (r1, r2) if rng.uniform() < 0.5 else (r3, r4)
-        zr = lo + (hi - lo) * rng.uniform(0.1, 0.9)
-        data = _data_from_quartic(p0, rho, zr, roots)
-        if data is None:
-            continue
-        sol = make_solution(data)
-        if sol.profile.branch not in (Branch.POS_LOW, Branch.POS_HIGH):
-            continue
+    for sol in _solutions(rng, _four_real_root_data, (Branch.POS_LOW, Branch.POS_HIGH)):
         val = max(_y_over_period_by_trapezoid(sol), sol.y_over_period())
         worst_pos = max(worst_pos, val)
         pos_all_negative = pos_all_negative and val < 0.0
-        count += 1
-    # repeated root with mu > 0
     mu_all_negative = True
     worst_mu = -math.inf
     worst_mu_gap = 0.0
-    count = 0
-    while count < 100:
-        rr = -rng.uniform(0.2, 2.0)
-        s = 2.0 * abs(rr) * rng.uniform(0.15, 0.9)
-        p0 = -(2.0 * rr * rr + s * s) / 2.0
-        rho = -s * s * rr / 4.0
-        r2, r3 = -rr - s, -rr + s
-        zr = r2 + (r3 - r2) * rng.uniform(0.1, 0.9)
-        roots = np.array([rr, rr, r2, r3])
-        data = _data_from_quartic(p0, rho, zr, roots)
-        if data is None:
-            continue
-        sol = make_solution(data)
-        if sol.profile.branch is not Branch.ZERO_MU_POS:
-            continue
+    for sol in _solutions(rng, _mu_pos_data, (Branch.ZERO_MU_POS,)):
         quadrature, closed = _y_over_period_by_trapezoid(sol), sol.y_over_period()
         worst_mu = max(worst_mu, quadrature, closed)
         worst_mu_gap = max(worst_mu_gap, abs(quadrature - closed))
         mu_all_negative = mu_all_negative and quadrature < 0.0 and closed < 0.0
-        count += 1
     passed = worst_gap < _Y_PERIOD_GATE * tol and pos_all_negative and mu_all_negative
     return CriterionResult(
         "periodicity criterion y(omega)",
@@ -481,6 +431,52 @@ def crit_periodicity_criterion(tol: float = 1.0, seed: int = 0) -> CriterionResu
             "mu_pos_closed_vs_quad": worst_mu_gap,
         },
     )
+
+
+def _solutions(rng, draw, branches):
+    """The solutions, in draw order, of the first 100 data that draw(rng)
+    proposes (None is a rejection) and that build on one of branches."""
+    count = 0
+    while count < 100:
+        data = draw(rng)
+        if data is None:
+            continue
+        sol = make_solution(data)
+        if sol.profile.branch in branches:
+            count += 1
+            yield sol
+
+
+def _four_real_root_data(rng) -> InitialData | None:
+    """Data on four sampled real roots with rho >= 0, or None."""
+    roots = np.sort(rng.normal(0.0, 1.5, 4))
+    roots -= roots.mean()
+    if np.min(np.diff(roots)) < 0.05:
+        return None
+    if (roots[0] + roots[3]) * (2.0 * _p0_of(roots) + roots[0] ** 2 + roots[3] ** 2) < 0:
+        roots = -roots[::-1]  # flip to make rho >= 0
+    p0 = _p0_of(roots)
+    rho = float(np.sum(
+        [roots[i] * roots[j] * roots[k]
+         for i in range(4) for j in range(i + 1, 4) for k in range(j + 1, 4)]
+    )) / 8.0
+    if rho < 0.0:
+        return None
+    r1, r2, r3, r4 = (float(v) for v in roots)
+    lo, hi = (r1, r2) if rng.uniform() < 0.5 else (r3, r4)
+    zr = lo + (hi - lo) * rng.uniform(0.1, 0.9)
+    return _data_from_quartic(p0, rho, zr, roots)
+
+
+def _mu_pos_data(rng) -> InitialData | None:
+    """Data on a sampled repeated root with mu > 0, or None."""
+    rr = -rng.uniform(0.2, 2.0)
+    s = 2.0 * abs(rr) * rng.uniform(0.15, 0.9)
+    p0 = -(2.0 * rr * rr + s * s) / 2.0
+    rho = -s * s * rr / 4.0
+    r2, r3 = -rr - s, -rr + s
+    zr = r2 + (r3 - r2) * rng.uniform(0.1, 0.9)
+    return _data_from_quartic(p0, rho, zr, np.array([rr, rr, r2, r3]))
 
 
 def _p0_of(roots) -> float:

@@ -185,24 +185,16 @@ def classify_force(force: LorentzForce) -> CanonicalForce:
     band = _ORBIT_BAND * force.scale()
     unorm = force.u_norm
     if unorm <= band:
+        identity = ((1.0, 0.0), (0.0, 1.0))
         if abs(force.rho) <= band:
-            return CanonicalForce(
-                CanonicalTag.ZERO, 0.0, ((1.0, 0.0), (0.0, 1.0)), 1.0
-            )
-        return CanonicalForce(
-            CanonicalTag.B, 1.0, ((1.0, 0.0), (0.0, 1.0)), 1.0 / force.rho
-        )
-    # rotation in SO(2) sending U/||U|| to e1
+            return CanonicalForce(CanonicalTag.ZERO, 0.0, identity, 1.0)
+        return CanonicalForce(CanonicalTag.B, 1.0, identity, 1.0 / force.rho)
+    # (-Id, -1) to flip a negative rho, then the rotation in SO(2) sending U/||U|| to e1
     u1, u2 = force.beta / unorm, force.alpha / unorm
-    b = np.array([[u1, u2], [-u2, u1]])
-    r = 1.0 / unorm
-    if force.rho < -band:
-        # flip the sign of rho first via (-Id, -1); composed witness below
-        b = -b
-        r = -r
+    sign = -1.0 if force.rho < -band else 1.0
     rho_tilde = abs(force.rho) / unorm if abs(force.rho) > band else 0.0
-    witness = ((b[0, 0], b[0, 1]), (b[1, 0], b[1, 1]))
-    return CanonicalForce(CanonicalTag.A_RHO, rho_tilde, witness, r)
+    witness = ((sign * u1, sign * u2), (-sign * u2, sign * u1))
+    return CanonicalForce(CanonicalTag.A_RHO, rho_tilde, witness, sign / unorm)
 
 
 def isotropy_member(force: LorentzForce, b: np.ndarray, r: float) -> bool:

@@ -18,7 +18,9 @@ Criterion 10 checks the Lagrangian on its rows.  `taylor_reduced`
 integrates the reduced system x'' = rho - h'(x) h(x), y' = h(x) - 1 to
 about 32 digits in fixed point; criterion 1 checks every branch against
 it, the saddle branches included, where float64 loses e^{sqrt(-mu) t}.
-The module also evaluates the natural Lagrangian and finite-difference
+The module also evaluates the natural Lagrangian
+L = g(gamma', gamma')/2 - theta(gamma'), with theta the primitive of
+omega_F (`heisenberg.potential_one_form`), and finite-difference
 Euler-Lagrange residuals along sampled curves.
 """
 
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, check_finite
-from .heisenberg import LorentzForce
+from .heisenberg import HeisenbergPoint, LorentzForce, potential_one_form
 from .quartic import InitialData
 
 __all__ = [
@@ -256,15 +258,10 @@ def metric_speed_sq(s: StateVector) -> float:
 
 
 def lagrangian_value(force: LorentzForce, s: StateVector) -> float:
-    """Natural Lagrangian: kinetic term minus the magnetic potential term."""
-    alpha, beta, rho = force.alpha, force.beta, force.rho
-    kinetic = 0.5 * metric_speed_sq(s)
-    potential = (
-        (0.5 * rho * s.y - 0.5 * beta * s.x * s.y) * s.xp
-        + (-0.5 * rho * s.x + 0.5 * alpha * s.x * s.y) * s.yp
-        - (beta * s.x + alpha * s.y) * s.zp
-    )
-    return kinetic + potential
+    """Natural Lagrangian L = g(gamma', gamma')/2 - theta(gamma'), theta the
+    primitive of omega_F (heisenberg.potential_one_form)."""
+    f1, f2, f3 = potential_one_form(force, HeisenbergPoint(s.x, s.y, s.z))
+    return 0.5 * metric_speed_sq(s) - (f1 * s.xp + f2 * s.yp + f3 * s.zp)
 
 
 def lagrangian_momenta(force: LorentzForce, s: StateVector) -> tuple[float, float, float]:
@@ -310,7 +307,7 @@ def euler_lagrange_residual(
     trajectories, stays away from zero on non-solutions.
     """
     t = np.asarray(t, dtype=float)
-    if len(t) < 5:
+    if t.ndim != 1 or len(t) < 5:
         raise DomainError("need at least 5 uniform samples for 4th-order stencils")
     if not np.all(np.isfinite(t)):
         raise DomainError("euler_lagrange_residual requires finite times")
@@ -321,7 +318,13 @@ def euler_lagrange_residual(
     if not uniform:
         raise DomainError("euler_lagrange_residual requires a uniform grid of distinct times")
     n = len(t)
-    s = StateVector(*np.asarray(states, dtype=float).T)
+    states = np.asarray(states, dtype=float)
+    if states.shape != (n, 6):
+        raise DomainError(
+            f"states must hold one row (x, y, z, x', y', z') per time, of shape ({n}, 6), "
+            f"got shape {states.shape}"
+        )
+    s = StateVector(*states.T)
     momenta = lagrangian_momenta(force, s)
     grads = np.broadcast_arrays(*lagrangian_gradients(force, s))
     res = []

@@ -98,10 +98,8 @@ class CdeCoordinates:
     rho: float
 
     def __post_init__(self):
-        if self.c <= 0.0:
-            raise DomainError(f"c must be positive, got {self.c}")
-        if not 0.0 < self.d < 1.0:
-            raise DomainError(f"d must lie in (0, 1), got {self.d}")
+        check_finite(c=self.c, d=self.d, e=self.e, rho=self.rho)
+        _check_chart("CdeCoordinates", self.c, self.d)
         if abs(self.e) > 1.0 + _CHART_BAND:
             raise DomainError(f"e must lie in [-1, 1], got {self.e}")
 
@@ -397,11 +395,6 @@ def build_periodic(
     return sol, report
 
 
-def _worst(*gaps) -> float:
-    """Largest |gap| over equal-length arrays of coordinate mismatches."""
-    return float(np.max(np.abs(gaps)))
-
-
 # --- the exact-force periodic family --------------------------------------------
 
 
@@ -425,6 +418,7 @@ class ExactPeriodicFamily:
 
 def exact_periodic_family(energy: float, rho: float) -> ExactPeriodicFamily | None:
     """Periodic family of the exact force; empty unless 0 < E < rho^2/2."""
+    check_finite(energy=energy, rho=rho)
     if rho == 0.0:
         raise DomainError("the exact family needs rho != 0")
     if not 0.0 < energy < 0.5 * rho * rho:
@@ -467,12 +461,16 @@ class GammaLattice:
     def center_step(self) -> float:
         return 0.5 / self.k
 
-    def snap(self, p: HeisenbergPoint) -> LatticeElement:
-        step = self.center_step
-        turns = p.z / step
+    def _turns(self, z: float) -> float:
+        """z in centre steps; DomainError where that overflows."""
+        turns = z / self.center_step
         if not math.isfinite(turns):
-            raise DomainError(f"z = {p.z} is too large to place on Gamma_{self.k}")
-        return LatticeElement(round(p.x), round(p.y), round(turns) * step)
+            raise DomainError(f"z = {z} is too large to place on Gamma_{self.k}")
+        return turns
+
+    def snap(self, p: HeisenbergPoint) -> LatticeElement:
+        check_finite(x=p.x, y=p.y, z=p.z)
+        return LatticeElement(round(p.x), round(p.y), round(self._turns(p.z)) * self.center_step)
 
     def distance(self, p: HeisenbergPoint) -> float:
         s = self.snap(p)
@@ -488,25 +486,29 @@ class GammaLattice:
         law mixes the centre coordinate, so this is not coordinate-wise
         modular arithmetic).
         """
+        check_finite(x=p.x, y=p.y, z=p.z)
         q = HeisenbergPoint(math.floor(p.x), 0.0, 0.0).inverse() * p
         q = HeisenbergPoint(0.0, math.floor(q.y), 0.0).inverse() * q
         step = self.center_step
-        q = HeisenbergPoint(0.0, 0.0, math.floor(q.z / step) * step).inverse() * q
+        q = HeisenbergPoint(0.0, 0.0, math.floor(self._turns(q.z)) * step).inverse() * q
         return q
 
 
-def lambda_periodic_residual(traj, lam: LatticeElement, omega: float) -> float:
-    """Worst violation of the three lattice-period conditions on
-    _LAMBDA_GRID points of [0, omega].
-
-    The conditions are x(t) = x(t+omega), y(t) + y1 = y(t+omega) and
-    z(t) + z1 - y1 x(t)/2 = z(t+omega), i.e. lam * sigma(t) = sigma(t+omega)
-    in exponential coordinates.  traj.point must accept an array of times.
-    """
-    ts = np.linspace(0.0, omega, _LAMBDA_GRID)
-    p = traj.point(np.concatenate((ts, ts + omega)))
+def _period_defect(traj, g: HeisenbergPoint, ts, shift: float) -> float:
+    """Worst coordinate gap between g * sigma(t) and sigma(t + shift) over
+    the times ts, from one evaluation of the curve at ts and ts + shift."""
+    p = traj.point(np.concatenate((ts, ts + shift)))
     (x1, x2), (y1, y2), (z1, z2) = (v.reshape(2, -1) for v in (p.x, p.y, p.z))
-    return _worst(x1 - x2, y1 + lam.y1 - y2, z1 + lam.z1 - 0.5 * lam.y1 * x1 - z2)
+    moved = g * HeisenbergPoint(x1, y1, z1)
+    return float(np.max(np.abs((moved.x - x2, moved.y - y2, moved.z - z2))))
+
+
+def lambda_periodic_residual(traj, lam: LatticeElement, omega: float) -> float:
+    """Worst violation of the lattice-period condition lam * sigma(t) =
+    sigma(t + omega), through the group law, on _LAMBDA_GRID points of
+    [0, omega].  traj.point must accept an array of times.
+    """
+    return _period_defect(traj, lam.point(), np.linspace(0.0, omega, _LAMBDA_GRID), omega)
 
 
 @dataclass
@@ -628,9 +630,7 @@ def primitive_period(
         if not lattice.is_member(g, _RECURRENCE_BAND):
             continue
         lam0 = lattice.snap(g)
-        lhs = lam0.point() * traj.point(ts)
-        rhs = traj.point(ts + m * omega1)
-        if _worst(lhs.x - rhs.x, lhs.y - rhs.y, lhs.z - rhs.z) <= _RECURRENCE_BAND:
+        if _period_defect(traj, lam0.point(), ts, m * omega1) <= _RECURRENCE_BAND:
             return lam0, m * omega1
     raise ConvergenceError(f"no lattice recurrence within {max_multiple} x-periods")
 

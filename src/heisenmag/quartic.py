@@ -283,14 +283,14 @@ class QuarticProfile:
     roots: tuple[complex, complex, complex, complex]
     r1: float
     r4: float
-    delta1: float | None
-    delta4: float | None
-    k: float | None  # modulus of the cn profile (Delta < 0)
-    k1: float | None  # modulus of the sn^2 profile (Delta > 0)
-    mu: float | None  # (p0 + 3 r^2)/2 on the Delta = 0 stratum
-    r_double: float | None
     branch: Branch
     delta_is_boundary: bool  # |Delta| inside the reported zero band
+    delta1: float | None = None
+    delta4: float | None = None
+    k: float | None = None  # modulus of the cn profile (Delta < 0)
+    k1: float | None = None  # modulus of the sn^2 profile (Delta > 0)
+    mu: float | None = None  # (p0 + 3 r^2)/2 on the Delta = 0 stratum
+    r_double: float | None = None
 
     def value(self, eta: float) -> float:
         """P(eta) = -m(eta)/4 = x'^2 at x = eta - z0 - rho."""
@@ -321,8 +321,7 @@ def build_profile(data: InitialData) -> QuarticProfile:
 
     if trivial:
         return QuarticProfile(
-            p0, q0, rho, delta, ordered, reals[0], reals[-1],
-            None, None, None, None, None, None, Branch.TRIVIAL, boundary,
+            p0, q0, rho, delta, ordered, reals[0], reals[-1], Branch.TRIVIAL, boundary
         )
     if not boundary and delta < 0.0:
         return _profile_neg(p0, q0, rho, delta, ordered)
@@ -339,8 +338,7 @@ def _profile_neg(p0, q0, rho, delta, ordered):
     k_sq = ((r4 - r1) ** 2 - (delta4 - delta1) ** 2) / (4.0 * delta1 * delta4)
     k = math.sqrt(min(1.0, max(0.0, k_sq)))
     return QuarticProfile(
-        p0, q0, rho, delta, ordered, r1, r4,
-        delta1, delta4, k, None, None, None, Branch.NEG, False,
+        p0, q0, rho, delta, ordered, r1, r4, Branch.NEG, False, delta1=delta1, delta4=delta4, k=k
     )
 
 
@@ -353,8 +351,7 @@ def _profile_pos(data, p0, q0, rho, delta, ordered):
     k1 = math.sqrt(min(1.0, max(0.0, k1_sq)))
     branch = _bracket_side(reals, data.zr)
     return QuarticProfile(
-        p0, q0, rho, delta, ordered, r1, r4,
-        delta1, delta4, None, k1, None, None, branch, False,
+        p0, q0, rho, delta, ordered, r1, r4, branch, False, delta1=delta1, delta4=delta4, k1=k1
     )
 
 
@@ -380,8 +377,8 @@ def _profile_zero(data, p0, q0, rho, delta, roots):
             branch = Branch.ZERO_MU_NEG_RIGHT if data.zr > r else Branch.ZERO_MU_NEG_LEFT
     reals = sorted(w.real for w in roots)
     return QuarticProfile(
-        p0, q0, rho, delta, tuple(complex(x) for x in reals), reals[0], reals[-1],
-        None, None, None, None, mu, r, branch, True,
+        p0, q0, rho, delta, tuple(complex(x) for x in reals), reals[0], reals[-1], branch, True,
+        mu=mu, r_double=r,
     )
 
 

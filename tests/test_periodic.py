@@ -31,7 +31,7 @@ from heisenmag.periodic import (
     solve_dc,
 )
 from heisenmag.quartic import Branch, InitialData, build_profile
-from heisenmag.trajectory import make_solution
+from heisenmag.trajectory import ExactTrajectory, make_solution
 
 
 def y_over_period_quad(sol):
@@ -543,6 +543,14 @@ class TestLambdaPeriodic:
         lam = LatticeElement(0.0, 1.0, 0.5)
         assert math.isnan(lambda_periodic_residual(NanCurve(), lam, 1.0))
         assert not lambda_periodic_residual(NanCurve(), lam, 1.0) <= periodic._LAMBDA_RESIDUAL
+
+    def test_residual_reads_the_whole_group_law(self):
+        # z0 + rho = 0: the curve is the subgroup exp(t V0), so lambda = sigma(2) with
+        # x1 = 0.75 is a period; the x1 y(t)/2 term of the centre must enter
+        curve = ExactTrajectory(InitialData(0.375, 0.25, -1.0, 1.0))
+        assert curve.is_subgroup
+        assert lambda_periodic_residual(curve, LatticeElement(0.75, 0.5, -2.0), 2.0) == 0.0
+        assert lambda_periodic_residual(curve, LatticeElement(0.75, 0.5, -1.5), 2.0) == 0.5
 
     def test_conjugation_formula(self):
         # exp(a e1) exp(y1 e2 + z e3) exp(-a e1) = exp(y1 e2 + (z + a y1) e3)

@@ -18,7 +18,6 @@ _KEEP = {
                     "the reference that classify_force's witnesses are checked against",
     "isotropy_member": "the isotropy of a force under that action",
     "j_map": "the map j with <j(Z)U, V> = <Z, [U, V]> that the Lorentz force is built on",
-    "potential_one_form": "the primitive theta of omega_F: the exactness behind the Lagrangian",
     "coordinate_two_form": "omega_F in coordinates; the reference d(potential_one_form) "
                            "is checked against",
     "lagrangian_value": "the natural Lagrangian that solves the inverse problem on H3",

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heisenmag import quartic
-from heisenmag.acceptance import _first_integral_drift, representative_data
+from heisenmag.acceptance import _ALL_BRANCHES, _first_integral_drift, representative_data
 from heisenmag.errors import DomainError, HeisenmagError
 from heisenmag.quartic import (
     Branch,
@@ -132,6 +132,12 @@ class TestZeroStratum:
         except HeisenmagError:
             return
         assert set(forms) == {"r_formula", "mu_formula"}
+
+    @pytest.mark.parametrize("rho", [1e-3, 0.1, 0.5, 2.0, 5.0, 100.0, 1000.0])
+    @pytest.mark.parametrize("branch", _ALL_BRANCHES, ids=lambda b: b.value)
+    def test_every_anchor_keeps_its_tag_away_from_the_default_rho(self, branch, rho):
+        # the stated rho takes ZERO_MU_NEG_RIGHT off its written-out datum at rho = 4
+        assert build_profile(representative_data(branch, rho)).branch is branch
 
     @pytest.mark.parametrize("rho", [0.5, 1.0, 3.5])
     def test_cusp_anchors_keep_their_tag(self, rho):

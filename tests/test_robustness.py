@@ -16,15 +16,18 @@ from heisenmag import acceptance, cli
 from heisenmag.elliptic import AGM
 from heisenmag.errors import BranchConsistencyError, DomainError, HeisenmagError
 from heisenmag.heisenberg import HeisenbergPoint, LorentzForce
-from heisenmag.oracle import StateVector, integrate_general
+from heisenmag.oracle import StateVector, euler_lagrange_residual, integrate_general
 from heisenmag.periodic import (
+    CdeCoordinates,
     GammaLattice,
     LatticeElement,
     build_periodic,
     cde_from_initial,
     energy_cde,
     energy_of_c,
+    exact_periodic_family,
     find_lambda_periodic,
+    lattice_obstruction_check,
     primitive_period,
     psi,
     psi_tilde,
@@ -176,6 +179,41 @@ def test_periodic_lattice_and_cli_entry_points_return_or_raise_typed(entry, valu
 def test_chart_functions_name_out_of_range_input(fn, args, named):
     with pytest.raises(DomainError) as info:
         fn(*args)
+    assert named in str(info.value)
+
+
+_REFUSALS = {
+    # non-finite input reaches no formula
+    "chart-nan-c": (lambda: CdeCoordinates(math.nan, 0.5, 0.0, 1.0), "c must be finite"),
+    "chart-inf-rho": (lambda: CdeCoordinates(2.0, 0.5, 0.0, math.inf), "rho must be finite"),
+    "exact-nan-energy": (lambda: exact_periodic_family(math.nan, 2.0), "energy must be finite"),
+    "exact-inf-rho": (lambda: exact_periodic_family(1.0, math.inf), "rho must be finite"),
+    "snap-nan-x": (lambda: GammaLattice(1).snap(HeisenbergPoint(math.nan, 0.0, 0.0)),
+                   "x must be finite"),
+    "snap-nan-z": (lambda: GammaLattice(1).snap(HeisenbergPoint(0.0, 0.0, math.nan)),
+                   "z must be finite"),
+    "member-inf-y": (lambda: GammaLattice(1).is_member(HeisenbergPoint(0.0, math.inf, 0.0)),
+                     "y must be finite"),
+    "reduce-inf-x": (lambda: GammaLattice(1).reduce(HeisenbergPoint(math.inf, 0.0, 0.0)),
+                     "x must be finite"),
+    # finite, but the centre overflows once the x step is taken out
+    "reduce-centre-overflow": (
+        lambda: GammaLattice(1).reduce(HeisenbergPoint(1e308, 1e308, 0.0)), "too large"),
+    "states-shape": (lambda: euler_lagrange_residual(
+        LorentzForce(0, 1, 1), np.linspace(0.0, 1.0, 6), np.zeros((6, 5))), "shape (6, 5)"),
+    # off the chart, and a basis that is no 2x2 matrix
+    "chart-c": (lambda: CdeCoordinates(0.0, 0.5, 0.0, 1.0), "c=0.0"),
+    "chart-d": (lambda: CdeCoordinates(2.0, 1.0, 0.0, 1.0), "d=1.0"),
+    "chart-e": (lambda: CdeCoordinates(2.0, 0.5, -1.5, 1.0), "got -1.5"),
+    "basis-shape": (lambda: lattice_obstruction_check([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), "2x2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_bad_input_is_refused_by_name(case):
+    call, named = _REFUSALS[case]
+    with pytest.raises(DomainError) as info:
+        call()
     assert named in str(info.value)
 
 
