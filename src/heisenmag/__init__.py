@@ -64,8 +64,8 @@ from .quartic import (
 from .trajectory import (
     ExactTrajectory,
     TrajectorySolution,
+    TranslatedTrajectory,
     make_solution,
-    translate,
 )
 
 __version__ = "0.1.0"

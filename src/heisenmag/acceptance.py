@@ -68,6 +68,7 @@ from .quartic import (
     discriminant,
     monic_coefficients,
     quartic_roots,
+    speed_quartic,
 )
 from .trajectory import make_solution
 
@@ -376,7 +377,7 @@ def _real_root_counts(p0, q0, rho) -> np.ndarray:
         a = np.cbrt(rho + np.copysign(np.sqrt(rho * rho + (p0 / 3.0) ** 3), rho))
         cardano = np.where(a == 0.0, 0.0, a - p0 / (3.0 * a))
     crit = np.where(p0 ** 3 + 27.0 * rho * rho < 0.0, viete, cardano)
-    m = ((crit * crit + 2.0 * p0) * crit - 8.0 * rho) * crit + q0
+    m = speed_quartic(crit, p0, q0, rho)
     return np.count_nonzero(np.diff(m < 0.0, axis=0, prepend=False, append=False), axis=0)
 
 
@@ -486,8 +487,7 @@ def _p0_of(roots) -> float:
 def _data_from_quartic(p0: float, rho: float, zr: float, roots) -> InitialData | None:
     """Initial data whose speed quartic has the given coefficients."""
     y0 = 0.5 * (p0 + zr * zr) - 1.0
-    m = ((zr * zr + 2.0 * p0) * zr - 8.0 * rho) * zr + float(np.prod(roots))
-    val = -0.25 * m
+    val = -0.25 * speed_quartic(zr, p0, float(np.prod(roots)), rho)
     if val <= 0.0:
         return None
     return InitialData(math.sqrt(val), y0, zr - rho, rho)

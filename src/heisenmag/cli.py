@@ -307,7 +307,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", default="all")
-    p.add_argument("--case", choices=[b.value for b in Branch if b is not Branch.TRIVIAL],
+    p.add_argument("--case", choices=[b.value for b in acceptance._ALL_BRANCHES],
                    default=None, help="cross-validate one branch representative")
     p.add_argument("--rho", type=float, default=None, help="force level of --case")
     p.add_argument("--seed", type=int, default=0)

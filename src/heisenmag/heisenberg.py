@@ -38,6 +38,7 @@ __all__ = [
     "CanonicalTag",
     "CanonicalForce",
     "group_product",
+    "translate_velocity",
     "j_map",
     "act_on_force",
     "automorphism_matrix",
@@ -69,9 +70,6 @@ class HeisenbergPoint:
         # exp coordinates of a 2-step group: exp(V)^-1 = exp(-V)
         return HeisenbergPoint(-self.x, -self.y, -self.z)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
 
 IDENTITY = HeisenbergPoint(0.0, 0.0, 0.0)
 
@@ -80,6 +78,11 @@ def group_product(p: HeisenbergPoint, q: HeisenbergPoint) -> HeisenbergPoint:
     """Product in exponential coordinates; <J v1, v2> = x1 y2 - y1 x2."""
     cross = p.x * q.y - p.y * q.x
     return HeisenbergPoint(p.x + q.x, p.y + q.y, p.z + q.z + 0.5 * cross)
+
+
+def translate_velocity(p: HeisenbergPoint, vx, vy, vz) -> tuple:
+    """dL_p (vx, vy, vz), left translation's differential; floats or arrays."""
+    return (vx, vy, vz + 0.5 * (p.x * vy - p.y * vx))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,9 @@ second-order system for any left-invariant Lorentz force F_{U,rho}
 The centre equation is the exact time derivative of
 xi - beta x - alpha y = z0, so that combination is conserved by the flow;
 it is not enforced, and a test checks its drift along the rows.
+They assume a start at the identity: a start p off it moves there by
+L_p^-1, and the rows come back by `group_product` and by the differential
+dL_p of left translation (`heisenberg.translate_velocity`).
 
 Criterion 10 checks the Lagrangian on its rows.  `taylor_reduced`
 integrates the reduced system x'' = rho - h'(x) h(x), y' = h(x) - 1 to
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, check_finite
-from .heisenberg import HeisenbergPoint, LorentzForce, potential_one_form
+from .heisenberg import HeisenbergPoint, LorentzForce, potential_one_form, translate_velocity
 from .quartic import InitialData
 
 __all__ = [
@@ -139,8 +142,8 @@ def integrate_general(force: LorentzForce, s0: StateVector, ts) -> np.ndarray:
     Float Taylor steps of order 20 for _FLOAT_EPS; a step's rows are its
     coefficients times the powers of their offsets (dense output).  ts is a
     1-D array of two or more finite, strictly monotone times; descending
-    times run backward.  A start off the identity is left-translated to it
-    (the equations above assume that base point), and the rows back.
+    times run backward.  A start off the identity is left-translated to it,
+    and the rows back.
     """
     ts = np.asarray(ts, dtype=float)
     if not (ts.ndim == 1 and len(ts) >= 2 and np.all(np.isfinite(ts))
@@ -148,7 +151,6 @@ def integrate_general(force: LorentzForce, s0: StateVector, ts) -> np.ndarray:
             and math.isfinite(float(ts[-1]) - float(ts[0]))):
         raise DomainError("the Taylor oracle needs a 1-D array of 2 or more finite, monotone times")
     check_finite(x=s0.x, y=s0.y, z=s0.z, xp=s0.xp, yp=s0.yp, zp=s0.zp)
-    x, y, z, xp, yp, zp = map(float, (s0.x, s0.y, s0.z, s0.xp, s0.yp, s0.zp))
     alpha, beta, rho = map(float, (force.alpha, force.beta, force.rho))
     sigma = 1.0 if ts[-1] > ts[0] else -1.0
 
@@ -165,13 +167,12 @@ def integrate_general(force: LorentzForce, s0: StateVector, ts) -> np.ndarray:
     def values_at(matrix, offsets):
         return np.vander(sigma * np.array(offsets), len(matrix), increasing=True) @ matrix
 
-    # at the identity the centre velocity loses the (p, velocity) cross term,
-    # and back at p * gamma it regains it
-    start = (0.0, 0.0, 0.0, xp, yp, zp - 0.5 * (x * yp - y * xp))
+    p = HeisenbergPoint(*map(float, (s0.x, s0.y, s0.z)))
+    start = (0.0, 0.0, 0.0, *translate_velocity(p.inverse(), *map(float, (s0.xp, s0.yp, s0.zp))))
     taus = (sigma * (ts - ts[0])).tolist()
-    gx, gy, gz, u, v, w = np.concatenate(_taylor_steps(start, taus, series_at, values_at)).T
-    return np.column_stack((x + gx, y + gy, z + gz + 0.5 * (x * gy - y * gx),
-                            u, v, w + 0.5 * (x * v - y * u)))
+    gx, gy, gz, *velocity = np.concatenate(_taylor_steps(start, taus, series_at, values_at)).T
+    q = p * HeisenbergPoint(gx, gy, gz)
+    return np.column_stack((q.x, q.y, q.z, *translate_velocity(p, *velocity)))
 
 
 # --- Taylor oracle for the reduced system ---------------------------------------
@@ -252,8 +253,8 @@ def taylor_reduced(data: InitialData, ts) -> np.ndarray:
 
 
 def metric_speed_sq(s: StateVector) -> float:
-    """g(gamma', gamma') in exponential coordinates; constant on trajectories."""
-    body_z = s.zp + 0.5 * (s.xp * s.y - s.x * s.yp)
+    """g(gamma', gamma') = |dL_p^-1 gamma'|^2 at p = gamma; constant on trajectories."""
+    _, _, body_z = translate_velocity(HeisenbergPoint(s.x, s.y, s.z).inverse(), s.xp, s.yp, s.zp)
     return s.xp ** 2 + s.yp ** 2 + body_z ** 2
 
 
@@ -267,7 +268,7 @@ def lagrangian_value(force: LorentzForce, s: StateVector) -> float:
 def lagrangian_momenta(force: LorentzForce, s: StateVector) -> tuple[float, float, float]:
     """(dL/dx', dL/dy', dL/dz')."""
     alpha, beta, rho = force.alpha, force.beta, force.rho
-    body_z = s.zp + 0.5 * (s.xp * s.y - s.x * s.yp)
+    _, _, body_z = translate_velocity(HeisenbergPoint(s.x, s.y, s.z).inverse(), s.xp, s.yp, s.zp)
     px = s.xp + 0.5 * body_z * s.y + 0.5 * rho * s.y - 0.5 * beta * s.x * s.y
     py = s.yp - 0.5 * body_z * s.x - 0.5 * rho * s.x + 0.5 * alpha * s.x * s.y
     pz = body_z - beta * s.x - alpha * s.y
@@ -277,7 +278,7 @@ def lagrangian_momenta(force: LorentzForce, s: StateVector) -> tuple[float, floa
 def lagrangian_gradients(force: LorentzForce, s: StateVector) -> tuple[float, float, float]:
     """(dL/dx, dL/dy, dL/dz)."""
     alpha, beta, rho = force.alpha, force.beta, force.rho
-    body_z = s.zp + 0.5 * (s.xp * s.y - s.x * s.yp)
+    _, _, body_z = translate_velocity(HeisenbergPoint(s.x, s.y, s.z).inverse(), s.xp, s.yp, s.zp)
     gx = (
         -0.5 * body_z * s.yp
         - 0.5 * beta * s.y * s.xp

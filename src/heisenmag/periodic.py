@@ -49,7 +49,6 @@ from .trajectory import (
     TrajectorySolution,
     TranslatedTrajectory,
     make_solution,
-    translate,
 )
 
 __all__ = [
@@ -98,10 +97,7 @@ class CdeCoordinates:
     rho: float
 
     def __post_init__(self):
-        check_finite(c=self.c, d=self.d, e=self.e, rho=self.rho)
-        _check_chart("CdeCoordinates", self.c, self.d)
-        if abs(self.e) > 1.0 + _CHART_BAND:
-            raise DomainError(f"e must lie in [-1, 1], got {self.e}")
+        _check_cde("CdeCoordinates", self.c, self.d, self.e, self.rho)
 
     def initial_data(self) -> InitialData:
         return initial_from_cde(self.c, self.d, self.e, self.rho)
@@ -126,16 +122,24 @@ class CdeCoordinates:
 
 
 def initial_from_cde(c: float, d: float, e: float, rho: float) -> InitialData:
+    """The initial data at a chart point; DomainError, naming the point, off
+    the chart or where a term leaves the float range."""
+    _check_cde("initial_from_cde", c, d, e, rho)
     e = min(1.0, max(-1.0, e))
-    c3 = c ** 3
-    x0 = (
-        2.0 * d / c
-        * math.sqrt(max(0.0, 1.0 - e * e))
-        * math.sqrt((c3 * d * e + rho) ** 2 + (1.0 - d * d) * c3 * c3)
-    )
-    y0 = c * c * (2.0 * d * d * e * e - 2.0 * d * d + 1.0) + 2.0 * d * e * rho / c - 1.0
-    z0 = rho / (c * c) + 2.0 * c * d * e - rho
-    return InitialData(x0, y0, z0, rho)
+    try:  # Python's float ** raises on overflow, c^2 may underflow to 0, and * gives inf
+        c3 = c ** 3
+        x0 = (
+            2.0 * d / c
+            * math.sqrt(max(0.0, 1.0 - e * e))
+            * math.sqrt((c3 * d * e + rho) ** 2 + (1.0 - d * d) * c3 * c3)
+        )
+        y0 = c * c * (2.0 * d * d * e * e - 2.0 * d * d + 1.0) + 2.0 * d * e * rho / c - 1.0
+        z0 = rho / (c * c) + 2.0 * c * d * e - rho
+        return InitialData(x0, y0, z0, rho)
+    except (OverflowError, ZeroDivisionError, DomainError) as exc:
+        raise DomainError(
+            f"initial_from_cde at c={c}, d={d}, e={e}, rho={rho} leaves the float range"
+        ) from exc
 
 
 def cde_from_initial(data: InitialData) -> CdeCoordinates:
@@ -158,6 +162,14 @@ def cde_from_initial(data: InitialData) -> CdeCoordinates:
 def _check_chart(name: str, c: float, d: float) -> None:
     if c <= 0.0 or not 0.0 < d < 1.0:
         raise DomainError(f"{name} needs c > 0 and d in (0, 1), got c={c}, d={d}")
+
+
+def _check_cde(name: str, c: float, d: float, e: float, rho: float) -> None:
+    """A finite chart point: c > 0, d in (0, 1) and |e| <= 1 up to _CHART_BAND."""
+    check_finite(c=c, d=d, e=e, rho=rho)
+    _check_chart(name, c, d)
+    if abs(e) > 1.0 + _CHART_BAND:
+        raise DomainError(f"{name} needs e in [-1, 1], got {e}")
 
 
 def energy_cde(c: float, d: float, rho: float) -> float:
@@ -421,6 +433,8 @@ def exact_periodic_family(energy: float, rho: float) -> ExactPeriodicFamily | No
     check_finite(energy=energy, rho=rho)
     if rho == 0.0:
         raise DomainError("the exact family needs rho != 0")
+    if not math.isfinite(rho * rho):
+        raise DomainError(f"the exact family at rho={rho} needs rho^2 inside the float range")
     if not 0.0 < energy < 0.5 * rho * rho:
         return None
     z0 = -rho + math.copysign(math.sqrt(rho * rho - 2.0 * energy), rho)
@@ -598,7 +612,7 @@ def find_lambda_periodic(
         raise ConvergenceError("tuned trajectory lost its x-period")
     z2 = -data.zr * target  # z(omega1) of the base curve
     a = (lam.z1 - n * z2) / lam.y1
-    moved = translate(sol, HeisenbergPoint(a, 0.0, 0.0))
+    moved = TranslatedTrajectory(HeisenbergPoint(a, 0.0, 0.0), sol)
     omega = n * omega1
     residual = lambda_periodic_residual(moved, lam, omega)
     if not residual <= _LAMBDA_RESIDUAL:

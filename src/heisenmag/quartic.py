@@ -37,6 +37,7 @@ __all__ = [
     "mu_r_closed_forms",
     "discriminant",
     "monic_coefficients",
+    "speed_quartic",
     "delta_band",
     "quartic_roots",
 ]
@@ -111,6 +112,11 @@ def monic_coefficients(data: InitialData) -> tuple[float, float]:
     p0 = 2.0 * (data.y0 + 1.0) - ops(data.zr).pow(data.zr, 2)
     q0 = p0 * p0 + 8.0 * data.rho * data.zr - 4.0 * data.norm_sq
     return p0, q0
+
+
+def speed_quartic(eta, p0, q0, rho):
+    """m(eta) = ((eta^2 + 2 p0) eta - 8 rho) eta + q0; floats or arrays."""
+    return ((eta * eta + 2.0 * p0) * eta - 8.0 * rho) * eta + q0
 
 
 def discriminant(p0: float, q0: float, rho: float) -> float:
@@ -291,10 +297,6 @@ class QuarticProfile:
     k1: float | None = None  # modulus of the sn^2 profile (Delta > 0)
     mu: float | None = None  # (p0 + 3 r^2)/2 on the Delta = 0 stratum
     r_double: float | None = None
-
-    def value(self, eta: float) -> float:
-        """P(eta) = -m(eta)/4 = x'^2 at x = eta - z0 - rho."""
-        return -0.25 * (((eta * eta + 2.0 * self.p0) * eta - 8.0 * self.rho) * eta + self.q0)
 
 
 def build_profile(data: InitialData) -> QuarticProfile:

@@ -36,7 +36,7 @@ import numpy as np
 from ._ops import ops
 from .elliptic import AGM
 from .errors import BranchConsistencyError, DomainError
-from .heisenberg import HeisenbergPoint
+from .heisenberg import HeisenbergPoint, translate_velocity
 from .quartic import Branch, InitialData, QuarticProfile, build_profile
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "ExactTrajectory",
     "TranslatedTrajectory",
     "make_solution",
-    "translate",
 ]
 
 # relative bands; each value scales with data.scale() where data is at hand
@@ -329,8 +328,8 @@ class TrajectorySolution:
     def velocity(self, t: float) -> tuple[float, float, float]:
         """(x', y', z') with y' = h(x) - 1 and z' from the level x + z0 of
         the centre component z' + (x'y - xy')/2."""
-        x, xp, y, _ = self._state(t)
-        return _velocity(self.data, x, xp, y)
+        x, xp, y, z = self._state(t)
+        return _velocity(self.data, HeisenbergPoint(x, y, z), xp)
 
     def sample(self, ts) -> list[tuple[float, float, float]]:
         """Curve points (x, y, z) at the times ts."""
@@ -338,9 +337,9 @@ class TrajectorySolution:
         return list(zip(x.tolist(), y.tolist(), z.tolist()))
 
 
-def _velocity(data: InitialData, x, xp, y) -> tuple[float, float, float]:
-    yp = data.h(x) - 1.0
-    return (xp, yp, x + data.z0 - 0.5 * (xp * y - x * yp))
+def _velocity(data: InitialData, p: HeisenbergPoint, xp) -> tuple[float, float, float]:
+    """dL_p of the body velocity (x', h(x) - 1, x + z0) at p = (x, y, z)."""
+    return translate_velocity(p, xp, data.h(p.x) - 1.0, p.x + data.z0)
 
 
 def make_solution(data: InitialData) -> TrajectorySolution:
@@ -364,7 +363,7 @@ def make_solution(data: InitialData) -> TrajectorySolution:
             f"branch {prof.branch}: the state (x, x', F) = ({x_start}, {xp0}, {f0}) at the "
             f"phase constant {phase} is not finite"
         )
-    v = _velocity(data, x_start, sigma * xp0, 0.0)  # y(0) = 0
+    v = _velocity(data, HeisenbergPoint(x_start, 0.0, 0.0), sigma * xp0)  # y(0) = z(0) = 0
     err = max(abs(v[0] - data.x0), abs(v[1] - data.y0), abs(v[2] - data.z0))
     if err > _SLOPE_BAND * scale:
         raise BranchConsistencyError(
@@ -448,10 +447,4 @@ class TranslatedTrajectory:
         return self.base_point * self.source.point(t)
 
     def velocity(self, t: float) -> tuple[float, float, float]:
-        xp, yp, zp = self.source.velocity(t)
-        p = self.base_point
-        return (xp, yp, zp + 0.5 * (p.x * yp - p.y * xp))
-
-
-def translate(source, p: HeisenbergPoint) -> TranslatedTrajectory:
-    return TranslatedTrajectory(p, source)
+        return translate_velocity(self.base_point, *self.source.velocity(t))

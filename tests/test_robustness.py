@@ -27,6 +27,7 @@ from heisenmag.periodic import (
     energy_of_c,
     exact_periodic_family,
     find_lambda_periodic,
+    initial_from_cde,
     lattice_obstruction_check,
     primitive_period,
     psi,
@@ -128,6 +129,8 @@ _ENTRY_POINTS = {
         if key not in ("trajectory", "base_solution")
     },
     "cde_from_initial": lambda v, k: cde_from_initial(InitialData(*v[:4])),
+    "initial_from_cde": lambda v, k: initial_from_cde(*v[:4]),
+    "exact_periodic_family": lambda v, k: exact_periodic_family(*v[:2]),
     "classify-ic": lambda v, k: _run_cli(
         "classify-ic", "--x0", v[0], "--y0", v[1], "--z0", v[2], "--rho", v[3]),
     "sample": lambda v, k: _sample(*v),
@@ -206,6 +209,19 @@ _REFUSALS = {
     "chart-d": (lambda: CdeCoordinates(2.0, 1.0, 0.0, 1.0), "d=1.0"),
     "chart-e": (lambda: CdeCoordinates(2.0, 0.5, -1.5, 1.0), "got -1.5"),
     "basis-shape": (lambda: lattice_obstruction_check([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), "2x2"),
+    # the chart's data: off the chart, a clamped e, and terms that divide by
+    # zero (c, or c^2 underflowing) or overflow (c^3)
+    "cde-c-zero": (lambda: initial_from_cde(0.0, 0.5, 0.0, 1.0), "c=0.0"),
+    "cde-c-underflow": (lambda: initial_from_cde(1e-200, 0.5, 0.0, 1.0), "c=1e-200"),
+    "cde-c-overflow": (lambda: initial_from_cde(1e103, 0.5, 0.0, 1.0), "c=1e+103"),
+    "cde-d-above": (lambda: initial_from_cde(2.0, 2.0, 0.0, 1.0), "d=2.0"),
+    "cde-d-negative": (lambda: initial_from_cde(2.0, -0.5, 0.0, 1.0), "d=-0.5"),
+    "cde-e": (lambda: initial_from_cde(2.0, 0.5, 5.0, 1.0), "got 5.0"),
+    "lambda-e": (lambda: find_lambda_periodic(LatticeElement(0.0, 1.0, 0.5), 1.0, 1.0, e=5.0),
+                 "got 5.0"),
+    # rho^2 overflows: z0, radius_sq and the period come out inf, -inf and 0
+    "exact-rho-overflow": (lambda: exact_periodic_family(1.0, 1e200), "rho=1e+200"),
+    "exact-negative-rho-overflow": (lambda: exact_periodic_family(1.0, -1e200), "rho=-1e+200"),
 }
 
 

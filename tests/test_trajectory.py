@@ -17,8 +17,8 @@ from heisenmag import elliptic, trajectory
 from heisenmag.quartic import Branch, InitialData, build_profile
 from heisenmag.trajectory import (
     ExactTrajectory,
+    TranslatedTrajectory,
     make_solution,
-    translate,
 )
 
 CBRT2 = 2.0 ** (1.0 / 3.0)
@@ -104,7 +104,7 @@ class TestBranchSolutions:
         for traj in (sol, refl):
             assert len(traj.sample(ts)) == len(ts)
             for t in ts:
-                for value in (traj.x(t), traj.y(t), traj.z(t), *traj.point(t).as_array(),
+                for value in (traj.x(t), traj.y(t), traj.z(t), *dataclasses.astuple(traj.point(t)),
                               *traj.velocity(t)):
                     assert math.isfinite(value)
 
@@ -363,20 +363,20 @@ class TestSymmetries:
     def test_translate_base_point(self):
         sol = make_solution(InitialData(1.0, 0.5, 0.2, 1.0))
         p = HeisenbergPoint(0.5, -0.3, 0.7)
-        moved = translate(sol, p)
+        moved = TranslatedTrajectory(p, sol)
         start = moved.point(0.0)
         np.testing.assert_allclose((start.x, start.y, start.z), (0.5, -0.3, 0.7), atol=1e-12)
 
     def test_translate_identity_is_noop(self):
         sol = make_solution(InitialData(1.0, 0.5, 0.2, 1.0))
-        moved = translate(sol, HeisenbergPoint(0, 0, 0))
+        moved = TranslatedTrajectory(HeisenbergPoint(0, 0, 0), sol)
         for t in (0.4, 3.3):
             a, b = moved.point(t), sol.point(t)
             assert (a.x, a.y, a.z) == (b.x, b.y, b.z)
 
     def test_translated_curve_still_magnetic(self):
         sol = make_solution(InitialData(1.0, 0.5, 0.2, 1.0))
-        moved = translate(sol, HeisenbergPoint(0.5, -0.3, 0.7))
+        moved = TranslatedTrajectory(HeisenbergPoint(0.5, -0.3, 0.7), sol)
         v0 = moved.velocity(0.0)
         ts = np.linspace(0.0, 8.0, 81)
         rows = integrate_general(LorentzForce(0.0, 1.0, 1.0), StateVector(0.5, -0.3, 0.7, *v0), ts)
