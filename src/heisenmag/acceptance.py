@@ -7,11 +7,11 @@ the pytest acceptance module both drive these runners, and every
 threshold is multiplied by `tolerance_scale()` (HEISENMAG_TOL).
 
 Criterion 1 checks every branch representative against one independent
-integration, `oracle.taylor_reduced`: a fixed-point Taylor run of the
-reduced system to about 32 digits, which also holds the three saddle
-branches, where any float64 integrator loses e^{sqrt(-mu) t}.  Criterion
-10 runs `oracle.integrate_general`, the same Taylor method on the full
-system in floats.
+integration, `oracle.taylor_reduced`: a Taylor run of the reduced system to
+about 32 digits (orders 0-24 in 112-bit fixed point, 25-38 in floats whose
+rounding stays below 2^-112), which also holds the saddle branches, where
+any float64 integrator loses e^{sqrt(-mu) t}.  Criterion 10 runs
+`oracle.integrate_general`, the same Taylor method on the full system in floats.
 
 Criterion 3 computes the closed-form roots of its 10^4 samples in one
 `quartic_roots` call on columns, and counts their real roots from the

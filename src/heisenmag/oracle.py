@@ -17,13 +17,13 @@ They assume a start at the identity: a start p off it moves there by
 L_p^-1, and the rows come back by `group_product` and by the differential
 dL_p of left translation (`heisenberg.translate_velocity`).
 
-Criterion 10 checks the Lagrangian on its rows.  `taylor_reduced`
-integrates the reduced system x'' = rho - h'(x) h(x), y' = h(x) - 1 to
-about 32 digits in fixed point; criterion 1 checks every branch against
-it, the saddle branches included, where float64 loses e^{sqrt(-mu) t}.
-The module also evaluates the natural Lagrangian
-L = g(gamma', gamma')/2 - theta(gamma'), with theta the primitive of
-omega_F (`heisenberg.potential_one_form`), and finite-difference
+Criterion 10 checks the Lagrangian on its rows.  `taylor_reduced` integrates
+x'' = rho - h'(x) h(x), y' = h(x) - 1 to about 32 digits: orders 0-24 of each
+step exact in 112-bit fixed point, 25-38 in floats whose rounding stays below
+2^-112.  Criterion 1 checks every branch against it, the saddle branches too,
+where float64 loses e^{sqrt(-mu) t}.  The module also evaluates the natural
+Lagrangian L = g(gamma', gamma')/2 - theta(gamma'), with theta the primitive
+of omega_F (`heisenberg.potential_one_form`), and finite-difference
 Euler-Lagrange residuals along sampled curves.
 """
 
@@ -80,13 +80,13 @@ def _jz_order(eps: float) -> int:
     return math.ceil(math.log(1.0 / eps) / 2.0) + 1
 
 
-def _jz_step(series, one) -> float:
+def _jz_step(series, floor: float = 0.0) -> float:
     """Jorba and Zou's step r / e^2 for component series of order n: r is the
-    smallest (one / |c_j|)^(1/j) over j = n - 1, n with |c_j| > 0 the largest
-    over the components, in units where one is 1; infinite when both vanish."""
-    n = len(series[0]) - 1
-    sizes = (max(abs(cs[j]) for cs in series) for j in (n - 1, n))
-    r = min(((one / s) ** (1.0 / j) for j, s in zip((n - 1, n), sizes) if s), default=math.inf)
+    smallest (1 / s)^(1/j) over j = n - 1, n with s > 0 the largest |c_j| over
+    the components, raised to floor if below it; infinite when both vanish."""
+    js = (len(series[0]) - 2, len(series[0]) - 1)
+    sizes = (max(abs(cs[j]) for cs in series) for j in js)
+    r = min(((1.0 / max(s, floor)) ** (1.0 / j) for j, s in zip(js, sizes) if s), default=math.inf)
     return r / math.e ** 2
 
 
@@ -162,7 +162,7 @@ def integrate_general(force: LorentzForce, s0: StateVector, ts) -> np.ndarray:
         matrix = np.array(series).T
         # orders that vanish are dropped: on a polynomial motion the step is infinite
         degree = max(np.flatnonzero(matrix.any(axis=1)), default=0)
-        return matrix[:degree + 1], _jz_step(series, 1.0)
+        return matrix[:degree + 1], _jz_step(series)
 
     def values_at(matrix, offsets):
         return np.vander(sigma * np.array(offsets), len(matrix), increasing=True) @ matrix
@@ -179,6 +179,10 @@ def integrate_general(force: LorentzForce, s0: StateVector, ts) -> np.ndarray:
 
 _FRAC_BITS = 112  # fixed-point fraction bits, about 33.7 decimal digits
 _ONE = 1 << _FRAC_BITS
+_UNIT = 2.0 ** -_FRAC_BITS  # one fixed-point unit, as a float
+# Orders above this are floats: at the step r/e^2, order k adds about e^(-2k) of the state's
+# scale, so their rounding 2^-53 adds e^-50 2^-53 ~ 2^-125, 2^13 below a fixed-point unit.
+_EXACT_ORDER = 24
 
 
 def _fixed(v: float) -> int:
@@ -192,28 +196,44 @@ def _taylor_series(x: int, u: int, y: int, zr: int, c: int, rho: int):
 
     Coefficients by Cauchy products, with w = x + zr: (k+1) x_{k+1} = u_k,
     g_k = (w*w)_k / 2 (+ c at k = 0), (k+1) u_{k+1} = rho d_k0 - (w*g)_k and
-    (k+1) y_{k+1} = g_k - d_k0.  The step is _jz_step's, in fixed point.
+    (k+1) y_{k+1} = g_k - d_k0: to order _EXACT_ORDER in fixed point, then on
+    w, g and u scaled once to floats.  The step is _jz_step's with sizes below
+    one unit raised to one, as fixed point rounds them: h <= 2^(112/38)/e^2
+    ~ 1.04, so h^k keeps the exact orders' rounding near one unit.
     """
-    n, f = _TAYLOR_ORDER, _FRAC_BITS
     xs, us, ys, ws, gs = [x], [u], [y], [x + zr], []
-    for k in range(n):
+    # a product's rescaling by one unit and by two, and the division by k + 1
+    rescale, unit, two_units, div = operator.rshift, _FRAC_BITS, _FRAC_BITS + 1, operator.floordiv
+    for k in range(_TAYLOR_ORDER):
+        if k == _EXACT_ORDER:
+            try:
+                exact_us, us, ws, gs = us, *([v * _UNIT for v in cs] for cs in (us, ws, gs))
+            except OverflowError as exc:
+                raise ConvergenceError(f"a Taylor coefficient to order {k} overflows") from exc
+            rescale, unit, two_units, div = operator.mul, 1.0, 0.5, operator.truediv
         half = (k + 1) >> 1  # (w*w)_k is twice the sum below, plus w_{k/2}^2
-        ww = sum(map(operator.mul, ws[:half], reversed(ws[k - half + 1:]))) << 1
-        g = (ww + ws[half] * ws[half] if k % 2 == 0 else ww) >> (f + 1)
+        ww = 2 * sum(map(operator.mul, ws[:half], reversed(ws[k - half + 1:])))
+        g = rescale(ww + ws[half] * ws[half] if k % 2 == 0 else ww, two_units)
         gs.append(g + c if k == 0 else g)
-        wg = _cauchy(ws, gs) >> f
-        xs.append(us[k] // (k + 1))
-        us.append(((rho if k == 0 else 0) - wg) // (k + 1))
-        ys.append((gs[k] - (_ONE if k == 0 else 0)) // (k + 1))
+        wg = rescale(_cauchy(ws, gs), unit)
+        xs.append(div(us[k], k + 1))
+        us.append(div((rho if k == 0 else 0) - wg, k + 1))
+        ys.append(div(gs[k] - (_ONE if k == 0 else 0), k + 1))
         ws.append(xs[-1])
-    step = _jz_step((xs, us, ys), _ONE)
-    return (xs, us, ys), (_fixed(step) if step < math.inf else step)
+    series = (xs, exact_us + us[_EXACT_ORDER + 1:], ys)
+    if not math.isfinite(sum(sum(cs[_EXACT_ORDER + 1:]) for cs in series)):  # inf, or NaN
+        raise ConvergenceError(f"a Taylor coefficient past order {_EXACT_ORDER} overflows")
+    step = _jz_step(series, _UNIT)
+    return series, (_fixed(step) if step < math.inf else step)
 
 
-def _horner(cs: list[int], dt: int) -> int:
-    """The series cs at dt, both in fixed point."""
-    acc = cs[-1]
-    for ck in reversed(cs[:-1]):
+def _horner(cs: list, dt: int) -> int:
+    """The series cs at dt in fixed point, its float orders summed in floats."""
+    acc, t = cs[-1], dt / _ONE  # int / int: finite for every float time
+    for ck in reversed(cs[_EXACT_ORDER + 1:-1]):
+        acc = ck + acc * t
+    acc = _fixed(acc)
+    for ck in reversed(cs[:_EXACT_ORDER + 1]):
         acc = ck + (acc * dt >> _FRAC_BITS)
     return acc
 
@@ -222,13 +242,13 @@ def taylor_reduced(data: InitialData, ts) -> np.ndarray:
     """Rows (x, x', y, z) at the ascending times ts >= 0, integrated to ~32 digits.
 
     Integrates x' = u, u' = rho - w g, y' = g - 1 with w = x + z0 + rho and
-    g = w^2/2 + y0 + 1 - (z0+rho)^2/2 = h(x) by Taylor steps of order 38
-    and length r/e^2 (Jorba & Zou, Exp. Math. 14(1), 2005), in Python-int
-    fixed point with 112 fractional bits.  The steps do not depend on ts:
-    each requested time is read off the series of the step that holds it
-    (dense output), so a row equals the row of that time requested alone.
-    z comes from the conserved level -x y/2 - (z0+rho) y - x' + x0.  Each
-    output is rounded once from the fixed-point state.
+    g = w^2/2 + y0 + 1 - (z0+rho)^2/2 = h(x) by Taylor steps of order 38 and
+    length r/e^2 (Jorba & Zou, Exp. Math. 14(1), 2005): orders 0-24 in 112-bit
+    Python-int fixed point, 25-38 in floats, which add about 2^-125 a step.
+    The steps do not depend on ts: each time is read off the series of the
+    step that holds it (dense output), so a row equals that time's row alone.
+    z is the level -x y/2 - (z0+rho) y - x' + x0; each output is rounded once
+    from the fixed point.  ConvergenceError where a float would overflow.
     """
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1 or not np.all(np.isfinite(ts)) or np.any(ts < 0.0) or np.any(np.diff(ts) < 0):
@@ -237,11 +257,9 @@ def taylor_reduced(data: InitialData, ts) -> np.ndarray:
     zr = _fixed(data.z0) + rho
     c = _fixed(data.y0) + _ONE - (zr * zr >> (_FRAC_BITS + 1))
 
-    def values_at(series, offsets):
-        return [[_horner(cs, dt) for cs in series] for dt in offsets]
-
     chunks = _taylor_steps((0, x0, 0), [_fixed(t) for t in ts.tolist()],
-                           lambda state: _taylor_series(*state, zr, c, rho), values_at)
+                           lambda state: _taylor_series(*state, zr, c, rho),
+                           lambda series, dts: [[_horner(cs, dt) for cs in series] for dt in dts])
     out = np.empty((len(ts), 4))
     for i, (x, u, y) in enumerate(itertools.chain.from_iterable(chunks)):
         z = -(x * y >> (_FRAC_BITS + 1)) - (zr * y >> _FRAC_BITS) - u + x0

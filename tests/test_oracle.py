@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 
 import mpmath
 import numpy as np
@@ -24,6 +25,7 @@ from heisenmag.oracle import (
     taylor_reduced,
 )
 from heisenmag.quartic import Branch, InitialData
+from heisenmag.trajectory import make_solution
 
 _NON_PERIODIC = (Branch.ZERO_MU_NEG_RIGHT, Branch.ZERO_MU_NEG_LEFT, Branch.ZERO_CUSP)
 # criterion 10's two (force, start velocity) cases
@@ -350,6 +352,73 @@ class TestTaylorOracle:
         for t, row in zip(ts, rows):
             alone = taylor_reduced(data, [t])[0]
             assert np.array_equal(row.view(np.int64), alone.view(np.int64)), t
+
+
+def _all_fixed_series(x, u, y, zr, c, rho):
+    """The reduced system's order-38 series with every order in 112-bit fixed
+    point, and its Jorba-Zou step as a float: the oracle's series before its
+    orders above _EXACT_ORDER moved to floats, kept as a reference."""
+    n, f, one = oracle._TAYLOR_ORDER, oracle._FRAC_BITS, oracle._ONE
+    xs, us, ys, ws, gs = [x], [u], [y], [x + zr], []
+    for k in range(n):
+        half = (k + 1) >> 1
+        ww = sum(map(operator.mul, ws[:half], reversed(ws[k - half + 1:]))) << 1
+        g = (ww + ws[half] * ws[half] if k % 2 == 0 else ww) >> (f + 1)
+        gs.append(g + c if k == 0 else g)
+        wg = sum(map(operator.mul, ws, reversed(gs))) >> f
+        xs.append(us[k] // (k + 1))
+        us.append(((rho if k == 0 else 0) - wg) // (k + 1))
+        ys.append((gs[k] - (one if k == 0 else 0)) // (k + 1))
+        ws.append(xs[-1])
+    sizes = [max(abs(cs[j]) for cs in (xs, us, ys)) for j in (n - 1, n)]
+    r = min(((one / s) ** (1.0 / j) for j, s in zip((n - 1, n), sizes) if s), default=math.inf)
+    return (xs, us, ys), r / math.e ** 2
+
+
+class TestFloatTail:
+    """The series' orders above _EXACT_ORDER in floats, against all fixed point."""
+
+    @staticmethod
+    def _states(branch, monkeypatch):
+        """The states at which criterion 1's run of branch takes its steps."""
+        data = representative_data(branch)
+        sol = make_solution(data)
+        ts = (np.linspace(0.0, acceptance._window(sol), 201) if sol.x_period is not None
+              else np.linspace(20.0 / 14, 20.0, 14))
+        states, series = [], oracle._taylor_series
+
+        def record(*args):
+            states.append(args)
+            return series(*args)
+
+        monkeypatch.setattr(oracle, "_taylor_series", record)
+        taylor_reduced(data, ts)
+        monkeypatch.setattr(oracle, "_taylor_series", series)
+        return states
+
+    @pytest.mark.parametrize("branch", _ALL_BRANCHES, ids=lambda b: b.name)
+    def test_series_and_step_match_all_fixed_point(self, branch, monkeypatch):
+        exact, unit = oracle._EXACT_ORDER, 2.0 ** -oracle._FRAC_BITS
+        cap = 2.0 ** (oracle._FRAC_BITS / oracle._TAYLOR_ORDER) / math.e ** 2
+        resolved = 0
+        for args in self._states(branch, monkeypatch):
+            got, step = oracle._taylor_series(*args)
+            want, want_step = _all_fixed_series(*args)
+            h = step / oracle._ONE
+            # a size below one unit counts as one: no step passes 2^(112/38)/e^2
+            assert h <= cap * (1.0 + 1e-15)
+            for cs, ref in zip(got, want):
+                assert cs[:exact + 1] == ref[:exact + 1]
+            # near an equilibrium the high orders fade into the reference's own
+            # rounding; where its last two orders hold 2^52 units, they are resolved
+            if min(max(abs(ref[j]) for ref in want) for j in (-2, -1)) < 2 ** 52:
+                continue
+            resolved += 1
+            assert abs(h - want_step) <= 1e-15 * want_step
+            for cs, ref in zip(got, want):
+                for k in range(exact + 1, len(cs)):
+                    assert abs(cs[k] - ref[k] * unit) * h ** k <= unit, (k, cs[k], ref[k])
+        assert resolved >= 10  # on every branch, about half of the states or more
 
 
 class TestLagrangian:

@@ -452,6 +452,13 @@ class TestBuildPeriodic:
         for name, value in {**fields, "c": rep["c"], "d": rep["d"], "period": rep["period"]}.items():
             assert type(value) is float, name
 
+    def test_e_within_the_chart_band_builds(self):
+        # the chart admits |e| up to 1 + _CHART_BAND, and build_periodic with it
+        _, rep = build_periodic(1.0, 1.0 + 5e-13, 1.0)
+        assert rep["closure_x"] < 1e-7 and rep["closure_y"] < 1e-7 and rep["closure_z"] < 1e-7
+        with pytest.raises(DomainError, match="build_periodic needs e in"):
+            build_periodic(1.0, 1.0 + 2 * periodic._CHART_BAND, 1.0)
+
 
 class TestExactFamily:
     def test_threshold(self):
@@ -520,6 +527,14 @@ class TestLambdaPeriodic:
         monkeypatch.setattr(periodic, "make_solution", refuse)
         with pytest.raises(LambdaNotFoundError):
             find_lambda_periodic(LatticeElement(0.7, 1.0, 0.5), 1.0, 1.0)
+
+    def test_e_is_refused_before_any_solve(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("solved for c with e off the chart")
+
+        monkeypatch.setattr(periodic, "solve_c_for_energy", refuse)
+        with pytest.raises(DomainError, match="find_lambda_periodic needs e in"):
+            find_lambda_periodic(LatticeElement(0.0, 1.0, 0.5), 1.0, 1.0, e=5.0)
 
     def test_residual_evaluates_the_curve_once(self):
         res = find_lambda_periodic(LatticeElement(0.0, 1.0, 0.5), 1.0, 1.0)

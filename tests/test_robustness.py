@@ -16,7 +16,7 @@ from heisenmag import acceptance, cli
 from heisenmag.elliptic import AGM
 from heisenmag.errors import BranchConsistencyError, DomainError, HeisenmagError
 from heisenmag.heisenberg import HeisenbergPoint, LorentzForce
-from heisenmag.oracle import StateVector, euler_lagrange_residual, integrate_general
+from heisenmag.oracle import StateVector, euler_lagrange_residual, integrate_general, taylor_reduced
 from heisenmag.periodic import (
     CdeCoordinates,
     GammaLattice,
@@ -55,6 +55,25 @@ def test_every_finite_datum_builds_or_raises_typed(x0, y0, z0, rho):
         make_solution(InitialData(x0, y0, z0, rho)).evaluate([0.0, 0.5, 3.0])
     except HeisenmagError:
         pass
+
+
+@settings(max_examples=400, deadline=None)
+@given(_FINITE, _FINITE, _FINITE, _FINITE)
+@example(1e200, 0.0, 0.0, 1.0)
+@example(0.0, 1e30, 0.0, 1.0)
+@example(1e-300, 0.0, 0.0, 0.0)
+# its coefficients fit a float, but not their fixed-point ints (past 2^1024)
+@example(1e140, 0.0, 0.0, 1.0)
+@example(0.0, 0.0, 1e10, 1.0)  # its float orders overflow to inf
+def test_taylor_oracle_gives_finite_rows_or_raises_typed(x0, y0, z0, rho):
+    """Any finite data give finite oracle rows or raise a HeisenmagError; the
+    window shrinks with the data, as the oracle's steps do."""
+    data = InitialData(x0, y0, z0, rho)
+    try:
+        rows = taylor_reduced(data, [0.0, 0.5 / data.scale()])
+    except HeisenmagError:
+        return
+    assert np.all(np.isfinite(rows)), (data, rows)
 
 
 def test_non_finite_phase_constant_is_refused():
