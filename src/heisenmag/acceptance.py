@@ -15,14 +15,14 @@ any float64 integrator loses e^{sqrt(-mu) t}.  Criterion 10 runs
 
 Criterion 3 computes the closed-form roots of its 10^4 samples in one
 `quartic_roots` call on columns, and counts their real roots from the
-signs of the quartic at its critical points (`_real_root_counts`), with
-no eigensolve.  The quadrature references of criteria 4
-(y over one x-period) and 11 (the appendix integrals, over one period of
-the amplitude) integrate smooth periodic functions over a period, so they
-are periodic trapezoid sums (`_periodic_integral`), which converge
-exponentially.  The integrand is evaluated on arrays: once for the first
-two levels together (the first sum's points and their midpoints), then
-once per later level, on its midpoints.
+signs of the quartic at its critical points (`_real_root_counts`), with no
+eigensolve.  The references of criteria 4 (y over one x-period) and 11 (the
+appendix integrals, over one amplitude period) are periodic trapezoid sums
+(`_periodic_integral`), exponentially convergent on smooth periodic
+integrands, evaluated on arrays: once for the first two levels, then once
+per later level, on its midpoints.  Criterion 4 integrates each family of
+100 curves in one call on a column of periods, its rows stopping on their
+own, and evaluates the rows still refining as one stack (evaluate_stacked).
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from .quartic import (
     quartic_roots,
     speed_quartic,
 )
-from .trajectory import make_solution
+from .trajectory import evaluate_stacked, make_solution
 
 __all__ = [
     "CriterionResult",
@@ -191,52 +191,47 @@ def _first_integral_drift(sol, data: InitialData) -> float:
     return float(np.max(np.abs(drift)))
 
 
-def _periodic_integral(f, period: float):
+def _periodic_integral(f, period):
     """Integral over [0, period] of a smooth f of that period.
 
     The equispaced trapezoid sum converges exponentially on such an
     integrand (Trefethen and Weideman, SIAM Review 56(3), 2014).  f takes
-    an array of times and returns its values along the last axis, so one
-    call may carry several integrands.  The first call carries the first
-    level pair: the _TRAPEZOID_START points of the first sum, then their
-    midpoints, which refine it.  Each later level doubles the points and
-    evaluates f once, on the midpoints of the last level, until two
+    a (1, n) array of times and returns its values along the last axis, so
+    one call may carry several integrands.  The first call carries the
+    first level pair: the _TRAPEZOID_START points of the first sum, then
+    their midpoints, which refine it.  Each later level doubles the points
+    and evaluates f once, on the midpoints of the last level, until two
     successive sums agree within _TRAPEZOID_BAND * max(1, period).
+
+    period may be a (B, 1) column instead: f then takes the indices of the
+    rows still refining and their (rows, n) times.  Each row stops on its
+    own gap, with the points, sums, order and band of its call alone; the
+    first row that does not settle raises that call's ConvergenceError.
     """
-    band = _TRAPEZOID_BAND * max(1.0, period)
-    n = _TRAPEZOID_START
+    if not isinstance(period, np.ndarray):  # one row, whose values may carry several integrands
+        return _periodic_integral(lambda rows, ts: f(ts), np.array([[period]]))[..., 0]
+    band = _TRAPEZOID_BAND * np.maximum(1.0, period[:, 0])
+    rows, n = np.arange(len(period)), _TRAPEZOID_START
     h = period / n
-    values = f(h * np.concatenate((np.arange(n), np.arange(n) + 0.5)))
-    total = h * np.sum(values[..., :n], axis=-1)
-    midvalues = values[..., n:]
+    values = f(rows, h * np.concatenate((np.arange(n), np.arange(n) + 0.5)))
+    total = h[:, 0] * values[..., :n].sum(axis=-1)
+    midvalues, out = values[..., n:], np.empty_like(total)
     while True:
-        refined = 0.5 * (total + period / n * np.sum(midvalues, axis=-1))
+        refined = 0.5 * (total + period[:, 0] / n * midvalues.sum(axis=-1))
         n *= 2
-        gap = float(np.max(np.abs(refined - total)))
-        if gap <= band:
-            return refined
+        gap = np.abs(refined - total).reshape(-1, len(rows)).max(axis=0)
+        done = gap <= band
+        if done.all():
+            out[..., rows] = refined
+            return out
+        if done.any():  # settled rows leave the later calls
+            out[..., rows[done]] = refined[..., done]
+            rows, period, band, gap = (v[~done] for v in (rows, period, band, gap))
+            refined = refined[..., ~done]
         if n >= _TRAPEZOID_CAP:
-            raise ConvergenceError(
-                f"trapezoid sums over [0, {period}] still differ by {gap} at {n} points"
-            )
-        total = refined
-        midvalues = f(period / n * (np.arange(n) + 0.5))
-
-
-def _y_over_period_by_trapezoid(sol) -> float:
-    """y(omega) as the periodic trapezoid sum of y' = x^2/2 + (z0+rho) x + y0.
-
-    x comes from the curve's arrays (TrajectorySolution.evaluate), so this
-    is independent of the closed form that TrajectorySolution.y_over_period
-    returns, which criterion 4 compares it against.
-    """
-    zr, y0 = sol.data.zr, sol.data.y0
-
-    def y_prime(ts):
-        x = sol.evaluate(ts)[0]
-        return 0.5 * x * x + zr * x + y0
-
-    return float(_periodic_integral(y_prime, sol.x_period))
+            raise ConvergenceError(f"trapezoid sums over [0, {period[0, 0]}] "
+                                   f"still differ by {float(gap[0])} at {n} points")
+        total, midvalues = refined, f(rows, period / n * (np.arange(n) + 0.5))
 
 
 def check_branch(branch: Branch, rho: float | None = None) -> dict:
@@ -394,30 +389,25 @@ def crit_periodicity_criterion(tol: float = 1.0, seed: int = 0) -> CriterionResu
     """4: y(omega) closed form matches quadrature below, negative above.
 
     The quadrature is the periodic trapezoid sum of y' over one x-period,
-    on the curve's arrays (_y_over_period_by_trapezoid).
+    one stacked call per family (NEG; POS_LOW, POS_HIGH; ZERO_MU_POS).
     """
     rng = np.random.default_rng(seed)
+    # negative discriminant: the (c, d, e) chart guarantees the stratum
+    neg = (make_solution(initial_from_cde(rng.uniform(0.4, 2.5), rng.uniform(0.05, 0.95),
+                                          rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2.0)))
+           for _ in range(100))
     worst_gap = 0.0
-    # negative discriminant: the chart guarantees the stratum
-    for _ in range(100):
-        c = rng.uniform(0.4, 2.5)
-        d = rng.uniform(0.05, 0.95)
-        e = rng.uniform(-1.0, 1.0)
-        rho = rng.uniform(0.0, 2.0)
-        sol = make_solution(initial_from_cde(c, d, e, rho))
-        gap = abs(_y_over_period_by_trapezoid(sol) - sol.y_over_period())
-        worst_gap = max(worst_gap, gap)
-    pos_all_negative = True
-    worst_pos = -math.inf
-    for sol in _solutions(rng, _four_real_root_data, (Branch.POS_LOW, Branch.POS_HIGH)):
-        val = max(_y_over_period_by_trapezoid(sol), sol.y_over_period())
+    for sol, quadrature in _with_trapezoid(neg):
+        worst_gap = max(worst_gap, abs(quadrature - sol.y_over_period()))
+    pos_all_negative, worst_pos = True, -math.inf
+    pos = _solutions(rng, _four_real_root_data, (Branch.POS_LOW, Branch.POS_HIGH))
+    for sol, quadrature in _with_trapezoid(pos):
+        val = max(quadrature, sol.y_over_period())
         worst_pos = max(worst_pos, val)
         pos_all_negative = pos_all_negative and val < 0.0
-    mu_all_negative = True
-    worst_mu = -math.inf
-    worst_mu_gap = 0.0
-    for sol in _solutions(rng, _mu_pos_data, (Branch.ZERO_MU_POS,)):
-        quadrature, closed = _y_over_period_by_trapezoid(sol), sol.y_over_period()
+    mu_all_negative, worst_mu, worst_mu_gap = True, -math.inf, 0.0
+    for sol, quadrature in _with_trapezoid(_solutions(rng, _mu_pos_data, (Branch.ZERO_MU_POS,))):
+        closed = sol.y_over_period()
         worst_mu = max(worst_mu, quadrature, closed)
         worst_mu_gap = max(worst_mu_gap, abs(quadrature - closed))
         mu_all_negative = mu_all_negative and quadrature < 0.0 and closed < 0.0
@@ -432,6 +422,26 @@ def crit_periodicity_criterion(tol: float = 1.0, seed: int = 0) -> CriterionResu
             "mu_pos_closed_vs_quad": worst_mu_gap,
         },
     )
+
+
+def _with_trapezoid(solutions) -> list:
+    """(solution, y(omega)) pairs of the solutions an iterable builds, y(omega) the
+    trapezoid sum of y' = x^2/2 + (z0+rho) x + y0 on stacked arrays, not its closed
+    form; a build that raises does so after the integrals of those built before it."""
+    sols = []
+
+    def y_prime(rows, ts):
+        x = evaluate_stacked([sols[i] for i in rows], ts)[0]
+        return 0.5 * x * x + zr[rows] * x + y0[rows]
+
+    try:
+        for sol in solutions:
+            sols.append(sol)
+    finally:
+        columns = np.array([[s.data.zr, s.data.y0, s.x_period] for s in sols]).reshape(-1, 3)
+        zr, y0, period = columns.T[..., None]
+        quadratures = _periodic_integral(y_prime, period).tolist() if sols else []
+    return list(zip(sols, quadratures))
 
 
 def _solutions(rng, draw, branches):

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from ._ops import ops
 from .errors import ConvergenceError, DomainError
 
@@ -74,7 +76,7 @@ class AGM:
     many points of one modulus, or inverts one, runs the AGM once.
     """
 
-    __slots__ = ("k", "K", "E", "_aa", "_bb", "_cc")
+    __slots__ = ("k", "K", "E", "_lead", "_aa", "_bb", "_cc", "_depth")
 
     def __init__(self, k: float) -> None:
         _check_modulus(k)
@@ -82,6 +84,19 @@ class AGM:
         self.k = k
         self.K = math.pi / (2.0 * self._aa[-1])
         self.E = self.K * (1.0 - c_sum)
+        self._lead = 2.0 ** (len(self._aa) - 1) * self._aa[-1]  # 2^N a_N
+        self._depth = None  # one scheme; a stack's (B, 1) column of each row's N
+
+    @classmethod
+    def stack(cls, agms: list[AGM]) -> AGM:
+        """The schemes as one for (B, n) u, each row descending as its own, bit for
+        bit: each level a (B, 1) column, a = 1 and c = 0 past a row's last; no F."""
+        st, n = cls.__new__(cls), max(len(g._aa) for g in agms)
+        cols = np.array([(g.k, g.K, g.E, g._lead, len(g._aa) - 1, *g._aa, *[1.0] * (n - len(g._aa)),
+                          *g._cc, *[0.0] * (n - len(g._aa))) for g in agms]).T[..., None]
+        st.k, st.K, st.E, st._lead, st._depth = cols[:5]
+        st._aa, st._cc, st._bb = list(cols[5:5 + n]), list(cols[5 + n:]), None
+        return st
 
     def descend(self, u):
         """(phi, turns, Z(u)) with am(u) = phi + 2 pi turns, turns = floor(u / 4K).
@@ -92,19 +107,22 @@ class AGM:
         (DLMF 22.16(iii)).  At k = 0 the amplitude is u itself.  u may be a
         float (turns is then an int) or an array, descended level by level.
         """
-        if self.k == 0.0:
+        if self._depth is None and self.k == 0.0:
             return u, 0, 0.0
         m = ops(u)
         aa, cc = self._aa, self._cc
         turns = m.floor(u / (4.0 * self.K))
-        n = len(aa) - 1
-        phi = (2.0 ** n) * aa[n] * (u - 4.0 * self.K * turns)
+        phi = start = self._lead * (u - 4.0 * self.K * turns)
         zeta = 0.0
-        for i in range(n, 0, -1):
+        for i in range(len(aa) - 1, 0, -1):
+            if self._depth is not None:  # a stack's row enters at its own last level
+                phi = np.where(self._depth == i, start, phi)
             s = m.sin(phi)
             zeta += cc[i] * s
             # c_n < a_n, so |c_n / a_n * s| <= 1 after rounding too: no clamp
             phi = 0.5 * (phi + m.asin(cc[i] / aa[i] * s))
+        if self._depth is not None:  # rows with no level keep their start, or u at k = 0
+            phi = np.where(self._depth == 0, np.where(self.k == 0.0, u, start), phi)
         return phi, turns, zeta
 
     def F(self, phi: float) -> float:

@@ -49,6 +49,6 @@ def check_finite(**values) -> None:
         try:
             finite = math.isfinite(value)
         except TypeError:  # an array of more than one value
-            finite = bool(np.all(np.isfinite(value)))
+            finite = bool(np.isfinite(value).all())
         if not finite:
             raise DomainError(f"{name} must be finite, got {value}")

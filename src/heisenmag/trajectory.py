@@ -10,11 +10,11 @@ has its own closed form (Jacobi cn, sn^2, cosine, hyperbolic, or rational).
 So has an antiderivative F of (x + z0 + rho)^2 (Jacobi's epsilon function
 plus elementary terms), which gives y = (p0/2 - 1) t + (F(t) - F(0))/2, and
 z follows from the algebraic relation z = -x y / 2 - (z0+rho) y - x' + x0.
-Each branch is one state function u -> (x, x', F) of u = rate t + phase:
-on the elliptic branches one Landen descent at u gives sn, cn, dn and
-Jacobi's epsilon together, on an AGM scheme run once per solution.  The
-same state function takes a float (math, per point) or an array of u
-(numpy, all points at once); `evaluate` is the array entry point.
+Each branch is one module-level formula u -> (x, x', F), u = rate t + phase,
+over a tuple of its constants: on the elliptic branches one Landen descent
+gives sn, cn, dn and Jacobi's epsilon together, on an AGM scheme run once per
+solution.  It takes a float (math), an array of u (numpy; `evaluate`), or B
+solutions' constants as (B, 1) columns against (B, n) u (`evaluate_stacked`).
 
 Negative x0 goes through the time-reversal symmetry
 (x, y, z)(t) -> (x, -y, -z)(-t), which sends x0 to -x0: a solution with
@@ -28,6 +28,7 @@ Arbitrary base points go through left translation.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -35,7 +36,7 @@ import numpy as np
 
 from ._ops import ops
 from .elliptic import AGM
-from .errors import BranchConsistencyError, DomainError
+from .errors import BranchConsistencyError, DomainError, check_finite
 from .heisenberg import HeisenbergPoint, translate_velocity
 from .quartic import Branch, InitialData, QuarticProfile, build_profile
 
@@ -43,6 +44,7 @@ __all__ = [
     "TrajectorySolution",
     "ExactTrajectory",
     "TranslatedTrajectory",
+    "evaluate_stacked",
     "make_solution",
 ]
 
@@ -81,9 +83,10 @@ class _ClosedForm(NamedTuple):
     """The closed forms of one branch, in the variable u = rate t + phase."""
 
     rate: float
-    # u -> (x, x', F) with F' = (x + z0 + rho)^2 in t, from one evaluation;
-    # u is a float or an array
-    state: Callable
+    # formula(u, params) -> (x, x', F) with F' = (x + z0 + rho)^2 in t, from
+    # one evaluation; u is a float or an array, params the branch's constants
+    formula: Callable
+    params: tuple
     # the principal inverse at x = 0; at a turning point (x0 = 0) its argument snaps to
     # the exact boundary, where a float one loses half its digits through the branch point
     phase: float
@@ -100,26 +103,27 @@ def _profile_neg(data: InitialData, prof: QuarticProfile, turning: bool) -> _Clo
     else:
         cn0 = _clamped_unit(num / ((r4 - zr) * d1 + (zr - r1) * d4), "cn constant argument")
     agm = AGM(prof.k)
-    big_k, big_e = agm.K, agm.E
     a = 0.5 * math.sqrt(d1 * d4)
     num0, num1 = r1 * d4 + r4 * d1, r1 * d4 - r4 * d1
     den0, den1 = d1 + d4, d4 - d1
     slope = 2.0 * d1 * d4 * (r1 - r4)  # N S - M D of the Moebius form
     c0 = -prof.p0 - 0.5 * ((r1 + r4) ** 2 + d1 * d4)
+    params = (agm, a, num0, num1, den0, den1, slope, c0, d1, d4, zr)
+    period, f_inc = 4.0 * agm.K / a, 4.0 * (c0 * agm.K + d1 * d4 * agm.E) / a
+    return _ClosedForm(a, _neg_state, params, agm.F(math.acos(cn0)), period, f_inc)
 
-    def state(u):
-        am, _, zeta = agm.descend(u)
-        sn, cn, dn = agm.sn_cn_dn(am)
-        den = den1 * cn + den0
-        epsilon = big_e / big_k * u + zeta  # Jacobi's epsilon E(am u, k)
-        return (
-            (num1 * cn + num0) / den - zr,
-            -a * sn * dn * slope / den ** 2,
-            (c0 * u + d1 * d4 * (epsilon - den1 * sn * dn / den)) / a,
-        )
 
-    period, f_inc = 4.0 * big_k / a, 4.0 * (c0 * big_k + d1 * d4 * big_e) / a
-    return _ClosedForm(a, state, agm.F(math.acos(cn0)), period, f_inc)
+def _neg_state(u, params):
+    agm, a, num0, num1, den0, den1, slope, c0, d1, d4, zr = params
+    am, _, zeta = agm.descend(u)
+    sn, cn, dn = agm.sn_cn_dn(am)
+    den = den1 * cn + den0
+    epsilon = agm.E / agm.K * u + zeta  # Jacobi's epsilon E(am u, k)
+    return (
+        (num1 * cn + num0) / den - zr,
+        -a * sn * dn * slope / den ** 2,
+        (c0 * u + d1 * d4 * (epsilon - den1 * sn * dn / den)) / a,
+    )
 
 
 def _profile_pos(data: InitialData, prof: QuarticProfile, turning: bool) -> _ClosedForm:
@@ -137,24 +141,26 @@ def _profile_pos(data: InitialData, prof: QuarticProfile, turning: bool) -> _Clo
     if turning:
         sn2 = 0.0 if sn2 < 0.5 else 1.0
     agm = AGM(prof.k1)
-    big_k, big_e = agm.K, agm.E
     a = 0.25 * math.sqrt((r4 - r2) * (r3 - r1))
     # no third-kind term: the quartic's missing cubic term cancels it
     c0 = base * base - span * span / (2.0 * (1.0 + kappa))
     c1 = span * span * kappa / (2.0 * (prof.k1 * prof.k1 + kappa) * (1.0 + kappa))
+    params = (agm, a, kappa, base, span, sign, c0, c1, zr)
+    period, f_inc = 2.0 * agm.K / a, 2.0 * (c0 * agm.K + c1 * agm.E) / a
+    phase = -sign * agm.F(math.asin(math.sqrt(max(0.0, sn2))))
+    return _ClosedForm(a, _pos_state, params, phase, period, f_inc)
 
-    def state(u):
-        am, _, zeta = agm.descend(u)
-        sn, cn, dn = agm.sn_cn_dn(am)
-        q = 1.0 + kappa * sn * sn
-        return (
-            base + sign * span / q - zr,
-            -sign * span * kappa * 2.0 * sn * cn * dn * a / q ** 2,
-            (c0 * u + c1 * (big_e / big_k * u + zeta + kappa * sn * cn * dn / q)) / a,
-        )
 
-    period, f_inc = 2.0 * big_k / a, 2.0 * (c0 * big_k + c1 * big_e) / a
-    return _ClosedForm(a, state, -sign * agm.F(math.asin(math.sqrt(max(0.0, sn2)))), period, f_inc)
+def _pos_state(u, params):
+    agm, a, kappa, base, span, sign, c0, c1, zr = params
+    am, _, zeta = agm.descend(u)
+    sn, cn, dn = agm.sn_cn_dn(am)
+    q = 1.0 + kappa * sn * sn
+    return (
+        base + sign * span / q - zr,
+        -sign * span * kappa * 2.0 * sn * cn * dn * a / q ** 2,
+        (c0 * u + c1 * (agm.E / agm.K * u + zeta + kappa * sn * cn * dn / q)) / a,
+    )
 
 
 def _repeated_root(data: InitialData, prof: QuarticProfile) -> tuple[float, float, float, float]:
@@ -175,21 +181,22 @@ def _profile_mu_pos(data: InitialData, prof: QuarticProfile, turning: bool) -> _
     if turning:
         arg = math.copysign(1.0, arg)
     b = math.sqrt(mu)
-    zr = data.zr
-
-    def state(u):
-        m = ops(u)
-        s = m.sin(u)
-        g = r + g_amp * m.cos(u)
-        g_dot = -g_amp * b * s
-        return (
-            -2.0 * mu / g + r - zr,
-            2.0 * mu * g_dot / (g * g),
-            (r * r * u - 4.0 * mu * g_amp * s / g) / b,
-        )
-
     omega = 2.0 * math.pi / b
-    return _ClosedForm(b, state, -math.acos(arg), omega, r * r * omega)
+    return _ClosedForm(b, _mu_pos_state, (r, mu, g_amp, b, data.zr), -math.acos(arg), omega,
+                       r * r * omega)
+
+
+def _mu_pos_state(u, params):
+    r, mu, g_amp, b, zr = params
+    m = ops(u)
+    s = m.sin(u)
+    g = r + g_amp * m.cos(u)
+    g_dot = -g_amp * b * s
+    return (
+        -2.0 * mu / g + r - zr,
+        2.0 * mu * g_dot / (g * g),
+        (r * r * u - 4.0 * mu * g_amp * s / g) / b,
+    )
 
 
 def _profile_mu_neg(data: InitialData, prof: QuarticProfile, turning: bool) -> _ClosedForm:
@@ -199,23 +206,22 @@ def _profile_mu_neg(data: InitialData, prof: QuarticProfile, turning: bool) -> _
     cosh0 = 1.0 if turning else _clamped_ge1(side * arg, "cosh constant argument")
     phase = side * math.acosh(cosh0)
     b = math.sqrt(-mu)
-    zr = data.zr
-    sa = g_amp * side
+    return _ClosedForm(b, _mu_neg_state, (r, mu, g_amp * side, b, data.zr), phase)
 
-    def state(u):
-        # in e = exp(-|u|) no term overflows at any u, and as e underflows
-        # each one lands on its limit (x -> r - z0 - rho, x' -> 0)
-        m = ops(u)
-        e = m.exp(-abs(u))
-        d = 2.0 * r * e + sa * (1.0 + e * e)  # 2 e g
-        t = sa * m.tanh(u) * (1.0 + e * e) / d  # sa sinh u / g
-        return (
-            -4.0 * mu * e / d + r - zr,
-            4.0 * mu * b * t * e / d,
-            (r * r * u - 4.0 * mu * t) / b,
-        )
 
-    return _ClosedForm(b, state, phase)
+def _mu_neg_state(u, params):
+    r, mu, sa, b, zr = params
+    # g = r + sa cosh u; in e = exp(-|u|) no term overflows at any u, and as
+    # e underflows each one lands on its limit (x -> r - z0 - rho, x' -> 0)
+    m = ops(u)
+    e = m.exp(-abs(u))
+    d = 2.0 * r * e + sa * (1.0 + e * e)  # 2 e g
+    t = sa * m.tanh(u) * (1.0 + e * e) / d  # sa sinh u / g
+    return (
+        -4.0 * mu * e / d + r - zr,
+        4.0 * mu * b * t * e / d,
+        (r * r * u - 4.0 * mu * t) / b,
+    )
 
 
 def _profile_cusp(data: InitialData, prof: QuarticProfile, turning: bool) -> _ClosedForm:
@@ -228,22 +234,23 @@ def _profile_cusp(data: InitialData, prof: QuarticProfile, turning: bool) -> _Cl
         raise DomainError(f"cusp constant argument {arg} is negative")
     if turning:
         arg = 0.0
+    return _ClosedForm(1.0, _cusp_state, (r, r ** 3, zr), math.sqrt(max(0.0, arg)) / r)
 
-    def state(s):
-        q = 1.0 + (r * s) ** 2
-        return -4.0 * r / q + r - zr, 8.0 * r ** 3 * s / q ** 2, r * r * (s + 8.0 * s / q)
 
-    return _ClosedForm(1.0, state, math.sqrt(max(0.0, arg)) / r)
+def _cusp_state(s, params):
+    r, r3, zr = params
+    q = 1.0 + (r * s) ** 2
+    return -4.0 * r / q + r - zr, 8.0 * r3 * s / q ** 2, r * r * (s + 8.0 * s / q)
 
 
 def _profile_trivial(data: InitialData, prof: QuarticProfile, turning: bool) -> _ClosedForm:
-    zr = data.zr
+    return _ClosedForm(1.0, _trivial_state, (data.zr,), 0.0)  # x(t) = 0 has no phase
 
-    def state(u):
-        zero = u * 0.0 + 0.0  # +0.0, shaped like u
-        return zero, zero, zr * zr * u
 
-    return _ClosedForm(1.0, state, 0.0)  # x(t) = 0 has no phase
+def _trivial_state(u, params):
+    (zr,) = params
+    zero = u * 0.0 + 0.0  # +0.0, shaped like u
+    return zero, zero, zr * zr * u
 
 
 _PROFILE_BUILDERS = {
@@ -272,7 +279,7 @@ class TrajectorySolution:
     one closed-form state evaluation, and the branch's AGM scheme runs
     once, in make_solution, so evaluation is safe from concurrent threads.
     The accessors take a float time, or an array of times through the
-    same formulas on numpy.
+    same formulas on numpy; a NaN or infinite time is refused.
     """
 
     data: InitialData
@@ -282,31 +289,20 @@ class TrajectorySolution:
     x_period: float | None
     sigma: float  # time direction, sign(x0) with +1.0 at x0 = 0
     _closed: _ClosedForm = field(repr=False)
-    _f0: float = field(repr=False)  # F at t = 0
-
-    def _state(self, t):
-        """(x, x', y, z) at t, from one closed-form state evaluation."""
-        s = self.sigma
-        t = s * t
-        x, xp, f = self._closed.state(self._closed.rate * t + self.phase)
-        # y' = (x + z0 + rho)^2 / 2 + p0/2 - 1
-        y = (0.5 * self.profile.p0 - 1.0) * t + 0.5 * (f - self._f0)
-        # negated at the end, not inside the formulas, to keep signed zeros
-        z = -0.5 * x * y - self.data.zr * y - xp + s * self.data.x0
-        return x, s * xp, s * y, s * z
+    _curve: _Curve = field(repr=False)
 
     def evaluate(self, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Arrays x, x', y, z at the times ts, in one pass over the array."""
-        return self._state(np.asarray(ts, dtype=float))
+        return _curve_state(self._curve, np.asarray(ts, dtype=float))
 
     def x(self, t: float) -> float:
-        return self._state(t)[0]
+        return _curve_state(self._curve, t)[0]
 
     def x_prime(self, t: float) -> float:
-        return self._state(t)[1]
+        return _curve_state(self._curve, t)[1]
 
     def y(self, t: float) -> float:
-        return self._state(t)[2]
+        return _curve_state(self._curve, t)[2]
 
     def y_over_period(self) -> float:
         """The increment y(omega), in closed form; constant across periods.
@@ -319,22 +315,52 @@ class TrajectorySolution:
         return (0.5 * self.profile.p0 - 1.0) * self.x_period + 0.5 * f_inc
 
     def z(self, t: float) -> float:
-        return self._state(t)[3]
+        return _curve_state(self._curve, t)[3]
 
     def point(self, t: float) -> HeisenbergPoint:
-        x, _, y, z = self._state(t)
+        x, _, y, z = _curve_state(self._curve, t)
         return HeisenbergPoint(x, y, z)
 
     def velocity(self, t: float) -> tuple[float, float, float]:
         """(x', y', z') with y' = h(x) - 1 and z' from the level x + z0 of
         the centre component z' + (x'y - xy')/2."""
-        x, xp, y, z = self._state(t)
+        x, xp, y, z = _curve_state(self._curve, t)
         return _velocity(self.data, HeisenbergPoint(x, y, z), xp)
 
     def sample(self, ts) -> list[tuple[float, float, float]]:
         """Curve points (x, y, z) at the times ts."""
         x, _, y, z = self.evaluate(ts)
         return list(zip(x.tolist(), y.tolist(), z.tolist()))
+
+
+# one state evaluation's inputs (f0 = F(0)): floats, or (B, 1) columns (evaluate_stacked)
+_Curve = namedtuple("_Curve", "formula params rate phase sigma p0 zr x0 f0")
+
+
+def _curve_state(c: _Curve, t):
+    """(x, x', y, z) at a finite t: the closed form at u = rate sigma t + phase."""
+    check_finite(t=t)
+    s = c.sigma
+    t = s * t
+    x, xp, f = c.formula(c.rate * t + c.phase, c.params)
+    # y' = (x + z0 + rho)^2 / 2 + p0/2 - 1
+    y = (0.5 * c.p0 - 1.0) * t + 0.5 * (f - c.f0)
+    # negated at the end, not inside the formulas, to keep signed zeros
+    z = -0.5 * x * y - c.zr * y - xp + s * c.x0
+    return x, s * xp, s * y, s * z
+
+
+def evaluate_stacked(solutions: list[TrajectorySolution], ts):
+    """Arrays x, x', y, z at the (B, n) times ts, row b on solutions[b] and
+    equal to solutions[b].evaluate(ts[b]) bit for bit, signed zeros included:
+    one formula runs on (B, 1) columns of their curves (AGM.stack for the schemes)."""
+    curves = [sol._curve for sol in solutions]
+    if len({c.formula for c in curves}) != 1:
+        raise DomainError("a stack takes one or more solutions of one closed-form formula")
+    params = tuple(AGM.stack(v) if isinstance(v[0], AGM) else np.array(v)[:, None]
+                   for v in zip(*(c.params for c in curves)))
+    fields = (np.array(v)[:, None] for v in list(zip(*curves))[2:])
+    return _curve_state(_Curve(curves[0].formula, params, *fields), ts)
 
 
 def _velocity(data: InitialData, p: HeisenbergPoint, xp) -> tuple[float, float, float]:
@@ -350,13 +376,13 @@ def make_solution(data: InitialData) -> TrajectorySolution:
     closed = _PROFILE_BUILDERS[prof.branch](data, prof, abs(data.x0) <= _VANISHING_BAND * scale)
     tol0 = _X0_BAND * scale
     for flipped, phase in ((False, closed.phase), (True, -closed.phase)):
-        x_start, xp0, f0 = closed.state(phase)
+        x_start, xp0, f0 = closed.formula(phase, closed.params)
         if abs(x_start) <= tol0 and xp0 * sigma * data.x0 >= -tol0:
             break
     else:
         raise BranchConsistencyError(
-            f"branch {prof.branch}: x(0) = {closed.state(closed.phase)[0]} with principal "
-            f"constant {closed.phase}; no sign correction restores x(0) = 0"
+            f"branch {prof.branch}: x(0) = {closed.formula(closed.phase, closed.params)[0]} "
+            f"with principal constant {closed.phase}; no sign correction restores x(0) = 0"
         )
     if not all(map(math.isfinite, (phase, x_start, xp0, f0))):
         raise BranchConsistencyError(
@@ -369,7 +395,9 @@ def make_solution(data: InitialData) -> TrajectorySolution:
         raise BranchConsistencyError(
             f"branch {prof.branch}: sigma'(0) = {v} != ({data.x0}, {data.y0}, {data.z0})"
         )
-    return TrajectorySolution(data, prof, phase, flipped, closed.period, sigma, closed, f0)
+    curve = _Curve(closed.formula, closed.params, closed.rate, phase, sigma, prof.p0, data.zr,
+                   data.x0, f0)
+    return TrajectorySolution(data, prof, phase, flipped, closed.period, sigma, closed, curve)
 
 
 # --- Exact forces F_{0,rho} ---------------------------------------------------
@@ -394,6 +422,7 @@ class ExactTrajectory:
         return abs(self.turn_rate) <= _VANISHING_BAND * self.data.scale()
 
     def point(self, t: float) -> HeisenbergPoint:
+        check_finite(t=t)
         d = self.data
         if self.is_subgroup:
             return HeisenbergPoint(d.x0 * t, d.y0 * t, d.z0 * t)
@@ -406,6 +435,7 @@ class ExactTrajectory:
         return HeisenbergPoint(x, y, z)
 
     def velocity(self, t: float) -> tuple[float, float, float]:
+        check_finite(t=t)
         d = self.data
         if self.is_subgroup:
             return (d.x0, d.y0, d.z0)

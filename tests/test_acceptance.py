@@ -6,14 +6,15 @@ CLI.  HEISENMAG_TOL scales the thresholds.
 """
 
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
 
 from heisenmag import acceptance, quartic
-from heisenmag.errors import ConvergenceError
+from heisenmag.errors import BranchConsistencyError, ConvergenceError, HeisenmagError
+from heisenmag.periodic import initial_from_cde
 from heisenmag.quartic import (
+    Branch,
     InitialData,
     delta_band,
     discriminant,
@@ -114,26 +115,30 @@ def test_criterion_03_runs_no_eigensolve(monkeypatch):
 
 
 def test_criterion_04_reference_runs_on_arrays(monkeypatch):
-    # the trapezoid reference reads x from evaluate, a few arrays per curve
-    x_calls, evaluated = [], []  # the curves stay referenced, so their ids stay distinct
-    x, evaluate = TrajectorySolution.x, TrajectorySolution.evaluate
+    # the trapezoid reference reads x from one stack per family and level:
+    # no scalar x, no per-curve evaluate
+    x_calls, per_curve, stacked = [], [], []
+    x, evaluate = TrajectorySolution.x, acceptance.evaluate_stacked
 
     def counted_x(self, t):
         x_calls.append(t)
         return x(self, t)
 
-    def counted_evaluate(self, ts):
-        evaluated.append(self)
-        return evaluate(self, ts)
+    def counted_evaluate(sols, ts):
+        stacked.append(len(ts))
+        return evaluate(sols, ts)
 
     monkeypatch.setattr(TrajectorySolution, "x", counted_x)
-    monkeypatch.setattr(TrajectorySolution, "evaluate", counted_evaluate)
-    acceptance.run_criterion("periodicity", seed=0)
-    per_curve = Counter(map(id, evaluated))
-    assert x_calls == []
-    assert len(per_curve) >= 300 and max(per_curve.values()) <= 6
-    # one call for each integral's first level pair: 349 in all at seed 0
-    assert len(evaluated) <= 360
+    monkeypatch.setattr(TrajectorySolution, "evaluate", lambda self, ts: per_curve.append(ts))
+    monkeypatch.setattr(acceptance, "evaluate_stacked", counted_evaluate)
+    assert acceptance.run_criterion("periodicity", seed=0).passed
+    assert x_calls == [] and per_curve == []
+    # each family's first call stacks all 100 curves; the later levels carry
+    # only the rows still refining: 7 calls in all at seed 0
+    starts = [i for i, rows in enumerate(stacked) if rows == 100]
+    assert len(starts) == 3 and starts[0] == 0
+    families = np.split(np.array(stacked), starts[1:])
+    assert all(len(calls) <= 4 and max(calls[1:], default=0) < 50 for calls in families)
 
 
 def _level_by_level(f, period):
@@ -201,6 +206,42 @@ class TestPeriodicIntegral:
         with pytest.raises(ConvergenceError, match="trapezoid sums"):
             acceptance._periodic_integral(lambda t: t, 2.0 * math.pi)
 
+    @staticmethod
+    def _column(fs, periods):
+        """The column call on integrands fs, one per row, and the rows of each call."""
+        calls = []
+
+        def f(rows, ts):
+            calls.append(rows.tolist())
+            return np.stack([fs[r](t) for r, t in zip(rows.tolist(), ts)])
+
+        return (lambda: acceptance._periodic_integral(f, np.array(periods)[:, None])), calls
+
+    def test_column_rows_equal_their_own_sums(self):
+        # 1/(2 + cos) settles at the first level pair, 1/(1.05 + cos) needs
+        # later levels; each at its own period, and each row equals its call alone
+        periods = [2.0 * math.pi, 5.5, 0.75]
+        fs = [lambda t: 1.0 / (2.0 + np.cos(t)),
+              lambda t: 1.0 / (1.05 + np.cos(2.0 * math.pi * t / 5.5)),
+              lambda t: 1.0 / (1.05 + np.cos(2.0 * math.pi * t / 0.75)) ** 2]
+        run, calls = self._column(fs, periods)
+        values = run()
+        assert values.shape == (3,)
+        for b, (f, period) in enumerate(zip(fs, periods)):
+            assert values[b] == _level_by_level(f, period)
+        assert calls[0] == [0, 1, 2] and len(calls) > 1
+        assert all(0 not in rows for rows in calls[1:])
+
+    def test_column_raises_the_first_unsettled_rows_message(self):
+        sawtooth = [lambda t: t, lambda t: t * t]
+        fs = [lambda t: 1.0 / (2.0 + np.cos(t))] + sawtooth
+        periods = [2.0 * math.pi, 3.0, 2.0 * math.pi]
+        with pytest.raises(ConvergenceError) as alone:
+            acceptance._periodic_integral(sawtooth[0], 3.0)
+        with pytest.raises(ConvergenceError) as column:
+            self._column(fs, periods)[0]()
+        assert str(column.value) == str(alone.value)
+
 
 def test_appendix_reference_matches_the_cn_form():
     # the amplitude form of criterion 11's quadrature against the integrals
@@ -224,6 +265,79 @@ def test_criterion_04_periodicity_criterion():
     assert r.details["neg_closed_vs_quad"] < 1e-8
     assert r.details["pos_max_y_over_period"] < 0.0
     assert r.details["mu_pos_max_y_over_period"] < 0.0
+
+
+def _one_curve_at_a_time(seed):
+    """Criterion 4 as a loop that builds and integrates one curve at a time,
+    each integral by _level_by_level on the curve's own evaluate."""
+    def quad(sol):
+        def y_prime(ts):
+            x = sol.evaluate(ts)[0]
+            return 0.5 * x * x + sol.data.zr * x + sol.data.y0
+
+        return float(_level_by_level(y_prime, sol.x_period))
+
+    rng = np.random.default_rng(seed)
+    worst_gap = 0.0
+    for _ in range(100):
+        c = rng.uniform(0.4, 2.5)
+        d = rng.uniform(0.05, 0.95)
+        e = rng.uniform(-1.0, 1.0)
+        rho = rng.uniform(0.0, 2.0)
+        sol = make_solution(initial_from_cde(c, d, e, rho))
+        worst_gap = max(worst_gap, abs(quad(sol) - sol.y_over_period()))
+    pos_all_negative, worst_pos = True, -math.inf
+    for sol in acceptance._solutions(rng, acceptance._four_real_root_data,
+                                     (Branch.POS_LOW, Branch.POS_HIGH)):
+        val = max(quad(sol), sol.y_over_period())
+        worst_pos = max(worst_pos, val)
+        pos_all_negative = pos_all_negative and val < 0.0
+    mu_all_negative, worst_mu, worst_mu_gap = True, -math.inf, 0.0
+    for sol in acceptance._solutions(rng, acceptance._mu_pos_data, (Branch.ZERO_MU_POS,)):
+        quadrature, closed = quad(sol), sol.y_over_period()
+        worst_mu = max(worst_mu, quadrature, closed)
+        worst_mu_gap = max(worst_mu_gap, abs(quadrature - closed))
+        mu_all_negative = mu_all_negative and quadrature < 0.0 and closed < 0.0
+    return acceptance.CriterionResult(
+        "periodicity criterion y(omega)",
+        worst_gap < 1e-8 and pos_all_negative and mu_all_negative,
+        {
+            "neg_closed_vs_quad": worst_gap,
+            "pos_max_y_over_period": worst_pos,
+            "mu_pos_max_y_over_period": worst_mu,
+            "mu_pos_closed_vs_quad": worst_mu_gap,
+        },
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_criterion_04_equals_one_curve_at_a_time(seed):
+    assert acceptance.crit_periodicity_criterion(1.0, seed) == _one_curve_at_a_time(seed)
+
+
+def test_criterion_04_integrates_the_curves_built_before_a_refusal(monkeypatch):
+    def build(count):
+        yield from (make_solution(InitialData(1.0, 0.5, 0.1 * i, 1.0)) for i in range(count))
+        raise BranchConsistencyError("refused in draw order")
+
+    for count in (0, 2):
+        with pytest.raises(BranchConsistencyError, match="refused in draw order"):
+            acceptance._with_trapezoid(build(count))
+    # the curves built before the refusal are integrated first, so a sum that
+    # does not settle there raises before the refusal does
+    monkeypatch.setattr(acceptance, "_TRAPEZOID_BAND", -1.0)
+    with pytest.raises(ConvergenceError, match="trapezoid sums"):
+        acceptance._with_trapezoid(build(2))
+
+
+@pytest.mark.parametrize("seed", [4, 7])
+def test_criterion_04_raises_the_first_error_in_draw_order(seed):
+    with pytest.raises(HeisenmagError) as reference:
+        _one_curve_at_a_time(seed)
+    with pytest.raises(HeisenmagError) as batched:
+        acceptance.crit_periodicity_criterion(1.0, seed)
+    assert type(batched.value) is type(reference.value)
+    assert str(batched.value) == str(reference.value)
 
 
 def test_criterion_05_unique_dc_and_monotone_energy():

@@ -36,7 +36,7 @@ from heisenmag.periodic import (
     solve_dc,
 )
 from heisenmag.quartic import Branch, InitialData, build_profile
-from heisenmag.trajectory import make_solution
+from heisenmag.trajectory import ExactTrajectory, make_solution
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)  # signed zeros and subnormals too
@@ -238,6 +238,30 @@ _REFUSALS = {
     "cde-e": (lambda: initial_from_cde(2.0, 0.5, 5.0, 1.0), "got 5.0"),
     "lambda-e": (lambda: find_lambda_periodic(LatticeElement(0.0, 1.0, 0.5), 1.0, 1.0, e=5.0),
                  "got 5.0"),
+    # a time that is no number, or infinite, reaches no closed form
+    "neg-nan-t": (lambda: make_solution(InitialData(1.0, 0.5, 0.2, 1.0)).x(math.nan),
+                  "t must be finite, got nan"),
+    "neg-inf-t": (lambda: make_solution(InitialData(1.0, 0.5, 0.2, 1.0)).x(math.inf),
+                  "t must be finite, got inf"),
+    "pos-low-inf-t": (lambda: make_solution(InitialData(0.2, -2.75, -2, 1)).x(-math.inf),
+                      "t must be finite, got -inf"),
+    "pos-high-nan-t": (lambda: make_solution(InitialData(0.3, -4, -1, 1)).point(math.nan),
+                       "t must be finite"),
+    "mu-pos-inf-t": (lambda: make_solution(InitialData(2.0, -1.25, 1.5, 0.5)).x(math.inf),
+                     "t must be finite"),
+    "saddle-inf-t": (lambda: make_solution(InitialData(0, 7, 1, 4)).x(math.inf),
+                     "t must be finite"),
+    "cusp-nan-t": (lambda: make_solution(InitialData(2.0, -2.0, 0.0, 1.0)).velocity(math.nan),
+                   "t must be finite"),
+    "trivial-inf-t": (lambda: make_solution(InitialData(0, 0, 0, 1)).z(math.inf),
+                      "t must be finite"),
+    "evaluate-nan-t": (lambda: make_solution(InitialData(-1.0, 0.5, 0.2, 1.0)).evaluate(
+        [0.0, math.nan]), "t must be finite"),
+    "exact-point-inf-t": (lambda: ExactTrajectory(InitialData(0.5, 0.3, 0.2, 1.0)).point(math.inf),
+                          "t must be finite"),
+    "exact-subgroup-nan-t": (
+        lambda: ExactTrajectory(InitialData(0.5, 0.3, -1.0, 1.0)).velocity(math.nan),
+        "t must be finite"),
     # rho^2 overflows: z0, radius_sq and the period come out inf, -inf and 0
     "exact-rho-overflow": (lambda: exact_periodic_family(1.0, 1e200), "rho=1e+200"),
     "exact-negative-rho-overflow": (lambda: exact_periodic_family(1.0, -1e200), "rho=-1e+200"),

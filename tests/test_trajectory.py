@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from heisenmag.errors import DomainError, HeisenmagError
 from heisenmag.heisenberg import HeisenbergPoint, LorentzForce
 from heisenmag.oracle import (
     StateVector,
@@ -13,7 +16,7 @@ from heisenmag.oracle import (
     reduced_ode_residual,
 )
 from heisenmag.periodic import initial_from_cde
-from heisenmag import elliptic, trajectory
+from heisenmag import acceptance, elliptic, trajectory
 from heisenmag.quartic import Branch, InitialData, build_profile
 from heisenmag.trajectory import (
     ExactTrajectory,
@@ -483,7 +486,11 @@ class TestArrayEvaluation:
     def test_modulus_zero(self):
         data = InitialData(1.0, 0.5, 0.2, 1.0)
         prof = dataclasses.replace(build_profile(data), k=0.0)
-        state = trajectory._profile_neg(data, prof, False).state
+        closed = trajectory._profile_neg(data, prof, False)
+
+        def state(u):
+            return closed.formula(u, closed.params)
+
         us = np.linspace(-10.0, 10.0, 41)
         cols = state(us)
         for i, u in enumerate(us.tolist()):
@@ -511,3 +518,79 @@ class TestArrayEvaluation:
             cols = traj.evaluate([])
             assert len(cols) == 4 and all(c.shape == (0,) for c in cols)
             assert traj.sample([]) == []
+
+
+def _stack_pool():
+    """Solutions of every formula: the branch cases, random data of the
+    elliptic and cosine families, the trivial curve, each x0 > 0 datum
+    again at -x0 (sigma = -1), and a NEG curve whose scheme is AGM(0)."""
+    rng = np.random.default_rng(5)
+    data = [d for cases in BRANCH_CASES.values() for d in cases]
+    data += [initial_from_cde(rng.uniform(0.4, 2.5), rng.uniform(0.01, 0.99),
+                              rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2.0)) for _ in range(8)]
+    data += [acceptance._four_real_root_data(rng) for _ in range(12)]
+    data += [acceptance._mu_pos_data(rng) for _ in range(4)]
+    data += [InitialData(0, 0, 0, 1), InitialData(0.0, 0.5, 1.0 / 1.5 - 1.0, 1.0)]
+    data = [d for d in data if d is not None]
+    data += [dataclasses.replace(d, x0=-d.x0) for d in data if d.x0 > 0.0]
+    sols = []
+    for d in data:
+        try:
+            sols.append(make_solution(d))
+        except HeisenmagError:  # a repeated-root datum off its stratum
+            pass
+    neg = make_solution(BRANCH_CASES[Branch.NEG][1])
+    params = (elliptic.AGM(0.0),) + neg._curve.params[1:]
+    return sols + [dataclasses.replace(neg, _curve=neg._curve._replace(params=params))]
+
+
+_POOL = _stack_pool()
+
+
+def _by_formula(sols):
+    groups = {}
+    for sol in sols:
+        groups.setdefault(sol._curve.formula, []).append(sol)
+    return list(groups.values())
+
+
+def _assert_stack_rows_are_evaluate(sols, grid):
+    stacked = trajectory.evaluate_stacked(sols, grid)
+    for b, sol in enumerate(sols):
+        for col, own in zip(stacked, sol.evaluate(grid[b])):
+            assert np.array_equal(col[b].view(np.int64), own.view(np.int64)), sol.data
+
+
+class TestEvaluateStacked:
+    def test_pool_covers_every_formula_and_depth(self):
+        groups = _by_formula(_POOL)
+        assert {sol.profile.branch for sol in _POOL} == set(Branch)
+        assert len(groups) == 6  # POS_LOW/HIGH and the two saddles share formulas
+        depths = {len(s._curve.params[0]._aa) for s in _POOL if s.profile.branch is Branch.NEG}
+        assert len(depths) >= 3 and 1 in depths  # AGM(0) has no level
+        assert any(s.sigma < 0.0 for s in _POOL)
+
+    def test_whole_pool_on_one_grid(self):
+        for sols in _by_formula(_POOL):
+            grid = np.linspace(-37.0, 41.0, 97) + np.arange(len(sols))[:, None] * 0.731
+            grid[:, :3] = [0.0, -0.0, 5e-324]
+            _assert_stack_rows_are_evaluate(sols, grid)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(0, len(_POOL) - 1), min_size=1, max_size=16),
+           st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=9))
+    def test_rows_equal_each_solutions_evaluate(self, picks, times):
+        # bit for bit, signed zeros included; row b runs its times rolled by b
+        for sols in _by_formula([_POOL[i] for i in picks]):
+            grid = np.array([np.roll(times, b) for b in range(len(sols))], dtype=float)
+            _assert_stack_rows_are_evaluate(sols, grid)
+
+    def test_refuses_mixed_formulas_and_non_finite_times(self):
+        neg = make_solution(BRANCH_CASES[Branch.NEG][1])
+        cusp = make_solution(BRANCH_CASES[Branch.ZERO_CUSP][1])
+        with pytest.raises(DomainError, match="one closed-form formula"):
+            trajectory.evaluate_stacked([neg, cusp], [[0.0], [0.0]])
+        with pytest.raises(DomainError, match="one closed-form formula"):
+            trajectory.evaluate_stacked([], np.zeros((0, 3)))
+        with pytest.raises(DomainError, match="t must be finite"):
+            trajectory.evaluate_stacked([neg, neg], [[0.0, 1.0], [np.inf, 1.0]])
