@@ -20,9 +20,11 @@ eigensolve.  The references of criteria 4 (y over one x-period) and 11 (the
 appendix integrals, over one amplitude period) are periodic trapezoid sums
 (`_periodic_integral`), exponentially convergent on smooth periodic
 integrands, evaluated on arrays: once for the first two levels, then once
-per later level, on its midpoints.  Criterion 4 integrates each family of
-100 curves in one call on a column of periods, its rows stopping on their
-own, and evaluates the rows still refining as one stack (evaluate_stacked).
+per later level, on its midpoints.  Criterion 4 builds each family of 100
+curves in batches (make_solutions), integrates it in one call on a column
+of periods, its rows stopping on their own, and evaluates the rows still
+refining as one stack (evaluate_stacked); criterion 11 integrates its 20
+cases in one such call.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ from .quartic import (
     quartic_roots,
     speed_quartic,
 )
-from .trajectory import evaluate_stacked, make_solution
+from .trajectory import evaluate_stacked, make_solution, make_solutions
 
 __all__ = [
     "CriterionResult",
@@ -388,14 +390,15 @@ def _discriminant_columns(draws: np.ndarray):
 def crit_periodicity_criterion(tol: float = 1.0, seed: int = 0) -> CriterionResult:
     """4: y(omega) closed form matches quadrature below, negative above.
 
-    The quadrature is the periodic trapezoid sum of y' over one x-period,
-    one stacked call per family (NEG; POS_LOW, POS_HIGH; ZERO_MU_POS).
+    Each family (NEG; POS_LOW, POS_HIGH; ZERO_MU_POS) is built in batches
+    (make_solutions), and its quadrature is the periodic trapezoid sum of
+    y' over one x-period, in one stacked call.
     """
     rng = np.random.default_rng(seed)
     # negative discriminant: the (c, d, e) chart guarantees the stratum
-    neg = (make_solution(initial_from_cde(rng.uniform(0.4, 2.5), rng.uniform(0.05, 0.95),
-                                          rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2.0)))
-           for _ in range(100))
+    neg = make_solutions([initial_from_cde(rng.uniform(0.4, 2.5), rng.uniform(0.05, 0.95),
+                                           rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2.0))
+                          for _ in range(100)])
     worst_gap = 0.0
     for sol, quadrature in _with_trapezoid(neg):
         worst_gap = max(worst_gap, abs(quadrature - sol.y_over_period()))
@@ -446,16 +449,18 @@ def _with_trapezoid(solutions) -> list:
 
 def _solutions(rng, draw, branches):
     """The solutions, in draw order, of the first 100 data that draw(rng)
-    proposes (None is a rejection) and that build on one of branches."""
+    proposes (None is a rejection) and that build on one of branches; each
+    round draws and batch-builds as many proposals as curves are missing."""
     count = 0
     while count < 100:
-        data = draw(rng)
-        if data is None:
-            continue
-        sol = make_solution(data)
-        if sol.profile.branch in branches:
-            count += 1
-            yield sol
+        data = []
+        while len(data) < 100 - count:
+            if (datum := draw(rng)) is not None:
+                data.append(datum)
+        for sol in make_solutions(data):
+            if sol.profile.branch in branches:
+                count += 1
+                yield sol
 
 
 def _four_real_root_data(rng) -> InitialData | None:
@@ -635,19 +640,23 @@ _APPENDIX_CASES = [(a, b, k) for k in (0.0, 0.2, 0.5, 0.8, 0.95)
                    for (a, b) in ((1.0, 2.0), (0.7, 1.3), (0.5, 3.0), (2.5, -3.0))]
 
 
-def _appendix_by_trapezoid(a: float, b: float, k: float) -> np.ndarray:
+def _appendix_by_trapezoid(a, b, k) -> np.ndarray:
     """The integrals over [0, 4K] of 1/(a cn + b) and its square, by quadrature.
 
     phi = am u (dphi = dn u du) makes them integrals of (a cos phi + b)^-j
     / sqrt(k'^2 + k^2 cos^2 phi) over [0, 2 pi]: periodic trapezoid sums
-    that need neither cn nor K, so nothing of appendix_integrals.
+    that need neither cn nor K, so nothing of appendix_integrals.  Arrays
+    a, b, k give the (2, B) integrals in one call, each case's as its own.
     """
-    def powers(phi):  # 1/(a cos + b) and its square, over dn
+    def powers(rows, phi):  # 1/(a cos + b) and its square, over dn
         cos = np.cos(phi)
-        inv = 1.0 / (a * cos + b)
-        return np.stack([inv, inv * inv]) / np.sqrt((1.0 - k) * (1.0 + k) + (k * cos) ** 2)
+        inv = 1.0 / (a[rows] * cos + b[rows])
+        kr = k[rows]
+        return np.stack([inv, inv * inv]) / np.sqrt((1.0 - kr) * (1.0 + kr) + (kr * cos) ** 2)
 
-    return _periodic_integral(powers, 2.0 * math.pi)
+    shape = np.shape(a)
+    a, b, k = (np.reshape(v, (-1, 1)) for v in (a, b, k))
+    return _periodic_integral(powers, np.full(a.shape, 2.0 * math.pi)).reshape(2, *shape)
 
 
 def crit_elliptic_kernel(tol: float = 1.0) -> CriterionResult:
@@ -658,9 +667,9 @@ def crit_elliptic_kernel(tol: float = 1.0) -> CriterionResult:
         for k in np.linspace(0.01, 0.99, 50)
     )
     worst_app = 0.0
-    for a, b, k in _APPENDIX_CASES:
+    quadratures = _appendix_by_trapezoid(*np.array(_APPENDIX_CASES).T).T.tolist()
+    for (a, b, k), (i1, i2) in zip(_APPENDIX_CASES, quadratures):
         vals = elliptic.appendix_integrals(a, b, k)
-        i1, i2 = _appendix_by_trapezoid(a, b, k).tolist()
         worst_app = max(worst_app, abs(vals["I1"] - i1), abs(vals["I2"] - i2))
     k0 = elliptic.appendix_integrals(1.0, 2.0, 0.0)
     worst_k0 = max(

@@ -53,15 +53,16 @@ def _agm_scheme(k: float) -> tuple[list[float], list[float], list[float], float]
     kp2 = (1.0 - k) * (1.0 + k)
     a, b, c = 1.0, math.sqrt(kp2), k
     aa, bb, cc = [a], [b], [c]
-    c_sum = 0.5 * c ** 2
-    for n in range(1, 65):
+    c_sum, weight = 0.5 * c ** 2, 1.0  # weight 2^(n-1), doubled exactly
+    for _ in range(64):
         if abs(c) <= _EPS * a:
             break
         a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
         aa.append(a)
         bb.append(b)
         cc.append(c)
-        c_sum += 2.0 ** (n - 1) * c ** 2
+        c_sum += weight * c ** 2
+        weight += weight
     else:
         raise ConvergenceError("AGM failed to converge")
     return aa, bb, cc, c_sum
@@ -135,7 +136,7 @@ class AGM:
         for a, b in zip(aa, self._bb[:-1]):
             lag = phi - math.atan2(b * math.sin(phi), a * math.cos(phi))
             phi = 2.0 * phi - math.remainder(lag, math.tau)
-        return phi / (2.0 ** (len(aa) - 1) * aa[-1])
+        return phi / self._lead
 
     def sn_cn_dn(self, am):
         """sn, cn, dn at amplitude am (a float or an array); dn from

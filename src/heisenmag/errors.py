@@ -44,10 +44,13 @@ class LambdaNotFoundError(HeisenmagError):
 
 def check_finite(**values) -> None:
     """Raise DomainError for the first named value (a float, or an array of
-    them) that is or holds a NaN or an infinity."""
+    them) that is or holds a NaN or an infinity, or is an int past the
+    float range."""
     for name, value in values.items():
         try:
             finite = math.isfinite(value)
+        except OverflowError:  # an int that no float holds
+            finite = False
         except TypeError:  # an array of more than one value
             finite = bool(np.isfinite(value).all())
         if not finite:

@@ -52,7 +52,7 @@ class InitialData:
     """Initial velocity (x0, y0, z0) at the identity and the force level rho.
 
     The fields may also be equal-length arrays, one datum per entry, for
-    the batched formulas: norm_sq, zr, h and monic_coefficients.
+    the batched formulas: build_profile and all it calls, and h.
     """
 
     x0: float
@@ -81,16 +81,16 @@ class InitialData:
         return x + self.zr
 
     def scale(self) -> float:
-        return max(1.0, abs(self.x0), abs(self.y0), abs(self.z0), abs(self.rho))
+        return ops(self.x0).max(1.0, abs(self.x0), abs(self.y0), abs(self.z0), abs(self.rho))
 
     @property
     def is_trivial(self) -> bool:
         """x(t) = 0 identically iff x0 = 0 and (y0+1)(z0+rho) = rho."""
         s = self.scale()
-        return (
-            abs(self.x0) <= _ZERO_TOL * s
-            and abs((self.y0 + 1.0) * self.zr - self.rho) <= _ZERO_TOL * s * s
-        )
+        small = abs(self.x0) <= _ZERO_TOL * s
+        if small is False:  # a float datum off x0 = 0; an array goes on
+            return small
+        return small & (abs((self.y0 + 1.0) * self.zr - self.rho) <= _ZERO_TOL * s * s)
 
     def energy(self) -> float:
         return 0.5 * (self.x0 ** 2 + self.y0 ** 2 + self.z0 ** 2)
@@ -141,13 +141,17 @@ def _coefficient_scale(p0: float, q0: float, rho: float) -> float:
 
 def _is_cusp(p0: float, q0: float, rho: float) -> bool:
     """p0^2 + 3 q0 = 0 within the zero band, in eta^4 units: the cusp stratum."""
-    return abs(p0 * p0 + 3.0 * q0) <= _ZERO_TOL * _coefficient_scale(p0, q0, rho) ** 2
+    return abs(p0 * p0 + 3.0 * q0) <= _ZERO_TOL * ops(p0).pow(_coefficient_scale(p0, q0, rho), 2)
 
 
 def delta_band(p0: float, q0: float, rho: float) -> float:
     """Half-width of the band around Delta = 0 inside which the data count
     as the repeated-root stratum; floats or equal-length arrays."""
-    return _ZERO_TOL * ops(p0).pow(_coefficient_scale(p0, q0, rho), 6)
+    return _band(_coefficient_scale(p0, q0, rho))
+
+
+def _band(scale):
+    return _ZERO_TOL * ops(scale).pow(scale, 6)
 
 
 def _newton(x, update):
@@ -210,13 +214,14 @@ def _cardano(q, r, m):
     return big + m.div(q, big, 0.0)
 
 
-def _descartes_factors(p0, q0, rho):
+def _descartes_factors(p0, q0, rho, scale=None):
     """m = (eta^2 + s eta + a)(eta^2 - s eta + b), as (discriminant, s, a) per factor.
 
     a + b = 2 p0 + s^2, s (b - a) = -8 rho, a b = q0: the larger of a, b
     comes from the first two (from the first and third at s = 0, rho = 0),
     the smaller from a b = q0, and Newton steps on all three take out the
-    error that close resolvent roots leave in s^2.
+    error that close resolvent roots leave in s^2.  scale is
+    _coefficient_scale(p0, q0, rho), when the caller has it.
     """
     m = ops(p0)
     u = _resolvent_root(p0, q0, rho)
@@ -227,7 +232,7 @@ def _descartes_factors(p0, q0, rho):
     big = 0.5 * (total + signed)
     small = m.div(q0, big, 0.0)
     a, b = m.where(signed == diff, (small, big), (big, small))
-    scale = _coefficient_scale(p0, q0, rho)
+    scale = _coefficient_scale(p0, q0, rho) if scale is None else scale
     w1, w2 = scale, m.sqrt(scale)  # the three equations in eta^4 units
 
     def update(x):
@@ -237,7 +242,7 @@ def _descartes_factors(p0, q0, rho):
         ds = m.div(s * ((a + b) * f1 - 2.0 * f3) - (b - a) * f2, det, math.nan)
         dsum = 2.0 * s * ds - f1  # da + db
         ddiff = m.div(-(f2 + (b - a) * ds), s, math.nan)  # db - da
-        norm = sum((abs(f1) * w1, abs(f2) * w2, abs(f3)))
+        norm = abs(f1) * w1 + abs(f2) * w2 + abs(f3)
         return norm, (s + ds, a + 0.5 * (dsum - ddiff), b + 0.5 * (dsum + ddiff))
 
     s, a, b = _newton((s, a, b), update)
@@ -300,111 +305,109 @@ class QuarticProfile:
 
 
 def build_profile(data: InitialData) -> QuarticProfile:
-    """Classify the initial condition into its solution-branch stratum."""
+    """Classify the initial condition into its solution-branch stratum.
+
+    data may also hold equal-length arrays (run under numpy's errstate, as
+    in _ops): each field's entries then equal the float builds bit for bit,
+    in object arrays where a stratum sets None, and the tag is None where a
+    float build raises IntervalError.  A non-finite coefficient raises for
+    all rows; an overflowing power gives inf where Python's ** raises."""
     rho = data.rho
     try:  # Python's float ** raises on overflow where * gives inf
         p0, q0 = monic_coefficients(data)
-        delta, band = discriminant(p0, q0, rho), delta_band(p0, q0, rho)
+        scale = _coefficient_scale(p0, q0, rho)
+        delta, band = discriminant(p0, q0, rho), _band(scale)
         check_finite(p0=p0, q0=q0, delta=delta, delta_band=band)
-        factors = _descartes_factors(p0, q0, rho)
+        factors = _descartes_factors(p0, q0, rho, scale)
     except OverflowError as exc:
         raise DomainError(f"the speed quartic of {data} overflows a float") from exc
+    m = ops(p0)
     boundary = abs(delta) <= band
-
     # m(z0 + rho) = -4 x0^2 <= 0: the factor with the larger discriminant holds a
     # real pair; the other's is real iff Delta > 0, or in the band iff its disc >= 0
-    wide, narrow = sorted(factors, reverse=True)
+    wide, narrow = m.max(*factors), m.min(*factors[::-1])  # sorted(reverse=True)
     trivial = data.is_trivial
-    narrow_real = narrow[0] >= 0.0 if boundary or trivial else delta > 0.0
-    pair = sorted(_factor_roots(*wide, True))
-    other = _factor_roots(*narrow, narrow_real)
-    reals = sorted(pair + list(other)) if narrow_real else pair
-    ordered = tuple(map(complex, reals)) + (() if narrow_real else other)
-
-    if trivial:
-        return QuarticProfile(
-            p0, q0, rho, delta, ordered, reals[0], reals[-1], Branch.TRIVIAL, boundary
-        )
-    if not boundary and delta < 0.0:
-        return _profile_neg(p0, q0, rho, delta, ordered)
-    if not boundary and delta > 0.0:
-        return _profile_pos(data, p0, q0, rho, delta, ordered)
-    return _profile_zero(data, p0, q0, rho, delta, ordered)
+    narrow_real = m.where(boundary | trivial, narrow[0] >= 0.0, delta > 0.0)
+    pair = m.sort(_factor_roots(*wide, True))
+    ordered = m.branch(narrow_real, _four_real, _two_real, m, pair, narrow)
+    fields = m.select((trivial, delta < -band, delta > band), _STRATA,  # the last two off the band
+                      m, data, p0, q0, ordered, narrow_real, boundary)
+    return QuarticProfile(p0, q0, rho, delta, *fields)
 
 
-def _profile_neg(p0, q0, rho, delta, ordered):
-    r1, r4 = ordered[0].real, ordered[1].real
+def _four_real(m, pair, narrow):
+    return tuple(map(m.complex, m.sort((*pair, *_factor_roots(*narrow, True)))))
+
+
+def _two_real(m, pair, narrow):
+    return tuple(map(m.complex, pair)) + _factor_roots(*narrow, False)
+
+
+# each stratum's (roots, r1, r4, tag, boundary, delta1, delta4, k, k1, mu, r_double)
+
+
+def _trivial_fields(m, data, p0, q0, roots, narrow_real, boundary):
+    r4 = m.where(narrow_real, roots[3].real, roots[1].real)
+    return roots, roots[0].real, r4, Branch.TRIVIAL, boundary, None, None, None, None, None, None
+
+
+def _neg_fields(m, data, p0, q0, roots, narrow_real, boundary):
+    r1, r4 = roots[0].real, roots[1].real
     rsum = r1 + r4
-    delta1 = math.sqrt(max(0.0, 2.0 * p0 + 2.0 * r1 * r1 + rsum * rsum))
-    delta4 = math.sqrt(max(0.0, 2.0 * p0 + 2.0 * r4 * r4 + rsum * rsum))
-    k_sq = ((r4 - r1) ** 2 - (delta4 - delta1) ** 2) / (4.0 * delta1 * delta4)
-    k = math.sqrt(min(1.0, max(0.0, k_sq)))
-    return QuarticProfile(
-        p0, q0, rho, delta, ordered, r1, r4, Branch.NEG, False, delta1=delta1, delta4=delta4, k=k
-    )
+    delta1 = m.sqrt(m.max(0.0, 2.0 * p0 + 2.0 * r1 * r1 + rsum * rsum))
+    delta4 = m.sqrt(m.max(0.0, 2.0 * p0 + 2.0 * r4 * r4 + rsum * rsum))
+    k_sq = (m.pow(r4 - r1, 2) - m.pow(delta4 - delta1, 2)) / (4.0 * delta1 * delta4)
+    k = m.sqrt(m.min(1.0, m.max(0.0, k_sq)))
+    return roots, r1, r4, Branch.NEG, boundary, delta1, delta4, k, None, None, None
 
 
-def _profile_pos(data, p0, q0, rho, delta, ordered):
-    reals = [w.real for w in ordered]
-    r1, r2, r3, r4 = reals
-    delta1 = math.sqrt(max(0.0, (r2 - r1) * (r3 - r1)))
-    delta4 = math.sqrt(max(0.0, (r4 - r3) * (r4 - r2)))
+def _pos_fields(m, data, p0, q0, roots, narrow_real, boundary):
+    r1, r2, r3, r4 = (w.real for w in roots)
+    delta1 = m.sqrt(m.max(0.0, (r2 - r1) * (r3 - r1)))
+    delta4 = m.sqrt(m.max(0.0, (r4 - r3) * (r4 - r2)))
     k1_sq = ((r4 - r3) * (r2 - r1)) / ((r4 - r2) * (r3 - r1))
-    k1 = math.sqrt(min(1.0, max(0.0, k1_sq)))
-    branch = _bracket_side(reals, data.zr)
-    return QuarticProfile(
-        p0, q0, rho, delta, ordered, r1, r4, branch, False, delta1=delta1, delta4=delta4, k1=k1
-    )
+    k1 = m.sqrt(m.min(1.0, m.max(0.0, k1_sq)))
+    tag = _bracket_side(m, (r1, r2, r3, r4), data.zr)
+    return roots, r1, r4, tag, boundary, delta1, delta4, None, k1, None, None
 
 
-def _profile_zero(data, p0, q0, rho, delta, roots):
-    if _is_cusp(p0, q0, rho):
-        # triple root; exactly -cbrt(rho)
-        r = -math.copysign(abs(rho) ** (1.0 / 3.0), rho)
-        mu, branch = 0.0, Branch.ZERO_CUSP
-    else:
-        # the double root: midpoint of the closest pair, then one Newton step
-        # on m', quadratic since m''(r) = 8 mu != 0
-        r = min(
-            (abs(u - v), 0.5 * (u + v).real)
-            for i, u in enumerate(roots) for v in roots[i + 1:]
-        )[1]
-        second = 12.0 * r * r + 4.0 * p0
-        if second != 0.0:
-            r -= ((4.0 * r * r + 4.0 * p0) * r - 8.0 * rho) / second
-        mu = 0.5 * (p0 + 3.0 * r * r)
-        if mu > 0.0:
-            branch = Branch.ZERO_MU_POS
-        else:
-            branch = Branch.ZERO_MU_NEG_RIGHT if data.zr > r else Branch.ZERO_MU_NEG_LEFT
-    reals = sorted(w.real for w in roots)
-    return QuarticProfile(
-        p0, q0, rho, delta, tuple(complex(x) for x in reals), reals[0], reals[-1], branch, True,
-        mu=mu, r_double=r,
-    )
+def _zero_fields(m, data, p0, q0, ordered, narrow_real, boundary):
+    # the double root: midpoint of the closest pair, then one Newton step on
+    # m', quadratic since m''(r) = 8 mu != 0; on the cusp, the triple root is
+    # exactly -cbrt(rho)
+    rho = data.rho
+    r = m.min(*((abs(u - v), 0.5 * (u + v).real)
+                for i, u in enumerate(ordered) for v in ordered[i + 1:]))[1]
+    r = r - m.div((4.0 * r * r + 4.0 * p0) * r - 8.0 * rho, 12.0 * r * r + 4.0 * p0, 0.0)
+    mu = 0.5 * (p0 + 3.0 * r * r)
+    side = m.where(data.zr > r, Branch.ZERO_MU_NEG_RIGHT, Branch.ZERO_MU_NEG_LEFT)
+    mu, r, tag = m.where(_is_cusp(p0, q0, rho), (
+        0.0, -m.copysign(m.pow(abs(rho), 1.0 / 3.0), rho), Branch.ZERO_CUSP),
+        (mu, r, m.where(mu > 0.0, Branch.ZERO_MU_POS, side)))
+    roots = tuple(map(m.complex, m.sort(w.real for w in ordered)))  # the real parts, sorted
+    return roots, roots[0].real, roots[3].real, tag, boundary, None, None, None, None, mu, r
 
 
-def _bracket_side(reals: list[float], z0rho: float) -> Branch:
+_STRATA = (_trivial_fields, _neg_fields, _pos_fields, _zero_fields)
+
+
+def _bracket_side(m, reals, z0rho) -> Branch:
     """POS_LOW or POS_HIGH: which root bracket, [r1, r2] or [r3, r4], holds z0+rho.
 
     For four real roots the speed polynomial P is non-negative exactly on
     the two brackets, and P(z0+rho) = x0^2 >= 0 places the initial point
-    in one of them (raises if the root solver disagrees).
+    in one of them (raises if the root solver disagrees; None on arrays).
     """
     r1, r2, r3, r4 = reals
-    tol = _BRACKET_BAND * max(1.0, r4 - r1)
-    in_low = r1 - tol <= z0rho <= r2 + tol
-    in_high = r3 - tol <= z0rho <= r4 + tol
-    if in_low and in_high:
-        # pinched between r2 and r3 at a near-tangency
-        return Branch.POS_LOW if abs(z0rho - r2) <= abs(z0rho - r3) else Branch.POS_HIGH
-    if in_low:
-        return Branch.POS_LOW
-    if in_high:
-        return Branch.POS_HIGH
-    raise IntervalError(
-        f"z0+rho={z0rho} lies in neither [{r1}, {r2}] nor [{r3}, {r4}]"
-    )
+    tol = _BRACKET_BAND * m.max(1.0, r4 - r1)
+    in_low = (r1 - tol <= z0rho) & (z0rho <= r2 + tol)
+    in_high = (r3 - tol <= z0rho) & (z0rho <= r4 + tol)
+    # in both when pinched between r2 and r3 at a near-tangency: the nearer root's
+    low = m.where(in_high, in_low & (abs(z0rho - r2) <= abs(z0rho - r3)), in_low)
+    side = m.where(low, Branch.POS_LOW, m.where(in_high, Branch.POS_HIGH, None))
+    if side is None:
+        raise IntervalError(f"z0+rho={z0rho} lies in neither [{r1}, {r2}] nor [{r3}, {r4}]")
+    return side
 
 
 def mu_r_closed_forms(profile: QuarticProfile) -> dict[str, float]:

@@ -30,13 +30,13 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from ._ops import ops
 from .elliptic import AGM
-from .errors import BranchConsistencyError, DomainError, check_finite
+from .errors import BranchConsistencyError, DomainError, HeisenmagError, check_finite
 from .heisenberg import HeisenbergPoint, translate_velocity
 from .quartic import Branch, InitialData, QuarticProfile, build_profile
 
@@ -46,6 +46,7 @@ __all__ = [
     "TranslatedTrajectory",
     "evaluate_stacked",
     "make_solution",
+    "make_solutions",
 ]
 
 # relative bands; each value scales with data.scale() where data is at hand
@@ -370,9 +371,33 @@ def _velocity(data: InitialData, p: HeisenbergPoint, xp) -> tuple[float, float, 
 
 def make_solution(data: InitialData) -> TrajectorySolution:
     """Build the closed-form trajectory for any finite initial data."""
+    return _make(data, build_profile(data))
+
+
+def make_solutions(data: list[InitialData]) -> Iterator[TrajectorySolution]:
+    """make_solution of each datum in order, bit for bit, with one
+    build_profile call on the data's columns.  Where that raises or
+    overflows, and for a row tagged None, make_solution builds the datum,
+    so a refused datum raises its own error after the solutions before it.
+    """
+    try:
+        with np.errstate(all="ignore", over="raise"):  # as Python's ** raises on overflow
+            columns = np.array([(d.x0, d.y0, d.z0, d.rho) for d in data], float).reshape(-1, 4)
+            prof = build_profile(InitialData(*columns.T))
+    except (HeisenmagError, ArithmeticError):  # a datum past the float range
+        profiles = [None] * len(data)
+    else:
+        cols = (zip(*(c.tolist() for c in v)) if isinstance(v, tuple) else v.tolist()
+                for v in vars(prof).values())
+        profiles = [QuarticProfile(*row) for row in zip(*cols)]
+    for datum, prof in zip(data, profiles):
+        yield make_solution(datum) if prof is None or prof.branch is None else _make(datum, prof)
+
+
+def _make(data: InitialData, prof: QuarticProfile) -> TrajectorySolution:
+    """make_solution given the datum's profile."""
     scale = data.scale()
     sigma = -1.0 if data.x0 < 0.0 else 1.0
-    prof = build_profile(data)
     closed = _PROFILE_BUILDERS[prof.branch](data, prof, abs(data.x0) <= _VANISHING_BAND * scale)
     tol0 = _X0_BAND * scale
     for flipped, phase in ((False, closed.phase), (True, -closed.phase)):

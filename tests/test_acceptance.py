@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from heisenmag import acceptance, quartic
+from heisenmag import acceptance, quartic, trajectory
 from heisenmag.errors import BranchConsistencyError, ConvergenceError, HeisenmagError
 from heisenmag.periodic import initial_from_cde
 from heisenmag.quartic import (
@@ -243,6 +243,23 @@ class TestPeriodicIntegral:
         assert str(column.value) == str(alone.value)
 
 
+def test_criterion_11_integrates_the_appendix_cases_in_one_column_call(monkeypatch):
+    periods = []
+    integral = acceptance._periodic_integral
+    monkeypatch.setattr(acceptance, "_periodic_integral",
+                        lambda f, period: periods.append(np.shape(period)) or integral(f, period))
+    assert acceptance.run_criterion("elliptic").passed
+    assert periods == [(len(acceptance._APPENDIX_CASES), 1)]
+
+
+def test_appendix_column_rows_equal_their_own_calls():
+    column = acceptance._appendix_by_trapezoid(*np.array(acceptance._APPENDIX_CASES).T)
+    assert column.shape == (2, len(acceptance._APPENDIX_CASES))
+    for j, case in enumerate(acceptance._APPENDIX_CASES):
+        own = acceptance._appendix_by_trapezoid(*case)
+        assert np.array_equal(column[:, j].view(np.int64), own.view(np.int64)), case
+
+
 def test_appendix_reference_matches_the_cn_form():
     # the amplitude form of criterion 11's quadrature against the integrals
     # over [0, 4K] on scipy's cn
@@ -268,14 +285,27 @@ def test_criterion_04_periodicity_criterion():
 
 
 def _one_curve_at_a_time(seed):
-    """Criterion 4 as a loop that builds and integrates one curve at a time,
-    each integral by _level_by_level on the curve's own evaluate."""
+    """Criterion 4 as a loop that draws, builds (make_solution) and
+    integrates one curve at a time, each integral by _level_by_level on
+    the curve's own evaluate."""
     def quad(sol):
         def y_prime(ts):
             x = sol.evaluate(ts)[0]
             return 0.5 * x * x + sol.data.zr * x + sol.data.y0
 
         return float(_level_by_level(y_prime, sol.x_period))
+
+    def accepted(draw, branches):
+        # the first 100 proposals (None is a rejection) that build on branches
+        count = 0
+        while count < 100:
+            data = draw(rng)
+            if data is None:
+                continue
+            sol = make_solution(data)
+            if sol.profile.branch in branches:
+                count += 1
+                yield sol
 
     rng = np.random.default_rng(seed)
     worst_gap = 0.0
@@ -287,13 +317,12 @@ def _one_curve_at_a_time(seed):
         sol = make_solution(initial_from_cde(c, d, e, rho))
         worst_gap = max(worst_gap, abs(quad(sol) - sol.y_over_period()))
     pos_all_negative, worst_pos = True, -math.inf
-    for sol in acceptance._solutions(rng, acceptance._four_real_root_data,
-                                     (Branch.POS_LOW, Branch.POS_HIGH)):
+    for sol in accepted(acceptance._four_real_root_data, (Branch.POS_LOW, Branch.POS_HIGH)):
         val = max(quad(sol), sol.y_over_period())
         worst_pos = max(worst_pos, val)
         pos_all_negative = pos_all_negative and val < 0.0
     mu_all_negative, worst_mu, worst_mu_gap = True, -math.inf, 0.0
-    for sol in acceptance._solutions(rng, acceptance._mu_pos_data, (Branch.ZERO_MU_POS,)):
+    for sol in accepted(acceptance._mu_pos_data, (Branch.ZERO_MU_POS,)):
         quadrature, closed = quad(sol), sol.y_over_period()
         worst_mu = max(worst_mu, quadrature, closed)
         worst_mu_gap = max(worst_mu_gap, abs(quadrature - closed))
@@ -328,6 +357,17 @@ def test_criterion_04_integrates_the_curves_built_before_a_refusal(monkeypatch):
     monkeypatch.setattr(acceptance, "_TRAPEZOID_BAND", -1.0)
     with pytest.raises(ConvergenceError, match="trapezoid sums"):
         acceptance._with_trapezoid(build(2))
+
+
+def test_criterion_04_builds_in_batches(monkeypatch):
+    # no curve through scalar make_solution, in acceptance or in the batch's
+    # fallback: at seed 0 every datum builds from the batch's profiles
+    def refuse(data):
+        raise AssertionError("criterion 4 built a curve with make_solution")
+
+    monkeypatch.setattr(acceptance, "make_solution", refuse)
+    monkeypatch.setattr(trajectory, "make_solution", refuse)
+    assert acceptance.run_criterion("periodicity", seed=0).passed
 
 
 @pytest.mark.parametrize("seed", [4, 7])

@@ -265,6 +265,9 @@ _REFUSALS = {
     # rho^2 overflows: z0, radius_sq and the period come out inf, -inf and 0
     "exact-rho-overflow": (lambda: exact_periodic_family(1.0, 1e200), "rho=1e+200"),
     "exact-negative-rho-overflow": (lambda: exact_periodic_family(1.0, -1e200), "rho=-1e+200"),
+    # an int that no float holds is refused as not finite, by its field's name
+    "lattice-int-past-float-range": (lambda: LatticeElement(10**400, 0, 0), "x1 must be finite"),
+    "data-int-past-float-range": (lambda: InitialData(10**400, 0, 0, 1), "x0 must be finite"),
 }
 
 

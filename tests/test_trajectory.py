@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heisenmag.errors import DomainError, HeisenmagError
+from heisenmag.errors import DomainError, HeisenmagError, IntervalError
 from heisenmag.heisenberg import HeisenbergPoint, LorentzForce
 from heisenmag.oracle import (
     StateVector,
@@ -16,7 +16,7 @@ from heisenmag.oracle import (
     reduced_ode_residual,
 )
 from heisenmag.periodic import initial_from_cde
-from heisenmag import acceptance, elliptic, trajectory
+from heisenmag import acceptance, elliptic, quartic, trajectory
 from heisenmag.quartic import Branch, InitialData, build_profile
 from heisenmag.trajectory import (
     ExactTrajectory,
@@ -594,3 +594,114 @@ class TestEvaluateStacked:
             trajectory.evaluate_stacked([], np.zeros((0, 3)))
         with pytest.raises(DomainError, match="t must be finite"):
             trajectory.evaluate_stacked([neg, neg], [[0.0, 1.0], [np.inf, 1.0]])
+
+
+# --- batched construction ----------------------------------------------------
+
+
+def _wide_box(n, seed=0):
+    """ROADMAP's wide box: four magnitudes, each 0 with probability 0.1, else
+    10^U[-6, 6], then signs for x0, y0, z0 (rho >= 0); as Python floats."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        v = [0.0 if rng.uniform() < 0.1 else 10.0 ** rng.uniform(-6.0, 6.0) for _ in range(4)]
+        signs = rng.choice([-1.0, 1.0], 3)
+        yield InitialData(*(float(a * s) for a, s in zip(v, signs)), v[3])
+
+
+def _bits(v):
+    """v with every float as its raw float64 bits, signed zeros included:
+    through tuples, lists, dataclasses and the AGM schemes' levels."""
+    if isinstance(v, float):
+        return np.float64(v).view(np.int64).item()
+    if isinstance(v, complex):
+        return _bits((v.real, v.imag))
+    if isinstance(v, (tuple, list)):
+        return tuple(map(_bits, v))
+    if isinstance(v, elliptic.AGM):
+        return _bits((v.k, v.K, v.E, v._lead, v._aa, v._bb, v._cc))
+    if dataclasses.is_dataclass(v):
+        return type(v), _bits(tuple(vars(v).values()))
+    return v  # None, a bool, a tag, a closed-form function
+
+
+def _built(solutions) -> list:
+    """Each solution's fields in bits, then (index, type, message) of the first refusal."""
+    out = []
+    try:
+        for sol in solutions:
+            out.append(_bits(sol))
+    except HeisenmagError as exc:
+        out.append((len(out), type(exc), str(exc)))
+    return out
+
+
+def _batch_pool():
+    """The branch cases and TRIVIAL as floats, each x0 > 0 datum mirrored to
+    -x0, and wide-box data, some of which make_solution refuses."""
+    data = [InitialData(*map(float, vars(d).values())) for _, d in ALL_CASES]
+    data += [InitialData(0.0, 0.0, 0.0, 1.0), InitialData(-0.0, 0.5, 0.25, 2.0)]
+    data += [dataclasses.replace(d, x0=-d.x0) for d in data if d.x0 > 0.0]
+    return data + list(_wide_box(80, seed=3))
+
+
+_BATCH_POOL = _batch_pool()
+
+
+class TestMakeSolutions:
+    def test_pool_covers_every_branch_mirror_and_refusal(self):
+        tags, refusals = set(), set()
+        for d in _BATCH_POOL:
+            try:
+                tags.add(make_solution(d).profile.branch)
+            except HeisenmagError as exc:
+                refusals.add(type(exc).__name__)
+        assert tags == set(Branch)
+        assert any(d.x0 < 0.0 for d in _BATCH_POOL)
+        assert {"DomainError", "BranchConsistencyError"} <= refusals
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, len(_BATCH_POOL) - 1), max_size=24))
+    def test_equals_one_at_a_time(self, picks):
+        # every field bit for bit, and the first refusal at the same index
+        data = [_BATCH_POOL[i] for i in picks]
+        assert _built(trajectory.make_solutions(data)) == _built(make_solution(d) for d in data)
+
+    def test_wide_box_in_batches(self):
+        data = list(_wide_box(1500))
+        for start in range(0, len(data), 100):
+            chunk = data[start:start + 100]
+            assert _built(trajectory.make_solutions(chunk)) == _built(map(make_solution, chunk))
+
+    @pytest.mark.parametrize("values", [(1e100, 0, 0, 1), (1e154, 1, 1, 1), (1e50, 0.5, 0.2, 1)])
+    def test_overflow_falls_back_to_make_solution(self, values):
+        # numpy's power gives inf where Python's ** raises: the batch sees the
+        # overflow and builds each datum with make_solution (1e50 builds in it)
+        data = [InitialData(0.5, 0.3, -0.2, 1.0), InitialData(*map(float, values))]
+        assert _built(trajectory.make_solutions(data)) == _built(map(make_solution, data))
+
+    def test_rows_without_a_bracket_raise_in_draw_order(self, monkeypatch):
+        # with no bracket holding z0 + rho, a POS datum's float build raises
+        # IntervalError and its row is tagged None
+        monkeypatch.setattr(quartic, "_BRACKET_BAND", -1.0)
+        pos, neg = BRANCH_CASES[Branch.POS_LOW][1], BRANCH_CASES[Branch.NEG][1]
+        cols = InitialData(*np.array([list(vars(d).values()) for d in (neg, pos)], float).T)
+        with np.errstate(all="ignore"):  # the strata a row does not take run on it too
+            assert quartic.build_profile(cols).branch.tolist() == [Branch.NEG, None]
+        for data in ([neg, pos, neg], [pos, neg]):
+            built = _built(trajectory.make_solutions(data))
+            assert built == _built(map(make_solution, data)) and built[-1][1] is IntervalError
+
+    def test_profiles_come_from_one_column_build(self, monkeypatch):
+        # one build_profile call on the columns, and no datum that builds
+        # goes through make_solution
+        def refuse(data):
+            raise AssertionError("make_solutions built a datum with make_solution")
+
+        calls = []
+        build = trajectory.build_profile
+        monkeypatch.setattr(trajectory, "build_profile", lambda d: calls.append(d) or build(d))
+        monkeypatch.setattr(trajectory, "make_solution", refuse)
+        data = _BATCH_POOL[:len(ALL_CASES) + 2]  # the branch cases and TRIVIAL
+        assert len(list(trajectory.make_solutions(data))) == len(data)
+        assert len(calls) == 1 and len(calls[0].x0) == len(data)
