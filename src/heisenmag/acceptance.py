@@ -464,24 +464,22 @@ def _solutions(rng, draw, branches):
 
 
 def _four_real_root_data(rng) -> InitialData | None:
-    """Data on four sampled real roots with rho >= 0, or None."""
-    roots = np.sort(rng.normal(0.0, 1.5, 4))
-    roots -= roots.mean()
-    if np.min(np.diff(roots)) < 0.05:
+    """Data on four sampled real roots with rho >= 0, or None; in Python floats,
+    with sums and products left to right as numpy's run on four entries."""
+    roots = sorted(rng.normal(0.0, 1.5, 4).tolist())
+    mean = (roots[0] + roots[1] + roots[2] + roots[3]) / 4
+    roots = [r - mean for r in roots]
+    if min(b - a for a, b in zip(roots, roots[1:])) < 0.05:
         return None
     if (roots[0] + roots[3]) * (2.0 * _p0_of(roots) + roots[0] ** 2 + roots[3] ** 2) < 0:
-        roots = -roots[::-1]  # flip to make rho >= 0
-    p0 = _p0_of(roots)
-    rho = float(np.sum(
-        [roots[i] * roots[j] * roots[k]
-         for i in range(4) for j in range(i + 1, 4) for k in range(j + 1, 4)]
-    )) / 8.0
+        roots = [-r for r in reversed(roots)]  # flip to make rho >= 0
+    r1, r2, r3, r4 = roots
+    rho = (r1 * r2 * r3 + r1 * r2 * r4 + r1 * r3 * r4 + r2 * r3 * r4) / 8.0
     if rho < 0.0:
         return None
-    r1, r2, r3, r4 = (float(v) for v in roots)
     lo, hi = (r1, r2) if rng.uniform() < 0.5 else (r3, r4)
     zr = lo + (hi - lo) * rng.uniform(0.1, 0.9)
-    return _data_from_quartic(p0, rho, zr, roots)
+    return _data_from_quartic(_p0_of(roots), r1 * r2 * r3 * r4, rho, zr)
 
 
 def _mu_pos_data(rng) -> InitialData | None:
@@ -492,17 +490,18 @@ def _mu_pos_data(rng) -> InitialData | None:
     rho = -s * s * rr / 4.0
     r2, r3 = -rr - s, -rr + s
     zr = r2 + (r3 - r2) * rng.uniform(0.1, 0.9)
-    return _data_from_quartic(p0, rho, zr, np.array([rr, rr, r2, r3]))
+    return _data_from_quartic(p0, rr * rr * r2 * r3, rho, zr)
 
 
 def _p0_of(roots) -> float:
-    return float(sum(roots[i] * roots[j] for i in range(4) for j in range(i + 1, 4))) / 2.0
+    r1, r2, r3, r4 = roots
+    return (r1 * r2 + r1 * r3 + r1 * r4 + r2 * r3 + r2 * r4 + r3 * r4) / 2.0
 
 
-def _data_from_quartic(p0: float, rho: float, zr: float, roots) -> InitialData | None:
-    """Initial data whose speed quartic has the given coefficients."""
+def _data_from_quartic(p0: float, q0: float, rho: float, zr: float) -> InitialData | None:
+    """Initial data whose speed quartic has the coefficients p0, q0 and rho."""
     y0 = 0.5 * (p0 + zr * zr) - 1.0
-    val = -0.25 * speed_quartic(zr, p0, float(np.prod(roots)), rho)
+    val = -0.25 * speed_quartic(zr, p0, q0, rho)
     if val <= 0.0:
         return None
     return InitialData(math.sqrt(val), y0, zr - rho, rho)

@@ -18,13 +18,13 @@ L_p^-1, and the rows come back by `group_product` and by the differential
 dL_p of left translation (`heisenberg.translate_velocity`).
 
 Criterion 10 checks the Lagrangian on its rows.  `taylor_reduced` integrates
-x'' = rho - h'(x) h(x), y' = h(x) - 1 to about 32 digits: orders 0-24 of each
-step exact in 112-bit fixed point, 25-38 in floats whose rounding stays below
-2^-112.  Criterion 1 checks every branch against it, the saddle branches too,
-where float64 loses e^{sqrt(-mu) t}.  The module also evaluates the natural
-Lagrangian L = g(gamma', gamma')/2 - theta(gamma'), with theta the primitive
-of omega_F (`heisenberg.potential_one_form`), and finite-difference
-Euler-Lagrange residuals along sampled curves.
+x'' = rho - h'(x) h(x), y' = h(x) - 1 to about 32 digits, one plain loop per
+precision: orders 0-24 exact in 112-bit fixed point, 25-38 in floats whose
+rounding stays below 2^-112.  Criterion 1 checks every branch against it, the
+saddle branches too, where float64 loses e^{sqrt(-mu) t}.  The module also
+evaluates the natural Lagrangian L = g(gamma', gamma')/2 - theta(gamma'), with
+theta the primitive of omega_F (`heisenberg.potential_one_form`), and
+finite-difference Euler-Lagrange residuals along sampled curves.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import operator
+from operator import mul
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,14 +90,18 @@ def _jz_step(series, floor: float = 0.0) -> float:
     return r / math.e ** 2
 
 
-def _taylor_steps(start, times, series_at, values_at) -> list:
+_TAYLOR_STEP_CAP = 10_000  # a run's steps; tests take <= 95, criteria 57, verify --case 1,442
+
+
+def _taylor_steps(start, times, series_at, values_at, unit=1) -> list:
     """Each step's values at the ascending times >= 0 of a Taylor run from start
     at 0: series_at(state) gives a series and its step, values_at(series,
     offsets) its values there.  The steps do not depend on the times; each
-    time is read off the series of the step that holds it (dense output)."""
+    time is read off the series of the step that holds it (dense output).
+    A run past _TAYLOR_STEP_CAP steps raises, naming its span in times / unit."""
     now, i, chunks = 0, 0, []
     series, step = series_at(start)
-    while True:
+    for _ in range(_TAYLOR_STEP_CAP):
         j = bisect.bisect_right(times, now + step, i)
         chunks.append(values_at(series, [t - now for t in times[i:j]]))
         if j == len(times):
@@ -106,6 +110,8 @@ def _taylor_steps(start, times, series_at, values_at) -> list:
             raise ConvergenceError(f"Taylor step {step} does not advance the time {now}")
         i, now = j, now + step
         series, step = series_at(values_at(series, [step])[0])
+    raise ConvergenceError(f"a Taylor run passes {_TAYLOR_STEP_CAP} steps at time {now / unit} "
+                           f"of [0, {times[-1] / unit}]")
 
 
 _FLOAT_EPS = 1e-16  # absolute tolerance of a float Taylor step
@@ -114,25 +120,26 @@ _TAYLOR_EPS = 1e-32  # absolute tolerance of a fixed-point step
 _TAYLOR_ORDER = _jz_order(_TAYLOR_EPS)  # 38
 
 
-def _cauchy(a: list, b: list) -> float:
-    """The last coefficient of the product of two series of equal length."""
-    return sum(map(operator.mul, a, reversed(b)))
-
-
 def _full_series(state, alpha: float, beta: float, rho: float) -> list[list[float]]:
     """Order-20 Taylor coefficients of (x, y, z, x', y', z') at a state, in
     Python floats: xi, x'', y'' and z'' by Cauchy products from the equations
-    above, then (k+1) c_{k+1} = (c')_k."""
+    above, then n c_n = (c')_{n-1}.  Their order 0, where rho enters, is peeled off."""
     xs, ys, zs, us, vs, ws = ([c] for c in state)
-    xi_rho, xpps, ypps = [], [], []
-    for k in range(_FLOAT_ORDER):
-        xi = ws[k] + 0.5 * (_cauchy(us, ys) - _cauchy(xs, vs))
-        xi_rho.append(xi + rho if k == 0 else xi)
-        xpps.append((rho * beta if k == 0 else 0.0) - _cauchy(xi_rho, vs) - beta * xi_rho[k])
-        ypps.append((rho * alpha if k == 0 else 0.0) + _cauchy(xi_rho, us) - alpha * xi_rho[k])
-        zpp = beta * us[k] + alpha * vs[k] - 0.5 * (_cauchy(xpps, ys) - _cauchy(xs, ypps))
-        for cs, dc in zip((xs, ys, zs, us, vs, ws), (us[k], vs[k], ws[k], xpps[k], ypps[k], zpp)):
-            cs.append(dc / (k + 1))
+    xi_rho = [ws[0] + 0.5 * (sum(map(mul, us, ys)) - sum(map(mul, xs, vs))) + rho]
+    xpps = [rho * beta - sum(map(mul, xi_rho, vs)) - beta * xi_rho[0]]
+    ypps = [rho * alpha + sum(map(mul, xi_rho, us)) - alpha * xi_rho[0]]
+    zpp = beta * us[0] + alpha * vs[0] - 0.5 * (sum(map(mul, xpps, ys)) - sum(map(mul, xs, ypps)))
+    xs.append(us[0]), ys.append(vs[0]), zs.append(ws[0])
+    us.append(xpps[0]), vs.append(ypps[0]), ws.append(zpp)
+    for n in range(2, _FLOAT_ORDER + 1):
+        xi = ws[-1] + 0.5 * (sum(map(mul, us, reversed(ys))) - sum(map(mul, xs, reversed(vs))))
+        xi_rho.append(xi)
+        xpps.append(0.0 - sum(map(mul, xi_rho, reversed(vs))) - beta * xi)
+        ypps.append(sum(map(mul, xi_rho, reversed(us))) - alpha * xi)
+        zpp = beta * us[-1] + alpha * vs[-1] - 0.5 * (sum(map(mul, xpps, reversed(ys)))
+                                                      - sum(map(mul, xs, reversed(ypps))))
+        xs.append(us[-1] / n), ys.append(vs[-1] / n), zs.append(ws[-1] / n)
+        us.append(xpps[-1] / n), vs.append(ypps[-1] / n), ws.append(zpp / n)
     return [xs, ys, zs, us, vs, ws]
 
 
@@ -192,50 +199,68 @@ def _fixed(v: float) -> int:
 
 
 def _taylor_series(x: int, u: int, y: int, zr: int, c: int, rho: int):
-    """Taylor coefficients of order n = 38 of (x, u, y) at a state, and their step.
+    """Taylor coefficients of order 38 of (x, u, y) at a state, and their step.
 
-    Coefficients by Cauchy products, with w = x + zr: (k+1) x_{k+1} = u_k,
-    g_k = (w*w)_k / 2 (+ c at k = 0), (k+1) u_{k+1} = rho d_k0 - (w*g)_k and
-    (k+1) y_{k+1} = g_k - d_k0: to order _EXACT_ORDER in fixed point, then on
-    w, g and u scaled once to floats.  The step is _jz_step's with sizes below
-    one unit raised to one, as fixed point rounds them: h <= 2^(112/38)/e^2
-    ~ 1.04, so h^k keeps the exact orders' rounding near one unit.
+    Cauchy products, with w = x + zr: n x_n = u_{n-1}, g_k = (w*w)_k / 2
+    (+ c at k = 0), n u_n = rho d_n1 - (w*g)_{n-1}, n y_n = g_{n-1} - d_n1.
+    Order 0 of g is peeled off; one loop runs orders 2 to _EXACT_ORDER in fixed
+    point, one the rest on w, u and g scaled to floats.  x and w share a list
+    (x_n = w_n for n >= 1); w is also kept reversed and g only so.  The step is
+    _jz_step's with sizes below one unit raised to one, as fixed point rounds
+    them: h <= 2^(112/38)/e^2 ~ 1.04 keeps h^k times the exact orders' rounding
+    near one unit.
     """
-    xs, us, ys, ws, gs = [x], [u], [y], [x + zr], []
-    # a product's rescaling by one unit and by two, and the division by k + 1
-    rescale, unit, two_units, div = operator.rshift, _FRAC_BITS, _FRAC_BITS + 1, operator.floordiv
-    for k in range(_TAYLOR_ORDER):
-        if k == _EXACT_ORDER:
-            try:
-                exact_us, us, ws, gs = us, *([v * _UNIT for v in cs] for cs in (us, ws, gs))
-            except OverflowError as exc:
-                raise ConvergenceError(f"a Taylor coefficient to order {k} overflows") from exc
-            rescale, unit, two_units, div = operator.mul, 1.0, 0.5, operator.truediv
-        half = (k + 1) >> 1  # (w*w)_k is twice the sum below, plus w_{k/2}^2
-        ww = 2 * sum(map(operator.mul, ws[:half], reversed(ws[k - half + 1:])))
-        g = rescale(ww + ws[half] * ws[half] if k % 2 == 0 else ww, two_units)
-        gs.append(g + c if k == 0 else g)
-        wg = rescale(_cauchy(ws, gs), unit)
-        xs.append(div(us[k], k + 1))
-        us.append(div((rho if k == 0 else 0) - wg, k + 1))
-        ys.append(div(gs[k] - (_ONE if k == 0 else 0), k + 1))
-        ws.append(xs[-1])
-    series = (xs, exact_us + us[_EXACT_ORDER + 1:], ys)
+    w = x + zr
+    g = (w * w >> _FRAC_BITS + 1) + c
+    ws, rws, us, ys, rgs = [w, u], [u, w], [u, rho - (w * g >> _FRAC_BITS)], [y, g - _ONE], [g]
+    for n in range(2, _EXACT_ORDER + 1):
+        half = n >> 1  # (w*w)_{n-1} is twice the sum below, plus w_{half}^2 for n odd
+        ww = 2 * sum(map(mul, ws[:half], rws))
+        g = (ww + ws[half] * ws[half] if n % 2 else ww) >> _FRAC_BITS + 1
+        rgs.insert(0, g)
+        wg = sum(map(mul, ws, rgs)) >> _FRAC_BITS
+        ws.append(us[-1] // n), rws.insert(0, ws[-1])
+        us.append(-wg // n)
+        ys.append(g // n)
+    exact_ws, exact_us = ws, us
+    try:
+        us, ws, rgs = ([v * _UNIT for v in cs] for cs in (us, ws, rgs))
+    except OverflowError as exc:
+        raise ConvergenceError(f"a Taylor coefficient to order {_EXACT_ORDER} overflows") from exc
+    rws = ws[::-1]
+    for n in range(_EXACT_ORDER + 1, _TAYLOR_ORDER + 1):
+        half = n >> 1
+        ww = 2 * sum(map(mul, ws[:half], rws))
+        g = (ww + ws[half] * ws[half] if n % 2 else ww) * 0.5
+        rgs.insert(0, g)
+        wg = sum(map(mul, ws, rgs))
+        ws.append(us[-1] / n), rws.insert(0, ws[-1])
+        us.append((0.0 - wg) / n)  # +0.0, not -0.0, where wg is 0.0
+        ys.append(g / n)
+    series = ([x, *exact_ws[1:], *ws[_EXACT_ORDER + 1:]], exact_us + us[_EXACT_ORDER + 1:], ys)
     if not math.isfinite(sum(sum(cs[_EXACT_ORDER + 1:]) for cs in series)):  # inf, or NaN
         raise ConvergenceError(f"a Taylor coefficient past order {_EXACT_ORDER} overflows")
     step = _jz_step(series, _UNIT)
     return series, (_fixed(step) if step < math.inf else step)
 
 
-def _horner(cs: list, dt: int) -> int:
-    """The series cs at dt in fixed point, its float orders summed in floats."""
-    acc, t = cs[-1], dt / _ONE  # int / int: finite for every float time
-    for ck in reversed(cs[_EXACT_ORDER + 1:-1]):
-        acc = ck + acc * t
-    acc = _fixed(acc)
-    for ck in reversed(cs[:_EXACT_ORDER + 1]):
-        acc = ck + (acc * dt >> _FRAC_BITS)
-    return acc
+def _values(series, dts) -> list:
+    """(x, x', y) at each fixed-point offset of dts from a series: Horner's rule
+    on its float orders in floats, rounded once, then on the rest in fixed point."""
+    cuts = [(cs[-1], cs[-2:_EXACT_ORDER:-1], cs[_EXACT_ORDER::-1]) for cs in series]
+    rows = []
+    for dt in dts:
+        t, row = dt / _ONE, []  # int / int: finite for every float time
+        for acc, floats, exact in cuts:
+            for ck in floats:
+                acc = ck + acc * t
+            num, den = acc.as_integer_ratio()
+            acc = (num << _FRAC_BITS) // den
+            for ck in exact:
+                acc = ck + (acc * dt >> _FRAC_BITS)
+            row.append(acc)
+        rows.append(row)
+    return rows
 
 
 def taylor_reduced(data: InitialData, ts) -> np.ndarray:
@@ -245,8 +270,8 @@ def taylor_reduced(data: InitialData, ts) -> np.ndarray:
     g = w^2/2 + y0 + 1 - (z0+rho)^2/2 = h(x) by Taylor steps of order 38 and
     length r/e^2 (Jorba & Zou, Exp. Math. 14(1), 2005): orders 0-24 in 112-bit
     Python-int fixed point, 25-38 in floats, which add about 2^-125 a step.
-    The steps do not depend on ts: each time is read off the series of the
-    step that holds it (dense output), so a row equals that time's row alone.
+    The steps do not depend on ts: `_values` reads each time off the series of
+    the step that holds it (dense output), so a row equals that time's row alone.
     z is the level -x y/2 - (z0+rho) y - x' + x0; each output is rounded once
     from the fixed point.  ConvergenceError where a float would overflow.
     """
@@ -259,7 +284,7 @@ def taylor_reduced(data: InitialData, ts) -> np.ndarray:
 
     chunks = _taylor_steps((0, x0, 0), [_fixed(t) for t in ts.tolist()],
                            lambda state: _taylor_series(*state, zr, c, rho),
-                           lambda series, dts: [[_horner(cs, dt) for cs in series] for dt in dts])
+                           _values, _ONE)
     out = np.empty((len(ts), 4))
     for i, (x, u, y) in enumerate(itertools.chain.from_iterable(chunks)):
         z = -(x * y >> (_FRAC_BITS + 1)) - (zr * y >> _FRAC_BITS) - u + x0

@@ -7,10 +7,12 @@ import operator
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heisenmag import acceptance, oracle
 from heisenmag.acceptance import _ALL_BRANCHES, check_branch, crit_closed_form, representative_data
-from heisenmag.errors import ConvergenceError, DomainError
+from heisenmag.errors import ConvergenceError, DomainError, HeisenmagError
 from heisenmag.heisenberg import LorentzForce
 from heisenmag.oracle import (
     StateVector,
@@ -354,6 +356,29 @@ class TestTaylorOracle:
             assert np.array_equal(row.view(np.int64), alone.view(np.int64)), t
 
 
+def _criterion_1_run(branch):
+    """The data and times of criterion 1's oracle run on branch."""
+    data = representative_data(branch)
+    sol = make_solution(data)
+    ts = (np.linspace(0.0, acceptance._window(sol), 201) if sol.x_period is not None
+          else np.linspace(20.0 / 14, 20.0, 14))
+    return data, ts
+
+
+def _criterion_1_states(branch, monkeypatch):
+    """The states at which criterion 1's run of branch takes its steps."""
+    states, series = [], oracle._taylor_series
+
+    def record(*args):
+        states.append(args)
+        return series(*args)
+
+    monkeypatch.setattr(oracle, "_taylor_series", record)
+    taylor_reduced(*_criterion_1_run(branch))
+    monkeypatch.setattr(oracle, "_taylor_series", series)
+    return states
+
+
 def _all_fixed_series(x, u, y, zr, c, rho):
     """The reduced system's order-38 series with every order in 112-bit fixed
     point, and its Jorba-Zou step as a float: the oracle's series before its
@@ -378,30 +403,12 @@ def _all_fixed_series(x, u, y, zr, c, rho):
 class TestFloatTail:
     """The series' orders above _EXACT_ORDER in floats, against all fixed point."""
 
-    @staticmethod
-    def _states(branch, monkeypatch):
-        """The states at which criterion 1's run of branch takes its steps."""
-        data = representative_data(branch)
-        sol = make_solution(data)
-        ts = (np.linspace(0.0, acceptance._window(sol), 201) if sol.x_period is not None
-              else np.linspace(20.0 / 14, 20.0, 14))
-        states, series = [], oracle._taylor_series
-
-        def record(*args):
-            states.append(args)
-            return series(*args)
-
-        monkeypatch.setattr(oracle, "_taylor_series", record)
-        taylor_reduced(data, ts)
-        monkeypatch.setattr(oracle, "_taylor_series", series)
-        return states
-
     @pytest.mark.parametrize("branch", _ALL_BRANCHES, ids=lambda b: b.name)
     def test_series_and_step_match_all_fixed_point(self, branch, monkeypatch):
         exact, unit = oracle._EXACT_ORDER, 2.0 ** -oracle._FRAC_BITS
         cap = 2.0 ** (oracle._FRAC_BITS / oracle._TAYLOR_ORDER) / math.e ** 2
         resolved = 0
-        for args in self._states(branch, monkeypatch):
+        for args in _criterion_1_states(branch, monkeypatch):
             got, step = oracle._taylor_series(*args)
             want, want_step = _all_fixed_series(*args)
             h = step / oracle._ONE
@@ -419,6 +426,175 @@ class TestFloatTail:
                 for k in range(exact + 1, len(cs)):
                     assert abs(cs[k] - ref[k] * unit) * h ** k <= unit, (k, cs[k], ref[k])
         assert resolved >= 10  # on every branch, about half of the states or more
+
+
+def _cauchy(a, b):
+    """The last coefficient of the product of two series of equal length."""
+    return sum(map(operator.mul, a, reversed(b)))
+
+
+def _one_loop_series(x, u, y, zr, c, rho):
+    """The reduced system's series and step as one loop over all orders, which
+    swaps its operators to float ones at _EXACT_ORDER: the oracle's series
+    before it split into a fixed-point and a float loop, kept as a reference."""
+    exact, f, one = oracle._EXACT_ORDER, oracle._FRAC_BITS, oracle._ONE
+    xs, us, ys, ws, gs = [x], [u], [y], [x + zr], []
+    rescale, unit, two_units, div = operator.rshift, f, f + 1, operator.floordiv
+    for k in range(oracle._TAYLOR_ORDER):
+        if k == exact:
+            try:
+                exact_us, us, ws, gs = us, *([v * oracle._UNIT for v in cs] for cs in (us, ws, gs))
+            except OverflowError as exc:
+                raise ConvergenceError(f"a Taylor coefficient to order {k} overflows") from exc
+            rescale, unit, two_units, div = operator.mul, 1.0, 0.5, operator.truediv
+        half = (k + 1) >> 1
+        ww = 2 * sum(map(operator.mul, ws[:half], reversed(ws[k - half + 1:])))
+        g = rescale(ww + ws[half] * ws[half] if k % 2 == 0 else ww, two_units)
+        gs.append(g + c if k == 0 else g)
+        wg = rescale(_cauchy(ws, gs), unit)
+        xs.append(div(us[k], k + 1))
+        us.append(div((rho if k == 0 else 0) - wg, k + 1))
+        ys.append(div(gs[k] - (one if k == 0 else 0), k + 1))
+        ws.append(xs[-1])
+    series = (xs, exact_us + us[exact + 1:], ys)
+    if not math.isfinite(sum(sum(cs[exact + 1:]) for cs in series)):
+        raise ConvergenceError(f"a Taylor coefficient past order {exact} overflows")
+    step = oracle._jz_step(series, oracle._UNIT)
+    return series, (oracle._fixed(step) if step < math.inf else step)
+
+
+def _horner_values(series, dts):
+    """(x, x', y) at each offset of dts by one Horner call per component: the
+    oracle's dense output before `_values`, kept as a reference."""
+    exact, f = oracle._EXACT_ORDER, oracle._FRAC_BITS
+
+    def horner(cs, dt):
+        acc, t = cs[-1], dt / oracle._ONE
+        for ck in reversed(cs[exact + 1:-1]):
+            acc = ck + acc * t
+        acc = oracle._fixed(acc)
+        for ck in reversed(cs[:exact + 1]):
+            acc = ck + (acc * dt >> f)
+        return acc
+
+    return [[horner(cs, dt) for cs in series] for dt in dts]
+
+
+def _cauchy_full_series(state, alpha, beta, rho):
+    """The full system's float series with a Cauchy-product helper and order 0
+    inside the loop: `_full_series` before its products were inlined."""
+    xs, ys, zs, us, vs, ws = ([c] for c in state)
+    xi_rho, xpps, ypps = [], [], []
+    for k in range(oracle._FLOAT_ORDER):
+        xi = ws[k] + 0.5 * (_cauchy(us, ys) - _cauchy(xs, vs))
+        xi_rho.append(xi + rho if k == 0 else xi)
+        xpps.append((rho * beta if k == 0 else 0.0) - _cauchy(xi_rho, vs) - beta * xi_rho[k])
+        ypps.append((rho * alpha if k == 0 else 0.0) + _cauchy(xi_rho, us) - alpha * xi_rho[k])
+        zpp = beta * us[k] + alpha * vs[k] - 0.5 * (_cauchy(xpps, ys) - _cauchy(xs, ypps))
+        for cs, dc in zip((xs, ys, zs, us, vs, ws), (us[k], vs[k], ws[k], xpps[k], ypps[k], zpp)):
+            cs.append(dc / (k + 1))
+    return [xs, ys, zs, us, vs, ws]
+
+
+def _bits(series):
+    """Each coefficient as its type and exact value: float.hex tells -0.0 from 0.0."""
+    return [[(type(v), v.hex() if isinstance(v, float) else v) for v in cs] for cs in series]
+
+
+def _outcome(run):
+    """A run's rows as int64 bits, or its refusal's type and message."""
+    try:
+        return run().view(np.int64).tolist()
+    except HeisenmagError as exc:
+        return type(exc), str(exc)
+
+
+def _with_references(monkeypatch, run):
+    """run() with the oracles' series and dense output swapped for the references."""
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_taylor_series", _one_loop_series)
+        m.setattr(oracle, "_values", _horner_values)
+        m.setattr(oracle, "_full_series", _cauchy_full_series)
+        return run()
+
+
+class TestBitForBitReferences:
+    """The two-loop series, `_values` and the inlined `_full_series` against the
+    one-loop references: every coefficient, step and row keeps its bits."""
+
+    @pytest.mark.parametrize("branch", _ALL_BRANCHES, ids=lambda b: b.name)
+    def test_criterion_1_series_steps_and_rows(self, branch, monkeypatch):
+        states = _criterion_1_states(branch, monkeypatch)
+        assert len(states) > 30
+        for args in states:
+            series, step = oracle._taylor_series(*args)
+            want, want_step = _one_loop_series(*args)
+            assert _bits(series) == _bits(want) and step == want_step
+            dts = [step * i // 7 for i in range(8)]
+            assert oracle._values(series, dts) == _horner_values(want, dts)
+
+        def run():
+            return taylor_reduced(*_criterion_1_run(branch))
+
+        assert _outcome(run) == _with_references(monkeypatch, lambda: _outcome(run))
+
+    @pytest.mark.parametrize("force, v0", _CRITERION_10_CASES)
+    def test_criterion_10_series_and_rows(self, force, v0, monkeypatch):
+        states, series_of = [], oracle._full_series
+
+        def record(*args):
+            states.append(args)
+            return series_of(*args)
+
+        def run():
+            ts = np.linspace(0.0, 10.0, 10001)
+            return integrate_general(force, StateVector(0, 0, 0, *v0), ts)
+
+        monkeypatch.setattr(oracle, "_full_series", record)
+        got = _outcome(run)
+        monkeypatch.setattr(oracle, "_full_series", series_of)
+        assert 30 < len(states) < 40
+        for args in states:
+            assert _bits(oracle._full_series(*args)) == _bits(_cauchy_full_series(*args))
+        assert got == _with_references(monkeypatch, lambda: _outcome(run))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.tuples(*[st.floats(-4.0, 4.0)] * 3), st.floats(0.0, 8.0),
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+    @example((1e140, 0.0, 0.0), 1.0, [0.5])  # past 2^1024 in fixed point
+    @example((0.0, 0.0, 1e10), 1.0, [0.5])  # its float orders overflow
+    @example((0.0, 0.0, 0.0), 0.0, [0.0, 1.0])  # at rest: zero coefficients, infinite step
+    def test_swept_data_and_times(self, xyz, rho, fractions):
+        data = InitialData(*xyz, rho)
+        ts = sorted(3.0 * f / data.scale() for f in fractions)
+        force, s0 = LorentzForce(*xyz), StateVector(*xyz, rho, -rho, 0.5)
+        runs = (lambda: taylor_reduced(data, ts),
+                lambda: integrate_general(force, s0, [0.0, *(t + 1e-3 for t in ts)]))
+        for run in runs:
+            with pytest.MonkeyPatch.context() as m:
+                assert _outcome(run) == _with_references(m, lambda: _outcome(run))
+
+
+class TestStepCap:
+    """Past _TAYLOR_STEP_CAP steps both oracles refuse with ConvergenceError."""
+
+    def test_both_oracles_refuse_a_long_span(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_TAYLOR_STEP_CAP", 50)
+        with pytest.raises(ConvergenceError, match=r"passes 50 steps at time .* of \[0, 1000.0\]"):
+            taylor_reduced(representative_data(Branch.NEG), [1e3])
+        with pytest.raises(ConvergenceError, match=r"passes 50 steps at time .* of \[0, 1000.0\]"):
+            integrate_general(_CRITERION_10_CASES[0][0], StateVector(0, 0, 0, 0.5, 0.3, -0.2),
+                              [0.0, 1e3])
+
+    @pytest.mark.parametrize("branch", (Branch.NEG, Branch.ZERO_MU_NEG_LEFT), ids=lambda b: b.name)
+    def test_a_run_of_exactly_the_cap_passes(self, branch, monkeypatch):
+        steps = len(_criterion_1_states(branch, monkeypatch))
+        rows = taylor_reduced(*_criterion_1_run(branch))
+        monkeypatch.setattr(oracle, "_TAYLOR_STEP_CAP", steps)
+        assert np.array_equal(taylor_reduced(*_criterion_1_run(branch)), rows)
+        monkeypatch.setattr(oracle, "_TAYLOR_STEP_CAP", steps - 1)
+        with pytest.raises(ConvergenceError, match=f"passes {steps - 1} steps"):
+            taylor_reduced(*_criterion_1_run(branch))
 
 
 class TestLagrangian:
