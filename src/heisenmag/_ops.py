@@ -14,14 +14,13 @@ sin, cos, asin, exp and tanh may differ from math by an ulp.
 
 A formula branches through where(cond, a, b) on two values (tuples of
 values are picked member by member), div(a, b, default), which is a / b
-or, where b is zero, default, branch(cond, if_true, if_false, *args) on
-two functions of the same arguments, and select(conds, funcs, *args),
-the function of the first cond that holds, else the last one.  On a
-float only the side taken runs.  On arrays every side runs on every
-element and the conds pick per element, so a side not taken may divide
-by zero or take the root of a negative number: an array caller runs such
-a formula inside quiet(), numpy's errstate with every warning off (on
-floats it does nothing).
+or, where b is zero, default, and select(conds, funcs, *args) on
+functions of the same arguments: the function of the first cond that
+holds, else the last one.  On a float only the side taken runs.  On
+arrays every side runs on every element and the conds pick per element,
+so a side not taken may divide by zero or take the root of a negative
+number: an array caller runs such a formula inside quiet(), numpy's
+errstate with every warning off (on floats it does nothing).
 any(v) says whether v, a bool or an array of them, holds a True.
 """
 
@@ -55,10 +54,6 @@ def _div(a, b, default):
     return np.where(b != 0.0, a / b, default)
 
 
-def _branch(cond, if_true, if_false, *args):
-    return _where(cond, if_true(*args), if_false(*args))
-
-
 def _complex(re, im=0.0):
     out = np.empty(np.broadcast(re, im).shape, dtype=complex)
     out.real, out.imag = re, im
@@ -85,7 +80,6 @@ SCALAR = SimpleNamespace(
     any=bool,
     div=lambda a, b, default: a / b if b else default,
     where=lambda cond, a, b: a if cond else b,
-    branch=lambda cond, if_true, if_false, *args: if_true(*args) if cond else if_false(*args),
     select=lambda conds, funcs, *args: funcs[(*conds, True).index(True)](*args),
     quiet=contextlib.nullcontext,
 )
@@ -108,7 +102,6 @@ ARRAY = SimpleNamespace(
     any=np.any,
     div=_div,
     where=_where,
-    branch=_branch,
     select=lambda conds, funcs, *args: functools.reduce(  # the first cond's wins
         lambda out, cf: _where(*cf, out), zip(conds[::-1], (f(*args) for f in funcs[-2::-1])),
         funcs[-1](*args)),

@@ -194,24 +194,21 @@ def _first_integral_drift(sol, data: InitialData) -> float:
 
 
 def _periodic_integral(f, period):
-    """Integral over [0, period] of a smooth f of that period.
+    """Integral over [0, period] of a smooth f of that period, per row of
+    the (B, 1) column period.
 
     The equispaced trapezoid sum converges exponentially on such an
     integrand (Trefethen and Weideman, SIAM Review 56(3), 2014).  f takes
-    a (1, n) array of times and returns its values along the last axis, so
-    one call may carry several integrands.  The first call carries the
-    first level pair: the _TRAPEZOID_START points of the first sum, then
-    their midpoints, which refine it.  Each later level doubles the points
-    and evaluates f once, on the midpoints of the last level, until two
-    successive sums agree within _TRAPEZOID_BAND * max(1, period).
-
-    period may be a (B, 1) column instead: f then takes the indices of the
-    rows still refining and their (rows, n) times.  Each row stops on its
-    own gap, with the points, sums, order and band of its call alone; the
+    the indices of the rows still refining and their (rows, n) times, and
+    returns its values along the last axis, so one call may carry several
+    integrands.  The first call carries the first level pair: the
+    _TRAPEZOID_START points of the first sum, then their midpoints, which
+    refine it.  Each later level doubles the points and evaluates f once,
+    on the midpoints of the last level, until two successive sums agree
+    within _TRAPEZOID_BAND * max(1, period).  Each row stops on its own
+    gap, with the points, sums, order and band of its call alone; the
     first row that does not settle raises that call's ConvergenceError.
     """
-    if not isinstance(period, np.ndarray):  # one row, whose values may carry several integrands
-        return _periodic_integral(lambda rows, ts: f(ts), np.array([[period]]))[..., 0]
     band = _TRAPEZOID_BAND * np.maximum(1.0, period[:, 0])
     rows, n = np.arange(len(period)), _TRAPEZOID_START
     h = period / n

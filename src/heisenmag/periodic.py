@@ -99,9 +99,6 @@ class CdeCoordinates:
     def __post_init__(self):
         _check_cde("CdeCoordinates", self.c, self.d, self.e, self.rho)
 
-    def initial_data(self) -> InitialData:
-        return initial_from_cde(self.c, self.d, self.e, self.rho)
-
     def roots(self) -> tuple[float, float, complex, complex]:
         """(r1, r4, r2, r3) of the speed quartic in this chart."""
         c, d, rho = self.c, self.d, self.rho
@@ -116,9 +113,6 @@ class CdeCoordinates:
             2.0 / (c * c) * math.sqrt(rho * rho + c6 - 2.0 * rho * d * c ** 3),
             2.0 / (c * c) * math.sqrt(rho * rho + c6 + 2.0 * rho * d * c ** 3),
         )
-
-    def energy(self) -> float:
-        return energy_cde(self.c, self.d, self.rho)
 
 
 def initial_from_cde(c: float, d: float, e: float, rho: float) -> InitialData:
@@ -476,6 +470,8 @@ class GammaLattice:
     def __post_init__(self):
         if not 1 <= self.k <= sys.float_info.max:
             raise DomainError(f"Gamma_k requires 1 <= k <= {sys.float_info.max}, got {self.k}")
+        if self.k % 1:  # Z x Z x (1/2k) Z is a subgroup only for an integer k
+            raise DomainError(f"Gamma_k requires an integer k, got k = {self.k}")
 
     @property
     def center_step(self) -> float:

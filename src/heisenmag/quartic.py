@@ -52,7 +52,7 @@ class InitialData:
     """Initial velocity (x0, y0, z0) at the identity and the force level rho.
 
     The fields may also be equal-length arrays, one datum per entry, for
-    the batched formulas: build_profile and all it calls, and h.
+    the batched formulas: build_profile and all it calls, h and body_velocity.
     """
 
     x0: float
@@ -79,6 +79,10 @@ class InitialData:
 
     def h_prime(self, x: float) -> float:
         return x + self.zr
+
+    def body_velocity(self, x, xp) -> tuple[float, float, float]:
+        """(x', h(x) - 1, x + z0), the velocity in the body frame at x, x'."""
+        return xp, self.h(x) - 1.0, x + self.z0
 
     def scale(self) -> float:
         return ops(self.x0).max(1.0, abs(self.x0), abs(self.y0), abs(self.z0), abs(self.rho))
@@ -179,7 +183,7 @@ def _resolvent_root(p0, q0, rho):
     """Largest root U >= 0 of U^3 + 4 p0 U^2 + 4 (p0^2 - q0) U - 64 rho^2."""
     m = ops(p0)
     c0 = -64.0 * rho * rho
-    return m.branch(c0 == 0.0, _factored_root, _cubic_root, p0, q0, rho, c0, m)
+    return m.select((c0 == 0.0,), (_factored_root, _cubic_root), p0, q0, rho, c0, m)
 
 
 def _factored_root(p0, q0, rho, c0, m):
@@ -198,7 +202,7 @@ def _cubic_root(p0, q0, rho, c0, m):
         f = ((v + c2) * v + c1) * v + c0
         return abs(f), v - m.div(f, (3.0 * v + 2.0 * c2) * v + c1, math.nan)
 
-    u = m.branch(r * r < m.pow(q, 3), _viete, _cardano, q, r, m) - c2 / 3.0
+    u = m.select((r * r < m.pow(q, 3),), (_viete, _cardano), q, r, m) - c2 / 3.0
     return m.max(0.0, _newton(u, update))
 
 
@@ -214,14 +218,14 @@ def _cardano(q, r, m):
     return big + m.div(q, big, 0.0)
 
 
-def _descartes_factors(p0, q0, rho, scale=None):
+def _descartes_factors(p0, q0, rho, scale):
     """m = (eta^2 + s eta + a)(eta^2 - s eta + b), as (discriminant, s, a) per factor.
 
     a + b = 2 p0 + s^2, s (b - a) = -8 rho, a b = q0: the larger of a, b
     comes from the first two (from the first and third at s = 0, rho = 0),
     the smaller from a b = q0, and Newton steps on all three take out the
     error that close resolvent roots leave in s^2.  scale is
-    _coefficient_scale(p0, q0, rho), when the caller has it.
+    _coefficient_scale(p0, q0, rho).
     """
     m = ops(p0)
     u = _resolvent_root(p0, q0, rho)
@@ -232,7 +236,6 @@ def _descartes_factors(p0, q0, rho, scale=None):
     big = 0.5 * (total + signed)
     small = m.div(q0, big, 0.0)
     a, b = m.where(signed == diff, (small, big), (big, small))
-    scale = _coefficient_scale(p0, q0, rho) if scale is None else scale
     w1, w2 = scale, m.sqrt(scale)  # the three equations in eta^4 units
 
     def update(x):
@@ -273,13 +276,12 @@ def quartic_roots(p0, q0, rho) -> np.ndarray:
     roots = []
     with m.quiet():
         try:  # Python's float ** raises on overflow where numpy gives inf
-            factors = _descartes_factors(p0, q0, rho)
+            factors = _descartes_factors(p0, q0, rho, _coefficient_scale(p0, q0, rho))
         except OverflowError as exc:
             raise DomainError(f"the speed quartic ({p0}, {q0}, {rho}) overflows a float") from exc
         for f in factors:
-            roots += m.branch(
-                f[0] >= 0.0, lambda: _factor_roots(*f, True), lambda: _factor_roots(*f, False)
-            )
+            roots += m.select((f[0] >= 0.0,), (lambda: _factor_roots(*f, True),
+                                               lambda: _factor_roots(*f, False)))
     return np.array(roots, dtype=complex).T
 
 
@@ -329,7 +331,7 @@ def build_profile(data: InitialData) -> QuarticProfile:
     trivial = data.is_trivial
     narrow_real = m.where(boundary | trivial, narrow[0] >= 0.0, delta > 0.0)
     pair = m.sort(_factor_roots(*wide, True))
-    ordered = m.branch(narrow_real, _four_real, _two_real, m, pair, narrow)
+    ordered = m.select((narrow_real,), (_four_real, _two_real), m, pair, narrow)
     fields = m.select((trivial, delta < -band, delta > band), _STRATA,  # the last two off the band
                       m, data, p0, q0, ordered, narrow_real, boundary)
     return QuarticProfile(p0, q0, rho, delta, *fields)

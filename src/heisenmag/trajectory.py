@@ -289,7 +289,7 @@ class TrajectorySolution:
     phase_flipped: bool  # principal constant needed a sign flip for x'(0)
     x_period: float | None
     sigma: float  # time direction, sign(x0) with +1.0 at x0 = 0
-    _closed: _ClosedForm = field(repr=False)
+    _f_over_period: float | None = field(repr=False)  # F(omega) - F(0)
     _curve: _Curve = field(repr=False)
 
     def evaluate(self, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -302,21 +302,14 @@ class TrajectorySolution:
     def x_prime(self, t: float) -> float:
         return _curve_state(self._curve, t)[1]
 
-    def y(self, t: float) -> float:
-        return _curve_state(self._curve, t)[2]
-
     def y_over_period(self) -> float:
         """The increment y(omega), in closed form; constant across periods.
 
         Its sign decides whether the trajectory closes (periodic.psi).
         """
-        f_inc = self._closed.f_over_period
-        if f_inc is None:
+        if self._f_over_period is None:
             raise DomainError(f"branch {self.profile.branch} has no x-period")
-        return (0.5 * self.profile.p0 - 1.0) * self.x_period + 0.5 * f_inc
-
-    def z(self, t: float) -> float:
-        return _curve_state(self._curve, t)[3]
+        return (0.5 * self.profile.p0 - 1.0) * self.x_period + 0.5 * self._f_over_period
 
     def point(self, t: float) -> HeisenbergPoint:
         x, _, y, z = _curve_state(self._curve, t)
@@ -326,7 +319,7 @@ class TrajectorySolution:
         """(x', y', z') with y' = h(x) - 1 and z' from the level x + z0 of
         the centre component z' + (x'y - xy')/2."""
         x, xp, y, z = _curve_state(self._curve, t)
-        return _velocity(self.data, HeisenbergPoint(x, y, z), xp)
+        return translate_velocity(HeisenbergPoint(x, y, z), *self.data.body_velocity(x, xp))
 
     def sample(self, ts) -> list[tuple[float, float, float]]:
         """Curve points (x, y, z) at the times ts."""
@@ -362,11 +355,6 @@ def evaluate_stacked(solutions: list[TrajectorySolution], ts):
                    for v in zip(*(c.params for c in curves)))
     fields = (np.array(v)[:, None] for v in list(zip(*curves))[2:])
     return _curve_state(_Curve(curves[0].formula, params, *fields), ts)
-
-
-def _velocity(data: InitialData, p: HeisenbergPoint, xp) -> tuple[float, float, float]:
-    """dL_p of the body velocity (x', h(x) - 1, x + z0) at p = (x, y, z)."""
-    return translate_velocity(p, xp, data.h(p.x) - 1.0, p.x + data.z0)
 
 
 def make_solution(data: InitialData) -> TrajectorySolution:
@@ -414,7 +402,8 @@ def _make(data: InitialData, prof: QuarticProfile) -> TrajectorySolution:
             f"branch {prof.branch}: the state (x, x', F) = ({x_start}, {xp0}, {f0}) at the "
             f"phase constant {phase} is not finite"
         )
-    v = _velocity(data, HeisenbergPoint(x_start, 0.0, 0.0), sigma * xp0)  # y(0) = z(0) = 0
+    v = translate_velocity(HeisenbergPoint(x_start, 0.0, 0.0),  # y(0) = z(0) = 0
+                           *data.body_velocity(x_start, sigma * xp0))
     err = max(abs(v[0] - data.x0), abs(v[1] - data.y0), abs(v[2] - data.z0))
     if err > _SLOPE_BAND * scale:
         raise BranchConsistencyError(
@@ -422,7 +411,8 @@ def _make(data: InitialData, prof: QuarticProfile) -> TrajectorySolution:
         )
     curve = _Curve(closed.formula, closed.params, closed.rate, phase, sigma, prof.p0, data.zr,
                    data.x0, f0)
-    return TrajectorySolution(data, prof, phase, flipped, closed.period, sigma, closed, curve)
+    return TrajectorySolution(data, prof, phase, flipped, closed.period, sigma,
+                              closed.f_over_period, curve)
 
 
 # --- Exact forces F_{0,rho} ---------------------------------------------------
@@ -439,19 +429,15 @@ class ExactTrajectory:
     data: InitialData
 
     @property
-    def turn_rate(self) -> float:
-        return self.data.zr
-
-    @property
     def is_subgroup(self) -> bool:
-        return abs(self.turn_rate) <= _VANISHING_BAND * self.data.scale()
+        return abs(self.data.zr) <= _VANISHING_BAND * self.data.scale()
 
     def point(self, t: float) -> HeisenbergPoint:
         check_finite(t=t)
         d = self.data
         if self.is_subgroup:
             return HeisenbergPoint(d.x0 * t, d.y0 * t, d.z0 * t)
-        tau = self.turn_rate
+        tau = d.zr
         s, c = math.sin(tau * t), math.cos(tau * t)
         x = (s * d.x0 + (-1.0 + c) * d.y0) / tau
         y = ((1.0 - c) * d.x0 + s * d.y0) / tau
@@ -464,7 +450,7 @@ class ExactTrajectory:
         d = self.data
         if self.is_subgroup:
             return (d.x0, d.y0, d.z0)
-        tau = self.turn_rate
+        tau = d.zr
         s, c = math.sin(tau * t), math.cos(tau * t)
         xp = c * d.x0 - s * d.y0
         yp = s * d.x0 + c * d.y0
@@ -476,7 +462,7 @@ class ExactTrajectory:
         """Time for (x, y) to return to the origin: 2 pi / |z0 + rho|."""
         if self.is_subgroup:
             return None
-        return 2.0 * math.pi / abs(self.turn_rate)
+        return 2.0 * math.pi / abs(self.data.zr)
 
 
 # --- Symmetry extensions -------------------------------------------------------

@@ -90,7 +90,8 @@ def test_criterion_03_batched_roots_equal_scalar_roots(monkeypatch):
     # the edge rows reach the branches they are there for: the last row's
     # two Newton runs start at a NaN residual, the one before it at s = 0
     assert math.isnan(starts[-1]) and math.isnan(starts[-2])
-    assert quartic._descartes_factors(*map(float, (p0[-2], q0[-2], rho[-2])))[0][1] == 0.0
+    edge = tuple(map(float, (p0[-2], q0[-2], rho[-2])))
+    assert quartic._descartes_factors(*edge, quartic._coefficient_scale(*edge))[0][1] == 0.0
 
 
 def test_criterion_03_solves_roots_once(monkeypatch):
@@ -141,6 +142,11 @@ def test_criterion_04_reference_runs_on_arrays(monkeypatch):
     assert all(len(calls) <= 4 and max(calls[1:], default=0) < 50 for calls in families)
 
 
+def _one_row(f, period):
+    """_periodic_integral of f(ts) over [0, period] as a one-row column."""
+    return acceptance._periodic_integral(lambda rows, ts: f(ts), np.array([[period]]))[..., 0]
+
+
 def _level_by_level(f, period):
     """The periodic trapezoid sums with one call of f per level."""
     band = acceptance._TRAPEZOID_BAND * max(1.0, period)
@@ -157,7 +163,7 @@ def _level_by_level(f, period):
 
 class TestPeriodicIntegral:
     def test_smooth_periodic_integrand(self):
-        val = acceptance._periodic_integral(lambda t: 1.0 / (2.0 + np.cos(t)), 2.0 * math.pi)
+        val = _one_row(lambda t: 1.0 / (2.0 + np.cos(t)), 2.0 * math.pi)
         assert abs(val - 2.0 * math.pi / math.sqrt(3.0)) <= 1e-14
 
     def test_several_integrands_in_one_call(self):
@@ -165,7 +171,7 @@ class TestPeriodicIntegral:
             inv = 1.0 / (2.0 + np.cos(t))
             return np.stack([inv, inv * inv])
 
-        i1, i2 = acceptance._periodic_integral(powers, 2.0 * math.pi)
+        i1, i2 = _one_row(powers, 2.0 * math.pi)
         assert abs(i1 - 2.0 * math.pi / math.sqrt(3.0)) <= 1e-14
         assert abs(i2 - 4.0 * math.pi / 3.0 ** 1.5) <= 1e-14
 
@@ -176,7 +182,7 @@ class TestPeriodicIntegral:
             sizes.append(t.size)
             return 1.0 / (1.05 + np.cos(t))
 
-        acceptance._periodic_integral(f, 2.0 * math.pi)
+        _one_row(f, 2.0 * math.pi)
         assert sizes[0] == 2 * acceptance._TRAPEZOID_START
         assert len(sizes) > 1  # this integrand needs later levels too
 
@@ -198,13 +204,13 @@ class TestPeriodicIntegral:
             "powers": (powers, 2.0 * math.pi),
             "curve": (y_prime, sol.x_period),
         }[case]
-        assert np.array_equal(acceptance._periodic_integral(f, period), _level_by_level(f, period))
+        assert np.array_equal(_one_row(f, period), _level_by_level(f, period))
 
     def test_unsettled_sums_raise(self):
         # the sawtooth t on [0, 2 pi) jumps at the period's end: its sums
         # fall by pi^2 / n at each doubling and never agree to the band
         with pytest.raises(ConvergenceError, match="trapezoid sums"):
-            acceptance._periodic_integral(lambda t: t, 2.0 * math.pi)
+            _one_row(lambda t: t, 2.0 * math.pi)
 
     @staticmethod
     def _column(fs, periods):
@@ -237,7 +243,7 @@ class TestPeriodicIntegral:
         fs = [lambda t: 1.0 / (2.0 + np.cos(t))] + sawtooth
         periods = [2.0 * math.pi, 3.0, 2.0 * math.pi]
         with pytest.raises(ConvergenceError) as alone:
-            acceptance._periodic_integral(sawtooth[0], 3.0)
+            _one_row(sawtooth[0], 3.0)
         with pytest.raises(ConvergenceError) as column:
             self._column(fs, periods)[0]()
         assert str(column.value) == str(alone.value)
@@ -272,7 +278,7 @@ def test_appendix_reference_matches_the_cn_form():
             inv = 1.0 / (a * ellipj(ts, m)[1] + b)
             return np.stack([inv, inv * inv])
 
-        cn_form = acceptance._periodic_integral(powers, 4.0 * complete_K(k))
+        cn_form = _one_row(powers, 4.0 * complete_K(k))
         amplitude_form = acceptance._appendix_by_trapezoid(a, b, k)
         assert np.max(np.abs(amplitude_form - cn_form)) <= 1e-13, (a, b, k)
 

@@ -261,7 +261,7 @@ class TestVerify:
 
 class TestElliptic:
     def test_check_table(self, capsys):
-        code, out, _ = run_cli(["elliptic", "--check"], capsys)
+        code, out, _ = run_cli(["verify", "--suite", "elliptic"], capsys)
         assert code == EXIT_OK
         assert "legendre" in out
         assert "FAIL" not in out

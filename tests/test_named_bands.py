@@ -1,5 +1,6 @@
 """Every tolerance band in the library is a named module constant, and the
-keyword knobs that no caller set stay retired."""
+keyword knobs that no caller set and the aliases of a surviving path stay
+retired."""
 
 import ast
 import inspect
@@ -7,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from heisenmag import heisenberg, oracle, periodic
+from heisenmag import _ops, cli, heisenberg, oracle, periodic, quartic
+from heisenmag.quartic import InitialData
+from heisenmag.trajectory import ExactTrajectory, make_solution
 
 _SRC = Path(__file__).resolve().parents[1] / "src" / "heisenmag"
 
@@ -68,6 +71,26 @@ def test_retired_functions_are_gone():
     # they carried retired keywords, and had no caller outside their tests
     for name in ("lambda_periodic_test", "equienergy_conjugacy"):
         assert not hasattr(periodic, name)
+
+
+def test_retired_aliases_are_gone(capsys):
+    # each did a job that a surviving path does: point and evaluate, the
+    # solution's f_over_period, initial_from_cde and energy_cde, data.zr,
+    # verify --suite elliptic, and select with one condition
+    data = InitialData(1.0, 0.5, 0.2, 1.0)
+    retired = [
+        (make_solution(data), ("y", "z", "_closed")),
+        (periodic.cde_from_initial(data), ("initial_data", "energy")),
+        (ExactTrajectory(data), ("turn_rate",)),
+        (_ops.SCALAR, ("branch",)),
+        (_ops.ARRAY, ("branch",)),
+    ]
+    assert [(type(o).__name__, n) for o, names in retired for n in names if hasattr(o, n)] == []
+    assert cli.main(["elliptic", "--check"]) == cli.EXIT_USAGE == 64
+    assert "invalid choice: 'elliptic'" in capsys.readouterr().err
+    # quartic_roots passes _coefficient_scale itself, as build_profile does
+    scale = inspect.signature(quartic._descartes_factors).parameters["scale"]
+    assert scale.default is inspect.Parameter.empty
 
 
 def test_full_system_oracle_takes_only_the_times():

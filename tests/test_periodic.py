@@ -100,7 +100,7 @@ class TestChart:
     def test_roots_and_deltas(self):
         cde = cde_from_initial(initial_from_cde(1.5, 0.45, 0.1, 0.8))
         r1, r4, r2, r3 = cde.roots()
-        prof = build_profile(cde.initial_data())
+        prof = build_profile(initial_from_cde(cde.c, cde.d, cde.e, cde.rho))
         assert abs(r1 - prof.r1) < 1e-8
         assert abs(r4 - prof.r4) < 1e-8
         d1, d4 = cde.deltas()
@@ -515,8 +515,8 @@ class TestLambdaPeriodic:
         res = find_lambda_periodic(lam, 1.0, 1.0)
         sol = res.base_solution
         omega1 = res.base_period
-        y1 = sol.y(omega1)
-        assert abs(sol.z(omega1) + sol.data.zr * y1) < 1e-9
+        p = sol.point(omega1)
+        assert abs(p.z + sol.data.zr * p.y) < 1e-9
 
     def test_kernel_condition(self, monkeypatch):
         # x1 != 0 is refused before any curve is built (kernel condition)
@@ -591,7 +591,7 @@ class TestLambdaPeriodic:
         lam = LatticeElement(0.0, 5.0, 0.5)
         res = find_lambda_periodic(lam, 1.0, 1.0)
         assert res.residual < 1e-7
-        assert abs(res.n * res.base_solution.y(res.base_period) - 5.0) < 1e-8
+        assert abs(res.n * res.base_solution.point(res.base_period).y - 5.0) < 1e-8
 
 
 class TestPrimitivePeriod:
@@ -651,6 +651,11 @@ class TestGammaLattice:
             GammaLattice(0)
         with pytest.raises(DomainError):  # 1/2k would not be a float
             GammaLattice(10 ** 400)
+        # Z x Z x (1/3) Z is no subgroup: (1, 0, 0) (0, 1, 0) = (1, 1, 1/2)
+        with pytest.raises(DomainError, match="k = 1.5"):
+            GammaLattice(1.5)
+        for k in (2, np.int64(2), 2.0):
+            assert GammaLattice(k).center_step == 0.25
 
     def test_snap_refuses_a_centre_past_the_float_range(self):
         # z / (1/2k) overflows; round() of the inf would raise OverflowError

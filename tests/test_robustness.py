@@ -253,7 +253,7 @@ _REFUSALS = {
                      "t must be finite"),
     "cusp-nan-t": (lambda: make_solution(InitialData(2.0, -2.0, 0.0, 1.0)).velocity(math.nan),
                    "t must be finite"),
-    "trivial-inf-t": (lambda: make_solution(InitialData(0, 0, 0, 1)).z(math.inf),
+    "trivial-inf-t": (lambda: make_solution(InitialData(0, 0, 0, 1)).point(math.inf),
                       "t must be finite"),
     "evaluate-nan-t": (lambda: make_solution(InitialData(-1.0, 0.5, 0.2, 1.0)).evaluate(
         [0.0, math.nan]), "t must be finite"),
@@ -361,7 +361,7 @@ class TestYFolding:
 
         for t in (-7.3, -50.0, 123.456):
             direct, _ = quad(y_prime, 0.0, t, epsabs=1e-12, epsrel=1e-12, limit=2000)
-            assert abs(sol.y(t) - direct) < 1e-7 * max(1.0, abs(t))
+            assert abs(sol.point(t).y - direct) < 1e-7 * max(1.0, abs(t))
 
 
 class TestHarmonicForce:

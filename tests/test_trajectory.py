@@ -87,7 +87,7 @@ def test_one_agm_per_elliptic_solution(monkeypatch):
             assert len(runs) == 1, (data, runs)
             if data == InitialData(1.0, 0.5, 0.2, 1.0):
                 # past the cn quarter period: the inverse reads phi > pi/2, F > K
-                assert abs(sol.phase) > sol.x_period * sol._closed.rate / 4.0
+                assert abs(sol.phase) > sol.x_period * sol._curve.rate / 4.0
 
 
 @pytest.mark.parametrize("branch,data", ALL_CASES, ids=lambda v: str(v)[:40])
@@ -107,7 +107,7 @@ class TestBranchSolutions:
         for traj in (sol, refl):
             assert len(traj.sample(ts)) == len(ts)
             for t in ts:
-                for value in (traj.x(t), traj.y(t), traj.z(t), *dataclasses.astuple(traj.point(t)),
+                for value in (traj.x(t), *dataclasses.astuple(traj.point(t)),
                               *traj.velocity(t)):
                     assert math.isfinite(value)
 
@@ -140,7 +140,7 @@ class TestBranchSolutions:
         sol = make_solution(data)
         h = 1e-5
         for t in (0.3, 1.7, 4.1):
-            fd = (sol.y(t + h) - sol.y(t - h)) / (2 * h)
+            fd = (sol.point(t + h).y - sol.point(t - h).y) / (2 * h)
             x = sol.x(t)
             expected = 0.5 * x * x + data.zr * x + data.y0
             assert abs(fd - expected) < 1e-9
@@ -252,8 +252,9 @@ class TestTrivialBranch:
         data = sol.data
         for t in (0.0, 1.3, -2.0, 10.0):
             assert sol.x(t) == 0.0
-            assert abs(sol.y(t) - data.y0 * t) < 1e-12
-            assert abs(sol.z(t) - data.z0 * t) < 1e-9 * max(1.0, abs(t))
+            p = sol.point(t)
+            assert abs(p.y - data.y0 * t) < 1e-12
+            assert abs(p.z - data.z0 * t) < 1e-9 * max(1.0, abs(t))
 
     def test_origin_gives_identity_curve(self):
         sol = make_solution(InitialData(0, 0, 0, 1))
@@ -425,8 +426,6 @@ class TestTimeReversal:
             xp_, yp_, zp_ = pos.velocity(-t)
             assert repr(neg.x(t)) == repr(pos.x(-t))
             assert repr(neg.x_prime(t)) == repr(-pos.x_prime(-t))
-            assert repr(neg.y(t)) == repr(-pos.y(-t))
-            assert repr(neg.z(t)) == repr(-pos.z(-t))
             assert repr((p.x, p.y, p.z)) == repr((q.x, -q.y, -q.z))
             assert repr(neg.velocity(t)) == repr((-xp_, yp_, zp_))
         assert repr(neg.x_period) == repr(pos.x_period)
@@ -463,7 +462,8 @@ def _assert_evaluate_matches_accessors(traj, ts):
     """evaluate(ts) against the scalar accessors, within 1e-14 max(1, |v|)."""
     cols = traj.evaluate(ts)
     assert all(isinstance(c, np.ndarray) and c.shape == np.shape(ts) for c in cols)
-    for col, accessor in zip(cols, (traj.x, traj.x_prime, traj.y, traj.z)):
+    accessors = (traj.x, traj.x_prime, lambda t: traj.point(t).y, lambda t: traj.point(t).z)
+    for col, accessor in zip(cols, accessors):
         ref = np.array([accessor(t) for t in np.asarray(ts).tolist()])
         assert np.all(np.abs(col - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
 
@@ -505,7 +505,7 @@ class TestArrayEvaluation:
         data = BRANCH_CASES[branch][0]
         sol = make_solution(data)
         us = np.array([-1e4, -800.0, -746.0, -710.0, -600.0, 600.0, 710.0, 746.0, 800.0, 1e4])
-        ts = (us - sol.phase) / sol._closed.rate
+        ts = (us - sol.phase) / sol._curve.rate
         _assert_evaluate_matches_accessors(sol, ts)
         x, xp, _, _ = sol.evaluate(ts)
         limit = sol.profile.r_double - data.zr
