@@ -60,8 +60,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit_json(obj, out) -> None:
-    json.dump(obj, out, indent=2)
-    out.write("\n")
+    out.write(json.dumps(obj, indent=2) + "\n")  # one write: json.dump writes each token
 
 
 def export_samples(rows, header, path=None, fmt: str = "csv"):

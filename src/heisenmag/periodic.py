@@ -17,7 +17,11 @@ Psi = y1/n on a fixed-energy surface and conjugating.
 
 The closed trajectory of energy E is one solve of psi_tilde along the
 level set d = h_E(c), refused at the floor c = 1 + 1e-11 unless psi_tilde
-changes sign in d there and the level set passes above d_c there.
+changes sign in d there and the level set passes above d_c there.  Its d
+is d_c at that c, which lies beside h_E(c): the sign of psi_tilde at the
+level-set root picks the bracket from h_E(c) to h_E(c) (1 +- 1e-7), and
+only where h_E(c) is clamped into the chart, or that bracket holds no
+root within the residual gate, is d_c solved over the whole chart.
 
 Each root (d_c, the energy's c, and the lattice-tuned c) is found on a
 sign-changing bracket by Brent's method, step for step as
@@ -242,6 +246,7 @@ _RTOL = 4.0 * sys.float_info.epsilon
 _XTOL = 5e-324
 _BRENT_ITER = 100  # brentq's default iteration cap
 _DC_TOL = 1e-12
+_POLISH_BAND = 1e-7  # relative width of build_periodic's d_c bracket beside h_E(c)
 _C_FLOOR = 1.0 + 1e-11
 _C_CEILING = 2.0 ** 29  # the last end of the energy's c bracket tried
 _SWEEP_STEPS = 400  # c steps of the Psi window sweep
@@ -309,8 +314,15 @@ def solve_dc(c: float, rho: float) -> float:
     if c <= 1.0:
         raise DomainError(f"no periodic trajectory for c <= 1 (got c = {c})")
     lo, hi = _CHART_BAND, 1.0 - _CHART_BAND
-    f_lo = psi_tilde(c, lo, rho)
-    f_hi = psi_tilde(c, hi, rho)
+    return _dc_on(c, rho, lo, hi, psi_tilde(c, lo, rho), psi_tilde(c, hi, rho))
+
+
+def _dc_on(c: float, rho: float, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """The root d of psi_tilde(c, d) on [lo, hi], given its values at the ends.
+
+    ConvergenceError unless psi_tilde falls from f_lo > 0 to f_hi < 0 and
+    the root leaves |psi_tilde| <= _DC_TOL.
+    """
     if f_lo <= 0.0 or f_hi >= 0.0:
         raise ConvergenceError(
             f"d_c bracket failed at c={c}: psi({lo})={f_lo}, psi({hi})={f_hi}"
@@ -340,6 +352,12 @@ def solve_c_for_energy(energy: float, rho: float) -> float:
     psi_tilde falls as d rises, so along the level set d = h_E(c), clamped
     into the chart, it is negative below the root in c and positive above.
     """
+    return _level_root(energy, rho)[0]
+
+
+def _level_root(energy: float, rho: float) -> tuple[float, float]:
+    """(c, psi_tilde(c, d)) at solve_c_for_energy's root, with d = h_E(c)
+    clamped into the chart: the value Brent's method ended on."""
     check_finite(energy=energy, rho=rho)
     if energy <= 0.0:
         raise DomainError(f"energy must be positive, got {energy}")
@@ -365,7 +383,7 @@ def solve_c_for_energy(energy: float, rho: float) -> float:
         if hi > _C_CEILING:
             raise DomainError(f"energy {energy} lies above the largest resolvable at rho = {rho}")
         f_hi = psi_on_level(hi)
-    return _brent(psi_on_level, _C_FLOOR, hi, f_floor, f_hi)[0]
+    return _brent(psi_on_level, _C_FLOOR, hi, f_floor, f_hi)
 
 
 def build_periodic(
@@ -381,11 +399,12 @@ def build_periodic(
     if rho < 0.0:
         raise DomainError("build_periodic assumes the canonical force with rho >= 0")
     _check_e("build_periodic", e)
-    c = solve_c_for_energy(energy, rho)
+    c, f_h = _level_root(energy, rho)
     # d solves psi_tilde(c, d) = 0 at this c: d = h_E(c), off the energy level set,
     # misses that root by c's rounding times the two curves' slope gap (400 draws at
-    # e = 0.3: 8 fewer curves built, and the worst closure 4.9e-8 against 6.9e-11)
-    d = solve_dc(c, rho)
+    # e = 0.3: 8 fewer curves built, and the worst closure 4.9e-8 against 6.9e-11),
+    # so d is solved beside h_E(c), from the level-set solve's last value
+    d = _polish_dc(c, _h_energy(c, energy, rho), f_h, rho)
     data = initial_from_cde(c, d, e, rho)
     sol = make_solution(data)
     omega = sol.x_period
@@ -405,6 +424,31 @@ def build_periodic(
         "energy_error": abs(data.energy() - energy),
     }
     return sol, report
+
+
+def _polish_dc(c: float, h: float, f_h: float, rho: float) -> float:
+    """solve_dc(c, rho) up to round-off, given h = h_E(c) near d_c and
+    f_h = psi_tilde(c, h), from one new value of psi_tilde where it can.
+
+    psi_tilde falls as d rises, so f_h's sign says on which side of h d_c
+    lies, and the bracket from h to h (1 +- _POLISH_BAND) needs only its
+    other end.  A clamped h, a bracket without the sign change or a root
+    that misses _DC_TOL takes solve_dc's bracket over the whole chart.
+    """
+    if not _CHART_BAND <= h <= 1.0 - _CHART_BAND:  # psi_on_level clamped it
+        return solve_dc(c, rho)
+    if f_h == 0.0:
+        return h
+    if f_h > 0.0:
+        lo, hi = h, min(1.0 - _CHART_BAND, h * (1.0 + _POLISH_BAND))
+        f_lo, f_hi = f_h, psi_tilde(c, hi, rho)
+    else:
+        lo, hi = max(_CHART_BAND, h * (1.0 - _POLISH_BAND)), h
+        f_lo, f_hi = psi_tilde(c, lo, rho), f_h
+    try:
+        return _dc_on(c, rho, lo, hi, f_lo, f_hi)
+    except ConvergenceError:
+        return solve_dc(c, rho)
 
 
 # --- the exact-force periodic family --------------------------------------------

@@ -143,9 +143,10 @@ def _coefficient_scale(p0: float, q0: float, rho: float) -> float:
     return m.max(1.0, abs(2.0 * p0), m.pow(abs(8.0 * rho), 2.0 / 3.0), m.pow(abs(q0), 0.5))
 
 
-def _is_cusp(p0: float, q0: float, rho: float) -> bool:
-    """p0^2 + 3 q0 = 0 within the zero band, in eta^4 units: the cusp stratum."""
-    return abs(p0 * p0 + 3.0 * q0) <= _ZERO_TOL * ops(p0).pow(_coefficient_scale(p0, q0, rho), 2)
+def _is_cusp(p0: float, q0: float, scale: float) -> bool:
+    """p0^2 + 3 q0 = 0 within the zero band, in eta^4 units: the cusp stratum.
+    scale is _coefficient_scale(p0, q0, rho)."""
+    return abs(p0 * p0 + 3.0 * q0) <= _ZERO_TOL * ops(p0).pow(scale, 2)
 
 
 def delta_band(p0: float, q0: float, rho: float) -> float:
@@ -333,7 +334,7 @@ def build_profile(data: InitialData) -> QuarticProfile:
     pair = m.sort(_factor_roots(*wide, True))
     ordered = m.select((narrow_real,), (_four_real, _two_real), m, pair, narrow)
     fields = m.select((trivial, delta < -band, delta > band), _STRATA,  # the last two off the band
-                      m, data, p0, q0, ordered, narrow_real, boundary)
+                      m, data, p0, q0, scale, ordered, narrow_real, boundary)
     return QuarticProfile(p0, q0, rho, delta, *fields)
 
 
@@ -348,12 +349,12 @@ def _two_real(m, pair, narrow):
 # each stratum's (roots, r1, r4, tag, boundary, delta1, delta4, k, k1, mu, r_double)
 
 
-def _trivial_fields(m, data, p0, q0, roots, narrow_real, boundary):
+def _trivial_fields(m, data, p0, q0, scale, roots, narrow_real, boundary):
     r4 = m.where(narrow_real, roots[3].real, roots[1].real)
     return roots, roots[0].real, r4, Branch.TRIVIAL, boundary, None, None, None, None, None, None
 
 
-def _neg_fields(m, data, p0, q0, roots, narrow_real, boundary):
+def _neg_fields(m, data, p0, q0, scale, roots, narrow_real, boundary):
     r1, r4 = roots[0].real, roots[1].real
     rsum = r1 + r4
     delta1 = m.sqrt(m.max(0.0, 2.0 * p0 + 2.0 * r1 * r1 + rsum * rsum))
@@ -363,7 +364,7 @@ def _neg_fields(m, data, p0, q0, roots, narrow_real, boundary):
     return roots, r1, r4, Branch.NEG, boundary, delta1, delta4, k, None, None, None
 
 
-def _pos_fields(m, data, p0, q0, roots, narrow_real, boundary):
+def _pos_fields(m, data, p0, q0, scale, roots, narrow_real, boundary):
     r1, r2, r3, r4 = (w.real for w in roots)
     delta1 = m.sqrt(m.max(0.0, (r2 - r1) * (r3 - r1)))
     delta4 = m.sqrt(m.max(0.0, (r4 - r3) * (r4 - r2)))
@@ -373,21 +374,28 @@ def _pos_fields(m, data, p0, q0, roots, narrow_real, boundary):
     return roots, r1, r4, tag, boundary, delta1, delta4, None, k1, None, None
 
 
-def _zero_fields(m, data, p0, q0, ordered, narrow_real, boundary):
-    # the double root: midpoint of the closest pair, then one Newton step on
-    # m', quadratic since m''(r) = 8 mu != 0; on the cusp, the triple root is
-    # exactly -cbrt(rho)
-    rho = data.rho
-    r = m.min(*((abs(u - v), 0.5 * (u + v).real)
-                for i, u in enumerate(ordered) for v in ordered[i + 1:]))[1]
-    r = r - m.div((4.0 * r * r + 4.0 * p0) * r - 8.0 * rho, 12.0 * r * r + 4.0 * p0, 0.0)
-    mu = 0.5 * (p0 + 3.0 * r * r)
-    side = m.where(data.zr > r, Branch.ZERO_MU_NEG_RIGHT, Branch.ZERO_MU_NEG_LEFT)
-    mu, r, tag = m.where(_is_cusp(p0, q0, rho), (
-        0.0, -m.copysign(m.pow(abs(rho), 1.0 / 3.0), rho), Branch.ZERO_CUSP),
-        (mu, r, m.where(mu > 0.0, Branch.ZERO_MU_POS, side)))
+def _zero_fields(m, data, p0, q0, scale, ordered, narrow_real, boundary):
+    mu, r, tag = m.select((_is_cusp(p0, q0, scale),), (_cusp_root, _double_root),
+                          m, data, p0, ordered)
     roots = tuple(map(m.complex, m.sort(w.real for w in ordered)))  # the real parts, sorted
     return roots, roots[0].real, roots[3].real, tag, boundary, None, None, None, None, mu, r
+
+
+def _cusp_root(m, data, p0, ordered):
+    """(mu, r, tag) on the cusp: the triple root is exactly -cbrt(rho)."""
+    rho = data.rho
+    return 0.0, -m.copysign(m.pow(abs(rho), 1.0 / 3.0), rho), Branch.ZERO_CUSP
+
+
+def _double_root(m, data, p0, ordered):
+    """(mu, r, tag) off the cusp: r is the midpoint of the closest pair, then
+    one Newton step on m', quadratic since m''(r) = 8 mu != 0."""
+    r = m.min(*((abs(u - v), 0.5 * (u + v).real)
+                for i, u in enumerate(ordered) for v in ordered[i + 1:]))[1]
+    r = r - m.div((4.0 * r * r + 4.0 * p0) * r - 8.0 * data.rho, 12.0 * r * r + 4.0 * p0, 0.0)
+    mu = 0.5 * (p0 + 3.0 * r * r)
+    side = m.where(data.zr > r, Branch.ZERO_MU_NEG_RIGHT, Branch.ZERO_MU_NEG_LEFT)
+    return mu, r, m.where(mu > 0.0, Branch.ZERO_MU_POS, side)
 
 
 _STRATA = (_trivial_fields, _neg_fields, _pos_fields, _zero_fields)
@@ -421,7 +429,7 @@ def mu_r_closed_forms(profile: QuarticProfile) -> dict[str, float]:
     if profile.mu is None:
         raise DomainError("closed forms for r and mu exist only on the Delta = 0 stratum")
     p0, q0, rho = profile.p0, profile.q0, profile.rho
-    if _is_cusp(p0, q0, rho):
+    if _is_cusp(p0, q0, _coefficient_scale(p0, q0, rho)):
         raise DomainError("cusp stratum p0^2 + 3 q0 = 0 has no rational r formula")
     denom = p0 ** 3 - p0 * q0 + 36.0 * rho * rho
     if denom == 0.0:

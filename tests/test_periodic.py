@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from heisenmag import elliptic, periodic
+from heisenmag import acceptance, elliptic, periodic
 from heisenmag.elliptic import complete_K_and_E
 from heisenmag.errors import ConvergenceError, DomainError, LambdaNotFoundError
 from heisenmag.heisenberg import HeisenbergPoint
@@ -246,12 +246,13 @@ class TestEnergyBijection:
         assert 0 < len(calls) < 40
 
     @pytest.mark.parametrize("solve, most", [
-        (lambda: build_periodic(1.0, 0.0, 1.0), 21),
+        (lambda: build_periodic(1.0, 0.0, 1.0), 12),
         (lambda: solve_c_for_energy(1.0, 1.0), 10),
     ], ids=["build_periodic", "solve_c_for_energy"])
     def test_psi_evaluations_are_not_repeated(self, monkeypatch, solve, most):
-        # Brent is handed the bracket's end values, and solve_dc reads its
-        # residual off Brent's last value
+        # Brent is handed the bracket's end values, solve_dc reads its
+        # residual off Brent's last value, and build_periodic's d starts from
+        # the level-set solve's last value
         calls = []
         parts = periodic._psi_parts
 
@@ -376,6 +377,33 @@ def _brent_families(rng):
     ]
 
 
+def _narrow_psi_bracket(rng):
+    """(f, lo, hi): psi_tilde in d around its root d_c, on a bracket of
+    relative width 1e-12 to 1e-7, as build_periodic hands Brent."""
+    c, rho = 1.0 + 10.0 ** rng.uniform(-3.0, 1.0), 10.0 ** rng.uniform(-2.0, 1.0)
+    d_c = solve_dc(c, rho)
+    width, u = 10.0 ** rng.uniform(-12.0, -7.0), rng.uniform()
+    return (lambda d: psi_tilde(c, d, rho)), d_c * (1.0 - width * u), d_c * (1.0 + width * (1.0 - u))
+
+
+def _matches_brentq(f, lo, hi) -> bool:
+    """Whether _brent returns brentq's root on [lo, hi] (False where brentq
+    fails, and then _brent must raise its message)."""
+    from scipy.optimize import brentq
+
+    f_lo, f_hi = f(lo), f(hi)
+    try:
+        root = brentq(f, lo, hi, xtol=periodic._XTOL, rtol=periodic._RTOL)
+    except RuntimeError as exc:
+        with pytest.raises(ConvergenceError, match=str(exc)):
+            periodic._brent(f, lo, hi, f_lo, f_hi)
+        return False
+    x, f_x = periodic._brent(f, lo, hi, f_lo, f_hi)
+    assert type(x) is float and x == root, (lo, hi)
+    assert f_x == f(x)
+    return True
+
+
 class TestBrent:
     def test_failures_are_typed(self):
         with pytest.raises(ConvergenceError):
@@ -395,27 +423,24 @@ class TestBrent:
             periodic._brent(lambda x: math.nan, 0.0, 1.0, -1.0, 1.0)
 
     def test_matches_scipy_brentq_bit_for_bit(self):
-        from scipy.optimize import brentq
-
         rng = np.random.default_rng(41)
         compared = failed = 0
         while compared < 10_000:
             for f, lo, hi in _brent_families(rng):
-                f_lo, f_hi = f(lo), f(hi)
-                if not f_lo * f_hi <= 0.0:
+                if not f(lo) * f(hi) <= 0.0:
                     continue
                 compared += 1
-                try:
-                    root = brentq(f, lo, hi, xtol=periodic._XTOL, rtol=periodic._RTOL)
-                except RuntimeError as exc:
-                    failed += 1
-                    with pytest.raises(ConvergenceError, match=str(exc)):
-                        periodic._brent(f, lo, hi, f_lo, f_hi)
-                    continue
-                x, f_x = periodic._brent(f, lo, hi, f_lo, f_hi)
-                assert type(x) is float and x == root, (lo, hi)
-                assert f_x == f(x)
+                failed += not _matches_brentq(f, lo, hi)
         assert 0 < failed < compared // 4
+        # narrow brackets around psi_tilde roots, where the values are round-off
+        rng = np.random.default_rng(43)
+        compared = 0
+        for _ in range(1_000):
+            f, lo, hi = _narrow_psi_bracket(rng)
+            if f(lo) * f(hi) <= 0.0:
+                compared += 1
+                assert _matches_brentq(f, lo, hi)
+        assert compared > 500
 
 
 class TestBuildPeriodic:
@@ -427,6 +452,61 @@ class TestBuildPeriodic:
                 assert rep["closure_y"] < 1e-7
                 assert rep["closure_z"] < 1e-7
                 assert rep["energy_error"] < 1e-9
+
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 1.0, 3.0])
+    def test_polished_d_closes_on_a_grid(self, rho):
+        for energy in (0.05, 1.0, 20.0):
+            for e in (-1.0, 0.0, 0.5):
+                _, rep = build_periodic(energy, e, rho)
+                c, d = rep["c"], rep["d"]
+                f_d = psi_tilde(c, d, rho)
+                assert abs(f_d) <= periodic._DC_TOL
+                # a root to float resolution: psi_tilde is 0 at d or changes
+                # sign within Brent's last bracket, 4 eps d wide
+                below = above = d
+                signs = []
+                for _ in range(8):
+                    below, above = math.nextafter(below, 0.0), math.nextafter(above, 1.0)
+                    signs += (psi_tilde(c, below, rho) * f_d, psi_tilde(c, above, rho) * f_d)
+                assert f_d == 0.0 or min(signs) <= 0.0
+                closure = max(rep["closure_x"], rep["closure_y"], rep["closure_z"])
+                assert closure < acceptance._CLOSURE_GATE
+
+    def test_d_solves_beside_the_level_set(self, monkeypatch):
+        # one new end value at h_E(c), then Brent on that narrow bracket
+        def full_chart(*args):
+            raise AssertionError("full-chart d_c solve")
+
+        monkeypatch.setattr(periodic, "solve_dc", full_chart)
+        _, rep = build_periodic(1.0, 0.0, 1.0)
+        assert abs(rep["d"] / periodic._h_energy(rep["c"], 1.0, 1.0) - 1.0) < 1e-12
+
+    def test_clamped_level_set_takes_the_full_chart_bracket(self, monkeypatch):
+        c, rho = 1.5, 1.0
+        calls = []
+        monkeypatch.setattr(periodic, "solve_dc", lambda *a: calls.append(a) or solve_dc(*a))
+        for h in (0.0, 1.0):
+            f_h = psi_tilde(c, min(1.0 - 1e-12, max(1e-12, h)), rho)
+            assert periodic._polish_dc(c, h, f_h, rho) == solve_dc(c, rho)
+        assert len(calls) == 2
+
+    def test_narrow_bracket_without_a_sign_change_takes_the_full_chart_bracket(
+        self, monkeypatch
+    ):
+        # near c = 1, psi_tilde is round-off over the whole narrow bracket
+        energy, rho = 2.4509799993097684e-10, 0.3595598393495029
+        c, f_h = periodic._level_root(energy, rho)
+        h = periodic._h_energy(c, energy, rho)
+        f_far = psi_tilde(c, h * (1.0 + periodic._POLISH_BAND), rho)
+        assert f_h > 0.0 and f_far >= 0.0
+        calls = []
+        monkeypatch.setattr(periodic, "solve_dc", lambda *a: calls.append(a) or solve_dc(*a))
+        assert periodic._polish_dc(c, h, f_h, rho) == solve_dc(c, rho)
+        assert len(calls) == 1
+        # and build_periodic with a bracket of zero width
+        monkeypatch.setattr(periodic, "_POLISH_BAND", 0.0)
+        _, rep = build_periodic(1.0, 0.0, 1.0)
+        assert rep["d"] == solve_dc(rep["c"], 1.0) and len(calls) == 2
 
     def test_period_matches_elliptic_formula(self):
         sol, rep = build_periodic(2.0, 0.0, rho=1.0)

@@ -6,11 +6,15 @@ Runs each command below with `python -m heisenmag.cli`, importing heisenmag
 from PARENT/src and then from CHANGE/src, and prints every command whose
 stdout, stderr or exit code differs: every subcommand, with the README's
 examples, `classify-ic` and `sample` on the seven branch representatives,
-and `sample` on two data with x0 < 0.  `verify --suite all --json` is
-compared with each record's `elapsed` dropped.  Exits 1 on any difference.
+`sample` on two data with x0 < 0, `periodic` on a (rho, energy, e) grid and
+`lattice` on four more lattice elements.  `verify --suite all --json` is
+compared with each record's `elapsed` dropped.  Where both outputs are
+JSON, each differing key follows with its relative gap, the largest first
+(a record of a list goes by its "name").  Exits 1 on any difference.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -27,6 +31,11 @@ README = ("classify --alpha 4 --beta 3 --rho 2", "classify-ic --x0 0 --y0 0 --z0
           "sample --x0 1 --y0 0.5 --z0 0.2 --rho 1 --t-max 20 --dt 0.01",
           "periodic --rho 1 --energy 1 --e 0.5", "lattice --k 1 --lambda 1,0.5 --energy 1",
           "lattice-obstruction --basis 0.8660254037844387,0.5,-0.5,0.8660254037844387")
+PERIODIC = [("--rho", rho, "--energy", energy, "--e", e) for rho in ("0", "0.3", "1", "3")
+            for energy in ("0.05", "1", "20") for e in ("-1", "0", "0.5")]
+# (lambda, energy, rho) beside the README's lattice run, lambda in Gamma_1
+LATTICE = (("-1,0", "0.3", "0.5"), ("2,1.5", "5", "2"), ("-2,-2", "1", "0"),
+           ("1,-0.5", "2.5", "1.5"))
 
 
 def _data(datum) -> list[str]:
@@ -39,6 +48,9 @@ def commands() -> list[list[str]]:
     cmds += [["classify-ic", *_data(d)] for d in REPRESENTATIVES]
     cmds += [["sample", *_data(d), "--t-max", "20", "--dt", "0.05"]
              for d in REPRESENTATIVES + NEGATIVE_X0]
+    cmds += [["periodic", *flags] for flags in PERIODIC]
+    cmds += [["lattice", "--k", "1", "--lambda", lam, "--energy", energy, "--rho", rho]
+             for lam, energy, rho in LATTICE]
     cmds += [["verify", "--suite", "periodicity", "--seed", str(s)] for s in range(40)]
     cmds += [["verify", "--case", b, *(["--rho", r] if r else [])] for b in BRANCHES for r in RHOS]
     return cmds
@@ -57,6 +69,34 @@ def run(checkout: str, args: list[str]) -> tuple[str, str, int]:
     return out, done.stderr, done.returncode
 
 
+def _leaves(obj, path: str = "") -> dict:
+    """{dotted path: value} of every scalar in a JSON document."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = ((v.get("name", i) if isinstance(v, dict) else i, v) for i, v in enumerate(obj))
+    else:
+        return {path: obj}
+    return {k: v for key, value in items for k, v in _leaves(value, f"{path}.{key}").items()}
+
+
+def _gaps(old: str, new: str) -> list[tuple[float, str]]:
+    """(relative gap, key) of each differing key, the largest first; inf
+    where a value is not a number or a key is missing; [] unless both are JSON."""
+    try:
+        a, b = _leaves(json.loads(old)), _leaves(json.loads(new))
+    except ValueError:
+        return []
+    gaps = []
+    for key in sorted(a.keys() | b.keys()):
+        u, v = a.get(key), b.get(key)
+        if u == v:
+            continue
+        numbers = all(type(w) in (int, float) for w in (u, v))
+        gaps.append((abs(u - v) / max(abs(u), abs(v)) if numbers else math.inf, key.lstrip(".")))
+    return sorted(gaps, reverse=True)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
@@ -64,9 +104,12 @@ def main(argv: list[str]) -> int:
     parent, change = argv
     cmds, differ = commands(), 0
     for args in cmds:
-        if run(parent, args) != run(change, args):
+        old, new = run(parent, args), run(change, args)
+        if old != new:
             differ += 1
             print("differs:", " ".join(args))
+            for gap, key in _gaps(old[0], new[0]):
+                print(f"    {key}: relative gap {gap:.2g}")
     print(f"{differ} of {len(cmds)} commands differ")
     return 1 if differ else 0
 
