@@ -42,6 +42,7 @@ EXIT_USAGE = 64
 _MAX_GRID_POINTS = 10 ** 7
 _GRID_SLACK = 1e-9  # added to t_max / dt, so a t_max on the grid is not lost to rounding
 _END_BAND = 1e-12  # last grid time read as t_max, relative to max(1, t_max)
+_CSV_CHUNK_ROWS = 4096  # sample rows per formatted and written CSV chunk
 
 
 class _UsageError(Exception):
@@ -64,43 +65,44 @@ def _emit_json(obj, out) -> None:
 
 
 def export_samples(rows, header, path=None, fmt: str = "csv"):
-    """Write sampled rows as CSV (17 significant digits) or JSON."""
-    close = False
-    if path is None:
-        out = sys.stdout
-    else:
-        try:
-            out = open(path, "w", encoding="utf-8")
-        except OSError as exc:
-            raise HeisenmagError(f"cannot write {path}: {exc}") from exc
-        close = True
+    """Write sampled rows, a float table or a sequence of rows, as CSV (17
+    significant digits, _CSV_CHUNK_ROWS rows formatted and written at once)
+    or as JSON.  A failed open, write or close is a HeisenmagError."""
+    table = np.asarray(rows, dtype=float).reshape(-1, len(header))
     try:
-        if fmt == "csv":
-            out.write(",".join(header) + "\n")
-            line = ",".join(["%.17g"] * len(header)) + "\n"  # format(v, ".17g") per value
-            out.writelines(line % tuple(row) for row in rows)
-        else:
-            _emit_json([dict(zip(header, row)) for row in rows], out)
-    finally:
-        if close:
-            out.close()
+        out = sys.stdout if path is None else open(path, "w", encoding="utf-8")
+        try:
+            if fmt == "csv":
+                out.write(",".join(header) + "\n")
+                line = ",".join(["%.17g"] * len(header)) + "\n"  # format(v, ".17g") per value
+                for i in range(0, len(table), _CSV_CHUNK_ROWS):
+                    chunk = table[i:i + _CSV_CHUNK_ROWS]  # only the chunk becomes Python floats
+                    out.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+            else:
+                _emit_json([dict(zip(header, row)) for row in table.tolist()], out)
+        finally:
+            if path is not None:
+                out.close()
+    except OSError as exc:
+        where = "standard output" if path is None else path
+        raise HeisenmagError(f"cannot write {where}: {exc}") from exc
 
 
-def _time_grid(t_max: float, dt: float) -> list[float]:
+def _time_grid(t_max: float, dt: float) -> np.ndarray:
     check_finite(t_max=t_max, dt=dt)
     if dt <= 0.0:
         raise HeisenmagError("--dt must be positive")
     if t_max < 0.0:
-        return []
+        return np.empty(0)
     steps = t_max / dt + _GRID_SLACK
     if steps >= _MAX_GRID_POINTS:
         raise DomainError(
             f"--t-max / --dt asks for {steps + 1:.3g} grid points, over {_MAX_GRID_POINTS}"
         )
     n = int(math.floor(steps))
-    ts = [i * dt for i in range(n + 1)]
-    if not ts or abs(ts[-1] - t_max) > _END_BAND * max(1.0, t_max):
-        ts.append(t_max)
+    ts = np.arange(n + 1) * dt  # the products i * dt, bit for bit
+    if abs(ts[-1] - t_max) > _END_BAND * max(1.0, t_max):
+        ts = np.append(ts, t_max)
     return ts
 
 
@@ -154,8 +156,8 @@ def _cmd_sample(args, out) -> int:
     # z is finite only where y is, and the residual only where x and x' are
     if not (np.isfinite(z).all() and np.isfinite(residual).all()):
         raise DomainError(f"the trajectory leaves the float range on [0, {args.t_max}]")
-    rows = zip(ts, *(v.tolist() for v in (x, y, z, residual)))
-    export_samples(rows, ["t", "x", "y", "z", "energy_residual"], args.output, args.format)
+    table = np.column_stack((ts, x, y, z, residual))
+    export_samples(table, ["t", "x", "y", "z", "energy_residual"], args.output, args.format)
     return EXIT_OK
 
 
@@ -307,13 +309,20 @@ def build_parser() -> _Parser:
                    help="one JSON record per criterion: name, passed, elapsed, details")
     p.set_defaults(fn=_cmd_verify)
 
+    parser.subcommands = sub.choices  # name -> subparser, for main's one-pass parse
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one call: a known subcommand's arguments are parsed by its own
+    parser alone, as the root parser would hand them on, and any other argv
+    (--help, none or an unknown name) by the root parser; `sample` writes
+    its CSV in chunks of _CSV_CHUNK_ROWS rows (export_samples)."""
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    sub = parser.subcommands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv) if sub is None else sub.parse_args(argv[1:])
         return args.fn(args, sys.stdout)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

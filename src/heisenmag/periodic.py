@@ -371,11 +371,10 @@ def _level_root(energy: float, rho: float) -> tuple[float, float]:
     if not f_band > 0.0:
         raise ConvergenceError(f"d_c bracket failed at c={_C_FLOOR}: psi={f_band}")
     f_floor = psi_on_level(_C_FLOOR)
-    if not f_floor < 0.0:
-        floor = energy_of_c(_C_FLOOR, rho)
+    if not f_floor < 0.0:  # named by c, not by its energy: that takes a d_c solve
         raise DomainError(
             f"energy {energy} lies below the smallest resolvable at rho = {rho}, "
-            f"about {floor}"
+            f"the energy of the family at c = {_C_FLOOR}"
         )
     hi, f_hi = 2.0, psi_on_level(2.0)
     while f_hi < 0.0:

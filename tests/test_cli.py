@@ -4,8 +4,10 @@ import csv
 import io
 import json
 import math
+import os
 import random
 
+import numpy as np
 import pytest
 
 from heisenmag import acceptance, cli
@@ -144,6 +146,46 @@ class TestSample:
         path = tmp_path / "empty.csv"
         export_samples([], ["t", "x", "y", "z"], str(path))
         assert path.read_text() == "t,x,y,z\n"
+
+    @pytest.mark.parametrize("n_rows", [0, cli._CSV_CHUNK_ROWS - 1, cli._CSV_CHUNK_ROWS,
+                                        cli._CSV_CHUNK_ROWS + 1])
+    def test_csv_chunks_match_format(self, n_rows, tmp_path):
+        # each chunk's single % gives the bytes of format(v, ".17g") per value
+        specials = [0.0, -0.0, 5e-324, -2.5e-310, math.inf, -math.inf, math.nan, 1e308,
+                    -1.7976931348623157e308, 2.2250738585072014e-308]
+        rng = random.Random(n_rows)
+        values = [specials[i % len(specials)] if i < len(specials) or i % 7 == 0 else
+                  rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-20, 20)
+                  for i in range(5 * n_rows)]
+        rows = [values[i:i + 5] for i in range(0, len(values), 5)]
+        path = tmp_path / "chunks.csv"
+        export_samples(np.array(rows).reshape(-1, 5), ["t", "x", "y", "z", "energy_residual"],
+                       str(path))
+        expected = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in rows)
+        assert path.read_text() == "t,x,y,z,energy_residual\n" + expected
+
+    def test_time_grid_is_the_products(self):
+        # numpy's grid holds the floats i * dt, with t_max appended off the grid
+        rng = random.Random(31)
+        cases = [(-1.0, 0.5), (-1e-300, 1e-3), (0.0, 0.1), (1.0, 0.3), (1.0, 0.25), (20.0, 0.05),
+                 (0.3, 0.1), (1e6, 1.0), (5.0, 7.0)]
+        for _ in range(200):
+            dt = 10.0 ** rng.uniform(-3, 1)
+            steps = rng.choice([rng.randint(0, 20000), rng.uniform(0.0, 20000.0)])
+            cases.append((steps * dt * rng.choice([1.0, -1.0, 1.0, 1.0]), dt))
+        appended = 0
+        for t_max, dt in cases:
+            grid = [v.hex() for v in cli._time_grid(t_max, dt).tolist()]
+            if t_max < 0.0:
+                assert grid == []
+                continue
+            n = math.floor(t_max / dt + cli._GRID_SLACK)
+            ts = [i * dt for i in range(n + 1)]
+            if abs(ts[-1] - t_max) > cli._END_BAND * max(1.0, t_max):
+                ts.append(t_max)
+                appended += 1
+            assert grid == [v.hex() for v in ts], (t_max, dt)
+        assert 0 < appended < len(cases)
 
 
 class TestPeriodic:
@@ -376,6 +418,19 @@ class TestExitCodes:
         assert err.startswith("error:") and "grid points" in err
         assert out == ""
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failed_write_is_domain_error(self, fmt, capsys):
+        # the bytes fail on their way out, at write or at close
+        code, out, err = run_cli(
+            ["sample", "--x0", "1", "--y0", "0.5", "--z0", "0.2", "--rho", "1",
+             "--t-max", "1", "--dt", "0.25", "--format", fmt, "--output", "/dev/full"],
+            capsys,
+        )
+        assert code == EXIT_DOMAIN
+        assert err.startswith("error: cannot write /dev/full:") and "Traceback" not in err
+        assert out == ""
+
     def test_bad_tolerance_is_domain_error(self, monkeypatch, capsys):
         monkeypatch.setenv("HEISENMAG_TOL", "abc")
         code, out, err = run_cli(["verify", "--suite", "exact-threshold"], capsys)
@@ -425,6 +480,53 @@ class TestExitCodes:
         _, out1, _ = run_cli(args, capsys)
         _, out2, _ = run_cli(args, capsys)
         assert out1 == out2
+
+
+class TestOnePassParse:
+    ARGV = (
+        [],
+        ["--help"],
+        ["sample", "--help"],
+        ["nosuch", "--x0", "1"],
+        ["sample", "--x0", "1"],
+        ["periodic", "--rho", "1", "--energy", "1", "--bogus", "2"],
+        ["periodic", "--rho", "1", "--ener", "1"],
+        ["classify-ic", "--x0", "-1e-3", "--y0", "-0.5", "--z0", "-1", "--rho", "1"],
+        ["classify-ic", "--x0=-1e-3", "--y0=-0.5", "--z0=-1", "--rho=1"],
+        ["lattice", "--k", "1", "--energy", "1", "--lambda", "-1,0.5"],
+        ["lattice", "--k", "1", "--energy", "1", "--lambda=-1,0.5"],
+        ["sample", "--x0", "1", "--y0", "0.5", "--z0", "0.2", "--rho", "1",
+         "--t-max", "1", "--dt", "0.25", "--format", "json"],
+    )
+
+    @staticmethod
+    def run(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help exits from inside argparse
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    @pytest.mark.parametrize("argv", ARGV, ids=[" ".join(a) or "empty" for a in ARGV])
+    def test_same_as_the_root_parser(self, argv, monkeypatch, capsys):
+        one_pass = self.run(argv, capsys)
+        root = cli.build_parser.__wrapped__()
+        root.subcommands = {}  # every argv then goes through the root parser
+        monkeypatch.setattr(cli, "build_parser", lambda: root)
+        assert self.run(argv, capsys) == one_pass
+
+    def test_subcommand_skips_the_root_parser(self, monkeypatch, capsys):
+        fresh = cli.build_parser.__wrapped__()
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the root parser ran")
+
+        monkeypatch.setattr(fresh, "parse_known_args", refused)
+        monkeypatch.setattr(cli, "build_parser", lambda: fresh)
+        assert main(["periodic", "--rho", "1", "--energy", "1"]) == EXIT_OK
+        with pytest.raises(AssertionError, match="root parser"):
+            main(["nosuch"])
 
 
 class TestSharedParser:

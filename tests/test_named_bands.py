@@ -96,3 +96,13 @@ def test_retired_aliases_are_gone(capsys):
 def test_full_system_oracle_takes_only_the_times():
     # its step tolerance is a module constant; no config object or sample count
     assert list(inspect.signature(oracle.integrate_general).parameters) == ["force", "s0", "ts"]
+
+
+def test_csv_chunk_size_is_a_named_constant():
+    # export_samples reads its chunk size off the module, with no bare count
+    assert isinstance(cli._CSV_CHUNK_ROWS, int) and cli._CSV_CHUNK_ROWS > 1
+    tree = ast.parse(inspect.getsource(cli.export_samples))
+    counts = [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)
+              and type(n.value) is int and n.value > 1]
+    assert counts == []
+    assert "_CSV_CHUNK_ROWS" in {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}

@@ -53,6 +53,11 @@ def assert_matches_quadrature(sol):
     return y
 
 
+def _below_floor(solve, *args):
+    with pytest.raises(DomainError, match="smallest resolvable"):
+        solve(*args)
+
+
 class TestChart:
     def test_round_trip(self):
         rng = np.random.default_rng(21)
@@ -248,11 +253,13 @@ class TestEnergyBijection:
     @pytest.mark.parametrize("solve, most", [
         (lambda: build_periodic(1.0, 0.0, 1.0), 12),
         (lambda: solve_c_for_energy(1.0, 1.0), 10),
-    ], ids=["build_periodic", "solve_c_for_energy"])
+        (lambda: _below_floor(build_periodic, 1e-12, 0.3, 1.0), 2),
+    ], ids=["build_periodic", "solve_c_for_energy", "below_floor"])
     def test_psi_evaluations_are_not_repeated(self, monkeypatch, solve, most):
         # Brent is handed the bracket's end values, solve_dc reads its
-        # residual off Brent's last value, and build_periodic's d starts from
-        # the level-set solve's last value
+        # residual off Brent's last value, build_periodic's d starts from
+        # the level-set solve's last value, and a refusal below the floor
+        # names the floor by c, with no d_c solve
         calls = []
         parts = periodic._psi_parts
 

@@ -6,11 +6,13 @@ Runs each command below with `python -m heisenmag.cli`, importing heisenmag
 from PARENT/src and then from CHANGE/src, and prints every command whose
 stdout, stderr or exit code differs: every subcommand, with the README's
 examples, `classify-ic` and `sample` on the seven branch representatives,
-`sample` on two data with x0 < 0, `periodic` on a (rho, energy, e) grid and
-`lattice` on four more lattice elements.  `verify --suite all --json` is
-compared with each record's `elapsed` dropped.  Where both outputs are
-JSON, each differing key follows with its relative gap, the largest first
-(a record of a list goes by its "name").  Exits 1 on any difference.
+`sample` on two data with x0 < 0, on 30,001 rows and in JSON, `periodic` on
+a (rho, energy, e) grid, `lattice` on four more lattice elements, and the
+argv forms of PARSING: help, usage errors, an abbreviated option and
+negative values.  `verify --suite all --json` is compared with each
+record's `elapsed` dropped.  Where both outputs are JSON, each differing
+key follows with its relative gap, the largest first (a record of a list
+goes by its "name").  Exits 1 on any difference.
 """
 
 import json
@@ -36,6 +38,14 @@ PERIODIC = [("--rho", rho, "--energy", energy, "--e", e) for rho in ("0", "0.3",
 # (lambda, energy, rho) beside the README's lattice run, lambda in Gamma_1
 LATTICE = (("-1,0", "0.3", "0.5"), ("2,1.5", "5", "2"), ("-2,-2", "1", "0"),
            ("1,-0.5", "2.5", "1.5"))
+# how main parses: no argv, the root's and a subcommand's help, an unknown
+# subcommand, a missing and an unrecognized option, an abbreviated option and
+# negative values as --flag v and --flag=v
+PARSING = ("", "--help", "sample --help", "nosuch --x0 1", "sample --x0 1",
+           "periodic --rho 1 --energy 1 --bogus 2", "periodic --rho 1 --ener 1",
+           "classify-ic --x0 -1e-3 --y0 -0.5 --z0 -1 --rho 1",
+           "classify-ic --x0=-1e-3 --y0=-0.5 --z0=-1 --rho=1",
+           "lattice --k 1 --energy 1 --lambda=-1,0.5")
 
 
 def _data(datum) -> list[str]:
@@ -48,6 +58,11 @@ def commands() -> list[list[str]]:
     cmds += [["classify-ic", *_data(d)] for d in REPRESENTATIVES]
     cmds += [["sample", *_data(d), "--t-max", "20", "--dt", "0.05"]
              for d in REPRESENTATIVES + NEGATIVE_X0]
+    # the README's datum on 30,001 rows, several CSV chunks; and the JSON form
+    cmds += [["sample", *_data(("1", "0.5", "0.2", "1")), "--t-max", "300", "--dt", "0.01"],
+             ["sample", *_data(REPRESENTATIVES[0]), "--t-max", "2", "--dt", "0.1",
+              "--format", "json"]]
+    cmds += [line.split() for line in PARSING]
     cmds += [["periodic", *flags] for flags in PERIODIC]
     cmds += [["lattice", "--k", "1", "--lambda", lam, "--energy", energy, "--rho", rho]
              for lam, energy, rho in LATTICE]
