@@ -701,12 +701,13 @@ CRITERIA = {
     "lagrangian": crit_lagrangian,
     "elliptic": crit_elliptic_kernel,
 }
+SEEDED = ("discriminant", "periodicity")  # the criteria that draw from a seed
 
 
 def run_criterion(name: str, seed: int = 0) -> CriterionResult:
     tol = tolerance_scale()
     fn = CRITERIA[name]
     t0 = time.perf_counter()
-    result = fn(tol, seed) if name in ("discriminant", "periodicity") else fn(tol)
+    result = fn(tol, seed) if name in SEEDED else fn(tol)
     result.elapsed = time.perf_counter() - t0
     return result

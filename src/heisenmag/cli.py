@@ -146,16 +146,8 @@ def _cmd_sample(args, out) -> int:
     data = InitialData(args.x0, args.y0, args.z0, args.rho)
     traj = make_solution(data)
     ts = _time_grid(args.t_max, args.dt)
-    with np.errstate(all="ignore"):  # overflow is refused below
-        x, xp, y, z = traj.evaluate(ts)
-        # body-frame speed needs no y: y' = h(x) - 1 and the centre
-        # component of the velocity sits at the conserved level x + z0
-        u, v, w = data.body_velocity(x, xp)
-        speed_sq = u ** 2 + v ** 2 + w ** 2
-        residual = 0.5 * speed_sq - data.energy()
-    # z is finite only where y is, and the residual only where x and x' are
-    if not (np.isfinite(z).all() and np.isfinite(residual).all()):
-        raise DomainError(f"the trajectory leaves the float range on [0, {args.t_max}]")
+    x, xp, y, z = traj.evaluate(ts)  # refused where the curve leaves the float range
+    residual = 0.5 * sum(v ** 2 for v in data.body_velocity(x, xp)) - data.energy()
     table = np.column_stack((ts, x, y, z, residual))
     export_samples(table, ["t", "x", "y", "z", "energy_residual"], args.output, args.format)
     return EXIT_OK
@@ -216,8 +208,9 @@ def _cmd_lattice_obstruction(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    if args.seed < 0:
-        raise _UsageError(f"--seed must be non-negative, got {args.seed}")
+    seeded = ("all", *acceptance.SEEDED)
+    if args.seed is not None and (args.seed < 0 or args.case or args.suite not in seeded):
+        raise _UsageError(f"--seed takes a non-negative integer, for --suite {'|'.join(seeded)}")
     if args.case is not None:
         record = acceptance.check_branch(Branch(args.case), args.rho)
         record.pop("data")
@@ -234,7 +227,7 @@ def _cmd_verify(args, out) -> int:
             raise _UsageError(
                 f"unknown suite '{name}'; choose from {', '.join(acceptance.CRITERIA)} or all"
             )
-        result = acceptance.run_criterion(name, seed=args.seed)
+        result = acceptance.run_criterion(name, seed=args.seed or 0)
         if args.json:
             records.append({
                 "name": name,
@@ -304,7 +297,7 @@ def build_parser() -> _Parser:
     p.add_argument("--case", choices=[b.value for b in acceptance._ALL_BRANCHES],
                    default=None, help="cross-validate one branch representative")
     p.add_argument("--rho", type=float, default=None, help="force level of --case")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", action="store_true",
                    help="one JSON record per criterion: name, passed, elapsed, details")
     p.set_defaults(fn=_cmd_verify)

@@ -25,8 +25,8 @@ import math
 
 import numpy as np
 
-from ._ops import ops
-from .errors import ConvergenceError, DomainError
+from ._ops import SCALAR, ops
+from .errors import ConvergenceError, DomainError, check_finite
 
 __all__ = [
     "AGM",
@@ -77,7 +77,7 @@ class AGM:
     many points of one modulus, or inverts one, runs the AGM once.
     """
 
-    __slots__ = ("k", "K", "E", "_lead", "_aa", "_bb", "_cc", "_depth")
+    __slots__ = ("k", "K", "E", "_lead", "_pad", "_aa", "_bb", "_cc")
 
     def __init__(self, k: float) -> None:
         _check_modulus(k)
@@ -86,16 +86,16 @@ class AGM:
         self.K = math.pi / (2.0 * self._aa[-1])
         self.E = self.K * (1.0 - c_sum)
         self._lead = 2.0 ** (len(self._aa) - 1) * self._aa[-1]  # 2^N a_N
-        self._depth = None  # one scheme; a stack's (B, 1) column of each row's N
+        self._pad = 1.0  # 2^(levels added on top); a stack's (B, 1) column
 
     @classmethod
     def stack(cls, agms: list[AGM]) -> AGM:
-        """The schemes as one for (B, n) u, each row descending as its own, bit for
-        bit: each level a (B, 1) column, a = 1 and c = 0 past a row's last; no F."""
+        """The schemes as one for (B, n) u, each level a (B, 1) column and each row bit for bit
+        its own: m levels short, it halves its start times _pad = 2^m on levels a = 1, c = 0."""
         st, n = cls.__new__(cls), max(len(g._aa) for g in agms)
-        cols = np.array([(g.k, g.K, g.E, g._lead, len(g._aa) - 1, *g._aa, *[1.0] * (n - len(g._aa)),
-                          *g._cc, *[0.0] * (n - len(g._aa))) for g in agms]).T[..., None]
-        st.k, st.K, st.E, st._lead, st._depth = cols[:5]
+        cols = np.array([(g.k, g.K, g.E, g._lead, 2.0 ** m, *g._aa, *[1.0] * m, *g._cc, *[0.0] * m)
+                         for g, m in ((g, n - len(g._aa)) for g in agms)]).T[..., None]
+        st.k, st.K, st.E, st._lead, st._pad = cols[:5]
         st._aa, st._cc, st._bb = list(cols[5:5 + n]), list(cols[5 + n:]), None
         return st
 
@@ -106,32 +106,30 @@ class AGM:
         Jacobi's zeta function Z(u) = sum_n c_n sin phi_n over the descent's
         phases gives Jacobi's epsilon E(am u, k) = (E/K) u + Z(u)
         (DLMF 22.16(iii)).  At k = 0 the amplitude is u itself.  u may be a
-        float (turns is then an int) or an array, descended level by level.
+        finite float (turns is then an int) or an array, descended level by level.
         """
-        if self._depth is None and self.k == 0.0:
-            return u, 0, 0.0
         m = ops(u)
-        aa, cc = self._aa, self._cc
+        if m is SCALAR:
+            check_finite(u=u)
+        if self._bb is not None and self.k == 0.0:  # one scheme; a stack has no _bb
+            return u, 0, 0.0
         turns = m.floor(u / (4.0 * self.K))
-        phi = start = self._lead * (u - 4.0 * self.K * turns)
+        phi = self._lead * (u - 4.0 * self.K * turns) * self._pad
         zeta = 0.0
-        for i in range(len(aa) - 1, 0, -1):
-            if self._depth is not None:  # a stack's row enters at its own last level
-                phi = np.where(self._depth == i, start, phi)
+        for a, c in zip(self._aa[:0:-1], self._cc[:0:-1]):  # levels N, ..., 1
             s = m.sin(phi)
-            zeta += cc[i] * s
+            zeta += c * s
             # c_n < a_n, so |c_n / a_n * s| <= 1 after rounding too: no clamp
-            phi = 0.5 * (phi + m.asin(cc[i] / aa[i] * s))
-        if self._depth is not None:  # rows with no level keep their start, or u at k = 0
-            phi = np.where(self._depth == 0, np.where(self.k == 0.0, u, start), phi)
-        return phi, turns, zeta
+            phi = 0.5 * (phi + m.asin(c / a * s))
+        return m.where(self.k == 0.0, u, phi), turns, zeta  # a stack's rows at k = 0
 
     def F(self, phi: float) -> float:
-        """F(phi, k) for any real phi from the ascending phases
+        """F(phi, k) for any finite phi from the ascending phases
         tan(phi_{n+1} - phi_n) = (b_n / a_n) tan phi_n, phi_0 = phi, as
         phi_N / (2^N a_N) (A&S 17.6.9).  The step's arctangent lags phi_n by
         less than pi/2, so math.remainder modulo 2 pi puts it in phi_n's turn
         exactly; no reduction modulo a rounded pi costs digits near pi/2."""
+        check_finite(phi=phi)
         aa = self._aa
         for a, b in zip(aa, self._bb[:-1]):
             lag = phi - math.atan2(b * math.sin(phi), a * math.cos(phi))

@@ -707,7 +707,10 @@ def lattice_obstruction_check(basis) -> bool:
     _OBSTRUCTION_BAND (the determinant of the unit columns) span no
     lattice, and raise DomainError.
     """
-    b = np.asarray(basis, dtype=float)
+    try:
+        b = np.asarray(basis, dtype=float)
+    except (TypeError, ValueError):  # entries that are no numbers, or ragged rows
+        b = np.empty(0)
     if b.shape != (2, 2):
         raise DomainError("basis must be a 2x2 matrix with generator columns")
     if not np.all(np.isfinite(b)):

@@ -27,6 +27,7 @@ Arbitrary base points go through left translation.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -56,16 +57,7 @@ _SLOPE_BAND = 1e-7  # |sigma'(0) - (x0, y0, z0)|
 _VANISHING_BAND = 1e-12  # x0 at a turning point, z0 + rho of a subgroup
 
 
-def __getattr__(name: str):
-    # perfbench's tracer patches `quad` here, though no evaluation calls it.
-    # Only perfbench, which installs scipy, reads this name, so scipy loads on
-    # that first read and the library needs numpy alone.  This name goes with
-    # the benchmark's retarget (ROADMAP item 5).
-    if name == "quad":
-        from scipy.integrate import quad
-
-        return quad
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+quad = None  # perfbench's tracer patches this name; nothing calls it (ROADMAP item 7)
 
 
 def _clamped_unit(v: float, what: str) -> float:
@@ -240,8 +232,8 @@ def _profile_cusp(data: InitialData, prof: QuarticProfile, turning: bool) -> _Cl
 
 def _cusp_state(s, params):
     r, r3, zr = params
-    q = 1.0 + (r * s) ** 2
-    return -4.0 * r / q + r - zr, 8.0 * r3 * s / q ** 2, r * r * (s + 8.0 * s / q)
+    q = 1.0 + r * s * (r * s)  # products: a float's ** raises where an array's is inf
+    return -4.0 * r / q + r - zr, 8.0 * r3 * s / (q * q), r * r * (s + 8.0 * s / q)
 
 
 def _profile_trivial(data: InitialData, prof: QuarticProfile, turning: bool) -> _ClosedForm:
@@ -266,6 +258,25 @@ _PROFILE_BUILDERS = {
 }
 
 
+def _in_float_range(state):
+    """state(curve, t) at a finite t, run quietly; DomainError names a t past the float range."""
+    def checked(curve, t, *args):
+        check_finite(t=t)
+        try:
+            with np.errstate(all="ignore"):
+                values = state(curve, t, *args)
+        except (ArithmeticError, ValueError):
+            if isinstance(t, np.ndarray):  # math raises past the float range, numpy does not
+                raise
+            values = (math.nan,)
+        finite = np.isfinite(values)
+        if not finite.all():
+            at = np.broadcast_to(t, finite.shape)[~finite][0]
+            raise DomainError(f"the curve leaves the float range at t = {at}")
+        return values
+    return functools.update_wrapper(checked, state)
+
+
 @dataclass
 class TrajectorySolution:
     """Evaluable magnetic trajectory through the identity, for any x0.
@@ -279,8 +290,8 @@ class TrajectorySolution:
     Immutable after construction: every coordinate at a time t comes from
     one closed-form state evaluation, and the branch's AGM scheme runs
     once, in make_solution, so evaluation is safe from concurrent threads.
-    The accessors take a float time, or an array of times through the
-    same formulas on numpy; a NaN or infinite time is refused.
+    The accessors take a float time, or an array of times through the same
+    formulas on numpy; a NaN or infinite time, or one past the float range, is refused.
     """
 
     data: InitialData
@@ -315,6 +326,7 @@ class TrajectorySolution:
         x, _, y, z = _curve_state(self._curve, t)
         return HeisenbergPoint(x, y, z)
 
+    @_in_float_range
     def velocity(self, t: float) -> tuple[float, float, float]:
         """(x', y', z') with y' = h(x) - 1 and z' from the level x + z0 of
         the centre component z' + (x'y - xy')/2."""
@@ -331,9 +343,9 @@ class TrajectorySolution:
 _Curve = namedtuple("_Curve", "formula params rate phase sigma p0 zr x0 f0")
 
 
+@_in_float_range
 def _curve_state(c: _Curve, t):
-    """(x, x', y, z) at a finite t: the closed form at u = rate sigma t + phase."""
-    check_finite(t=t)
+    """(x, x', y, z) at t: the closed form at u = rate sigma t + phase."""
     s = c.sigma
     t = s * t
     x, xp, f = c.formula(c.rate * t + c.phase, c.params)
@@ -354,7 +366,7 @@ def evaluate_stacked(solutions: list[TrajectorySolution], ts):
     params = tuple(AGM.stack(v) if isinstance(v[0], AGM) else np.array(v)[:, None]
                    for v in zip(*(c.params for c in curves)))
     fields = (np.array(v)[:, None] for v in list(zip(*curves))[2:])
-    return _curve_state(_Curve(curves[0].formula, params, *fields), ts)
+    return _curve_state(_Curve(curves[0].formula, params, *fields), np.asarray(ts, dtype=float))
 
 
 def make_solution(data: InitialData) -> TrajectorySolution:
@@ -433,30 +445,23 @@ class ExactTrajectory:
         return abs(self.data.zr) <= _VANISHING_BAND * self.data.scale()
 
     def point(self, t: float) -> HeisenbergPoint:
-        check_finite(t=t)
-        d = self.data
-        if self.is_subgroup:
-            return HeisenbergPoint(d.x0 * t, d.y0 * t, d.z0 * t)
-        tau = d.zr
-        s, c = math.sin(tau * t), math.cos(tau * t)
-        x = (s * d.x0 + (-1.0 + c) * d.y0) / tau
-        y = ((1.0 - c) * d.x0 + s * d.y0) / tau
-        v0_sq = d.x0 ** 2 + d.y0 ** 2
-        z = (d.z0 + v0_sq / (2.0 * tau)) * t - v0_sq / (2.0 * tau ** 2) * s
-        return HeisenbergPoint(x, y, z)
+        return HeisenbergPoint(*self._state(t, True))
 
     def velocity(self, t: float) -> tuple[float, float, float]:
-        check_finite(t=t)
+        return self._state(t, False)
+
+    @_in_float_range
+    def _state(self, t: float, point: bool) -> tuple:
+        """(x, y, z) if point, else (x', y', z'), at t; (x, y) turns at rate z0 + rho."""
         d = self.data
         if self.is_subgroup:
-            return (d.x0, d.y0, d.z0)
-        tau = d.zr
+            return (d.x0 * t, d.y0 * t, d.z0 * t) if point else (d.x0, d.y0, d.z0)
+        tau, v0_sq = d.zr, d.x0 ** 2 + d.y0 ** 2
         s, c = math.sin(tau * t), math.cos(tau * t)
-        xp = c * d.x0 - s * d.y0
-        yp = s * d.x0 + c * d.y0
-        v0_sq = d.x0 ** 2 + d.y0 ** 2
-        zp = d.z0 + v0_sq / (2.0 * tau) * (1.0 - c)
-        return (xp, yp, zp)
+        if point:
+            return ((s * d.x0 + (-1.0 + c) * d.y0) / tau, ((1.0 - c) * d.x0 + s * d.y0) / tau,
+                    (d.z0 + v0_sq / (2.0 * tau)) * t - v0_sq / (2.0 * tau ** 2) * s)
+        return c * d.x0 - s * d.y0, s * d.x0 + c * d.y0, d.z0 + v0_sq / (2.0 * tau) * (1.0 - c)
 
     def horizontal_period(self) -> float | None:
         """Time for (x, y) to return to the origin: 2 pi / |z0 + rho|."""
@@ -468,8 +473,7 @@ class ExactTrajectory:
 # --- Symmetry extensions -------------------------------------------------------
 
 
-# perfbench calls this name and traces ReflectedTrajectory.sample; both
-# aliases go with the benchmark retarget (ROADMAP item 5)
+# perfbench calls this and traces ReflectedTrajectory.sample; both go in ROADMAP item 7's retarget
 def reflect_for_negative_x0(data: InitialData) -> TrajectorySolution:
     return make_solution(data)
 

@@ -450,6 +450,24 @@ class TestExitCodes:
             assert code == EXIT_USAGE
             assert err.startswith("usage error:")
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "elliptic", "--seed", "7"],
+        ["verify", "--suite", "lagrangian", "--seed", "0"],
+        ["verify", "--case", "NEG", "--seed", "5"],
+        ["verify", "--case", "NEG", "--seed", "0"],
+    ])
+    def test_seed_that_no_suite_reads_is_usage_error(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert err == ("usage error: --seed takes a non-negative integer, for --suite "
+                       "all|discriminant|periodicity\n")
+
+    def test_seeded_suite_takes_the_seed_and_reads_none_as_zero(self, capsys):
+        runs = [run_cli(["verify", "--suite", "discriminant", *seed], capsys)
+                for seed in ([], ["--seed", "0"], ["--seed", "3"])]
+        assert [code for code, _, _ in runs] == [EXIT_OK] * 3
+        assert runs[0] == runs[1] != runs[2]
+
     @pytest.mark.parametrize(
         "argv, read, value",
         [

@@ -1,8 +1,8 @@
 """numpy is the library's only runtime dependency: scipy is a test-time
-reference.  No module imports scipy.optimize, only the `trajectory.quad`
-shim that perfbench reads imports scipy at all, and the user paths
-(construction, evaluation, the periodic solvers, complete Pi and the CLI's
-sample, periodic, lattice, verify and elliptic) load no scipy module."""
+reference.  No module imports scipy, or scipy.optimize in any import form,
+and the user paths (construction, evaluation, the periodic solvers, complete
+Pi and the CLI's sample, periodic, lattice, verify and elliptic) load no
+scipy module."""
 
 import ast
 import json
@@ -50,15 +50,15 @@ def test_optimize_lint_sees_every_import_form():
     assert not _imports_optimize("from scipy.special import elliprf\nfrom . import optimize\n")
 
 
-def test_only_the_perfbench_shim_imports_scipy():
+def test_no_module_imports_scipy():
+    modules = sorted(_SRC.glob("*.py"))
+    assert len(modules) > 5
     scipy_users = {
         p.name: sorted(n for n in _imported(p.read_text(encoding="utf-8"))
                        if n == "scipy" or n.startswith("scipy."))
-        for p in sorted(_SRC.glob("*.py"))
+        for p in modules
     }
-    assert {name: ns for name, ns in scipy_users.items() if ns} == {
-        "trajectory.py": ["scipy.integrate", "scipy.integrate.quad"]
-    }
+    assert {name: ns for name, ns in scipy_users.items() if ns} == {}
 
 
 def test_numpy_is_the_only_runtime_dependency():

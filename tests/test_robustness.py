@@ -1,6 +1,7 @@
 """Randomized sweeps and edge cases beyond the anchored representatives."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from heisenmag import acceptance, cli
-from heisenmag.elliptic import AGM
+from heisenmag.elliptic import AGM, ellip_f, jacobi_sn_cn_dn, legendre_relation_defect
 from heisenmag.errors import BranchConsistencyError, DomainError, HeisenmagError
 from heisenmag.heisenberg import HeisenbergPoint, LorentzForce
 from heisenmag.oracle import StateVector, euler_lagrange_residual, integrate_general, taylor_reduced
@@ -35,7 +36,7 @@ from heisenmag.periodic import (
     solve_c_for_energy,
     solve_dc,
 )
-from heisenmag.quartic import Branch, InitialData, build_profile
+from heisenmag.quartic import Branch, InitialData, build_profile, mu_r_closed_forms
 from heisenmag.trajectory import ExactTrajectory, make_solution
 
 
@@ -81,6 +82,63 @@ def test_non_finite_phase_constant_is_refused():
     # the x'(0) check passes at err = 1.0 against its band of 1.0
     with pytest.raises(BranchConsistencyError, match="not finite"):
         make_solution(InitialData(*_INFINITE_PHASE))
+
+
+# built curves of all eight branches, at x0 = 0 and on both sides of it, and
+# exact curves: rotating, rotating at a rate of 1e-10, and a subgroup; the last
+# POS_HIGH datum's z' overflows at t = _Z_PRIME_PAST_RANGE, where its point is finite
+_ROTATING = [InitialData(1.0, 0.5, 0.2, 1.0), InitialData(0.2, -2.75, -2.0, 1.0),
+             InitialData(0.3, -4.0, -1.0, 1.0), InitialData(2.0, -1.25, 1.5, 0.5),
+             InitialData(2.0, -2.0, 0.0, 1.0),
+             InitialData(0.19004926625394314, -5.974533109570107, -0.03369281277027535,
+                         0.13637317963733048)]
+_Z_PRIME_PAST_RANGE = 1.9705520343267315e307
+_CURVES = [make_solution(d) for d in (
+    *(acceptance.representative_data(b) for b in Branch if b is not Branch.TRIVIAL),
+    InitialData(0.0, 0.0, 0.0, 1.0), *_ROTATING,
+    *(InitialData(-d.x0, d.y0, d.z0, d.rho) for d in _ROTATING))]
+_EXACT = [ExactTrajectory(InitialData(0.5, 0.3, 0.2, 1.0)),
+          ExactTrajectory(InitialData(1e-3, 2.0, 1e-10, 0.0)),
+          ExactTrajectory(InitialData(0.5, 0.3, -1.0, 1.0))]
+_TOP = 1.7976931348623157e308
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.integers(0, len(_CURVES) + len(_EXACT) - 1),
+       st.one_of(_FINITE, st.sampled_from([_TOP, -_TOP, 1.7e308, -1.7e308, 1e300, -1e300])))
+@example(0, 1.7e308)
+@example(len(_CURVES), 1.7e308)
+@example(len(_CURVES) + 2, 1.7e308)  # the subgroup: its velocity is constant
+@example(len(_CURVES) - len(_ROTATING) - 1, _Z_PRIME_PAST_RANGE)
+def test_curve_at_any_finite_time_is_finite_or_typed(which, t):
+    """x, point, velocity and evaluate at a finite t, the float range's ends
+    included, give finite values or raise a HeisenmagError."""
+    curve = (_CURVES + _EXACT)[which]
+    calls = [curve.point, curve.velocity]
+    if which < len(_CURVES):
+        calls += [curve.x, lambda t: curve.evaluate([0.0, t])]
+    for call in calls:
+        try:
+            values = call(t)
+        except HeisenmagError:
+            continue
+        assert np.isfinite(np.array(dataclasses.astuple(values) if dataclasses.is_dataclass(values)
+                                    else values, dtype=float)).all(), (which, t, call, values)
+
+
+@pytest.mark.parametrize("t", [_TOP, -_TOP, 1e300, -1e300, 1e200, 3.3])
+def test_float_and_array_times_refuse_alike(t):
+    """A float time is refused exactly where the same time in an array is:
+    math raising on a float where numpy's row stays finite is no refusal."""
+    def refused(call):
+        try:
+            call(t)
+        except HeisenmagError:
+            return True
+        return False
+
+    for i, curve in enumerate(_CURVES):
+        assert refused(curve.point) == refused(lambda t: curve.evaluate([t])), (i, t)
 
 
 # wide draws and the float range's ends, mixed with moderate non-negative
@@ -265,6 +323,42 @@ _REFUSALS = {
     # rho^2 overflows: z0, radius_sq and the period come out inf, -inf and 0
     "exact-rho-overflow": (lambda: exact_periodic_family(1.0, 1e200), "rho=1e+200"),
     "exact-negative-rho-overflow": (lambda: exact_periodic_family(1.0, -1e200), "rho=-1e+200"),
+    # refusals no other test reaches: a branch with no representative, k = 0
+    # for Legendre's relation, a stencil short of samples, the chart's x0 < 0
+    # half and the Delta = 0 closed forms off that stratum
+    "representative-trivial": (lambda: acceptance.representative_data(Branch.TRIVIAL),
+                               "no representative"),
+    "legendre-k-zero": (lambda: legendre_relation_defect(0.0), "0 < k < 1"),
+    "stencil-four-samples": (lambda: euler_lagrange_residual(
+        LorentzForce(0, 1, 1), np.linspace(0.0, 1.0, 4), np.zeros((4, 6))), "at least 5"),
+    "chart-negative-x0": (lambda: cde_from_initial(InitialData(-1.0, 0.5, 0.2, 1.0)), "x0 >= 0"),
+    "mu-r-off-stratum": (lambda: mu_r_closed_forms(build_profile(InitialData(1.0, 0.5, 0.2, 1.0))),
+                         "Delta = 0"),
+    # a non-finite argument to the AGM kernel, and a basis that is no numeric matrix
+    "descend-nan": (lambda: AGM(0.5).descend(math.nan), "u must be finite, got nan"),
+    "agm-f-inf": (lambda: AGM(0.5).F(math.inf), "phi must be finite, got inf"),
+    "jacobi-inf": (lambda: jacobi_sn_cn_dn(math.inf, 0.5), "u must be finite, got inf"),
+    "ellip-f-nan": (lambda: ellip_f(math.nan, 0.5), "phi must be finite, got nan"),
+    "basis-not-numeric": (lambda: lattice_obstruction_check([["a", 1], [0, 1]]), "2x2"),
+    "basis-ragged": (lambda: lattice_obstruction_check([[1, 2], [3]]), "2x2"),
+    # a finite time past the float range: each branch's own failure before the
+    # curve refused it (a raw OverflowError or ValueError, or NaN rows)
+    "neg-floor-overflow": (lambda: make_solution(InitialData(1.0, 0.5, 0.2, 1.0)).x(1.7e308),
+                           "float range at t = 1.7e+308"),
+    "mu-pos-past-range": (lambda: make_solution(InitialData(2.0, -1.25, 1.5, 0.5)).x(1.7e308),
+                          "float range at t = 1.7e+308"),
+    "cusp-power-overflow": (lambda: make_solution(InitialData(2.0, -2.0, 0.0, 1.0)).x(1.7e308),
+                            "float range at t = 1.7e+308"),
+    "pos-nan-rows": (lambda: make_solution(InitialData(0.2, -2.75, -2.0, 1.0)).point(-1.7e308),
+                     "float range at t = -1.7e+308"),
+    "saddle-nan-rows": (lambda: make_solution(InitialData(0, 7, 1, 4)).point(-1.7e308),
+                        "float range at t = -1.7e+308"),
+    "evaluate-past-range": (lambda: make_solution(InitialData(1.0, 0.5, 0.2, 1.0)).evaluate(
+        [0.0, 1.0, 1.7e308, -1.7e308]), "float range at t = 1.7e+308"),
+    "exact-angle-overflow": (lambda: ExactTrajectory(InitialData(0.5, 0.3, 0.2, 1.0)).point(
+        1.7e308), "float range at t = 1.7e+308"),
+    "exact-subgroup-overflow": (lambda: ExactTrajectory(InitialData(0.5, 2.0, -1.0, 1.0)).point(
+        1.7e308), "float range at t = 1.7e+308"),
     # an int that no float holds is refused as not finite, by its field's name
     "lattice-int-past-float-range": (lambda: LatticeElement(10**400, 0, 0), "x1 must be finite"),
     "data-int-past-float-range": (lambda: InitialData(10**400, 0, 0, 1), "x0 must be finite"),

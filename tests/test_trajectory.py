@@ -585,6 +585,25 @@ class TestEvaluateStacked:
             grid = np.array([np.roll(times, b) for b in range(len(sols))], dtype=float)
             _assert_stack_rows_are_evaluate(sols, grid)
 
+    def test_subnormal_starts_keep_their_bits(self):
+        # turning points at phase 0: u = rate t is subnormal on these times, and
+        # so is each row's start lead u.  A row levels short of its stack enters
+        # the padded levels at that start times 2^(levels short), exactly; a
+        # lead scaled by that power rounds the start twice, which changes the
+        # final amplitude on some of these times
+        data = {  # (formula, AGM levels) -> datum
+            ("neg", 3): (0.0, -0.06258846973417675, 0.27518429969875413, 4.566920690450678),
+            ("neg", 8): (0.0, 0.9267953605703747, -4.979913627643845, 1.6209175285335369),
+            ("pos", 4): (0.0, -0.8923395591241015, -3.467821553239001, 0.09850278010909042),
+            ("pos", 7): (0.0, -0.09447763515278584, 1.779859896267192, 0.05740739471236822),
+        }
+        sols = [make_solution(InitialData(*d)) for d in data.values()]
+        assert [(s._curve.formula.__name__[1:4], len(s._curve.params[0]._aa), s.phase)
+                for s in sols] == [(*key, 0.0) for key in data]
+        ts = np.arange(1, 4097) * 5e-324 * 3.0  # up to 6e-320
+        for pair in (sols[:2], sols[2:]):
+            _assert_stack_rows_are_evaluate(pair, np.array([ts, ts]))
+
     def test_refuses_mixed_formulas_and_non_finite_times(self):
         neg = make_solution(BRANCH_CASES[Branch.NEG][1])
         cusp = make_solution(BRANCH_CASES[Branch.ZERO_CUSP][1])

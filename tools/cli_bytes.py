@@ -6,10 +6,11 @@ Runs each command below with `python -m heisenmag.cli`, importing heisenmag
 from PARENT/src and then from CHANGE/src, and prints every command whose
 stdout, stderr or exit code differs: every subcommand, with the README's
 examples, `classify-ic` and `sample` on the seven branch representatives,
-`sample` on two data with x0 < 0, on 30,001 rows and in JSON, `periodic` on
-a (rho, energy, e) grid, `lattice` on four more lattice elements, and the
-argv forms of PARSING: help, usage errors, an abbreviated option and
-negative values.  `verify --suite all --json` is compared with each
+`sample` on two data with x0 < 0, on 30,001 rows, in JSON and past the
+float range, `periodic` on a (rho, energy, e) grid, `lattice` on four more
+lattice elements, `lattice-obstruction` on four bases of Z^2, and the argv
+forms of PARSING: help, usage errors (a --seed that no suite reads among
+them), an abbreviated option and negative values.  `verify --suite all --json` is compared with each
 record's `elapsed` dropped.  Where both outputs are JSON, each differing
 key follows with its relative gap, the largest first (a record of a list
 goes by its "name").  Exits 1 on any difference.
@@ -45,7 +46,10 @@ PARSING = ("", "--help", "sample --help", "nosuch --x0 1", "sample --x0 1",
            "periodic --rho 1 --energy 1 --bogus 2", "periodic --rho 1 --ener 1",
            "classify-ic --x0 -1e-3 --y0 -0.5 --z0 -1 --rho 1",
            "classify-ic --x0=-1e-3 --y0=-0.5 --z0=-1 --rho=1",
-           "lattice --k 1 --energy 1 --lambda=-1,0.5")
+           "lattice --k 1 --energy 1 --lambda=-1,0.5",
+           "verify --suite elliptic --seed 7", "verify --case NEG --seed 5")
+# columns (1, 0) and (0, 1), (64, 1), (65, 1); and (2, 1), (131, 65): each spans Z^2
+Z2_BASES = ("1,0,0,1", "1,64,0,1", "1,65,0,1", "2,131,1,65")
 
 
 def _data(datum) -> list[str]:
@@ -62,10 +66,14 @@ def commands() -> list[list[str]]:
     cmds += [["sample", *_data(("1", "0.5", "0.2", "1")), "--t-max", "300", "--dt", "0.01"],
              ["sample", *_data(REPRESENTATIVES[0]), "--t-max", "2", "--dt", "0.1",
               "--format", "json"]]
+    # y grows past 1e308 at the last row
+    cmds += [["sample", *_data(("-1.5", "-1.5", "-1.5", "2e16")), "--t-max", "1e304",
+              "--dt", "5e303"]]
     cmds += [line.split() for line in PARSING]
     cmds += [["periodic", *flags] for flags in PERIODIC]
     cmds += [["lattice", "--k", "1", "--lambda", lam, "--energy", energy, "--rho", rho]
              for lam, energy, rho in LATTICE]
+    cmds += [["lattice-obstruction", "--basis", basis] for basis in Z2_BASES]
     cmds += [["verify", "--suite", "periodicity", "--seed", str(s)] for s in range(40)]
     cmds += [["verify", "--case", b, *(["--rho", r] if r else [])] for b in BRANCHES for r in RHOS]
     return cmds
