@@ -3,8 +3,8 @@
 `CRITERIA` maps a name to a runner that performs one self-contained
 numerical experiment and returns a CriterionResult with its measured
 worst values; `run_criterion` times it.  The CLI `verify` subcommand and
-the pytest acceptance module both drive these runners, and every
-threshold is multiplied by `tolerance_scale()` (HEISENMAG_TOL).
+the pytest acceptance module both drive these runners.  Every pass gate is
+a module constant; `check_branch` records criterion 1's verdict on one branch.
 
 Criterion 1 checks every branch representative against one independent
 integration, `oracle.taylor_reduced`: a Taylor run of the reduced system to
@@ -30,7 +30,6 @@ cases in one such call.
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -76,10 +75,8 @@ from .trajectory import evaluate_stacked, make_solution, make_solutions
 
 __all__ = [
     "CriterionResult",
-    "tolerance_scale",
     "representative_data",
     "check_branch",
-    "closed_form_passed",
     "run_criterion",
     "CRITERIA",
 ]
@@ -104,8 +101,7 @@ def _fmt(v) -> str:
     return str(v)
 
 
-# Pass gates by criterion number; tolerance_scale() multiplies each but the
-# negative-control floor.
+# Pass gates by criterion number.
 _ODE_RESIDUAL_GATE = 1e-8  # 1: finite-difference x'' + h'(x) h(x) - rho
 _ORACLE_GATE = 1e-6  # 1: closed-form coordinates against an independent oracle
 _DRIFT_GATE = 1e-9  # 2, 6: first-integral drift, energy error
@@ -125,18 +121,6 @@ _TRAPEZOID_START = 32  # points of the first trapezoid sum
 _TRAPEZOID_CAP = 1 << 14  # points past which the sums count as not settling
 _C_GRID_SLACK = 1e-9  # 5: keeps c = 5.0 inside the arange of the c grid
 _ENERGY_TAIL_C = 1.0 + 1e-4  # 5: the c at which the energy tail is read
-
-
-def tolerance_scale() -> float:
-    """Multiplier applied to every acceptance threshold (HEISENMAG_TOL)."""
-    raw = os.environ.get("HEISENMAG_TOL", "1")
-    try:
-        scale = float(raw)
-    except ValueError as exc:
-        raise DomainError(f"HEISENMAG_TOL must be a number, got {raw!r}") from exc
-    if not 0.0 < scale < math.inf:
-        raise DomainError(f"HEISENMAG_TOL must be finite and positive, got {raw!r}")
-    return scale
 
 
 # --- branch representatives ----------------------------------------------------
@@ -239,8 +223,8 @@ def check_branch(branch: Branch, rho: float | None = None) -> dict:
     Returns the finite-difference ODE residual on [0, 10], the first
     integral drift, the largest coordinate distance of x, y and z from
     `taylor_reduced` (at 201 times over two periods, or at 14 times on
-    [0, 20] for the non-periodic branches), and the period defect where a
-    period exists.
+    [0, 20] for the non-periodic branches), the period defect where a
+    period exists, and last criterion 1's verdict on them, "passed".
     """
     data = representative_data(branch, rho)
     sol = make_solution(data)
@@ -248,7 +232,7 @@ def check_branch(branch: Branch, rho: float | None = None) -> dict:
         raise BranchConsistencyError(
             f"representative for {branch} classified as {sol.profile.branch}"
         )
-    record: dict = {"data": data, "branch": branch.value}
+    record: dict = {"branch": branch.value}
     record["ode_residual"] = reduced_ode_residual(
         sol.x, data, np.linspace(0.05, 10.0, 200)
     )
@@ -264,19 +248,15 @@ def check_branch(branch: Branch, rho: float | None = None) -> dict:
         record["period_defect"] = abs(sol.x(omega) - sol.x(0.0)) + abs(
             sol.x_prime(omega) - sol.x_prime(0.0)
         )
+    record["passed"] = (record["ode_residual"] < _ODE_RESIDUAL_GATE
+                        and record["oracle_distance"] < _ORACLE_GATE)
     return record
-
-
-def closed_form_passed(record: dict, tol: float) -> bool:
-    """Criterion 1's gates on one `check_branch` record, thresholds times tol."""
-    return (record["ode_residual"] < _ODE_RESIDUAL_GATE * tol
-            and record["oracle_distance"] < _ORACLE_GATE * tol)
 
 
 # --- criterion runners -----------------------------------------------------------
 
 
-def crit_closed_form(tol: float = 1.0) -> CriterionResult:
+def crit_closed_form() -> CriterionResult:
     """1: every branch solves its equation and tracks an independent oracle."""
     records = [check_branch(branch) for branch in _ALL_BRANCHES]
     worst_res = max(rec["ode_residual"] for rec in records)
@@ -284,7 +264,7 @@ def crit_closed_form(tol: float = 1.0) -> CriterionResult:
     worst_per = max(rec.get("period_defect", 0.0) for rec in records)
     return CriterionResult(
         "closed-form correctness (7 branches)",
-        all(closed_form_passed(rec, tol) for rec in records),
+        all(rec["passed"] for rec in records),
         {
             "max_ode_residual": worst_res,
             "max_oracle_distance": worst_dist,
@@ -293,7 +273,7 @@ def crit_closed_form(tol: float = 1.0) -> CriterionResult:
     )
 
 
-def crit_first_integral(tol: float = 1.0) -> CriterionResult:
+def crit_first_integral() -> CriterionResult:
     """2: x'^2 + h(x)^2 - 2 rho x is constant along every branch."""
     worst = 0.0
     for branch in _ALL_BRANCHES:
@@ -301,12 +281,12 @@ def crit_first_integral(tol: float = 1.0) -> CriterionResult:
         worst = max(worst, _first_integral_drift(make_solution(data), data))
     return CriterionResult(
         "first integral drift",
-        worst < _DRIFT_GATE * tol,
+        worst < _DRIFT_GATE,
         {"max_drift": worst},
     )
 
 
-def crit_discriminant(tol: float = 1.0, seed: int = 0) -> CriterionResult:
+def crit_discriminant(seed: int = 0) -> CriterionResult:
     """3: discriminant sign agrees with the real-root count; Viete holds.
 
     The closed-form roots come from one quartic_roots call on the columns,
@@ -334,7 +314,7 @@ def crit_discriminant(tol: float = 1.0, seed: int = 0) -> CriterionResult:
     )
     n_real = _real_root_counts(p0, q0, rho)
     mismatches = int(np.sum(~boundary & ((delta > 0.0) != (n_real == 4))))
-    passed = mismatches == 0 and worst_viete < _VIETE_GATE * tol
+    passed = mismatches == 0 and worst_viete < _VIETE_GATE
     return CriterionResult(
         "discriminant classification (10^4 samples)",
         passed,
@@ -384,7 +364,7 @@ def _discriminant_columns(draws: np.ndarray):
     return p0, q0, data.rho, discriminant(p0, q0, data.rho), delta_band(p0, q0, data.rho)
 
 
-def crit_periodicity_criterion(tol: float = 1.0, seed: int = 0) -> CriterionResult:
+def crit_periodicity_criterion(seed: int = 0) -> CriterionResult:
     """4: y(omega) closed form matches quadrature below, negative above.
 
     Each family (NEG; POS_LOW, POS_HIGH; ZERO_MU_POS) is built in batches
@@ -411,7 +391,7 @@ def crit_periodicity_criterion(tol: float = 1.0, seed: int = 0) -> CriterionResu
         worst_mu = max(worst_mu, quadrature, closed)
         worst_mu_gap = max(worst_mu_gap, abs(quadrature - closed))
         mu_all_negative = mu_all_negative and quadrature < 0.0 and closed < 0.0
-    passed = worst_gap < _Y_PERIOD_GATE * tol and pos_all_negative and mu_all_negative
+    passed = worst_gap < _Y_PERIOD_GATE and pos_all_negative and mu_all_negative
     return CriterionResult(
         "periodicity criterion y(omega)",
         passed,
@@ -504,7 +484,7 @@ def _data_from_quartic(p0: float, q0: float, rho: float, zr: float) -> InitialDa
     return InitialData(math.sqrt(val), y0, zr - rho, rho)
 
 
-def crit_unique_dc(tol: float = 1.0) -> CriterionResult:
+def crit_unique_dc() -> CriterionResult:
     """5: unique d_c with tiny residual; d_c and En(c) increase; En -> 0."""
     rho = 1.0
     cs = np.arange(1.1, 5.0 + _C_GRID_SLACK, 0.1)
@@ -519,10 +499,10 @@ def crit_unique_dc(tol: float = 1.0) -> CriterionResult:
     increasing_e = all(a < b for a, b in zip(es, es[1:]))
     tail = energy_of_c(_ENERGY_TAIL_C, rho)
     passed = (
-        worst_resid < _PSI_RESIDUAL_GATE * tol
+        worst_resid < _PSI_RESIDUAL_GATE
         and increasing_d
         and increasing_e
-        and tail < _ENERGY_TAIL_GATE * tol
+        and tail < _ENERGY_TAIL_GATE
     )
     return CriterionResult(
         "unique d_c and monotone energy",
@@ -536,7 +516,7 @@ def crit_unique_dc(tol: float = 1.0) -> CriterionResult:
     )
 
 
-def crit_closed_at_every_energy(tol: float = 1.0) -> CriterionResult:
+def crit_closed_at_every_energy() -> CriterionResult:
     """6: build_periodic closes at E in {0.1, 1, 10} for e in {-1, 0, 1}."""
     worst_closure, worst_energy = 0.0, 0.0
     for energy in (0.1, 1.0, 10.0):
@@ -546,7 +526,7 @@ def crit_closed_at_every_energy(tol: float = 1.0) -> CriterionResult:
                 worst_closure, rep["closure_x"], rep["closure_y"], rep["closure_z"]
             )
             worst_energy = max(worst_energy, rep["energy_error"])
-    passed = worst_closure < _CLOSURE_GATE * tol and worst_energy < _DRIFT_GATE * tol
+    passed = worst_closure < _CLOSURE_GATE and worst_energy < _DRIFT_GATE
     return CriterionResult(
         "closed trajectories at every energy",
         passed,
@@ -554,7 +534,7 @@ def crit_closed_at_every_energy(tol: float = 1.0) -> CriterionResult:
     )
 
 
-def crit_exact_threshold(tol: float = 1.0) -> CriterionResult:
+def crit_exact_threshold() -> CriterionResult:
     """7: exact-force family exists strictly below rho^2/2 and closes."""
     fam = exact_periodic_family(1.9, 2.0)
     below_exists = fam is not None
@@ -566,7 +546,7 @@ def crit_exact_threshold(tol: float = 1.0) -> CriterionResult:
         p = traj.point(period)
         closure = max(abs(p.x), abs(p.y), abs(p.z))
     at_threshold = exact_periodic_family(2.0, 2.0)
-    passed = below_exists and closure < _EXACT_CLOSURE_GATE * tol and at_threshold is None
+    passed = below_exists and closure < _EXACT_CLOSURE_GATE and at_threshold is None
     return CriterionResult(
         "exact-force energy threshold",
         passed,
@@ -578,7 +558,7 @@ def crit_exact_threshold(tol: float = 1.0) -> CriterionResult:
     )
 
 
-def crit_lambda_periodic(tol: float = 1.0) -> CriterionResult:
+def crit_lambda_periodic() -> CriterionResult:
     """8: Gamma_1 element (0,1,1/2) admits a periodic lift; (1,0,0) refuses."""
     lam = LatticeElement(0.0, 1.0, 0.5)
     res = find_lambda_periodic(lam, 1.0, 1.0)
@@ -587,7 +567,7 @@ def crit_lambda_periodic(tol: float = 1.0) -> CriterionResult:
         find_lambda_periodic(LatticeElement(1.0, 0.0, 0.0), 1.0, 1.0)
     except LambdaNotFoundError:
         refused = True
-    passed = res.residual < _CLOSURE_GATE * tol and refused
+    passed = res.residual < _CLOSURE_GATE and refused
     return CriterionResult(
         "lambda-periodic construction on Gamma_1",
         passed,
@@ -595,7 +575,7 @@ def crit_lambda_periodic(tol: float = 1.0) -> CriterionResult:
     )
 
 
-def crit_lattice_obstruction(tol: float = 1.0) -> CriterionResult:
+def crit_lattice_obstruction() -> CriterionResult:
     """9: rotated lattice admits no period candidates; standard ones do."""
     rotated = [[math.sqrt(3.0) / 2.0, 0.5], [-0.5, math.sqrt(3.0) / 2.0]]
     rot = lattice_obstruction_check(rotated)
@@ -608,7 +588,7 @@ def crit_lattice_obstruction(tol: float = 1.0) -> CriterionResult:
     )
 
 
-def crit_lagrangian(tol: float = 1.0) -> CriterionResult:
+def crit_lagrangian() -> CriterionResult:
     """10: Euler-Lagrange residuals vanish on trajectories, not off them."""
     worst_true = 0.0
     ts = np.linspace(0.0, 10.0, 10001)
@@ -623,7 +603,7 @@ def crit_lagrangian(tol: float = 1.0) -> CriterionResult:
     control = np.stack([ts, ts, 0 * ts, ones, ones, 0 * ts], axis=1)
     residuals = euler_lagrange_residual(LorentzForce(0.0, 1.0, 1.0), ts, control)
     control_max = max(float(np.max(np.abs(r))) for r in residuals)
-    passed = worst_true < _EL_RESIDUAL_GATE * tol and control_max > _EL_CONTROL_FLOOR
+    passed = worst_true < _EL_RESIDUAL_GATE and control_max > _EL_CONTROL_FLOOR
     return CriterionResult(
         "Lagrangian equivalence (Euler-Lagrange residuals)",
         passed,
@@ -655,7 +635,7 @@ def _appendix_by_trapezoid(a, b, k) -> np.ndarray:
     return _periodic_integral(powers, np.full(a.shape, 2.0 * math.pi)).reshape(2, *shape)
 
 
-def crit_elliptic_kernel(tol: float = 1.0) -> CriterionResult:
+def crit_elliptic_kernel() -> CriterionResult:
     """11: Legendre relation and the appendix integral identities, the
     latter against _appendix_by_trapezoid."""
     worst_leg = max(
@@ -673,9 +653,9 @@ def crit_elliptic_kernel(tol: float = 1.0) -> CriterionResult:
         abs(k0["I2"] - 4.0 * math.pi / 3.0 ** 1.5),
     )
     passed = (
-        worst_leg < _LEGENDRE_GATE * tol
-        and worst_app < _IDENTITY_GATE * tol
-        and worst_k0 < _IDENTITY_GATE * tol
+        worst_leg < _LEGENDRE_GATE
+        and worst_app < _IDENTITY_GATE
+        and worst_k0 < _IDENTITY_GATE
     )
     return CriterionResult(
         "elliptic kernel (Legendre + integral identities)",
@@ -705,9 +685,8 @@ SEEDED = ("discriminant", "periodicity")  # the criteria that draw from a seed
 
 
 def run_criterion(name: str, seed: int = 0) -> CriterionResult:
-    tol = tolerance_scale()
     fn = CRITERIA[name]
     t0 = time.perf_counter()
-    result = fn(tol, seed) if name in SEEDED else fn(tol)
+    result = fn(seed) if name in SEEDED else fn()
     result.elapsed = time.perf_counter() - t0
     return result

@@ -55,6 +55,9 @@ _CLAMP_BAND = 1e-10  # round-off admitted in inverse-function arguments
 _X0_BAND = 1e-8  # |x(0)| a phase constant may leave
 _SLOPE_BAND = 1e-7  # |sigma'(0) - (x0, y0, z0)|
 _VANISHING_BAND = 1e-12  # x0 at a turning point, z0 + rho of a subgroup
+_TURN_CUT = 1.0  # |tau t| below which 1 - cos and tau t - sin are formed without cancellation
+# (u - sin u) / u^3 = sum_k (-1)^k u^2k / (2k + 3)!, within 6e-17 relative in 8 terms at |u| < 1
+_SINE_TAIL = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(8))
 
 
 quad = None  # perfbench's tracer patches this name; nothing calls it (ROADMAP item 7)
@@ -363,10 +366,14 @@ def evaluate_stacked(solutions: list[TrajectorySolution], ts):
     curves = [sol._curve for sol in solutions]
     if len({c.formula for c in curves}) != 1:
         raise DomainError("a stack takes one or more solutions of one closed-form formula")
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim > 1 and ts.shape[-2] not in (1, len(curves)):
+        raise DomainError(f"times of shape {ts.shape} do not broadcast against the "
+                          f"solutions' columns of shape ({len(curves)}, 1)")
     params = tuple(AGM.stack(v) if isinstance(v[0], AGM) else np.array(v)[:, None]
                    for v in zip(*(c.params for c in curves)))
     fields = (np.array(v)[:, None] for v in list(zip(*curves))[2:])
-    return _curve_state(_Curve(curves[0].formula, params, *fields), np.asarray(ts, dtype=float))
+    return _curve_state(_Curve(curves[0].formula, params, *fields), ts)
 
 
 def make_solution(data: InitialData) -> TrajectorySolution:
@@ -456,12 +463,18 @@ class ExactTrajectory:
         d = self.data
         if self.is_subgroup:
             return (d.x0 * t, d.y0 * t, d.z0 * t) if point else (d.x0, d.y0, d.z0)
-        tau, v0_sq = d.zr, d.x0 ** 2 + d.y0 ** 2
-        s, c = math.sin(tau * t), math.cos(tau * t)
-        if point:
-            return ((s * d.x0 + (-1.0 + c) * d.y0) / tau, ((1.0 - c) * d.x0 + s * d.y0) / tau,
-                    (d.z0 + v0_sq / (2.0 * tau)) * t - v0_sq / (2.0 * tau ** 2) * s)
-        return c * d.x0 - s * d.y0, s * d.x0 + c * d.y0, d.z0 + v0_sq / (2.0 * tau) * (1.0 - c)
+        tau, v0_sq, u = d.zr, d.x0 ** 2 + d.y0 ** 2, d.zr * t
+        s, c = math.sin(u), math.cos(u)
+        small = abs(u) < _TURN_CUT
+        one_c = 2.0 * math.sin(0.5 * u) ** 2 if small else 1.0 - c
+        if not point:
+            return c * d.x0 - s * d.y0, s * d.x0 + c * d.y0, d.z0 + v0_sq / (2.0 * tau) * one_c
+        if small:  # z0 t + v0^2 (u - sin u) / (2 tau^2), the difference by its series
+            tail = sum(coef * (u * u) ** k for k, coef in enumerate(_SINE_TAIL))
+            z = d.z0 * t + v0_sq / (2.0 * tau) * t * (u * u * tail)
+        else:
+            z = (d.z0 + v0_sq / (2.0 * tau)) * t - v0_sq / (2.0 * tau ** 2) * s
+        return (s * d.x0 - one_c * d.y0) / tau, (one_c * d.x0 + s * d.y0) / tau, z
 
     def horizontal_period(self) -> float | None:
         """Time for (x, y) to return to the origin: 2 pi / |z0 + rho|."""
@@ -489,7 +502,15 @@ class TranslatedTrajectory:
     source: object  # anything exposing point(t) and velocity(t)
 
     def point(self, t: float) -> HeisenbergPoint:
-        return self.base_point * self.source.point(t)
+        return HeisenbergPoint(*self._state(t, True))
 
     def velocity(self, t: float) -> tuple[float, float, float]:
+        return self._state(t, False)
+
+    @_in_float_range
+    def _state(self, t: float, point: bool) -> tuple:
+        """(x, y, z) of p * sigma(t) if point, else its (x', y', z')."""
+        if point:
+            p = self.base_point * self.source.point(t)
+            return p.x, p.y, p.z
         return translate_velocity(self.base_point, *self.source.velocity(t))

@@ -2,7 +2,7 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
 report, or `heisenmag verify --suite all` for the same checks from the
-CLI.  HEISENMAG_TOL scales the thresholds.
+CLI.
 """
 
 import math
@@ -347,7 +347,7 @@ def _one_curve_at_a_time(seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_criterion_04_equals_one_curve_at_a_time(seed):
-    assert acceptance.crit_periodicity_criterion(1.0, seed) == _one_curve_at_a_time(seed)
+    assert acceptance.crit_periodicity_criterion(seed) == _one_curve_at_a_time(seed)
 
 
 def test_criterion_04_integrates_the_curves_built_before_a_refusal(monkeypatch):
@@ -381,7 +381,7 @@ def test_criterion_04_raises_the_first_error_in_draw_order(seed):
     with pytest.raises(HeisenmagError) as reference:
         _one_curve_at_a_time(seed)
     with pytest.raises(HeisenmagError) as batched:
-        acceptance.crit_periodicity_criterion(1.0, seed)
+        acceptance.crit_periodicity_criterion(seed)
     assert type(batched.value) is type(reference.value)
     assert str(batched.value) == str(reference.value)
 

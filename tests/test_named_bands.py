@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from heisenmag import _ops, cli, heisenberg, oracle, periodic, quartic
+from heisenmag import _ops, acceptance, cli, heisenberg, oracle, periodic, quartic
 from heisenmag.quartic import InitialData
 from heisenmag.trajectory import ExactTrajectory, make_solution
 
@@ -71,6 +71,14 @@ def test_retired_functions_are_gone():
     # they carried retired keywords, and had no caller outside their tests
     for name in ("lambda_periodic_test", "equienergy_conjugacy"):
         assert not hasattr(periodic, name)
+
+
+def test_acceptance_gates_are_constants():
+    # no multiplier scales a gate, and check_branch's record carries criterion 1's verdict
+    for name in ("tolerance_scale", "closed_form_passed"):
+        assert not hasattr(acceptance, name) and name not in acceptance.__all__
+    assert [n for n, fn in acceptance.CRITERIA.items()
+            if "tol" in inspect.signature(fn).parameters] == []
 
 
 def test_retired_aliases_are_gone(capsys):

@@ -37,7 +37,12 @@ from heisenmag.periodic import (
     solve_dc,
 )
 from heisenmag.quartic import Branch, InitialData, build_profile, mu_r_closed_forms
-from heisenmag.trajectory import ExactTrajectory, make_solution
+from heisenmag.trajectory import (
+    ExactTrajectory,
+    TranslatedTrajectory,
+    evaluate_stacked,
+    make_solution,
+)
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)  # signed zeros and subnormals too
@@ -84,9 +89,10 @@ def test_non_finite_phase_constant_is_refused():
         make_solution(InitialData(*_INFINITE_PHASE))
 
 
-# built curves of all eight branches, at x0 = 0 and on both sides of it, and
-# exact curves: rotating, rotating at a rate of 1e-10, and a subgroup; the last
-# POS_HIGH datum's z' overflows at t = _Z_PRIME_PAST_RANGE, where its point is finite
+# built curves of all eight branches, at x0 = 0 and on both sides of it, exact
+# curves: rotating, rotating at a rate of 1e-10, and a subgroup, and a translate
+# whose point leaves the float range at t = 1e10; the last POS_HIGH datum's z'
+# overflows at t = _Z_PRIME_PAST_RANGE, where its point is finite
 _ROTATING = [InitialData(1.0, 0.5, 0.2, 1.0), InitialData(0.2, -2.75, -2.0, 1.0),
              InitialData(0.3, -4.0, -1.0, 1.0), InitialData(2.0, -1.25, 1.5, 0.5),
              InitialData(2.0, -2.0, 0.0, 1.0),
@@ -97,23 +103,26 @@ _CURVES = [make_solution(d) for d in (
     *(acceptance.representative_data(b) for b in Branch if b is not Branch.TRIVIAL),
     InitialData(0.0, 0.0, 0.0, 1.0), *_ROTATING,
     *(InitialData(-d.x0, d.y0, d.z0, d.rho) for d in _ROTATING))]
-_EXACT = [ExactTrajectory(InitialData(0.5, 0.3, 0.2, 1.0)),
+_OTHER = [ExactTrajectory(InitialData(0.5, 0.3, 0.2, 1.0)),
           ExactTrajectory(InitialData(1e-3, 2.0, 1e-10, 0.0)),
-          ExactTrajectory(InitialData(0.5, 0.3, -1.0, 1.0))]
+          ExactTrajectory(InitialData(0.5, 0.3, -1.0, 1.0)),
+          TranslatedTrajectory(HeisenbergPoint(1e300, 1e300, 0.0),
+                               make_solution(InitialData(1.0, 0.5, 0.2, 1.0)))]
 _TOP = 1.7976931348623157e308
 
 
 @settings(max_examples=600, deadline=None)
-@given(st.integers(0, len(_CURVES) + len(_EXACT) - 1),
+@given(st.integers(0, len(_CURVES) + len(_OTHER) - 1),
        st.one_of(_FINITE, st.sampled_from([_TOP, -_TOP, 1.7e308, -1.7e308, 1e300, -1e300])))
 @example(0, 1.7e308)
 @example(len(_CURVES), 1.7e308)
 @example(len(_CURVES) + 2, 1.7e308)  # the subgroup: its velocity is constant
+@example(len(_CURVES) + 3, 1e10)
 @example(len(_CURVES) - len(_ROTATING) - 1, _Z_PRIME_PAST_RANGE)
 def test_curve_at_any_finite_time_is_finite_or_typed(which, t):
     """x, point, velocity and evaluate at a finite t, the float range's ends
     included, give finite values or raise a HeisenmagError."""
-    curve = (_CURVES + _EXACT)[which]
+    curve = (_CURVES + _OTHER)[which]
     calls = [curve.point, curve.velocity]
     if which < len(_CURVES):
         calls += [curve.x, lambda t: curve.evaluate([0.0, t])]
@@ -359,6 +368,12 @@ _REFUSALS = {
         1.7e308), "float range at t = 1.7e+308"),
     "exact-subgroup-overflow": (lambda: ExactTrajectory(InitialData(0.5, 2.0, -1.0, 1.0)).point(
         1.7e308), "float range at t = 1.7e+308"),
+    "translate-overflow": (lambda: TranslatedTrajectory(
+        HeisenbergPoint(1e300, 1e300, 0.0), make_solution(InitialData(1.0, 0.5, 0.2, 1.0))).point(
+        1e10), "float range at t = 10000000000.0"),
+    # times that do not broadcast against a stack's (B, 1) columns
+    "stack-shape": (lambda: evaluate_stacked([make_solution(InitialData(1.0, 0.5, 0.2, 1.0))] * 2,
+                                             np.zeros((3, 4))), "(3, 4)"),
     # an int that no float holds is refused as not finite, by its field's name
     "lattice-int-past-float-range": (lambda: LatticeElement(10**400, 0, 0), "x1 must be finite"),
     "data-int-past-float-range": (lambda: InitialData(10**400, 0, 0, 1), "x0 must be finite"),
@@ -495,23 +510,6 @@ class TestJacobiAmplitude:
 
         for u in (-3.0, 0.7, 11.0):
             assert abs(am(u + period) - am(u) - 2 * np.pi) < 1e-11
-
-
-class TestToleranceOverride:
-    def test_env_multiplier(self, monkeypatch):
-        monkeypatch.setenv("HEISENMAG_TOL", "10")
-        assert acceptance.tolerance_scale() == 10.0
-        monkeypatch.delenv("HEISENMAG_TOL")
-        assert acceptance.tolerance_scale() == 1.0
-        monkeypatch.setenv("HEISENMAG_TOL", "-1")
-        with pytest.raises(ValueError):
-            acceptance.tolerance_scale()
-
-    @pytest.mark.parametrize("raw", ["nan", "inf", "abc", "0"])
-    def test_rejects_invalid(self, monkeypatch, raw):
-        monkeypatch.setenv("HEISENMAG_TOL", raw)
-        with pytest.raises(DomainError):
-            acceptance.tolerance_scale()
 
 
 class TestCLIOutputFile:

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -322,6 +323,24 @@ class TestExactForce:
             assert abs(ypp - tau * v0[0]) < 1e-9
             assert abs(v0[2] + 0.5 * (v0[0] * p0.y - p0.x * v0[1]) - traj.data.z0) < 1e-9
 
+    # tau = z0 + rho = 1e-10: the turn angle tau t stays below the cut at t <= 1e4
+    @pytest.mark.parametrize("t", [1.0, 3.0, 100.0, 1e4, *(
+        np.geomspace(1e-12, trajectory._TURN_CUT, 13, endpoint=False) * 1e10)])
+    def test_slow_turn_keeps_its_digits(self, t):
+        traj = ExactTrajectory(InitialData(1e-3, 2.0, 1e-10, 0.0))
+        p, v = traj.point(t), traj.velocity(t)
+        with mpmath.workdps(50):  # the same closed form, on the same float inputs
+            x0, y0, z0, tau, mt = map(mpmath.mpf, (1e-3, 2.0, 1e-10, 1e-10, t))
+            s, one_c, v0_sq = mpmath.sin(tau * mt), 1 - mpmath.cos(tau * mt), x0 ** 2 + y0 ** 2
+            x, y = (s * x0 - one_c * y0) / tau, (one_c * x0 + s * y0) / tau
+            z = z0 * mt + v0_sq / (2 * tau ** 2) * (tau * mt - s)
+            zp = z0 + v0_sq / (2 * tau) * one_c
+            # x crosses zero at tau t = 2 atan(x0 / y0): x and y are held to the radius
+            radius = mpmath.hypot(x, y)
+            gaps = [abs(p.x - x) / radius, abs(p.y - y) / radius, abs(p.z - z) / z,
+                    abs(v[2] - zp) / zp]
+        assert max(gaps) < 1e-14, gaps
+
     def test_speed_constant(self):
         traj = ExactTrajectory(InitialData(0.7, 0.2, 0.5, 1.5))
         v0 = traj.velocity(0.0)
@@ -613,6 +632,8 @@ class TestEvaluateStacked:
             trajectory.evaluate_stacked([], np.zeros((0, 3)))
         with pytest.raises(DomainError, match="t must be finite"):
             trajectory.evaluate_stacked([neg, neg], [[0.0, 1.0], [np.inf, 1.0]])
+        # a 1-D grid broadcasts against the (B, 1) columns
+        assert trajectory.evaluate_stacked([neg, neg], [0.0, 1.0, 2.0])[0].shape == (2, 3)
 
 
 # --- batched construction ----------------------------------------------------

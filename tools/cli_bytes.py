@@ -11,7 +11,9 @@ float range, `periodic` on a (rho, energy, e) grid, `lattice` on four more
 lattice elements, `lattice-obstruction` on four bases of Z^2, and the argv
 forms of PARSING: help, usage errors (a --seed that no suite reads among
 them), an abbreviated option and negative values.  `verify --suite all --json` is compared with each
-record's `elapsed` dropped.  Where both outputs are JSON, each differing
+record's `elapsed` dropped.  Each command runs without HEISENMAG_TOL in its
+environment, except the verify runs of TOL_RUNS, which set it as their
+leading NAME=value says.  Where both outputs are JSON, each differing
 key follows with its relative gap, the largest first (a record of a list
 goes by its "name").  Exits 1 on any difference.
 """
@@ -50,6 +52,9 @@ PARSING = ("", "--help", "sample --help", "nosuch --x0 1", "sample --x0 1",
            "verify --suite elliptic --seed 7", "verify --case NEG --seed 5")
 # columns (1, 0) and (0, 1), (64, 1), (65, 1); and (2, 1), (131, 65): each spans Z^2
 Z2_BASES = ("1,0,0,1", "1,64,0,1", "1,65,0,1", "2,131,1,65")
+# a gate multiplier that verify once read from the environment, and reads no more
+TOL_RUNS = [f"HEISENMAG_TOL={tol} {cmd}" for tol in ("1e-30", "1e9")
+            for cmd in ("verify --suite first-integral", "verify --case NEG")]
 
 
 def _data(datum) -> list[str]:
@@ -76,11 +81,16 @@ def commands() -> list[list[str]]:
     cmds += [["lattice-obstruction", "--basis", basis] for basis in Z2_BASES]
     cmds += [["verify", "--suite", "periodicity", "--seed", str(s)] for s in range(40)]
     cmds += [["verify", "--case", b, *(["--rho", r] if r else [])] for b in BRANCHES for r in RHOS]
+    cmds += [line.split() for line in TOL_RUNS]
     return cmds
 
 
 def run(checkout: str, args: list[str]) -> tuple[str, str, int]:
-    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"))
+    env = {k: v for k, v in os.environ.items() if k != "HEISENMAG_TOL"}
+    env["PYTHONPATH"] = os.path.join(os.path.abspath(checkout), "src")
+    while args and "=" in args[0] and not args[0].startswith("-"):  # NAME=value, as in a shell
+        name, _, value = args[0].partition("=")
+        env[name], args = value, args[1:]
     done = subprocess.run([sys.executable, "-m", "heisenmag.cli", *args], env=env,
                           capture_output=True, text=True, check=False)
     out = done.stdout
