@@ -44,9 +44,11 @@ class LambdaNotFoundError(HeisenmagError):
 
 def check_finite(**values) -> None:
     """Raise DomainError for the first named value (a float, or an array of
-    them) that is or holds a NaN or an infinity, or is an int past the
-    float range."""
+    them) that is or holds a NaN or an infinity, is an int past the float
+    range, or is complex (np.isfinite(1j) holds, so it is named not real)."""
     for name, value in values.items():
+        if isinstance(value, complex) or isinstance(value, np.ndarray) and value.dtype.kind == "c":
+            raise DomainError(f"{name} must be real, got {value}")
         try:
             finite = math.isfinite(value)
         except OverflowError:  # an int that no float holds

@@ -8,8 +8,9 @@ initial data (x0 >= 0) is reparametrized by triples (c, d, e) with c > 0,
     y0 = c^2 (2 d^2 e^2 - 2 d^2 + 1) + 2 d e rho / c - 1
     z0 = rho / c^2 + 2 c d e - rho
 
-In this chart the increment of y over one x-period is y(omega) =
-Psi(c, d, e), independent of e, and the energy depends only on (c, d).
+In this chart the increment of y over one x-period, y(omega) = Psi, and
+the energy depend only on (c, d): `psi` takes no e, nor does the lattice
+construction, which builds its curve at e = 0 and left-translates it.
 Closed trajectories answer Psi = 0: for every c > 1 there is a unique
 root d_c, the energy map c -> En(c, d_c) is an increasing bijection of
 (1, inf) onto (0, inf), and lattice-periodic curves come from tuning
@@ -225,8 +226,8 @@ def psi_tilde(c: float, d: float, rho: float) -> float:
     return _psi_parts(c, d, rho)[1]
 
 
-def psi(c: float, d: float, e: float, rho: float) -> float:
-    """y over one x-period as a function of the chart; e does not enter."""
+def psi(c: float, d: float, rho: float) -> float:
+    """y over one x-period at the chart points (c, d, e, rho), the same for every e."""
     s, tilde = _psi_parts(c, d, rho)
     try:
         value = 8.0 / (c * c) * math.sqrt(s) * tilde
@@ -404,11 +405,8 @@ def build_periodic(
     # e = 0.3: 8 fewer curves built, and the worst closure 4.9e-8 against 6.9e-11),
     # so d is solved beside h_E(c), from the level-set solve's last value
     d = _polish_dc(c, _h_energy(c, energy, rho), f_h, rho)
-    data = initial_from_cde(c, d, e, rho)
-    sol = make_solution(data)
-    omega = sol.x_period
-    if omega is None:
-        raise ConvergenceError("periodic construction produced a non-periodic branch")
+    sol = _periodic_curve(c, d, e, rho)
+    data, omega = sol.data, sol.x_period
     end = sol.point(omega)
     report = {
         "c": c,
@@ -423,6 +421,14 @@ def build_periodic(
         "energy_error": abs(data.energy() - energy),
     }
     return sol, report
+
+
+def _periodic_curve(c: float, d: float, e: float, rho: float) -> TrajectorySolution:
+    """The curve at a chart point; ConvergenceError where it has no x-period."""
+    sol = make_solution(initial_from_cde(c, d, e, rho))
+    if sol.x_period is None:
+        raise ConvergenceError(f"the curve at c={c}, d={d} has no x-period")
+    return sol
 
 
 def _polish_dc(c: float, h: float, f_h: float, rho: float) -> float:
@@ -461,7 +467,6 @@ class ExactPeriodicFamily:
     energy: float
     z0: float
     radius_sq: float
-    period: float
 
     def trajectory(self, angle: float = 0.0) -> ExactTrajectory:
         radius = math.sqrt(self.radius_sq)
@@ -481,9 +486,7 @@ def exact_periodic_family(energy: float, rho: float) -> ExactPeriodicFamily | No
     if not 0.0 < energy < 0.5 * rho * rho:
         return None
     z0 = -rho + math.copysign(math.sqrt(rho * rho - 2.0 * energy), rho)
-    radius_sq = 2.0 * energy - z0 * z0
-    period = 2.0 * math.pi / abs(z0 + rho)
-    return ExactPeriodicFamily(rho, energy, z0, radius_sq, period)
+    return ExactPeriodicFamily(rho, energy, z0, 2.0 * energy - z0 * z0)
 
 
 # --- lattices and lambda-periodicity ---------------------------------------------
@@ -538,20 +541,6 @@ class GammaLattice:
     def is_member(self, p: HeisenbergPoint, tol: float = _MEMBER_BAND) -> bool:
         return self.distance(p) <= tol
 
-    def reduce(self, p: HeisenbergPoint) -> HeisenbergPoint:
-        """Representative of the left coset in the fundamental domain.
-
-        Reduction multiplies on the left by lattice generators (the group
-        law mixes the centre coordinate, so this is not coordinate-wise
-        modular arithmetic).
-        """
-        check_finite(x=p.x, y=p.y, z=p.z)
-        q = HeisenbergPoint(math.floor(p.x), 0.0, 0.0).inverse() * p
-        q = HeisenbergPoint(0.0, math.floor(q.y), 0.0).inverse() * q
-        step = self.center_step
-        q = HeisenbergPoint(0.0, 0.0, math.floor(self._turns(q.z)) * step).inverse() * q
-        return q
-
 
 def _period_defect(traj, g: HeisenbergPoint, ts, shift: float) -> float:
     """Worst coordinate gap between g * sigma(t) and sigma(t + shift) over
@@ -583,13 +572,11 @@ class LambdaPeriodicResult:
     conjugator: float  # a with p = exp(a e1) matching the centre component
     c: float
     d: float
-    e: float
+    e: float  # 0.0: the chart's e does not change Psi
     residual: float
 
 
-def find_lambda_periodic(
-    lam: LatticeElement, energy: float, rho: float, e: float = 0.0
-) -> LambdaPeriodicResult:
+def find_lambda_periodic(lam: LatticeElement, energy: float, rho: float) -> LambdaPeriodicResult:
     """Lattice-periodic trajectory with prescribed energy, or a refusal.
 
     Implements the constructive existence argument: on the energy surface,
@@ -599,14 +586,11 @@ def find_lambda_periodic(
     resulting lambda1-periodic curve to the n-th power, and conjugate by
     exp(a e1) with a = (z1 - n z2)/y1 to match the centre component.
     """
-    check_finite(energy=energy, rho=rho, e=e)
-    _check_e("find_lambda_periodic", e)
+    check_finite(energy=energy, rho=rho)
     if abs(lam.x1) > _LATTICE_BAND or abs(lam.y1) <= _LATTICE_BAND:
         raise LambdaNotFoundError(
             "lambda-periodic trajectories exist only for exp(y1 e2 + z1 e3) with y1 != 0"
         )
-    if energy <= 0.0:
-        raise DomainError("energy must be positive")
     if rho < 0.0:
         raise DomainError("canonical force has rho >= 0")
     # the residual gate is absolute: past it, y1 and z1 are not resolved
@@ -619,7 +603,7 @@ def find_lambda_periodic(
 
     def psi_on_surface(c: float) -> float | None:
         d = _h_energy(c, energy, rho)
-        return psi(c, d, e, rho) if 0.0 < d < 1.0 else None
+        return psi(c, d, rho) if 0.0 < d < 1.0 else None
 
     # h_E decreases through d_{c0} at c0, so Psi > 0 for c > c0 and < 0 below
     direction = 1.0 if lam.y1 > 0.0 else -1.0
@@ -651,12 +635,9 @@ def find_lambda_periodic(
     (lo, f_lo), (hi, f_hi) = sorted([(c0, psi_minus_target(c0)), (best_c, best_val - target)])
     c_star, _ = _brent(psi_minus_target, lo, hi, f_lo, f_hi)
     d_star = _h_energy(c_star, energy, rho)
-    data = initial_from_cde(c_star, d_star, e, rho)
-    sol = make_solution(data)
+    sol = _periodic_curve(c_star, d_star, 0.0, rho)
     omega1 = sol.x_period
-    if omega1 is None:
-        raise ConvergenceError("tuned trajectory lost its x-period")
-    z2 = -data.zr * target  # z(omega1) of the base curve
+    z2 = -sol.data.zr * target  # z(omega1) of the base curve
     a = (lam.z1 - n * z2) / lam.y1
     moved = TranslatedTrajectory(HeisenbergPoint(a, 0.0, 0.0), sol)
     omega = n * omega1
@@ -666,7 +647,7 @@ def find_lambda_periodic(
             f"constructed trajectory misses lambda-periodicity: residual {residual}"
         )
     return LambdaPeriodicResult(
-        moved, sol, lam, omega, omega1, n, a, c_star, d_star, e, residual
+        moved, sol, lam, omega, omega1, n, a, c_star, d_star, 0.0, residual
     )
 
 

@@ -22,7 +22,9 @@ time direction sigma = -1 evaluates the |x0| curve at -t and negates x',
 y and z.  The inverse-function phase constants fix x(0) = 0 only up to
 the branch of the inverse; construction corrects them by at most a sign
 flip so that x'(0) = |x0| on the |x0| curve, and records the correction.
-Arbitrary base points go through left translation.
+Arbitrary base points go through left translation, which composes its
+source's unchecked state; every curve class states (x, y, z) or
+(x', y', z') once, and its point and velocity check the float range once.
 """
 
 from __future__ import annotations
@@ -280,8 +282,21 @@ def _in_float_range(state):
     return functools.update_wrapper(checked, state)
 
 
+class _StatedCurve:
+    """point(t) and velocity(t), refused past the float range, from the unchecked
+    _state(t, point) of a subclass: (x, y, z) if point, else (x', y', z')."""
+
+    def point(self, t: float) -> HeisenbergPoint:
+        return HeisenbergPoint(*self._checked(t, True))
+
+    def velocity(self, t: float) -> tuple[float, float, float]:
+        return self._checked(t, False)
+
+    _checked = _in_float_range(lambda self, t, point: self._state(t, point))
+
+
 @dataclass
-class TrajectorySolution:
+class TrajectorySolution(_StatedCurve):
     """Evaluable magnetic trajectory through the identity, for any x0.
 
     The closed forms describe the curve with initial velocity
@@ -325,15 +340,12 @@ class TrajectorySolution:
             raise DomainError(f"branch {self.profile.branch} has no x-period")
         return (0.5 * self.profile.p0 - 1.0) * self.x_period + 0.5 * self._f_over_period
 
-    def point(self, t: float) -> HeisenbergPoint:
-        x, _, y, z = _curve_state(self._curve, t)
-        return HeisenbergPoint(x, y, z)
-
-    @_in_float_range
-    def velocity(self, t: float) -> tuple[float, float, float]:
-        """(x', y', z') with y' = h(x) - 1 and z' from the level x + z0 of
-        the centre component z' + (x'y - xy')/2."""
-        x, xp, y, z = _curve_state(self._curve, t)
+    def _state(self, t, point: bool) -> tuple:
+        """(x, y, z), or (x', y', z') with y' = h(x) - 1 and z' from the level
+        x + z0 of the centre component z' + (x'y - xy')/2."""
+        x, xp, y, z = _curve_values(self._curve, t)
+        if point:
+            return x, y, z
         return translate_velocity(HeisenbergPoint(x, y, z), *self.data.body_velocity(x, xp))
 
     def sample(self, ts) -> list[tuple[float, float, float]]:
@@ -346,8 +358,7 @@ class TrajectorySolution:
 _Curve = namedtuple("_Curve", "formula params rate phase sigma p0 zr x0 f0")
 
 
-@_in_float_range
-def _curve_state(c: _Curve, t):
+def _curve_values(c: _Curve, t):
     """(x, x', y, z) at t: the closed form at u = rate sigma t + phase."""
     s = c.sigma
     t = s * t
@@ -357,6 +368,9 @@ def _curve_state(c: _Curve, t):
     # negated at the end, not inside the formulas, to keep signed zeros
     z = -0.5 * x * y - c.zr * y - xp + s * c.x0
     return x, s * xp, s * y, s * z
+
+
+_curve_state = _in_float_range(_curve_values)
 
 
 def evaluate_stacked(solutions: list[TrajectorySolution], ts):
@@ -438,7 +452,7 @@ def _make(data: InitialData, prof: QuarticProfile) -> TrajectorySolution:
 
 
 @dataclass(frozen=True)
-class ExactTrajectory:
+class ExactTrajectory(_StatedCurve):
     """Magnetic trajectory through the identity for the exact force F_{0,rho}.
 
     The horizontal part rotates at rate z0 + rho; for z0 = -rho the curve
@@ -451,29 +465,25 @@ class ExactTrajectory:
     def is_subgroup(self) -> bool:
         return abs(self.data.zr) <= _VANISHING_BAND * self.data.scale()
 
-    def point(self, t: float) -> HeisenbergPoint:
-        return HeisenbergPoint(*self._state(t, True))
-
-    def velocity(self, t: float) -> tuple[float, float, float]:
-        return self._state(t, False)
-
-    @_in_float_range
-    def _state(self, t: float, point: bool) -> tuple:
+    def _state(self, t, point: bool) -> tuple:
         """(x, y, z) if point, else (x', y', z'), at t; (x, y) turns at rate z0 + rho."""
-        d = self.data
+        d, m = self.data, ops(t)
         if self.is_subgroup:
-            return (d.x0 * t, d.y0 * t, d.z0 * t) if point else (d.x0, d.y0, d.z0)
+            one = 0.0 * t + 1.0  # 1.0, shaped like t
+            return (d.x0 * t, d.y0 * t, d.z0 * t) if point else (d.x0 * one, d.y0 * one, d.z0 * one)
         tau, v0_sq, u = d.zr, d.x0 ** 2 + d.y0 ** 2, d.zr * t
-        s, c = math.sin(u), math.cos(u)
-        small = abs(u) < _TURN_CUT
-        one_c = 2.0 * math.sin(0.5 * u) ** 2 if small else 1.0 - c
+        s, c = m.sin(u), m.cos(u)
+        small = (abs(u) < _TURN_CUT,)
+        one_c = m.select(small, (lambda: 2.0 * m.pow(m.sin(0.5 * u), 2), lambda: 1.0 - c))
         if not point:
             return c * d.x0 - s * d.y0, s * d.x0 + c * d.y0, d.z0 + v0_sq / (2.0 * tau) * one_c
-        if small:  # z0 t + v0^2 (u - sin u) / (2 tau^2), the difference by its series
-            tail = sum(coef * (u * u) ** k for k, coef in enumerate(_SINE_TAIL))
-            z = d.z0 * t + v0_sq / (2.0 * tau) * t * (u * u * tail)
-        else:
-            z = (d.z0 + v0_sq / (2.0 * tau)) * t - v0_sq / (2.0 * tau ** 2) * s
+
+        def series():  # z0 t + v0^2 (u - sin u) / (2 tau^2), the difference by its series
+            tail = sum(coef * m.pow(u * u, k) for k, coef in enumerate(_SINE_TAIL))
+            return d.z0 * t + v0_sq / (2.0 * tau) * t * (u * u * tail)
+
+        z = m.select(small, (series, lambda: (d.z0 + v0_sq / (2.0 * tau)) * t
+                             - v0_sq / (2.0 * tau ** 2) * s))
         return (s * d.x0 - one_c * d.y0) / tau, (one_c * d.x0 + s * d.y0) / tau, z
 
     def horizontal_period(self) -> float | None:
@@ -495,22 +505,16 @@ ReflectedTrajectory = TrajectorySolution
 
 
 @dataclass(frozen=True)
-class TranslatedTrajectory:
+class TranslatedTrajectory(_StatedCurve):
     """Left translate t -> p * sigma(t); magnetic for the same force."""
 
     base_point: HeisenbergPoint
-    source: object  # anything exposing point(t) and velocity(t)
+    source: _StatedCurve  # a TrajectorySolution, an ExactTrajectory or a translate
 
-    def point(self, t: float) -> HeisenbergPoint:
-        return HeisenbergPoint(*self._state(t, True))
-
-    def velocity(self, t: float) -> tuple[float, float, float]:
-        return self._state(t, False)
-
-    @_in_float_range
-    def _state(self, t: float, point: bool) -> tuple:
-        """(x, y, z) of p * sigma(t) if point, else its (x', y', z')."""
+    def _state(self, t, point: bool) -> tuple:
+        """(x, y, z) of p * sigma(t) if point, else its (x', y', z'), from the source's state."""
+        values = self.source._state(t, point)
         if point:
-            p = self.base_point * self.source.point(t)
+            p = self.base_point * HeisenbergPoint(*values)
             return p.x, p.y, p.z
-        return translate_velocity(self.base_point, *self.source.velocity(t))
+        return translate_velocity(self.base_point, *values)

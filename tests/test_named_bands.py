@@ -57,6 +57,8 @@ _RETIRED_KEYWORDS = [
     (periodic.lambda_periodic_residual, "n_grid"),
     (periodic.primitive_period, "tol"),
     (periodic.primitive_period, "max_multiple"),
+    (periodic.psi, "e"),
+    (periodic.find_lambda_periodic, "e"),
 ]
 
 
@@ -84,7 +86,8 @@ def test_acceptance_gates_are_constants():
 def test_retired_aliases_are_gone(capsys):
     # each did a job that a surviving path does: point and evaluate, the
     # solution's f_over_period, initial_from_cde and energy_cde, data.zr,
-    # verify --suite elliptic, and select with one condition
+    # verify --suite elliptic, select with one condition and (the exact
+    # family's period) horizontal_period; and GammaLattice.reduce had no caller
     data = InitialData(1.0, 0.5, 0.2, 1.0)
     retired = [
         (make_solution(data), ("y", "z", "_closed")),
@@ -92,6 +95,8 @@ def test_retired_aliases_are_gone(capsys):
         (ExactTrajectory(data), ("turn_rate",)),
         (_ops.SCALAR, ("branch",)),
         (_ops.ARRAY, ("branch",)),
+        (periodic.exact_periodic_family(1.0, 2.0), ("period",)),
+        (periodic.GammaLattice(1), ("reduce",)),
     ]
     assert [(type(o).__name__, n) for o, names in retired for n in names if hasattr(o, n)] == []
     assert cli.main(["elliptic", "--check"]) == cli.EXIT_USAGE == 64

@@ -130,13 +130,13 @@ class TestPsi:
             sol = make_solution(initial_from_cde(c, d, e, rho))
             assert sol.profile.branch is Branch.NEG
             y = assert_matches_quadrature(sol)
-            assert abs(psi(c, d, e, rho) - y) < 1e-8
+            assert abs(psi(c, d, rho) - y) < 1e-8
 
     def test_independent_of_e(self):
-        for e1, e2 in ((-1.0, 0.3), (0.0, 1.0)):
-            v1 = psi(1.6, 0.4, e1, 0.9)
-            v2 = psi(1.6, 0.4, e2, 0.9)
-            assert abs(v1 - v2) < 1e-14
+        # psi takes no e: the curve built at every e has the y-increment it gives
+        for e in (-1.0, 0.0, 0.3, 1.0):
+            sol = make_solution(initial_from_cde(1.6, 0.4, e, 0.9))
+            assert abs(sol.y_over_period() - psi(1.6, 0.4, 0.9)) < 1e-14
 
     def test_small_d_limit(self):
         for c, rho in ((1.7, 1.3), (2.4, 0.0), (1.2, 2.0)):
@@ -153,15 +153,15 @@ class TestPsi:
         c, d = 1.8, 0.35
         big_k, big_e = complete_K_and_E(d)
         expected = 8.0 * c * (big_e - (0.5 / (c * c) + 0.5) * big_k)
-        assert abs(psi(c, d, 0.2, 0.0) - expected) < 1e-12
+        assert abs(psi(c, d, 0.0) - expected) < 1e-12
 
     def test_sign_structure_around_dc(self):
         c, rho = 1.8, 1.0
         d_c = solve_dc(c, rho)
         for d in (0.5 * d_c, 0.9 * d_c):
-            assert psi(c, d, 0.0, rho) > 0.0
+            assert psi(c, d, rho) > 0.0
         for d in (min(0.999, 1.1 * d_c), min(0.999, 1.5 * d_c)):
-            assert psi(c, d, 0.0, rho) < 0.0
+            assert psi(c, d, rho) < 0.0
 
 
 class TestYOverPeriod:
@@ -568,7 +568,8 @@ class TestExactFamily:
 
     def test_just_below_threshold_closes(self):
         fam = exact_periodic_family(1.999, 2.0)
-        p = fam.trajectory(0.3).point(fam.period)
+        traj = fam.trajectory(0.3)
+        p = traj.point(traj.horizontal_period())
         assert max(abs(p.x), abs(p.y), abs(p.z)) < 1e-7
 
     def test_rejects_zero_rho(self):
@@ -614,14 +615,6 @@ class TestLambdaPeriodic:
         monkeypatch.setattr(periodic, "make_solution", refuse)
         with pytest.raises(LambdaNotFoundError):
             find_lambda_periodic(LatticeElement(0.7, 1.0, 0.5), 1.0, 1.0)
-
-    def test_e_is_refused_before_any_solve(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("solved for c with e off the chart")
-
-        monkeypatch.setattr(periodic, "solve_c_for_energy", refuse)
-        with pytest.raises(DomainError, match="find_lambda_periodic needs e in"):
-            find_lambda_periodic(LatticeElement(0.0, 1.0, 0.5), 1.0, 1.0, e=5.0)
 
     def test_residual_evaluates_the_curve_once(self):
         res = find_lambda_periodic(LatticeElement(0.0, 1.0, 0.5), 1.0, 1.0)
@@ -716,23 +709,6 @@ class TestGammaLattice:
         assert lattice.is_member(HeisenbergPoint(1.0, -3.0, 0.75))
         assert not lattice.is_member(HeisenbergPoint(0.5, 0.0, 0.0))
 
-    def test_reduce_into_fundamental_domain(self):
-        lattice = GammaLattice(1)
-        rng = np.random.default_rng(31)
-        for _ in range(200):
-            p = HeisenbergPoint(*rng.uniform(-5, 5, 3))
-            q = lattice.reduce(p)
-            assert 0.0 <= q.x < 1.0
-            assert 0.0 <= q.y < 1.0
-            assert 0.0 <= q.z < 0.5 + 1e-12
-
-    def test_reduce_acts_by_left_multiplication(self):
-        # some lattice element maps the representative back to the point
-        lattice = GammaLattice(1)
-        p = HeisenbergPoint(2.3, -1.7, 0.9)
-        q = lattice.reduce(p)
-        assert _recover_lattice_word(lattice, p, q) is not None
-
     def test_rejects_bad_k(self):
         with pytest.raises(DomainError):
             GammaLattice(0)
@@ -748,22 +724,6 @@ class TestGammaLattice:
         # z / (1/2k) overflows; round() of the inf would raise OverflowError
         with pytest.raises(DomainError):
             GammaLattice(1).snap(HeisenbergPoint(0.0, 1.0, 1e308))
-
-
-def _recover_lattice_word(lattice, p, q, radius=6):
-    step = lattice.center_step
-    for mx in range(-radius, radius + 1):
-        for my in range(-radius, radius + 1):
-            for mz in range(-4 * radius, 4 * radius + 1):
-                lam = HeisenbergPoint(mx, my, mz * step)
-                cand = lam * q
-                if (
-                    abs(cand.x - p.x) < 1e-9
-                    and abs(cand.y - p.y) < 1e-9
-                    and abs(cand.z - p.z) < 1e-9
-                ):
-                    return lam
-    return None
 
 
 class TestObstruction:

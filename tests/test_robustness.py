@@ -15,7 +15,7 @@ from scipy.integrate import quad
 
 from heisenmag import acceptance, cli
 from heisenmag.elliptic import AGM, ellip_f, jacobi_sn_cn_dn, legendre_relation_defect
-from heisenmag.errors import BranchConsistencyError, DomainError, HeisenmagError
+from heisenmag.errors import BranchConsistencyError, ConvergenceError, DomainError, HeisenmagError
 from heisenmag.heisenberg import HeisenbergPoint, LorentzForce
 from heisenmag.oracle import StateVector, euler_lagrange_residual, integrate_general, taylor_reduced
 from heisenmag.periodic import (
@@ -204,14 +204,14 @@ def _lattice(k, y, z, energy, rho):
 
 _ENTRY_POINTS = {
     "psi_tilde": lambda v, k: psi_tilde(*v[:3]),
-    "psi": lambda v, k: psi(*v[:4]),
+    "psi": lambda v, k: psi(*v[:3]),
     "solve_dc": lambda v, k: solve_dc(*v[:2]),
     "energy_of_c": lambda v, k: energy_of_c(*v[:2]),
     "energy_cde": lambda v, k: energy_cde(*v[:3]),
     "solve_c_for_energy": lambda v, k: solve_c_for_energy(v[0], v[1]),
     "build_periodic": lambda v, k: build_periodic(v[0], v[1], v[2])[1],
     "find_lambda_periodic": lambda v, k: {
-        key: val for key, val in vars(find_lambda_periodic(_member(k, v[0], v[1]), *v[2:5])).items()
+        key: val for key, val in vars(find_lambda_periodic(_member(k, v[0], v[1]), *v[2:4])).items()
         if key not in ("trajectory", "base_solution")
     },
     "cde_from_initial": lambda v, k: cde_from_initial(InitialData(*v[:4])),
@@ -242,11 +242,11 @@ def test_periodic_lattice_and_cli_entry_points_return_or_raise_typed(entry, valu
 @pytest.mark.parametrize("fn, args, named", [
     # Python's float ** raises OverflowError on (rho^2 + c^6)^2
     (psi_tilde, (1e26, 0.5, 1.0), "c=1e+26"),
-    (psi, (1e26, 0.5, 0.0, 1.0), "c=1e+26"),
+    (psi, (1e26, 0.5, 1.0), "c=1e+26"),
     (solve_dc, (1e26, 1.0), "c=1e+26"),
     (energy_of_c, (1e26, 1.0), "c=1e+26"),
     (psi_tilde, (2.0, 0.5, 1e154), "rho=1e+154"),
-    (psi, (2.0, 0.5, 0.0, 1e154), "rho=1e+154"),
+    (psi, (2.0, 0.5, 1e154), "rho=1e+154"),
     (solve_dc, (2.0, 1e154), "rho=1e+154"),
     (energy_of_c, (2.0, 1e154), "rho=1e+154"),
     # rho^2 overflows to inf, so S^2 evaluates inf - inf to NaN
@@ -254,7 +254,7 @@ def test_periodic_lattice_and_cli_entry_points_return_or_raise_typed(entry, valu
     (solve_dc, (2.0, 1e160), "rho=1e+160"),
     # S^2 underflows to 0, and c^2 in psi to 0
     (psi_tilde, (1e-60, 0.5, 0.0), "c=1e-60"),
-    (psi, (1e-170, 0.5, 0.0, 1.0), "c=1e-170"),
+    (psi, (1e-170, 0.5, 1.0), "c=1e-170"),
     # the chart energy: NaN, OverflowError, inf and a division by zero
     (energy_cde, (1e77, 0.5, 1.0), "c=1e+77"),
     (energy_cde, (1.2e77, 0.5, 1.0), "c=1.2e+77"),
@@ -283,11 +283,6 @@ _REFUSALS = {
                    "z must be finite"),
     "member-inf-y": (lambda: GammaLattice(1).is_member(HeisenbergPoint(0.0, math.inf, 0.0)),
                      "y must be finite"),
-    "reduce-inf-x": (lambda: GammaLattice(1).reduce(HeisenbergPoint(math.inf, 0.0, 0.0)),
-                     "x must be finite"),
-    # finite, but the centre overflows once the x step is taken out
-    "reduce-centre-overflow": (
-        lambda: GammaLattice(1).reduce(HeisenbergPoint(1e308, 1e308, 0.0)), "too large"),
     "states-shape": (lambda: euler_lagrange_residual(
         LorentzForce(0, 1, 1), np.linspace(0.0, 1.0, 6), np.zeros((6, 5))), "shape (6, 5)"),
     # off the chart, and a basis that is no 2x2 matrix
@@ -303,8 +298,6 @@ _REFUSALS = {
     "cde-d-above": (lambda: initial_from_cde(2.0, 2.0, 0.0, 1.0), "d=2.0"),
     "cde-d-negative": (lambda: initial_from_cde(2.0, -0.5, 0.0, 1.0), "d=-0.5"),
     "cde-e": (lambda: initial_from_cde(2.0, 0.5, 5.0, 1.0), "got 5.0"),
-    "lambda-e": (lambda: find_lambda_periodic(LatticeElement(0.0, 1.0, 0.5), 1.0, 1.0, e=5.0),
-                 "got 5.0"),
     # a time that is no number, or infinite, reaches no closed form
     "neg-nan-t": (lambda: make_solution(InitialData(1.0, 0.5, 0.2, 1.0)).x(math.nan),
                   "t must be finite, got nan"),
@@ -377,6 +370,21 @@ _REFUSALS = {
     # an int that no float holds is refused as not finite, by its field's name
     "lattice-int-past-float-range": (lambda: LatticeElement(10**400, 0, 0), "x1 must be finite"),
     "data-int-past-float-range": (lambda: InitialData(10**400, 0, 0, 1), "x0 must be finite"),
+    # np.isfinite(1j) holds: a complex value is refused by name, not by a later TypeError
+    "data-complex": (lambda: InitialData(1j, 0, 0, 1), "x0 must be real, got 1j"),
+    "force-complex": (lambda: LorentzForce(1j, 0, 1), "alpha must be real, got 1j"),
+    # Delta = 0 band data whose closed-form constant misses its range by more than the clamp band
+    "saddle-cosh-below-one": (lambda: make_solution(InitialData(
+        1.6601860885180734e-10, 7.000000013924143, 1.000000000078854, 4.0)), "falls below 1"),
+    "cusp-negative-argument": (lambda: make_solution(InitialData(
+        2.898146891953675e-10, 2.0000000014505255, 2.0000000011522077, 1.0)), "is negative"),
+    # x0 = 1e-8 is past is_trivial's band, and x0^2 too small to move the quartic off the cusp
+    "cusp-on-triple-root": (lambda: make_solution(InitialData(1e-8, -2, -2, 1)),
+                            "sits on the triple root"),
+    # S^2 = c^12 is subnormal, so S keeps few digits
+    "psi-modulus": (lambda: psi_tilde(4.6e-27, 1e-10, 0.0), "modulus squared"),
+    "lambda-negative-rho": (lambda: find_lambda_periodic(LatticeElement(0.0, 1.0, 0.5), 1.0, -1.0),
+                            "rho >= 0"),
 }
 
 
@@ -384,6 +392,25 @@ _REFUSALS = {
 def test_bad_input_is_refused_by_name(case):
     call, named = _REFUSALS[case]
     with pytest.raises(DomainError) as info:
+        call()
+    assert named in str(info.value)
+
+
+_UNCONVERGED = {
+    "lambda-no-window": (lambda: find_lambda_periodic(LatticeElement(0.0, 1.0, 0.5), 1e3, 1.0),
+                         "could not open a Psi window"),
+    "lambda-residual": (lambda: find_lambda_periodic(LatticeElement(0.0, 1e5, 0.5), 1.0, 1.0),
+                        "misses lambda-periodicity"),
+    # lambda^2 = (0, 1, 0.6) is no member of Gamma_1 either
+    "no-lattice-recurrence": (lambda: primitive_period(find_lambda_periodic(
+        LatticeElement(0.0, 0.5, 0.3), 1.0, 1.0), GammaLattice(1)), "no lattice recurrence"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNCONVERGED))
+def test_failed_construction_is_refused_by_name(case):
+    call, named = _UNCONVERGED[case]
+    with pytest.raises(ConvergenceError) as info:
         call()
     assert named in str(info.value)
 

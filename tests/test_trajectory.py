@@ -16,7 +16,12 @@ from heisenmag.oracle import (
     integrate_general,
     reduced_ode_residual,
 )
-from heisenmag.periodic import initial_from_cde
+from heisenmag.periodic import (
+    LatticeElement,
+    find_lambda_periodic,
+    initial_from_cde,
+    lambda_periodic_residual,
+)
 from heisenmag import acceptance, elliptic, quartic, trajectory
 from heisenmag.quartic import Branch, InitialData, build_profile
 from heisenmag.trajectory import (
@@ -309,6 +314,7 @@ class TestExactForce:
         period = traj.horizontal_period()
         p = traj.point(period)
         assert abs(p.x) < 1e-12 and abs(p.y) < 1e-12
+        assert ExactTrajectory(InitialData(0.6, -0.4, -2.0, 2.0)).horizontal_period() is None
 
     def test_system_residual(self):
         traj = ExactTrajectory(InitialData(0.7, 0.2, 0.5, 1.5))
@@ -412,6 +418,47 @@ def _same_bits(a, b):
     """Equal values with equal signs, zeros included; NaN never matches."""
     a, b = np.asarray(a), np.asarray(b)
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _contract_curves():
+    """Curves of each class: closed forms whose array functions equal their
+    float ones here, the exact force's turning and subgroup curves (the turn
+    rate 1.2 crosses _TURN_CUT at t = 0.83; at 1e-10 every turn is below it),
+    and a left translate of each."""
+    sols = [make_solution(d) for d in (InitialData(0, 0, -1, 1), InitialData(-1.0, 0.5, 0.2, 1.0),
+                                       InitialData(2.0, -1.25, 1.5, 0.5), InitialData(0, 2, 2, 1))]
+    exact = [ExactTrajectory(d) for d in (InitialData(0.5, 0.3, 0.2, 1.0), InitialData(
+        1e-3, 2.0, 1e-10, 0.0), InitialData(0.5, 0.3, -1.0, 1.0), InitialData(-0.0, 2.0, -1.0, 1.0))]
+    return sols + exact + [TranslatedTrajectory(HeisenbergPoint(0.7, -1.3, 2.0), c)
+                           for c in sols + exact]
+
+
+class TestEvaluationContract:
+    TS = np.concatenate([np.linspace(-25.0, 25.0, 301), [0.0, -0.0, 1e-9, 0.83, 1e6]])
+
+    @pytest.mark.parametrize("curve", _contract_curves(), ids=lambda c: type(c).__name__)
+    def test_arrays_equal_floats_bit_for_bit(self, curve):
+        p, v = curve.point(self.TS), curve.velocity(self.TS)
+        floats = [(*curve.point(t).__dict__.values(), *curve.velocity(t)) for t in self.TS.tolist()]
+        for got, ref in zip((p.x, p.y, p.z, *v), zip(*floats)):
+            assert got.shape == self.TS.shape and _same_bits(got, ref)
+
+    def test_one_float_range_check_per_call(self, monkeypatch):
+        res = find_lambda_periodic(LatticeElement(0.0, 1.0, 0.5), 1.0, 1.0)
+        calls = []
+        check = trajectory.check_finite
+        monkeypatch.setattr(trajectory, "check_finite", lambda **v: calls.append(v) or check(**v))
+
+        def count(call):
+            calls.clear()
+            call()
+            return len(calls)
+
+        for curve in _contract_curves() + [res.trajectory]:
+            assert (count(lambda: curve.point(0.3)), count(lambda: curve.velocity(0.3))) == (1, 1)
+        sol = res.base_solution
+        assert count(lambda: sol.x(0.3)) == count(lambda: sol.evaluate([0.3, 1.0])) == 1
+        assert count(lambda: lambda_periodic_residual(res.trajectory, res.lam, res.omega)) == 1
 
 
 class TestTimeReversal:

@@ -8,10 +8,12 @@ stdout, stderr or exit code differs: every subcommand, with the README's
 examples, `classify-ic` and `sample` on the seven branch representatives,
 `sample` on two data with x0 < 0, on 30,001 rows, in JSON and past the
 float range, `periodic` on a (rho, energy, e) grid, `lattice` on four more
-lattice elements, `lattice-obstruction` on four bases of Z^2, and the argv
-forms of PARSING: help, usage errors (a --seed that no suite reads among
-them), an abbreviated option and negative values.  `verify --suite all --json` is compared with each
-record's `elapsed` dropped.  Each command runs without HEISENMAG_TOL in its
+lattice elements and on the README's element with a negative energy, a
+zero energy and a negative rho, `lattice-obstruction` on four bases of
+Z^2, and the argv forms of PARSING: help, usage errors (a --seed that no
+suite reads among them), an abbreviated option and negative values.
+`verify --suite all --json` is compared with each record's `elapsed`
+dropped.  Each command runs without HEISENMAG_TOL in its
 environment, except the verify runs of TOL_RUNS, which set it as their
 leading NAME=value says.  Where both outputs are JSON, each differing
 key follows with its relative gap, the largest first (a record of a list
@@ -41,6 +43,8 @@ PERIODIC = [("--rho", rho, "--energy", energy, "--e", e) for rho in ("0", "0.3",
 # (lambda, energy, rho) beside the README's lattice run, lambda in Gamma_1
 LATTICE = (("-1,0", "0.3", "0.5"), ("2,1.5", "5", "2"), ("-2,-2", "1", "0"),
            ("1,-0.5", "2.5", "1.5"))
+# the README's lattice run refused: a negative and a zero energy, and a negative rho
+LATTICE_REFUSED = (("-1", "1"), ("0", "1"), ("1", "-1"))
 # how main parses: no argv, the root's and a subcommand's help, an unknown
 # subcommand, a missing and an unrecognized option, an abbreviated option and
 # negative values as --flag v and --flag=v
@@ -78,6 +82,8 @@ def commands() -> list[list[str]]:
     cmds += [["periodic", *flags] for flags in PERIODIC]
     cmds += [["lattice", "--k", "1", "--lambda", lam, "--energy", energy, "--rho", rho]
              for lam, energy, rho in LATTICE]
+    cmds += [["lattice", "--k", "1", "--lambda", "1,0.5", "--energy", energy, "--rho", rho]
+             for energy, rho in LATTICE_REFUSED]
     cmds += [["lattice-obstruction", "--basis", basis] for basis in Z2_BASES]
     cmds += [["verify", "--suite", "periodicity", "--seed", str(s)] for s in range(40)]
     cmds += [["verify", "--case", b, *(["--rho", r] if r else [])] for b in BRANCHES for r in RHOS]
