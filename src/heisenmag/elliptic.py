@@ -108,9 +108,13 @@ class AGM:
         (DLMF 22.16(iii)).  At k = 0 the amplitude is u itself.  u may be a
         finite float (turns is then an int) or an array, descended level by level.
         """
-        m = ops(u)
-        if m is SCALAR:
+        if ops(u) is SCALAR:
             check_finite(u=u)
+        return self._descend(u)
+
+    def _descend(self, u):
+        """descend(u) with no check of u: its caller has refused a non-finite one."""
+        m = ops(u)
         if self._bb is not None and self.k == 0.0:  # one scheme; a stack has no _bb
             return u, 0, 0.0
         turns = m.floor(u / (4.0 * self.K))
@@ -130,8 +134,11 @@ class AGM:
         less than pi/2, so math.remainder modulo 2 pi puts it in phi_n's turn
         exactly; no reduction modulo a rounded pi costs digits near pi/2."""
         check_finite(phi=phi)
-        aa = self._aa
-        for a, b in zip(aa, self._bb[:-1]):
+        return self._F(phi)
+
+    def _F(self, phi: float) -> float:
+        """F(phi) with no check of phi: its caller passes a finite one."""
+        for a, b in zip(self._aa, self._bb[:-1]):
             lag = phi - math.atan2(b * math.sin(phi), a * math.cos(phi))
             phi = 2.0 * phi - math.remainder(lag, math.tau)
         return phi / self._lead

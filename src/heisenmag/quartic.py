@@ -286,9 +286,13 @@ def quartic_roots(p0, q0, rho) -> np.ndarray:
     return np.array(roots, dtype=complex).T
 
 
-@dataclass(frozen=True)
+@dataclass
 class QuarticProfile:
-    """Roots, discriminant data, and branch tag of the speed quartic."""
+    """Roots, discriminant data, and branch tag of the speed quartic.
+
+    Immutable by convention: build_profile fills it once and nothing sets a
+    field afterwards (a frozen dataclass would pay for each field's setattr
+    on every build)."""
 
     p0: float
     q0: float

@@ -108,12 +108,12 @@ def _profile_neg(data: InitialData, prof: QuarticProfile, turning: bool) -> _Clo
     c0 = -prof.p0 - 0.5 * ((r1 + r4) ** 2 + d1 * d4)
     params = (agm, a, num0, num1, den0, den1, slope, c0, d1, d4, zr)
     period, f_inc = 4.0 * agm.K / a, 4.0 * (c0 * agm.K + d1 * d4 * agm.E) / a
-    return _ClosedForm(a, _neg_state, params, agm.F(math.acos(cn0)), period, f_inc)
+    return _ClosedForm(a, _neg_state, params, agm._F(math.acos(cn0)), period, f_inc)
 
 
 def _neg_state(u, params):
     agm, a, num0, num1, den0, den1, slope, c0, d1, d4, zr = params
-    am, _, zeta = agm.descend(u)
+    am, _, zeta = agm._descend(u)
     sn, cn, dn = agm.sn_cn_dn(am)
     den = den1 * cn + den0
     epsilon = agm.E / agm.K * u + zeta  # Jacobi's epsilon E(am u, k)
@@ -145,13 +145,13 @@ def _profile_pos(data: InitialData, prof: QuarticProfile, turning: bool) -> _Clo
     c1 = span * span * kappa / (2.0 * (prof.k1 * prof.k1 + kappa) * (1.0 + kappa))
     params = (agm, a, kappa, base, span, sign, c0, c1, zr)
     period, f_inc = 2.0 * agm.K / a, 2.0 * (c0 * agm.K + c1 * agm.E) / a
-    phase = -sign * agm.F(math.asin(math.sqrt(max(0.0, sn2))))
+    phase = -sign * agm._F(math.asin(math.sqrt(max(0.0, sn2))))
     return _ClosedForm(a, _pos_state, params, phase, period, f_inc)
 
 
 def _pos_state(u, params):
     agm, a, kappa, base, span, sign, c0, c1, zr = params
-    am, _, zeta = agm.descend(u)
+    am, _, zeta = agm._descend(u)
     sn, cn, dn = agm.sn_cn_dn(am)
     q = 1.0 + kappa * sn * sn
     return (
@@ -274,6 +274,8 @@ def _in_float_range(state):
             if isinstance(t, np.ndarray):  # math raises past the float range, numpy does not
                 raise
             values = (math.nan,)
+        if type(t) is float and all(map(math.isfinite, values)):  # scalars: no array to build
+            return values
         finite = np.isfinite(values)
         if not finite.all():
             at = np.broadcast_to(t, finite.shape)[~finite][0]

@@ -6,6 +6,10 @@ import io
 import json
 import math
 import os
+import sys
+import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +19,13 @@ from scipy.integrate import quad
 
 from heisenmag import acceptance, cli
 from heisenmag.elliptic import AGM, ellip_f, jacobi_sn_cn_dn, legendre_relation_defect
-from heisenmag.errors import BranchConsistencyError, ConvergenceError, DomainError, HeisenmagError
+from heisenmag.errors import (
+    BranchConsistencyError,
+    ConvergenceError,
+    DomainError,
+    HeisenmagError,
+    check_finite,
+)
 from heisenmag.heisenberg import HeisenbergPoint, LorentzForce
 from heisenmag.oracle import StateVector, euler_lagrange_residual, integrate_general, taylor_reduced
 from heisenmag.periodic import (
@@ -373,6 +383,12 @@ _REFUSALS = {
     # np.isfinite(1j) holds: a complex value is refused by name, not by a later TypeError
     "data-complex": (lambda: InitialData(1j, 0, 0, 1), "x0 must be real, got 1j"),
     "force-complex": (lambda: LorentzForce(1j, 0, 1), "alpha must be real, got 1j"),
+    # a numpy complex64 is no Python complex, and a string or None is no number
+    "data-complex64": (lambda: InitialData(np.complex64(0.7 + 0.1j), 0.3, -0.4, 1.2),
+                       "x0 must be real"),
+    "data-string": (lambda: InitialData("0.7", 0.3, -0.4, 1.2),
+                    "x0 must be a real number, got '0.7'"),
+    "data-none": (lambda: InitialData(None, 0.3, -0.4, 1.2), "x0 must be a real number, got None"),
     # Delta = 0 band data whose closed-form constant misses its range by more than the clamp band
     "saddle-cosh-below-one": (lambda: make_solution(InitialData(
         1.6601860885180734e-10, 7.000000013924143, 1.000000000078854, 4.0)), "falls below 1"),
@@ -394,6 +410,54 @@ def test_bad_input_is_refused_by_name(case):
     with pytest.raises(DomainError) as info:
         call()
     assert named in str(info.value)
+
+
+# check_finite on each kind of value: None where it passes, else its refusal's message
+_FINITE_KINDS = {
+    "float-zero": (0.0, None),
+    "float-negative-zero": (-0.0, None),
+    "float-inf": (math.inf, "v must be finite, got inf"),
+    "float-negative-inf": (-math.inf, "v must be finite, got -inf"),
+    "float-nan": (math.nan, "v must be finite, got nan"),
+    "float-subnormal": (5e-324, None),
+    "float-max": (sys.float_info.max, None),
+    "int": (3, None),
+    "int-past-float-range": (10**400, f"v must be finite, got {10**400}"),
+    "bool": (True, None),
+    "fraction": (Fraction(1, 3), None),
+    "decimal-nan": (Decimal("NaN"), "v must be finite, got NaN"),
+    "np-float32": (np.float32(1.5), None),
+    "np-float32-nan": (np.float32("nan"), "v must be finite, got nan"),
+    "np-float64": (np.float64(2.5), None),
+    "np-float64-nan": (np.float64("nan"), "v must be finite, got nan"),
+    "np-int64": (np.int64(7), None),
+    "array-0d": (np.array(1.5), None),
+    "array-0d-nan": (np.array(math.nan), "v must be finite, got nan"),
+    "array": (np.array([[1.0, 2.0], [3.0, 4.0]]), None),
+    "array-nan": (np.array([1.0, math.nan]), "v must be finite, got [ 1. nan]"),
+    "complex": (1j, "v must be real, got 1j"),
+    "np-complex128": (np.complex128(1 + 2j), "v must be real, got (1+2j)"),
+    "np-complex64": (np.complex64(0.5 + 0.25j), "v must be real, got (0.5+0.25j)"),
+    "array-complex": (np.array([1.0, 2j]), "v must be real, got [1.+0.j 0.+2.j]"),
+    "list": ([1.0, 2.0, 3], None),
+    "list-nan": ([1.0, math.nan], "v must be finite, got [1.0, nan]"),
+    "list-complex": ([1.0, 2j], "v must be real, got [1.0, 2j]"),
+    "string": ("0.7", "v must be a real number, got '0.7'"),
+    "none": (None, "v must be a real number, got None"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FINITE_KINDS))
+def test_check_finite_by_kind(case):
+    value, refusal = _FINITE_KINDS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's ComplexWarning on a complex64 included
+        if refusal is None:
+            check_finite(v=value)
+            return
+        with pytest.raises(DomainError) as info:
+            check_finite(v=value)
+    assert str(info.value) == refusal
 
 
 _UNCONVERGED = {

@@ -444,21 +444,33 @@ class TestEvaluationContract:
             assert got.shape == self.TS.shape and _same_bits(got, ref)
 
     def test_one_float_range_check_per_call(self, monkeypatch):
+        """One check of t per call, and none in the AGM kernels the closed forms run."""
         res = find_lambda_periodic(LatticeElement(0.0, 1.0, 0.5), 1.0, 1.0)
-        calls = []
-        check = trajectory.check_finite
-        monkeypatch.setattr(trajectory, "check_finite", lambda **v: calls.append(v) or check(**v))
+        calls, kernel_calls = [], []
+
+        def counted(log, check):
+            return lambda **v: log.append(v) or check(**v)
+
+        monkeypatch.setattr(trajectory, "check_finite", counted(calls, trajectory.check_finite))
+        monkeypatch.setattr(elliptic, "check_finite", counted(kernel_calls, elliptic.check_finite))
 
         def count(call):
             calls.clear()
+            kernel_calls.clear()
             call()
-            return len(calls)
+            return len(calls), len(kernel_calls)
 
-        for curve in _contract_curves() + [res.trajectory]:
-            assert (count(lambda: curve.point(0.3)), count(lambda: curve.velocity(0.3))) == (1, 1)
-        sol = res.base_solution
-        assert count(lambda: sol.x(0.3)) == count(lambda: sol.evaluate([0.3, 1.0])) == 1
-        assert count(lambda: lambda_periodic_residual(res.trajectory, res.lam, res.omega)) == 1
+        pos = make_solution(InitialData(0.2, -2.75, -2.0, 1.0))  # POS_LOW: the sn^2 closed form
+        for curve in _contract_curves() + [pos, res.trajectory]:
+            assert count(lambda: curve.point(0.3)) == count(lambda: curve.velocity(0.3)) == (1, 0)
+        for sol in (pos, res.base_solution):
+            assert count(lambda: sol.x(0.3)) == count(lambda: sol.evaluate([0.3, 1.0])) == (1, 0)
+        assert count(lambda: lambda_periodic_residual(res.trajectory, res.lam, res.omega)) == (1, 0)
+        # the kernels' public entries still refuse a non-finite argument themselves
+        with pytest.raises(DomainError):
+            elliptic.AGM(0.5).descend(math.nan)
+        with pytest.raises(DomainError):
+            elliptic.AGM(0.5).F(math.inf)
 
 
 class TestTimeReversal:
