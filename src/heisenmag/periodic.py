@@ -14,7 +14,9 @@ construction, which builds its curve at e = 0 and left-translates it.
 Closed trajectories answer Psi = 0: for every c > 1 there is a unique
 root d_c, the energy map c -> En(c, d_c) is an increasing bijection of
 (1, inf) onto (0, inf), and lattice-periodic curves come from tuning
-Psi = y1/n on a fixed-energy surface and conjugating.
+Psi = y1/n on a fixed-energy surface and conjugating.  The window of Psi
+on that surface is swept in c steps, which stop at the first step that
+settles n = 1.
 
 The closed trajectory of energy E is one solve of psi_tilde along the
 level set d = h_E(c), refused at the floor c = 1 + 1e-11 unless psi_tilde
@@ -251,7 +253,9 @@ _POLISH_BAND = 1e-7  # relative width of build_periodic's d_c bracket beside h_E
 _C_FLOOR = 1.0 + 1e-11
 _C_CEILING = 2.0 ** 29  # the last end of the energy's c bracket tried
 _SWEEP_STEPS = 400  # c steps of the Psi window sweep
+_SWEEP_STEP = 0.02  # a step of that sweep as a fraction of c0
 _SWEEP_FLOOR = 1e-4  # smallest c step of that sweep
+_WINDOW_MARGIN = 0.95  # share of the window's |Psi| that y1/n may take
 
 
 def _brent(f, lo: float, hi: float, f_lo: float, f_hi: float) -> tuple[float, float]:
@@ -585,6 +589,12 @@ def find_lambda_periodic(lam: LatticeElement, energy: float, rho: float) -> Lamb
     y1/n inside the attainable window, solve Psi = y1/n, raise the
     resulting lambda1-periodic curve to the n-th power, and conjugate by
     exp(a e1) with a = (z1 - n z2)/y1 to match the centre component.
+
+    The window is swept in c from c_E toward y1's sign, and n is the least
+    with |y1|/n <= _WINDOW_MARGIN |Psi| at the sweep's largest |Psi|.  The
+    sweep stops at the first step that settles n = 1 (Psi of y1's sign and
+    _WINDOW_MARGIN |Psi| >= |y1|), and Psi = y1 is solved between c_E and
+    that step; otherwise it runs to the chart edge or _SWEEP_STEPS steps.
     """
     check_finite(energy=energy, rho=rho)
     if abs(lam.x1) > _LATTICE_BAND or abs(lam.y1) <= _LATTICE_BAND:
@@ -607,7 +617,7 @@ def find_lambda_periodic(lam: LatticeElement, energy: float, rho: float) -> Lamb
 
     # h_E decreases through d_{c0} at c0, so Psi > 0 for c > c0 and < 0 below
     direction = 1.0 if lam.y1 > 0.0 else -1.0
-    step = direction * max(_SWEEP_FLOOR, 0.02 * c0)
+    step = direction * max(_SWEEP_FLOOR, _SWEEP_STEP * c0)
     best_c, best_val = None, 0.0
     c = c0
     for _ in range(_SWEEP_STEPS):
@@ -617,11 +627,15 @@ def find_lambda_periodic(lam: LatticeElement, energy: float, rho: float) -> Lamb
         val = psi_on_surface(c)
         if val is None:
             break
-        if abs(val) > abs(best_val):
+        # y1 fits this step's window whole: n = 1, the least n there is
+        settled = val * lam.y1 > 0.0 and _WINDOW_MARGIN * abs(val) >= abs(lam.y1)
+        if settled or abs(val) > abs(best_val):
             best_c, best_val = c, val
+        if settled:
+            break
     if best_c is None or best_val * lam.y1 <= 0.0:
         raise ConvergenceError("could not open a Psi window on the energy surface")
-    n = max(1, math.ceil(abs(lam.y1) / (0.95 * abs(best_val))))
+    n = max(1, math.ceil(abs(lam.y1) / (_WINDOW_MARGIN * abs(best_val))))
     target = lam.y1 / n
 
     def psi_minus_target(c: float) -> float:
@@ -630,7 +644,8 @@ def find_lambda_periodic(lam: LatticeElement, energy: float, rho: float) -> Lamb
             raise ConvergenceError("energy surface left the chart while solving")
         return val - target
 
-    # Psi - target changes sign between c0 (Psi = 0) and the window edge;
+    # Psi - target changes sign between c0 (Psi = 0) and best_c, where
+    # |Psi| >= |y1| / (n _WINDOW_MARGIN) > |target| with target's sign;
     # _brent returns a point it evaluated, so d_star lies in (0, 1)
     (lo, f_lo), (hi, f_hi) = sorted([(c0, psi_minus_target(c0)), (best_c, best_val - target)])
     c_star, _ = _brent(psi_minus_target, lo, hi, f_lo, f_hi)

@@ -58,6 +58,19 @@ def _below_floor(solve, *args):
         solve(*args)
 
 
+def _counted_psi(monkeypatch) -> list:
+    """The (c, d) of every _psi_parts call from here on."""
+    calls = []
+    parts = periodic._psi_parts
+
+    def counted(c, d, rho):
+        calls.append((c, d))
+        return parts(c, d, rho)
+
+    monkeypatch.setattr(periodic, "_psi_parts", counted)
+    return calls
+
+
 class TestChart:
     def test_round_trip(self):
         rng = np.random.default_rng(21)
@@ -254,20 +267,15 @@ class TestEnergyBijection:
         (lambda: build_periodic(1.0, 0.0, 1.0), 12),
         (lambda: solve_c_for_energy(1.0, 1.0), 10),
         (lambda: _below_floor(build_periodic, 1e-12, 0.3, 1.0), 2),
-    ], ids=["build_periodic", "solve_c_for_energy", "below_floor"])
+        (lambda: find_lambda_periodic(LatticeElement(0, 1.0, 0.5), 1.0, 1.0), 20),
+    ], ids=["build_periodic", "solve_c_for_energy", "below_floor", "find_lambda_periodic"])
     def test_psi_evaluations_are_not_repeated(self, monkeypatch, solve, most):
         # Brent is handed the bracket's end values, solve_dc reads its
         # residual off Brent's last value, build_periodic's d starts from
-        # the level-set solve's last value, and a refusal below the floor
-        # names the floor by c, with no d_c solve
-        calls = []
-        parts = periodic._psi_parts
-
-        def counted(c, d, rho):
-            calls.append((c, d))
-            return parts(c, d, rho)
-
-        monkeypatch.setattr(periodic, "_psi_parts", counted)
+        # the level-set solve's last value, a refusal below the floor
+        # names the floor by c, with no d_c solve, and the lattice's window
+        # sweep stops at the first step that settles n = 1
+        calls = _counted_psi(monkeypatch)
         solve()
         assert 0 < len(calls) <= most
 
@@ -667,11 +675,39 @@ class TestLambdaPeriodic:
         with pytest.raises(DomainError, match="energy 1e"):
             find_lambda_periodic(LatticeElement(0.0, 1.0, 0.5), 1e300, 1.0)
 
-    def test_larger_y1_needs_power_or_window(self):
+    def test_larger_y1_needs_power_or_window(self, monkeypatch):
+        # y1 = 5 needs n = 2 at E = rho = 1: no step settles n = 1, so the
+        # sweep runs through the whole window
+        calls = _counted_psi(monkeypatch)
         lam = LatticeElement(0.0, 5.0, 0.5)
         res = find_lambda_periodic(lam, 1.0, 1.0)
+        assert res.n == 2
+        assert len(calls) == 31
         assert res.residual < 1e-7
         assert abs(res.n * res.base_solution.point(res.base_period).y - 5.0) < 1e-8
+
+    @staticmethod
+    def _full_window_n(y1, energy, rho):
+        """n from the largest |Psi| over every step of the window sweep."""
+        c0 = solve_c_for_energy(energy, rho)
+        step = math.copysign(max(periodic._SWEEP_FLOOR, periodic._SWEEP_STEP * c0), y1)
+        best, c = 0.0, c0
+        for _ in range(periodic._SWEEP_STEPS):
+            c += step
+            d = periodic._h_energy(c, energy, rho) if c > 0.0 else 0.0
+            if not 0.0 < d < 1.0:
+                break
+            best = max(best, abs(psi(c, d, rho)))
+        return max(1, math.ceil(abs(y1) / (periodic._WINDOW_MARGIN * best)))
+
+    @pytest.mark.parametrize("rho", [0.0, 0.7, 1.5])
+    @pytest.mark.parametrize("energy", [0.5, 1.0, 3.0])
+    def test_early_exit_keeps_the_full_window_n(self, energy, rho):
+        # the sweep stops once n = 1 is settled; n is the full window's
+        for y1 in (1.0, -1.0, 2.0, -2.0, 5.0):
+            res = find_lambda_periodic(LatticeElement(0.0, y1, 0.5), energy, rho)
+            assert res.n == self._full_window_n(y1, energy, rho), y1
+            assert res.residual <= periodic._LAMBDA_RESIDUAL
 
 
 class TestPrimitivePeriod:
